@@ -29,18 +29,18 @@ from .errors import (
     MissingKeyError,
     NoFeasibleConfigurationError,
     NonPositiveDepthError,
+    NoSamplesError,
 )
 from .geometry import Box3D, rotation_from_angles
 from .metrics import (
     GroundTruthBox,
     ScoredDetection,
     aos,
-    center_distance,
-    closest_point_distance_error,
     distance_binned_errors,
-    iou3d,
-    match_pairs,
+    iou3d,  # noqa: F401 - perfbench/selftest.py traces it through this binding
+    match_greedy,
     orientation_score,
+    pair_errors,
     viewpoint_stats,
 )
 from .multibin import (
@@ -215,8 +215,8 @@ def cmd_lift(args):
         for category in {r.category for r in all_records if not r.is_dont_care}:
             try:
                 mean_dims[category] = kitti.compute_mean_dims(all_records, category)
-            except Exception:
-                pass
+            except NoSamplesError:
+                logger.warning("no mean dimensions for category %r", category)
 
     entries = []
     kitti_rows = {}
@@ -232,7 +232,7 @@ def cmd_lift(args):
         else:
             logger.error("missing calib file for %s", stem)
 
-        for line_no, record in enumerate(records, start=1):
+        for record in records:
             if record.is_dont_care:
                 continue
             n_total += 1
@@ -241,7 +241,7 @@ def cmd_lift(args):
                 continue
             try:
                 entry, out_record = _lift_record(
-                    record, calib, config, stem, line_no, residuals, mean_dims
+                    record, calib, config, stem, residuals, mean_dims
                 )
             except (
                 InfeasibleConfigurationError,
@@ -249,7 +249,7 @@ def cmd_lift(args):
                 NonPositiveDepthError,
                 ValueError,
             ) as exc:
-                logger.warning("%s line %d not lifted: %s", stem, line_no, exc)
+                logger.warning("%s line %d not lifted: %s", stem, record.line_no, exc)
                 n_failed += 1
                 continue
             entries.append(entry)
@@ -270,13 +270,13 @@ def cmd_lift(args):
     return 0
 
 
-def _lift_record(record, calib, config, stem, line_no, residuals, mean_dims):
+def _lift_record(record, calib, config, stem, residuals, mean_dims):
     intrinsics = calib.intrinsics
     theta_ray = float(ray_angle(intrinsics, record.box2d.center[0]))
     yaw = float(local_to_global(record.alpha, theta_ray))
 
     if residuals is not None:
-        delta = residuals.get((stem, line_no))
+        delta = residuals.get((stem, record.line_no))
         if delta is None or record.category not in mean_dims:
             raise ValueError("no dimension residual or category mean available")
         dims = DimensionStats(mean_dims[record.category], delta).corrected
@@ -312,7 +312,7 @@ def _lift_record(record, calib, config, stem, line_no, residuals, mean_dims):
         "reprojection_error": result.reprojection_error,
     }
     entry = kitti.result_to_json_dict(
-        out_record, file_id=stem, line_no=line_no, diagnostics=diagnostics
+        out_record, file_id=stem, line_no=record.line_no, diagnostics=diagnostics
     )
     return entry, out_record
 
@@ -326,15 +326,35 @@ def _difficulty_eligible(record, difficulty):
     )
 
 
+def _read_predictions(path):
+    """Frame -> [(DetectionRecord, Box3D)] over the non-blank lines of a results file.
+
+    Raises:
+        MalformedLineError: for a line that is not JSON, lacks a key or has
+            no dimensions, naming the file and the 1-based physical line.
+    """
+    by_frame = {}
+    with open(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+                record = kitti.record_from_json_dict(entry)
+                box3d = kitti.location_to_center(record)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedLineError(
+                    line_no, line.strip(),
+                    f"{path} line {line_no}: {type(exc).__name__}: {exc}",
+                ) from None
+            by_frame.setdefault(entry.get("file", "0"), []).append((record, box3d))
+    return by_frame
+
+
 def cmd_eval(args):
     config = build_config(args)
     gt_dir = Path(args.gt_dir)
-    with open(args.results) as handle:
-        entries = kitti.read_results_jsonl(handle)
-
-    by_frame = {}
-    for entry in entries:
-        by_frame.setdefault(entry.get("file", "0"), []).append(entry)
+    by_frame = _read_predictions(args.results)
 
     missing = []
     gt_records = {}
@@ -349,14 +369,14 @@ def cmd_eval(args):
     if missing:
         print(f"skipped {len(missing)} frames without ground truth: {missing}")
 
-    detections = []
-    pairs = []
     gt_all = []
-    for frame, frame_entries in by_frame.items():
+    detections = []
+    pred_boxes = []
+    for frame, preds in by_frame.items():
         if frame not in gt_records:
             continue
-        preds = [kitti.record_from_json_dict(e) for e in frame_entries]
-        for pred in preds:
+        gt_all.extend((frame, g) for g in gt_records[frame])
+        for pred, box3d in preds:
             detections.append(
                 ScoredDetection(
                     box2d=pred.box2d,
@@ -365,17 +385,18 @@ def cmd_eval(args):
                     frame=frame,
                 )
             )
-        gt_all.extend((frame, g) for g in gt_records[frame])
-        pairs.extend(
-            match_pairs(
-                [(kitti.location_to_center(g), g.box2d) for g in gt_records[frame]],
-                [
-                    (kitti.location_to_center(p), p.box2d, p.score or 1.0)
-                    for p in preds
-                ],
-                iou_threshold=config.iou_thresh,
-            )
-        )
+            pred_boxes.append(box3d)
+
+    visits = match_greedy(
+        [(frame, g.box2d) for frame, g in gt_all],
+        [(d.frame, d.box2d, d.score) for d in detections],
+        config.iou_thresh,
+    )
+    pairs = [
+        (kitti.location_to_center(gt_all[gt_idx][1]), pred_boxes[det_idx])
+        for det_idx, gt_idx, _ in visits
+        if gt_idx >= 0
+    ]
 
     difficulty_rows = []
     summary = {"difficulties": {}, "missing_frames": missing}
@@ -397,7 +418,7 @@ def cmd_eval(args):
             "n_gt": len(gts),
         }
 
-    bins = distance_binned_errors(pairs, bin_width=10.0)
+    errors = pair_errors(pairs)
     bin_rows = [
         [
             f"{row.bin_lo:.0f}",
@@ -407,29 +428,17 @@ def cmd_eval(args):
             f"{row.mean_closest_point_error:.6f}",
             f"{row.mean_iou3d:.6f}",
         ]
-        for row in bins
+        for row in distance_binned_errors(errors, bin_width=10.0)
     ]
     if pairs:
-        rotations = [
-            (p.gt_box3d.rotation, p.pred_box3d.rotation) for p in pairs
-        ]
-        med_err, acc = viewpoint_stats(rotations)
+        med_err, acc = viewpoint_stats(
+            [(gt.rotation, pred.rotation) for gt, pred in pairs]
+        )
         summary["matched_pairs"] = {
             "count": len(pairs),
-            "mean_center_error": float(
-                np.mean([center_distance(p.gt_box3d, p.pred_box3d) for p in pairs])
-            ),
-            "mean_closest_point_error": float(
-                np.mean(
-                    [
-                        closest_point_distance_error(p.gt_box3d, p.pred_box3d)
-                        for p in pairs
-                    ]
-                )
-            ),
-            "mean_iou3d": float(
-                np.mean([iou3d(p.gt_box3d, p.pred_box3d) for p in pairs])
-            ),
+            "mean_center_error": float(np.mean(errors[:, 1])),
+            "mean_closest_point_error": float(np.mean(errors[:, 2])),
+            "mean_iou3d": float(np.mean(errors[:, 3])),
             "median_viewpoint_error_rad": med_err,
             "viewpoint_acc_pi_over_6": acc,
         }

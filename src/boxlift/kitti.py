@@ -20,7 +20,7 @@ camera-frame translation so projection keeps the x = K (R X + T) form.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,7 +47,11 @@ _ANGLE_SLACK = 1e-6  # tolerate formatting jitter at +-pi
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One parsed KITTI label or result line."""
+    """One parsed KITTI label or result line.
+
+    ``line_no`` is the 1-based physical line a label record was parsed
+    from; it is provenance, not content, so equality ignores it.
+    """
 
     category: str
     truncated: float
@@ -60,6 +64,7 @@ class DetectionRecord:
     location: np.ndarray
     rotation_y: float
     score: Optional[float] = None
+    line_no: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -146,6 +151,7 @@ def _parse_label_line(line, line_no):
         location=np.array(values[10:13]),
         rotation_y=values[13],
         score=values[14] if len(values) == 15 else None,
+        line_no=line_no,
     )
     if not record.is_dont_care:
         for name, angle in (("alpha", record.alpha), ("rotation_y", record.rotation_y)):

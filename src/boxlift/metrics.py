@@ -10,6 +10,14 @@ difference of each box's closest-corner distance to the camera, and 3D IoU
 (bird's-eye-view polygon intersection times vertical overlap, for upright
 boxes). Viewpoint accuracy over full rotations uses the geodesic distance
 on SO(3): median error and the fraction within pi/6.
+
+Detections are paired with ground truths by one greedy matcher,
+``match_greedy``, which both the AOS sweep and the 3D-box errors use. It
+visits detections in descending score order, ties by input order.
+``boxlift eval`` ranks a result with a null score as 1.0, and a score of
+0.0 as itself, so it ranks last. ``pair_errors`` computes each box measure
+once per matched pair; the distance bins and the overall means are both
+taken from its array.
 """
 
 from dataclasses import dataclass
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUprightBoxError
-from .geometry import Box2D, Box3D, is_rotation
+from .geometry import Box2D, is_rotation
 
 __all__ = [
     "orientation_similarity",
@@ -29,13 +37,13 @@ __all__ = [
     "PRCurve",
     "AosResult",
     "aos",
-    "MatchedPair",
-    "match_pairs",
+    "match_greedy",
     "center_distance",
     "closest_point_distance_error",
     "iou3d",
     "geodesic_distance",
     "viewpoint_stats",
+    "pair_errors",
     "distance_binned_errors",
 ]
 
@@ -119,48 +127,72 @@ def _eleven_point(recall, values):
     return total / 11.0
 
 
+def match_greedy(ground_truths, detections, iou_threshold):
+    """Greedily match scored detections to ground truths by 2D IoU.
+
+    Detections are visited in descending score order, ties by index. Each
+    one takes the unmatched ground truth of its own frame with the highest
+    IoU at or above ``iou_threshold``; equal IoUs go to the lower
+    ground-truth index. Each ground truth matches at most once.
+
+    Args:
+        ground_truths: sequence of (frame, Box2D).
+        detections: sequence of (frame, Box2D, score).
+
+    Returns:
+        List of (detection index, ground-truth index or -1, IoU) in visiting
+        order, one per detection; the IoU is 0.0 when unmatched.
+    """
+    gt_by_frame = {}
+    for gt_idx, (frame, _) in enumerate(ground_truths):
+        gt_by_frame.setdefault(frame, []).append(gt_idx)
+    taken = [False] * len(ground_truths)
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i][2], i))
+    visits = []
+    for det_idx in order:
+        frame, box, _ = detections[det_idx]
+        best_iou, best_gt = 0.0, -1
+        for gt_idx in gt_by_frame.get(frame, ()):
+            if taken[gt_idx]:
+                continue
+            overlap = iou2d(box, ground_truths[gt_idx][1])
+            if overlap >= iou_threshold and overlap > best_iou:
+                best_iou, best_gt = overlap, gt_idx
+        if best_gt >= 0:
+            taken[best_gt] = True
+        visits.append((det_idx, best_gt, best_iou))
+    return visits
+
+
 def aos(ground_truths, detections, iou_threshold=0.5):
     """AP and average orientation similarity over a ranked detection sweep.
 
-    Detections are processed in descending score order. Each one greedily
-    matches the unmatched ground truth in its frame with the highest 2D IoU
-    at or above ``iou_threshold``; matched detections contribute their
-    orientation similarity, unmatched ones count as false positives with
-    similarity zero. AP and AOS are 11-point interpolated over recall.
+    Detections are ranked and matched by ``match_greedy``; matched
+    detections contribute their orientation similarity, unmatched ones
+    count as false positives with similarity zero. AP and AOS are 11-point
+    interpolated over recall.
 
     Returns:
         AosResult with ``ap``, ``aos`` and the raw per-rank curve.
     """
     n_gt = len(ground_truths)
-    order = sorted(
-        range(len(detections)), key=lambda i: (-detections[i].score, i)
-    )
-    gt_by_frame = {}
-    for idx, gt in enumerate(ground_truths):
-        gt_by_frame.setdefault(gt.frame, []).append(idx)
-    matched = [False] * n_gt
-
-    tp = np.zeros(len(detections))
-    sim = np.zeros(len(detections))
-    for rank, det_idx in enumerate(order):
-        det = detections[det_idx]
-        best_iou, best_gt = 0.0, None
-        for gt_idx in gt_by_frame.get(det.frame, ()):
-            if matched[gt_idx]:
-                continue
-            overlap = iou2d(det.box2d, ground_truths[gt_idx].box2d)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_iou, best_gt = overlap, gt_idx
-        if best_gt is not None:
-            matched[best_gt] = True
-            tp[rank] = 1.0
-            sim[rank] = orientation_similarity(
-                ground_truths[best_gt].yaw - det.yaw
-            )
-
     if len(detections) == 0 or n_gt == 0:
         empty = PRCurve(np.zeros(0), np.zeros(0), np.zeros(0))
         return AosResult(ap=0.0, aos=0.0, curve=empty)
+
+    visits = match_greedy(
+        [(gt.frame, gt.box2d) for gt in ground_truths],
+        [(det.frame, det.box2d, det.score) for det in detections],
+        iou_threshold,
+    )
+    tp = np.zeros(len(detections))
+    sim = np.zeros(len(detections))
+    for rank, (det_idx, gt_idx, _) in enumerate(visits):
+        if gt_idx >= 0:
+            tp[rank] = 1.0
+            sim[rank] = orientation_similarity(
+                ground_truths[gt_idx].yaw - detections[det_idx].yaw
+            )
 
     ranks = np.arange(1, len(detections) + 1)
     recall = np.cumsum(tp) / n_gt
@@ -172,61 +204,6 @@ def aos(ground_truths, detections, iou_threshold=0.5):
         aos=_eleven_point(recall, similarity),
         curve=curve,
     )
-
-
-@dataclass(frozen=True)
-class MatchedPair:
-    """A ground-truth box paired with a prediction at 2D IoU >= threshold."""
-
-    gt_box3d: Box3D
-    gt_box2d: Box2D
-    pred_box3d: Box3D
-    pred_box2d: Box2D
-    score: float
-    iou2d: float
-    threshold: float
-
-
-def match_pairs(ground_truths, predictions, iou_threshold=0.7):
-    """Greedily pair predictions with ground truths at 2D IoU >= threshold.
-
-    Args:
-        ground_truths: sequence of (Box3D, Box2D).
-        predictions: sequence of (Box3D, Box2D, score), matched in
-            descending score order; each ground truth matches at most once.
-
-    Returns:
-        List of MatchedPair.
-    """
-    order = sorted(
-        range(len(predictions)), key=lambda i: (-predictions[i][2], i)
-    )
-    taken = [False] * len(ground_truths)
-    pairs = []
-    for idx in order:
-        pred3d, pred2d, score = predictions[idx]
-        best_iou, best_gt = 0.0, None
-        for gt_idx, (gt3d, gt2d) in enumerate(ground_truths):
-            if taken[gt_idx]:
-                continue
-            overlap = iou2d(pred2d, gt2d)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_iou, best_gt = overlap, gt_idx
-        if best_gt is not None:
-            taken[best_gt] = True
-            gt3d, gt2d = ground_truths[best_gt]
-            pairs.append(
-                MatchedPair(
-                    gt_box3d=gt3d,
-                    gt_box2d=gt2d,
-                    pred_box3d=pred3d,
-                    pred_box2d=pred2d,
-                    score=score,
-                    iou2d=best_iou,
-                    threshold=iou_threshold,
-                )
-            )
-    return pairs
 
 
 def center_distance(a, b):
@@ -354,37 +331,53 @@ class DistanceBinRow:
     mean_iou3d: float
 
 
-def distance_binned_errors(pairs, bin_width=10.0):
+def pair_errors(pairs):
+    """Box errors of (ground truth, prediction) Box3D pairs, once per pair.
+
+    Returns:
+        (n, 4) array; its columns are the distance of the ground-truth
+        center from the camera, the center distance, the closest-point
+        distance error and the 3D IoU.
+    """
+    rows = [
+        (
+            np.linalg.norm(gt.center),
+            center_distance(gt, pred),
+            closest_point_distance_error(gt, pred),
+            iou3d(gt, pred),
+        )
+        for gt, pred in pairs
+    ]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def distance_binned_errors(errors, bin_width=10.0):
     """Per-distance-band means of the three 3D box metrics.
 
-    Pairs are binned by the Euclidean distance of the ground-truth box
-    center from the camera; bands are [0, w), [w, 2w), ... Empty leading
-    bands are kept so rows line up across runs; trailing empties are cut.
+    ``errors`` is the array of ``pair_errors``. Pairs are binned by the
+    Euclidean distance of the ground-truth box center from the camera;
+    bands are [0, w), [w, 2w), ... Empty leading bands are kept so rows
+    line up across runs; trailing empties are cut.
     """
-    if not pairs:
+    if len(errors) == 0:
         return []
-    dists = np.array([np.linalg.norm(p.gt_box3d.center) for p in pairs])
+    dists = errors[:, 0]
     n_bins = int(dists.max() // bin_width) + 1
     rows = []
     for i in range(n_bins):
         lo, hi = i * bin_width, (i + 1) * bin_width
-        members = [p for p, d in zip(pairs, dists) if lo <= d < hi]
-        if not members:
+        members = errors[(lo <= dists) & (dists < hi)]
+        if len(members) == 0:
             rows.append(DistanceBinRow(lo, hi, 0, np.nan, np.nan, np.nan))
             continue
-        centers = [center_distance(p.gt_box3d, p.pred_box3d) for p in members]
-        closests = [
-            closest_point_distance_error(p.gt_box3d, p.pred_box3d) for p in members
-        ]
-        overlaps = [iou3d(p.gt_box3d, p.pred_box3d) for p in members]
         rows.append(
             DistanceBinRow(
                 bin_lo=lo,
                 bin_hi=hi,
                 count=len(members),
-                mean_center_error=float(np.mean(centers)),
-                mean_closest_point_error=float(np.mean(closests)),
-                mean_iou3d=float(np.mean(overlaps)),
+                mean_center_error=float(np.mean(members[:, 1])),
+                mean_closest_point_error=float(np.mean(members[:, 2])),
+                mean_iou3d=float(np.mean(members[:, 3])),
             )
         )
     return rows

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from boxlift.cli import main
-from boxlift.kitti import parse_label_file, read_results_jsonl
+from boxlift.cli import build_parser, main
+from boxlift.errors import MalformedLineError
+from boxlift.kitti import compute_mean_dims, parse_label_file, read_results_jsonl
 
 from conftest import CALIB_TEXT, record_line, sample_scene_box, synth_corpus
 
@@ -72,8 +73,6 @@ def test_lift_kitti_format_export(tmp_path, precise_dataset):
 def test_lift_with_dimension_residuals(tmp_path, precise_dataset):
     # residual file: delta = true dims - category mean, so the corrected
     # dimensions equal the labeled ones and the lift stays exact
-    from boxlift.kitti import compute_mean_dims
-
     labels, calibs, corpus = precise_dataset
     all_records = [r for text in corpus.values() for r in parse_label_file(text)]
     means = {
@@ -102,6 +101,48 @@ def test_lift_with_dimension_residuals(tmp_path, precise_dataset):
         assert np.allclose(
             entry["dims_hwl"], [truth.height, truth.width, truth.length], atol=1e-9
         )
+
+
+def test_lift_reports_physical_lines_after_blank_first_line(tmp_path, calib):
+    # residuals and results are keyed by the label file's physical line, so
+    # a leading blank line shifts every key by one
+    corpus = synth_corpus(calib, n_files=2, per_file=4, seed=22, precision=9, alpha="ray")
+    labels, calibs = write_dataset(tmp_path, {k: "\n" + v for k, v in corpus.items()})
+    all_records = [r for text in corpus.values() for r in parse_label_file(text)]
+    means = {c: compute_mean_dims(all_records, c) for c in {r.category for r in all_records}}
+    truths = {}
+    residual_path = tmp_path / "residuals.jsonl"
+    with open(residual_path, "w") as handle:
+        for stem, text in corpus.items():
+            for line_no, record in enumerate(parse_label_file(text), start=2):
+                truths[(stem, line_no)] = record
+                delta = record.dims.as_array - means[record.category].as_array
+                handle.write(json.dumps({"file": stem, "line": line_no, "delta": delta.tolist()}) + "\n")
+
+    out = tmp_path / "results.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(out),
+                 "--residuals", str(residual_path)]) == 0
+    with open(out) as handle:
+        entries = read_results_jsonl(handle)
+    assert sorted((e["file"], e["line"]) for e in entries) == sorted(truths)
+    for entry in entries:
+        truth = truths[(entry["file"], entry["line"])]
+        assert np.allclose(entry["location"], truth.location, atol=1e-4)
+
+
+def test_lift_warns_on_category_without_dimensions(tmp_path, precise_dataset, caplog):
+    labels, calibs, corpus = precise_dataset
+    stem = next(iter(corpus))
+    tokens = corpus[stem].splitlines()[0].split()
+    tokens[0], tokens[8:11] = "Tram", ["-1", "-1", "-1"]
+    (labels / f"{stem}.txt").write_text(corpus[stem] + " ".join(tokens) + "\n")
+    residual_path = tmp_path / "residuals.jsonl"
+    residual_path.write_text("")
+    main(["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl"),
+          "--residuals", str(residual_path)])
+    assert any(
+        r.levelname == "WARNING" and "'Tram'" in r.getMessage() for r in caplog.records
+    )
 
 
 def test_lift_empty_directory(tmp_path):
@@ -205,6 +246,58 @@ def test_eval_three_object_scene_hand_computed(tmp_path, calib):
     hard = summary["difficulties"]["hard"]
     assert hard["ap"] == pytest.approx(6.0 / 11.0)
     assert hard["aos"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_eval_score_zero_ranks_last(tmp_path, calib):
+    # two detections at IoU 1 on one ground truth: the good one scored 0.5
+    # must take it before the poor one scored 0.0
+    box = sample_scene_box(np.random.default_rng(41), depth_range=(10.0, 18.0))
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    line = record_line("Car", box, calib, precision=9)
+    (labels / "000000.txt").write_text(line + "\n")
+    record = parse_label_file(line)[0]
+    poor = _result_entry(record, score=0.0)
+    poor["location"][2] += 2.0
+    good = _result_entry(record, score=0.5)
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps(poor) + "\n" + json.dumps(good) + "\n")
+
+    out_dir = tmp_path / "eval"
+    assert main(["eval", str(labels), str(results), "--out", str(out_dir)]) == 0
+    matched = json.loads((out_dir / "summary.json").read_text())["matched_pairs"]
+    assert matched["count"] == 1
+    assert matched["mean_center_error"] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "bad_line, detail",
+    [
+        ("{not json", "JSONDecodeError"),
+        ('{"file": "000000", "box2d": [0, 0, 10, 10]}', "KeyError"),
+        ("dims", "no dimensions"),
+    ],
+)
+def test_eval_malformed_results_line_names_file_and_line(tmp_path, calib, bad_line, detail):
+    box = sample_scene_box(np.random.default_rng(42))
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    line = record_line("Car", box, calib)
+    (labels / "000000.txt").write_text(line + "\n")
+    good = _result_entry(parse_label_file(line)[0], score=0.9)
+    if bad_line == "dims":
+        bad_line = json.dumps({**good, "dims_hwl": [-1.0, -1.0, -1.0]})
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps(good) + "\n\n" + bad_line + "\n")
+
+    args = build_parser().parse_args(
+        ["eval", str(labels), str(results), "--out", str(tmp_path / "eval")]
+    )
+    with pytest.raises(MalformedLineError, match=detail) as excinfo:
+        args.func(args)
+    assert excinfo.value.line_no == 3
+    assert str(excinfo.value).startswith(f"{results} line 3: ")
+    assert main(["eval", str(labels), str(results), "--out", str(tmp_path / "eval")]) == 1
 
 
 def _result_entry(record, score):

@@ -14,10 +14,11 @@ from boxlift.metrics import (
     geodesic_distance,
     iou2d,
     iou3d,
-    match_pairs,
+    match_greedy,
     orientation_score,
     orientation_similarity,
     os_to_angle,
+    pair_errors,
     viewpoint_stats,
 )
 
@@ -384,31 +385,58 @@ def test_viewpoint_stats():
 # --- matching and binning ----------------------------------------------------------
 
 
-def test_match_pairs_greedy_by_score():
-    gt = [(upright([0, 0, 10]), square(0, 0)), (upright([5, 0, 10]), square(100, 0))]
-    preds = [
-        (upright([0, 0, 10.5]), square(2, 0), 0.6),
-        (upright([0, 0, 9.0]), square(1, 0), 0.9),  # higher score wins the gt
-        (upright([0, 0, 50.0]), square(500, 0), 0.8),  # no overlap: unmatched
+def test_match_greedy_by_score():
+    gts = [(0, square(0, 0)), (0, square(100, 0))]
+    dets = [
+        (0, square(2, 0), 0.6),
+        (0, square(1, 0), 0.9),  # higher score wins the gt
+        (0, square(500, 0), 0.8),  # no overlap: unmatched
     ]
-    pairs = match_pairs(gt, preds, iou_threshold=0.5)
-    assert len(pairs) == 1
-    assert pairs[0].score == 0.9
-    assert pairs[0].iou2d >= 0.5
-    assert pairs[0].threshold == 0.5
+    visits = match_greedy(gts, dets, iou_threshold=0.5)
+    assert [(d, g) for d, g, _ in visits] == [(1, 0), (2, -1), (0, -1)]
+    assert visits[0][2] >= 0.5
+    assert visits[1][2] == 0.0
+
+
+def test_match_greedy_equal_iou_goes_to_lower_gt_index():
+    # the detection straddles two ground truths with the same overlap
+    gts = [(0, square(20, 0)), (0, square(-20, 0))]
+    visits = match_greedy(gts, [(0, square(0, 0), 1.0)], iou_threshold=0.3)
+    assert visits == [(0, 0, pytest.approx(1.0 / 3.0))]
+
+
+def test_match_greedy_iou_at_threshold_matches():
+    # a threshold equal to the IoU matches; the next float above it does not
+    overlap = iou2d(square(0, 0), square(20, 0))
+    visits = match_greedy([(0, square(0, 0))], [(0, square(20, 0), 1.0)], overlap)
+    assert visits == [(0, 0, overlap)]
+    visits = match_greedy(
+        [(0, square(0, 0))], [(0, square(20, 0), 1.0)], np.nextafter(overlap, 1.0)
+    )
+    assert visits == [(0, -1, 0.0)]
+
+
+def test_match_greedy_never_crosses_frames():
+    gts = [("a", square(0, 0)), ("b", square(100, 0))]
+    dets = [("b", square(0, 0), 0.9), ("a", square(100, 0), 0.8), ("a", square(0, 0), 0.1)]
+    visits = match_greedy(gts, dets, iou_threshold=0.5)
+    assert [(d, g) for d, g, _ in visits] == [(0, -1), (1, -1), (2, 0)]
 
 
 def test_distance_binned_errors_layout():
-    pairs = match_pairs(
-        [(upright([0, 0, 5]), square(0, 0)), (upright([0, 0, 25]), square(100, 0))],
+    errors = pair_errors(
         [
-            (upright([0, 0, 5.5]), square(0, 0), 0.9),
-            (upright([0, 0, 26.0]), square(100, 0), 0.8),
-        ],
-        iou_threshold=0.5,
+            (upright([0, 0, 5]), upright([0, 0, 5.5])),
+            (upright([0, 0, 25]), upright([0, 0, 26.0])),
+        ]
     )
-    rows = distance_binned_errors(pairs, bin_width=10.0)
+    assert errors.shape == (2, 4)
+    assert errors[:, 0] == pytest.approx([5.0, 25.0])
+    assert errors[:, 3] == pytest.approx([1.3 / 2.3, 0.8 / 2.8])
+    rows = distance_binned_errors(errors, bin_width=10.0)
     assert [(r.bin_lo, r.bin_hi) for r in rows] == [(0, 10), (10, 20), (20, 30)]
     assert rows[0].count == 1 and rows[2].count == 1 and rows[1].count == 0
     assert rows[0].mean_center_error == pytest.approx(0.5)
     assert rows[2].mean_center_error == pytest.approx(1.0)
+    assert pair_errors([]).shape == (0, 4)
+    assert distance_binned_errors(pair_errors([])) == []
