@@ -42,7 +42,15 @@ from .multibin import (
     local_to_global,
     ray_angle,
 )
-from .solver import Configuration, ConstraintMode, LiftResult, enumerate_configurations, lift
+from .solver import (
+    BatchLiftResult,
+    Configuration,
+    ConstraintMode,
+    LiftResult,
+    enumerate_configurations,
+    lift,
+    lift_batch,
+)
 
 __version__ = "0.1.0"
 
@@ -66,8 +74,10 @@ __all__ = [
     "ConstraintMode",
     "Configuration",
     "LiftResult",
+    "BatchLiftResult",
     "enumerate_configurations",
     "lift",
+    "lift_batch",
     "DivergedLossError",
     "InfeasibleConfigurationError",
     "MalformedLineError",

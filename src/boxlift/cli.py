@@ -19,19 +19,18 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kitti
 from .errors import (
-    InfeasibleConfigurationError,
     MalformedLineError,
     MissingKeyError,
     NoFeasibleConfigurationError,
-    NonPositiveDepthError,
     NoSamplesError,
 )
-from .geometry import Box3D, rotation_from_angles
+from .geometry import Box3D, Dimensions, rotation_from_angles
 from .metrics import (
     GroundTruthBox,
     ScoredDetection,
@@ -51,7 +50,7 @@ from .multibin import (
     local_to_global,
     ray_angle,
 )
-from .solver import ConstraintMode, lift
+from .solver import ConstraintMode, lift_batch
 from .toy import bin_study
 
 logger = logging.getLogger("boxlift")
@@ -187,15 +186,55 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _read_json_lines(path, convert):
+    """``convert(entry)`` for each non-blank line of a JSON-lines file, in order.
+
+    Raises:
+        MalformedLineError: for a line that is not JSON or that ``convert``
+            rejects, naming the file and the 1-based physical line.
+    """
+    converted = []
+    with open(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                converted.append(convert(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedLineError(
+                    line_no, line.strip(),
+                    f"{path} line {line_no}: {type(exc).__name__}: {exc}",
+                ) from None
+    return converted
+
+
+def _parse_labels(path):
+    """Records of a KITTI label file; a malformed line's error names the file."""
+    try:
+        return kitti.parse_label_file(path.read_text())
+    except MalformedLineError as exc:
+        raise MalformedLineError(exc.line_no, exc.token, f"{path} {exc}") from None
+
+
 def _load_residuals(path):
     """Residual file: JSON lines of {"file", "line", "delta": [3]}."""
-    residuals = {}
-    with open(path) as handle:
-        for entry in kitti.read_results_jsonl(handle):
-            residuals[(entry["file"], entry["line"])] = np.asarray(
-                entry["delta"], dtype=float
-            )
-    return residuals
+    return dict(
+        _read_json_lines(
+            path, lambda e: ((e["file"], e["line"]), np.asarray(e["delta"], dtype=float))
+        )
+    )
+
+
+class _LiftJob(NamedTuple):
+    """A label record ready for the solver, with what its result needs."""
+
+    stem: str
+    record: kitti.DetectionRecord
+    k: np.ndarray  # intrinsics matrix
+    offset: np.ndarray  # calibration's camera offset
+    theta_ray: float
+    yaw: float
+    dims: Dimensions
 
 
 def cmd_lift(args):
@@ -203,11 +242,7 @@ def cmd_lift(args):
     labels_dir, calib_dir = Path(args.labels_dir), Path(args.calib_dir)
     residuals = _load_residuals(args.residuals) if args.residuals else None
 
-    label_files = sorted(labels_dir.glob("*.txt"))
-    parsed = []
-    for label_path in label_files:
-        records = kitti.parse_label_file(label_path.read_text())
-        parsed.append((label_path.stem, records))
+    parsed = [(path.stem, _parse_labels(path)) for path in sorted(labels_dir.glob("*.txt"))]
 
     mean_dims = {}
     if residuals is not None:
@@ -218,42 +253,52 @@ def cmd_lift(args):
             except NoSamplesError:
                 logger.warning("no mean dimensions for category %r", category)
 
-    entries = []
-    kitti_rows = {}
+    jobs = []
     n_total = n_failed = 0
     for stem, records in parsed:
+        records = [r for r in records if not r.is_dont_care]
+        n_total += len(records)
         calib_path = calib_dir / f"{stem}.txt"
-        calib = None
-        if calib_path.exists():
-            try:
-                calib = kitti.parse_calib_file(calib_path.read_text())
-            except (MalformedLineError, MissingKeyError, ValueError) as exc:
-                logger.error("calib %s unusable: %s", calib_path, exc)
-        else:
+        if not calib_path.exists():
             logger.error("missing calib file for %s", stem)
+            n_failed += len(records)
+            continue
+        try:
+            calib = kitti.parse_calib_file(calib_path.read_text())
+            intrinsics, offset = calib.intrinsics, calib.translation_offset
+        except (MalformedLineError, MissingKeyError, ValueError) as exc:
+            logger.error("calib %s unusable: %s", calib_path, exc)
+            n_failed += len(records)
+            continue
+        k = intrinsics.matrix
 
         for record in records:
-            if record.is_dont_care:
-                continue
-            n_total += 1
-            if calib is None:
-                n_failed += 1
-                continue
             try:
-                entry, out_record = _lift_record(
-                    record, calib, config, stem, residuals, mean_dims
-                )
-            except (
-                InfeasibleConfigurationError,
-                NoFeasibleConfigurationError,
-                NonPositiveDepthError,
-                ValueError,
-            ) as exc:
+                theta_ray, yaw, dims = _record_pose(record, intrinsics, stem, residuals, mean_dims)
+            except ValueError as exc:
                 logger.warning("%s line %d not lifted: %s", stem, record.line_no, exc)
                 n_failed += 1
                 continue
-            entries.append(entry)
-            kitti_rows.setdefault(stem, []).append(out_record)
+            jobs.append(_LiftJob(stem, record, k, offset, theta_ray, yaw, dims))
+
+    batch = lift_batch(
+        np.array([job.k for job in jobs]).reshape(-1, 3, 3),
+        np.array([rotation_from_angles(job.yaw) for job in jobs]).reshape(-1, 3, 3),
+        np.array([job.dims.as_array for job in jobs]).reshape(-1, 3),
+        np.array([job.record.box2d.as_array for job in jobs]).reshape(-1, 4),
+        config.constraint_mode,
+    )
+    entries = []
+    kitti_rows = {}
+    for i, job in enumerate(jobs):
+        try:
+            entry, out_record = _result_entry(job, batch.result(i))
+        except (NoFeasibleConfigurationError, ValueError) as exc:
+            logger.warning("%s line %d not lifted: %s", job.stem, job.record.line_no, exc)
+            n_failed += 1
+            continue
+        entries.append(entry)
+        kitti_rows.setdefault(job.stem, []).append(out_record)
 
     with open(args.out, "w") as handle:
         kitti.write_results_jsonl(entries, handle)
@@ -270,27 +315,31 @@ def cmd_lift(args):
     return 0
 
 
-def _lift_record(record, calib, config, stem, residuals, mean_dims):
-    intrinsics = calib.intrinsics
+def _record_pose(record, intrinsics, stem, residuals, mean_dims):
+    """Viewing-ray angle, global yaw and extents of a label record.
+
+    Raises:
+        ValueError: if the record has no usable extents.
+    """
     theta_ray = float(ray_angle(intrinsics, record.box2d.center[0]))
     yaw = float(local_to_global(record.alpha, theta_ray))
-
     if residuals is not None:
         delta = residuals.get((stem, record.line_no))
         if delta is None or record.category not in mean_dims:
             raise ValueError("no dimension residual or category mean available")
-        dims = DimensionStats(mean_dims[record.category], delta).corrected
-    else:
-        if not record.has_dimensions:
-            raise ValueError("record has no dimensions")
-        dims = record.dims
+        return theta_ray, yaw, DimensionStats(mean_dims[record.category], delta).corrected
+    if not record.has_dimensions:
+        raise ValueError("record has no dimensions")
+    return theta_ray, yaw, record.dims
 
-    rotation = rotation_from_angles(yaw)
-    result = lift(intrinsics, rotation, dims, record.box2d, config.constraint_mode)
+
+def _result_entry(job, result):
+    """The JSON-lines entry and the KITTI result record of a lifted job."""
+    record, dims = job.record, job.dims
     # The solver works in the projection frame K (R X + T'); subtract the
     # calibration's camera offset to express the center in the label frame.
-    center = result.translation - calib.translation_offset
-    location, (h, w, l) = kitti.center_to_location(Box3D(center, dims, yaw))
+    center = result.translation - job.offset
+    location, (h, w, l) = kitti.center_to_location(Box3D(center, dims, job.yaw))
 
     out_record = kitti.DetectionRecord(
         category=record.category,
@@ -302,17 +351,17 @@ def _lift_record(record, calib, config, stem, residuals, mean_dims):
         width=w,
         length=l,
         location=location,
-        rotation_y=yaw,
+        rotation_y=job.yaw,
         score=record.score if record.score is not None else 1.0,
     )
     diagnostics = {
-        "theta_ray": theta_ray,
+        "theta_ray": job.theta_ray,
         "configuration": list(result.configuration),
         "residual": result.residual,
         "reprojection_error": result.reprojection_error,
     }
     entry = kitti.result_to_json_dict(
-        out_record, file_id=stem, line_no=record.line_no, diagnostics=diagnostics
+        out_record, file_id=job.stem, line_no=record.line_no, diagnostics=diagnostics
     )
     return entry, out_record
 
@@ -334,21 +383,15 @@ def _read_predictions(path):
             no dimensions, naming the file and the 1-based physical line.
     """
     by_frame = {}
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                record = kitti.record_from_json_dict(entry)
-                box3d = kitti.location_to_center(record)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedLineError(
-                    line_no, line.strip(),
-                    f"{path} line {line_no}: {type(exc).__name__}: {exc}",
-                ) from None
-            by_frame.setdefault(entry.get("file", "0"), []).append((record, box3d))
+    for frame, record, box3d in _read_json_lines(path, _prediction):
+        by_frame.setdefault(frame, []).append((record, box3d))
     return by_frame
+
+
+def _prediction(entry):
+    """(frame, DetectionRecord, Box3D) of one results entry."""
+    record = kitti.record_from_json_dict(entry)
+    return entry.get("file", "0"), record, kitti.location_to_center(record)
 
 
 def cmd_eval(args):
@@ -363,9 +406,7 @@ def cmd_eval(args):
         if not gt_path.exists():
             missing.append(frame)
             continue
-        gt_records[frame] = [
-            r for r in kitti.parse_label_file(gt_path.read_text()) if not r.is_dont_care
-        ]
+        gt_records[frame] = [r for r in _parse_labels(gt_path) if not r.is_dont_care]
     if missing:
         print(f"skipped {len(missing)} frames without ground truth: {missing}")
 

@@ -52,6 +52,7 @@ __all__ = [
     "angular_distance",
     "rotation_from_angles",
     "yaw_from_rotation",
+    "are_rotations",
     "is_rotation",
     "box_vertices",
     "project",
@@ -60,6 +61,11 @@ __all__ = [
 
 BOTTOM_CORNERS = (0, 1, 4, 5)
 TOP_CORNERS = (2, 3, 6, 7)
+
+# Corner sign patterns in vertex order, (8, 3): x sign fastest, 0 = +.
+VERTEX_SIGNS = 1.0 - 2.0 * np.array([[i % 2, (i // 2) % 2, (i // 4) % 2] for i in range(8)])
+VERTEX_SIGNS.flags.writeable = False
+_EYE = np.eye(3)
 
 
 def wrap_angle(theta):
@@ -210,14 +216,26 @@ def yaw_from_rotation(rotation):
     return float(np.arctan2(rotation[0, 2], rotation[0, 0]))
 
 
+def are_rotations(matrices, tol=1e-9):
+    """Per matrix of an (N, 3, 3) stack: orthonormal with determinant +1.
+
+    R^T R must equal the identity within ``np.allclose``'s tolerance
+    (absolute ``tol`` plus 1e-5 relative to the identity's entries) and the
+    determinant must be within ``tol`` of 1. Returns an (N,) bool array.
+    """
+    matrices = np.asarray(matrices, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.swapaxes(matrices, 1, 2) @ matrices
+        orthonormal = (np.abs(gram - _EYE) <= tol + 1e-5 * _EYE).all(axis=(1, 2))
+        return orthonormal & (np.abs(np.linalg.det(matrices) - 1.0) <= tol)
+
+
 def is_rotation(matrix, tol=1e-9):
     """True if ``matrix`` is orthonormal with determinant +1 within ``tol``."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (3, 3):
         return False
-    if not np.allclose(matrix.T @ matrix, np.eye(3), atol=tol):
-        return False
-    return bool(abs(np.linalg.det(matrix) - 1.0) <= tol)
+    return bool(are_rotations(matrix[None], tol)[0])
 
 
 def box_vertices(dims):
@@ -226,10 +244,7 @@ def box_vertices(dims):
     Ordered by sign pattern with the x sign alternating fastest (see the
     module docstring); vertex 0 is (+dx/2, +dy/2, +dz/2).
     """
-    half = 0.5 * dims.as_array
-    idx = np.arange(8)
-    signs = 1.0 - 2.0 * np.stack([idx % 2, (idx // 2) % 2, (idx // 4) % 2], axis=1)
-    return signs * half
+    return VERTEX_SIGNS * (0.5 * dims.as_array)
 
 
 def project(intrinsics, rotation, translation, points):

@@ -34,34 +34,64 @@ indices per the ordering in :mod:`boxlift.geometry`; y points down, so
   family provably contains the true assignment for such scenes.
 
 Each mode's family is a subset of the previous one, so relaxing the mode
-never loses the optimum it would have found.
+never loses the optimum it would have found. Each family is a (C, 4)
+index array built once at import.
+
+BATCHES
+=======
+``lift_batch`` lifts N records in one numpy pass over N x C candidates;
+each record brings its own intrinsics, rotation, extents and rectangle.
+The per-record work (rotation check, SVD of the 4x3 side matrix, the
+right-hand side of every corner on every side) is done once for the whole
+batch. The candidates are then solved, checked for positive depth and
+ranked by reprojection in chunks of ``CHUNK_CANDIDATES`` candidates or one
+record, whichever is more, so the candidate arrays never exceed those of
+one GENERAL lift however large N is. Every record ends in one outcome:
+``lifted``, or a failure code of ``FAILURES`` carrying the message the
+scalar ``lift`` raises. ``lift`` and ``solve_translation`` are the N = 1
+case of the same code.
 """
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleConfigurationError, NoFeasibleConfigurationError
-from .geometry import (
-    BOTTOM_CORNERS,
-    TOP_CORNERS,
-    box_vertices,
-    is_rotation,
-)
+from .geometry import BOTTOM_CORNERS, TOP_CORNERS, VERTEX_SIGNS, are_rotations
 
 __all__ = [
     "ConstraintMode",
     "Configuration",
     "LiftResult",
+    "BatchLiftResult",
     "enumerate_configurations",
     "solve_translation",
     "lift",
+    "lift_batch",
 ]
 
 RANK_TOLERANCE = 1e-10
+
+# Candidates (records x configurations) solved at once, but at least one
+# record, so a GENERAL record (4096 candidates) is one chunk. It bounds the
+# (8, records, C) work arrays and so the peak memory. At 1024 a kitti
+# chunk's arrays are 64 KB, under glibc's default 128 KB mmap threshold; at
+# 4096 (256 KB arrays) unrelated numpy work later in the same process, the
+# toy training of perfbench, ran about 8 % slower, at no gain in lift speed.
+CHUNK_CANDIDATES = 1024
+
+LIFTED = "lifted"
+# Failure code -> (exception the scalar ``lift`` raises, its message).
+FAILURES = {
+    "bad_rotation": (ValueError, "rotation must be orthonormal with determinant +1"),
+    "rank_deficient": (
+        NoFeasibleConfigurationError,
+        "side equations are rank-deficient (degenerate rectangle)",
+    ),
+    "all_infeasible": (NoFeasibleConfigurationError, "all {count} configurations infeasible"),
+}
 
 
 class ConstraintMode(enum.Enum):
@@ -95,74 +125,211 @@ class LiftResult:
     reprojection_error: float
 
 
+class BatchLiftResult(NamedTuple):
+    """Per-record outcome of ``lift_batch``; every array is indexed by record.
+
+    ``outcome[i]`` is ``"lifted"`` or a key of ``FAILURES``. A lifted
+    record's row holds what ``lift`` returns: translation (3,), the four
+    corner indices of its configuration, residual and reprojection error.
+    A failed record's row holds NaN and -1.
+    """
+
+    translation: np.ndarray  # (N, 3)
+    configuration: np.ndarray  # (N, 4) intp
+    residual: np.ndarray  # (N,)
+    reprojection_error: np.ndarray  # (N,)
+    outcome: np.ndarray  # (N,) str
+    n_configurations: int
+
+    def result(self, i):
+        """Record ``i`` as the scalar ``lift`` returns it.
+
+        Raises:
+            ValueError, NoFeasibleConfigurationError: the failure ``lift``
+                raises for this record, with the same message.
+        """
+        outcome = str(self.outcome[i])
+        if outcome != LIFTED:
+            error, message = FAILURES[outcome]
+            raise error(message.format(count=self.n_configurations))
+        return LiftResult(
+            translation=self.translation[i],
+            configuration=Configuration(*self.configuration[i].tolist()),
+            residual=float(self.residual[i]),
+            reprojection_error=float(self.reprojection_error[i]),
+        )
+
+
+def _configuration_array(left, right, top, bottom=None):
+    """Every (left, right, top, bottom) combination, left varying slowest.
+
+    Without ``bottom`` the bottom corner is the top corner's antipode,
+    7 - top. The array is read-only: it is shared by every lift.
+    """
+    sides = (left, right, top) if bottom is None else (left, right, top, bottom)
+    rows = np.stack(np.meshgrid(*sides, indexing="ij"), axis=-1).reshape(-1, len(sides))
+    if bottom is None:
+        rows = np.column_stack([rows, 7 - rows[:, 2]])
+    rows = rows.astype(np.intp)
+    rows.flags.writeable = False
+    return rows
+
+
+_CONFIGURATIONS = {
+    ConstraintMode.GENERAL: _configuration_array(range(8), range(8), range(8), range(8)),
+    ConstraintMode.UPRIGHT: _configuration_array(
+        range(8), range(8), TOP_CORNERS, BOTTOM_CORNERS
+    ),
+    ConstraintMode.UPRIGHT_ZERO_ROLL: _configuration_array(
+        BOTTOM_CORNERS, BOTTOM_CORNERS, TOP_CORNERS, BOTTOM_CORNERS
+    ),
+    ConstraintMode.KITTI_ZERO_PITCH_ROLL: _configuration_array(
+        BOTTOM_CORNERS, BOTTOM_CORNERS, TOP_CORNERS
+    ),
+}
+
+
+def _configurations(mode):
+    if mode not in _CONFIGURATIONS:
+        raise ValueError(f"unknown constraint mode: {mode!r}")
+    return _CONFIGURATIONS[mode]
+
+
 def enumerate_configurations(mode):
     """All admissible corner-to-side assignments for ``mode``, in a fixed order."""
-    if mode is ConstraintMode.GENERAL:
-        return [Configuration(*c) for c in itertools.product(range(8), repeat=4)]
-    if mode is ConstraintMode.UPRIGHT:
-        return [
-            Configuration(l, r, t, b)
-            for l in range(8)
-            for r in range(8)
-            for t in TOP_CORNERS
-            for b in BOTTOM_CORNERS
-        ]
-    if mode is ConstraintMode.UPRIGHT_ZERO_ROLL:
-        return [
-            Configuration(l, r, t, b)
-            for l in BOTTOM_CORNERS
-            for r in BOTTOM_CORNERS
-            for t in TOP_CORNERS
-            for b in BOTTOM_CORNERS
-        ]
-    if mode is ConstraintMode.KITTI_ZERO_PITCH_ROLL:
-        return [
-            Configuration(l, r, t, 7 - t)
-            for l in BOTTOM_CORNERS
-            for r in BOTTOM_CORNERS
-            for t in TOP_CORNERS
-        ]
-    raise ValueError(f"unknown constraint mode: {mode!r}")
+    return [Configuration(*row) for row in _configurations(mode).tolist()]
 
 
-def _side_rows(intrinsics, box2d):
-    """Coefficient row and pixel coordinate for each of the four sides."""
-    k = intrinsics.matrix
-    return np.array(
-        [
-            k[0] - box2d.x_min * k[2],
-            k[0] - box2d.x_max * k[2],
-            k[1] - box2d.y_min * k[2],
-            k[1] - box2d.y_max * k[2],
-        ]
-    )
+# Per side, in (left, right, top, bottom) order: the intrinsics row that
+# produces its pixel coordinate (u for left and right, v for top and
+# bottom) and the rectangle column holding that coordinate.
+_SIDE_ROWS = np.array([0, 0, 1, 1])
+_SIDE_COLUMNS = np.array([0, 2, 1, 3])
+_SIDES = np.arange(4)
+_FAILURE_CODES = np.array(list(FAILURES))
 
 
-def _solve_batch(intrinsics, rotation, dims, box2d, configs):
-    """Solve the side equations for every configuration at once.
+def _solve(k, rotations, dims, rects, configs):
+    """Solve and rank every configuration of ``configs`` (C, 4) for N records.
 
-    Returns (translations (n,3), residuals (n,), feasible (n,) bool,
-    rotated_corners (8,3), rank_ok bool). The 4x3 coefficient matrix is
-    configuration-independent, so a single SVD serves all candidates.
+    The inputs are float arrays of the shapes ``lift_batch`` checks.
     """
-    rotated = box_vertices(dims) @ np.asarray(rotation).T  # (8, 3)
-    a = _side_rows(intrinsics, box2d)  # (4, 3)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank_ok = s[-1] > RANK_TOLERANCE
+    n, c = len(rects), len(configs)
+    # Per record: side rows k_row - s * k3, their pseudo-inverse, the
+    # rotated corners and every side's right-hand side for every corner.
+    a = k[:, _SIDE_ROWS] - rects[:, _SIDE_COLUMNS, None] * k[:, None, 2]  # (N, 4, 3)
+    left, s, vt = np.linalg.svd(a, full_matrices=False)
+    rank_ok = s[:, -1] > RANK_TOLERANCE
+    s = np.where(rank_ok[:, None], s, 1.0)  # keeps failed records' rows finite
+    pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(left, 1, 2)  # (N, 3, 4)
+    pinv_t, a_t = np.swapaxes(pinv, 1, 2), np.swapaxes(a, 1, 2)
+    rotated = (VERTEX_SIGNS * (0.5 * dims)[:, None, :]) @ np.swapaxes(rotations, 1, 2)  # (N, 8, 3)
+    rhs = -(a @ np.swapaxes(rotated, 1, 2))  # (N, 4, 8): -a_side . (R X_corner)
+    # K (R X + T) = K R X + K T; the third row is the depth (K's third row
+    # is (0, 0, 1)), the first two give u and v. Corner-major layouts make
+    # the reductions over the eight corners elementwise ones over slabs.
+    k_uv_t = np.swapaxes(k[:, :2], 1, 2)  # (N, 3, 2)
+    corners_z = rotated[:, :, 2].T  # (8, N)
+    corners_uv = np.swapaxes(rotated @ k_uv_t, 0, 1)  # (8, N, 2)
 
-    cfg = np.asarray(configs, dtype=int)  # (n, 4)
-    # b[i, side] = -a_side . (R X_assigned)
-    b = -np.einsum("sj,nsj->ns", a, rotated[cfg])
-    if not rank_ok:
-        n = cfg.shape[0]
-        return np.zeros((n, 3)), np.full(n, np.inf), np.zeros(n, bool), rotated, False
+    translation = np.empty((n, 3))
+    configuration = np.empty((n, 4), dtype=np.intp)
+    residual = np.empty(n)
+    reprojection = np.empty(n)
+    any_feasible = np.empty(n, dtype=bool)
+    step = max(1, CHUNK_CANDIDATES // max(c, 1))
+    # Records that already failed go through the same arithmetic on
+    # meaningless rows, which are overwritten below.
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, step):
+            chunk = slice(lo, lo + step)
+            b = rhs[chunk][:, _SIDES, configs]  # (m, C, 4)
+            t = b @ pinv_t[chunk]  # (m, C, 3)
+            d = t @ a_t[chunk] - b
+            res = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2 + d[..., 3] ** 2
+            depth = corners_z[:, chunk, None] + t[:, :, 2]  # (8, m, C)
+            feasible = depth.min(axis=0) > 0
 
-    pinv = (vt.T / s) @ u.T  # (3, 4)
-    translations = b @ pinv.T  # (n, 3)
-    residuals = np.sum((translations @ a.T - b) ** 2, axis=1)
-    depths = rotated[:, 2][None, :] + translations[:, 2][:, None]  # (n, 8)
-    feasible = np.all(depths > 0, axis=1)
-    return translations, residuals, feasible, rotated, True
+            # Re-projected corners as separate (8, m, C) u and v arrays, and
+            # the squared mismatch of their tight rectangle, summed in
+            # (x_min, y_min, x_max, y_max) order.
+            t_uv = t @ k_uv_t[chunk]  # (m, C, 2)
+            u = (corners_uv[:, chunk, None, 0] + t_uv[..., 0]) / depth
+            v = (corners_uv[:, chunk, None, 1] + t_uv[..., 1]) / depth
+            r = rects[chunk, None]
+            rep = (
+                (u.min(axis=0) - r[..., 0]) ** 2
+                + (v.min(axis=0) - r[..., 1]) ** 2
+                + (u.max(axis=0) - r[..., 2]) ** 2
+                + (v.max(axis=0) - r[..., 3]) ** 2
+            )
+            rep = np.where(feasible, rep, np.inf)
+            res = np.where(feasible, res, np.inf)
+
+            # Lowest reprojection error, then lowest residual, then lowest
+            # index (argmin returns the first of equal values).
+            tied = rep == rep.min(axis=1, keepdims=True)
+            best = np.argmin(np.where(tied, res, np.inf), axis=1)
+            rows = np.arange(len(best))
+            translation[chunk] = t[rows, best]
+            configuration[chunk] = configs[best]
+            residual[chunk] = res[rows, best]
+            reprojection[chunk] = rep[rows, best]
+            any_feasible[chunk] = feasible.any(axis=1)
+
+    failures = np.stack([~are_rotations(rotations), ~rank_ok, ~any_feasible])  # FAILURES order
+    failed = failures.any(axis=0)
+    outcome = np.where(failed, _FAILURE_CODES[failures.argmax(axis=0)], LIFTED)
+    translation[failed] = np.nan
+    configuration[failed] = -1
+    residual[failed] = np.nan
+    reprojection[failed] = np.nan
+    return BatchLiftResult(translation, configuration, residual, reprojection, outcome, c)
+
+
+def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZERO_PITCH_ROLL):
+    """Lift N records at once: the batched form of ``lift``.
+
+    Args:
+        intrinsics: (N, 3, 3) intrinsics matrices.
+        rotations: (N, 3, 3) object-to-camera rotations.
+        dims: (N, 3) extents (dx, dy, dz), meters.
+        rects: (N, 4) tight rectangles (x_min, y_min, x_max, y_max), pixels.
+        mode: constraint mode shared by every record.
+
+    Returns:
+        BatchLiftResult: record i's row, and ``result(i)``, hold what
+        ``lift`` returns or raises for record i.
+
+    Raises:
+        ValueError: if the shapes disagree, ``mode`` is unknown, an
+            intrinsics, dims or rects entry is not finite, or an intrinsics
+            matrix's third row is not (0, 0, 1).
+    """
+    k = np.asarray(intrinsics, dtype=float)
+    rotations = np.asarray(rotations, dtype=float)
+    dims = np.asarray(dims, dtype=float)
+    rects = np.asarray(rects, dtype=float)
+    n = rects.shape[0] if rects.ndim == 2 else -1
+    shapes = (k.shape, rotations.shape, dims.shape, rects.shape)
+    if shapes != ((n, 3, 3), (n, 3, 3), (n, 3), (n, 4)):
+        raise ValueError(
+            "expected intrinsics and rotations (N, 3, 3), dims (N, 3) and "
+            f"rects (N, 4), got {shapes}"
+        )
+    if not (np.isfinite(k).all() and np.isfinite(dims).all() and np.isfinite(rects).all()):
+        raise ValueError("intrinsics, dims and rects must be finite")
+    if not (k[:, 2] == (0.0, 0.0, 1.0)).all():
+        raise ValueError("intrinsics must have (0, 0, 1) as their third row")
+    return _solve(k, rotations, dims, rects, _configurations(mode))
+
+
+def _one_record(intrinsics, rotation, dims, box2d):
+    """The N = 1 batch of a scalar call."""
+    rotation = np.asarray(rotation, dtype=float)
+    if rotation.shape != (3, 3):
+        raise ValueError(FAILURES["bad_rotation"][1])
+    return intrinsics.matrix[None], rotation[None], dims.as_array[None], box2d.as_array[None]
 
 
 def solve_translation(intrinsics, rotation, dims, box2d, configuration):
@@ -173,24 +340,22 @@ def solve_translation(intrinsics, rotation, dims, box2d, configuration):
         equations and the squared objective value in pixels^2.
 
     Raises:
+        ValueError: if ``rotation`` is not a rotation matrix.
         InfeasibleConfigurationError: if the system is rank-deficient
             (smallest singular value <= 1e-10) or the recovered translation
             places any box corner at or behind the camera.
     """
-    if not is_rotation(rotation):
-        raise ValueError("rotation must be orthonormal with determinant +1")
-    translations, residuals, feasible, _, rank_ok = _solve_batch(
-        intrinsics, rotation, dims, box2d, [tuple(configuration)]
-    )
-    if not rank_ok:
-        raise InfeasibleConfigurationError(
-            "side equations are rank-deficient (degenerate rectangle)"
-        )
-    if not feasible[0]:
+    configs = np.asarray([tuple(configuration)], dtype=np.intp)
+    batch = _solve(*_one_record(intrinsics, rotation, dims, box2d), configs)
+    if batch.outcome[0] == "all_infeasible":
         raise InfeasibleConfigurationError(
             "recovered translation places the box at or behind the camera"
         )
-    return translations[0], float(residuals[0])
+    try:
+        result = batch.result(0)
+    except NoFeasibleConfigurationError as exc:
+        raise InfeasibleConfigurationError(str(exc)) from None
+    return result.translation, result.residual
 
 
 def lift(intrinsics, rotation, dims, box2d, mode=ConstraintMode.KITTI_ZERO_PITCH_ROLL):
@@ -202,46 +367,8 @@ def lift(intrinsics, rotation, dims, box2d, mode=ConstraintMode.KITTI_ZERO_PITCH
     then by enumeration order, making the choice deterministic.
 
     Raises:
+        ValueError: if ``rotation`` is not a rotation matrix.
         NoFeasibleConfigurationError: if no configuration is feasible.
     """
-    if not is_rotation(rotation):
-        raise ValueError("rotation must be orthonormal with determinant +1")
-    configs = enumerate_configurations(mode)
-    translations, residuals, feasible, rotated, rank_ok = _solve_batch(
-        intrinsics, rotation, dims, box2d, configs
-    )
-    if not rank_ok:
-        raise NoFeasibleConfigurationError(
-            "side equations are rank-deficient (degenerate rectangle)"
-        )
-    if not np.any(feasible):
-        raise NoFeasibleConfigurationError(
-            f"all {len(configs)} configurations infeasible"
-        )
-
-    # Tight rectangle of each candidate's re-projected corners.
-    cam = rotated[None, :, :] + translations[:, None, :]  # (n, 8, 3)
-    uv_h = cam @ intrinsics.matrix.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv = uv_h[:, :, :2] / uv_h[:, :, 2:3]
-    rect = np.stack(
-        [
-            uv[:, :, 0].min(axis=1),
-            uv[:, :, 1].min(axis=1),
-            uv[:, :, 0].max(axis=1),
-            uv[:, :, 1].max(axis=1),
-        ],
-        axis=1,
-    )
-    reprojection = np.sum((rect - box2d.as_array[None, :]) ** 2, axis=1)
-    reprojection[~feasible] = np.inf
-    residuals = np.where(feasible, residuals, np.inf)
-
-    order = np.lexsort((np.arange(len(configs)), residuals, reprojection))
-    best = int(order[0])
-    return LiftResult(
-        translation=translations[best],
-        configuration=configs[best],
-        residual=float(residuals[best]),
-        reprojection_error=float(reprojection[best]),
-    )
+    batch = _solve(*_one_record(intrinsics, rotation, dims, box2d), _configurations(mode))
+    return batch.result(0)

@@ -130,6 +130,44 @@ def test_lift_reports_physical_lines_after_blank_first_line(tmp_path, calib):
         assert np.allclose(entry["location"], truth.location, atol=1e-4)
 
 
+def test_lift_malformed_residuals_line_names_file_and_line(tmp_path, precise_dataset):
+    labels, calibs, corpus = precise_dataset
+    residual_path = tmp_path / "residuals.jsonl"
+    good = {"file": next(iter(corpus)), "line": 1, "delta": [0.0, 0.0, 0.0]}
+    residual_path.write_text(json.dumps(good) + "\n\nnot json\n")
+    args = build_parser().parse_args(
+        ["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl"),
+         "--residuals", str(residual_path)]
+    )
+    with pytest.raises(MalformedLineError, match="JSONDecodeError") as excinfo:
+        args.func(args)
+    assert excinfo.value.line_no == 3
+    assert str(excinfo.value).startswith(f"{residual_path} line 3: ")
+    assert main(["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl"),
+                 "--residuals", str(residual_path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["lift", "eval"])
+def test_short_label_line_names_label_file(tmp_path, precise_dataset, command):
+    labels, calibs, corpus = precise_dataset
+    results = tmp_path / "results.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(results)]) == 0
+    label_path = labels / f"{next(iter(corpus))}.txt"
+    n_lines = len(label_path.read_text().splitlines())
+    label_path.write_text(label_path.read_text() + "Car 0.00 0 -1.0\n")
+    argv = {
+        "lift": ["lift", str(labels), str(calibs), "--out", str(tmp_path / "again.jsonl")],
+        "eval": ["eval", str(labels), str(results), "--out", str(tmp_path / "eval")],
+    }[command]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(MalformedLineError) as excinfo:
+        args.func(args)
+    assert str(excinfo.value) == (
+        f"{label_path} line {n_lines + 1}: expected 15 or 16 columns, got 4"
+    )
+    assert main(argv) == 1
+
+
 def test_lift_warns_on_category_without_dimensions(tmp_path, precise_dataset, caplog):
     labels, calibs, corpus = precise_dataset
     stem = next(iter(corpus))

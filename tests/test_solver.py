@@ -1,7 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from boxlift.errors import InfeasibleConfigurationError, NoFeasibleConfigurationError
+from boxlift.errors import (
+    InfeasibleConfigurationError,
+    NonPositiveDepthError,
+    NoFeasibleConfigurationError,
+)
 from boxlift.geometry import (
     BOTTOM_CORNERS,
     TOP_CORNERS,
@@ -19,6 +25,7 @@ from boxlift.solver import (
     ConstraintMode,
     enumerate_configurations,
     lift,
+    lift_batch,
     solve_translation,
 )
 
@@ -81,6 +88,25 @@ def test_configuration_side_membership():
 def test_enumeration_is_deterministic():
     for mode in ConstraintMode:
         assert enumerate_configurations(mode) == enumerate_configurations(mode)
+
+
+def test_enumeration_order():
+    # left varies slowest, bottom fastest; ties in lift fall to this order
+    product = itertools.product
+    expected = {
+        ConstraintMode.GENERAL: list(product(range(8), repeat=4)),
+        ConstraintMode.UPRIGHT: list(product(range(8), range(8), TOP_CORNERS, BOTTOM_CORNERS)),
+        ConstraintMode.UPRIGHT_ZERO_ROLL: list(
+            product(BOTTOM_CORNERS, BOTTOM_CORNERS, TOP_CORNERS, BOTTOM_CORNERS)
+        ),
+        ConstraintMode.KITTI_ZERO_PITCH_ROLL: [
+            (l, r, t, 7 - t) for l, r, t in product(BOTTOM_CORNERS, BOTTOM_CORNERS, TOP_CORNERS)
+        ],
+    }
+    for mode, configs in expected.items():
+        got = enumerate_configurations(mode)
+        assert got == [Configuration(*c) for c in configs]
+        assert all(type(i) is int for cfg in got for i in cfg)
 
 
 def test_solve_translation_roundtrip_with_true_configuration():
@@ -214,3 +240,125 @@ def test_lift_no_feasible_configuration():
     rotation = rotation_from_angles(0.3476)
     with pytest.raises(NoFeasibleConfigurationError):
         lift(K, rotation, dims, rect, ConstraintMode.KITTI_ZERO_PITCH_ROLL)
+
+
+def reference_lift(box, rect, mode):
+    """Per-configuration loop: lstsq of the side equations, then project_box.
+
+    Returns (configuration, translation) of the feasible candidate with the
+    lowest reprojection error, then residual, then enumeration index.
+    """
+    k = K.matrix
+    rotated = box_vertices(box.dims) @ box.rotation.T
+    coords = (rect.x_min, rect.x_max, rect.y_min, rect.y_max)
+    rows = np.array([k[row] - c * k[2] for row, c in zip((0, 0, 1, 1), coords)])
+    best = None
+    for index, cfg in enumerate(enumerate_configurations(mode)):
+        rhs = np.array([-rows[side] @ rotated[corner] for side, corner in enumerate(cfg)])
+        translation = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+        residual = float(np.sum((rows @ translation - rhs) ** 2))
+        candidate = Box3D(translation, box.dims, box.yaw, box.pitch, box.roll)
+        try:
+            fitted = project_box(K, candidate)
+        except NonPositiveDepthError:
+            continue
+        error = float(np.sum((fitted.as_array - rect.as_array) ** 2))
+        key = (error, residual, index)
+        if best is None or key < best[0]:
+            best = (key, cfg, translation)
+    return best[1], best[2]
+
+
+def batch_inputs(boxes, rects):
+    return (
+        np.repeat(K.matrix[None], len(boxes), axis=0),
+        np.array([b.rotation for b in boxes]),
+        np.array([b.dims.as_array for b in boxes]),
+        np.array([r.as_array for r in rects]),
+    )
+
+
+def assert_batch_matches_reference(boxes, mode):
+    rects = [project_box(K, b) for b in boxes]
+    batch = lift_batch(*batch_inputs(boxes, rects), mode)
+    assert list(batch.outcome) == ["lifted"] * len(boxes)
+    for i, (box, rect) in enumerate(zip(boxes, rects)):
+        cfg, translation = reference_lift(box, rect, mode)
+        assert batch.result(i).configuration == cfg
+        assert np.linalg.norm(batch.translation[i] - translation) < 1e-9
+
+
+def test_lift_batch_matches_reference_on_c02_boxes():
+    # the 1000 boxes of acceptance criterion c02
+    rng = np.random.default_rng(2024)
+    boxes = [sample_scene_box(rng, depth_range=(5.0, 60.0)) for _ in range(1000)]
+    assert_batch_matches_reference(boxes, ConstraintMode.KITTI_ZERO_PITCH_ROLL)
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [ConstraintMode.GENERAL, ConstraintMode.UPRIGHT, ConstraintMode.UPRIGHT_ZERO_ROLL],
+)
+def test_lift_batch_matches_reference_in_other_modes(mode):
+    rng = np.random.default_rng(18)
+    boxes = [sample_scene_box(rng) for _ in range(3)]
+    if mode is not ConstraintMode.UPRIGHT_ZERO_ROLL:
+        # mild pitch and roll, outside the zero-roll family
+        for _ in range(2):
+            b = sample_scene_box(rng, depth_range=(10.0, 30.0))
+            pitch, roll = rng.uniform(-0.15, 0.15, size=2)
+            boxes.append(Box3D(b.center, b.dims, b.yaw, pitch=pitch, roll=roll))
+    assert_batch_matches_reference(boxes, mode)
+
+
+def test_lift_batch_failures_are_per_record():
+    rng = np.random.default_rng(19)
+    valid = [sample_scene_box(rng) for _ in range(3)]
+    box = valid[0]
+    records = [  # (rotation, dims, rect) of every record, in batch order
+        (box.rotation, box.dims, project_box(K, box)),
+        (box.rotation, box.dims, degenerate_rect(600.0, 180.0, 600.0, 180.0)),
+        (valid[1].rotation, valid[1].dims, project_box(K, valid[1])),
+        # the sliver of test_lift_no_feasible_configuration
+        (rotation_from_angles(0.3476), Dimensions(2.16, 0.84, 4.75),
+         Box2D(1114.13, 7.11, 1115.43, 385.44)),
+        (np.eye(3) * 2.0, box.dims, project_box(K, box)),
+        (valid[2].rotation, valid[2].dims, project_box(K, valid[2])),
+    ]
+    batch = lift_batch(
+        np.repeat(K.matrix[None], len(records), axis=0),
+        np.array([r for r, _, _ in records]),
+        np.array([d.as_array for _, d, _ in records]),
+        np.array([rect.as_array for _, _, rect in records]),
+    )
+    assert list(batch.outcome) == [
+        "lifted", "rank_deficient", "lifted", "all_infeasible", "bad_rotation", "lifted",
+    ]
+    for i, (rotation, dims, rect) in enumerate(records):
+        try:
+            single = lift(K, rotation, dims, rect)
+        except (ValueError, NoFeasibleConfigurationError) as exc:
+            with pytest.raises(type(exc)) as caught:
+                batch.result(i)
+            assert str(caught.value) == str(exc)
+            assert np.isnan(batch.translation[i]).all() and (batch.configuration[i] == -1).all()
+            continue
+        result = batch.result(i)
+        assert result.configuration == single.configuration
+        assert all(type(index) is int for index in result.configuration)
+        assert np.array_equal(result.translation, single.translation)
+        assert result.residual == single.residual
+        assert result.reprojection_error == single.reprojection_error
+
+
+def test_lift_batch_rejects_malformed_arrays():
+    box = Box3D(np.array([0.0, 1.0, 20.0]), Dimensions(4.0, 1.5, 1.8), yaw=0.3)
+    k, rotations, dims, rects = batch_inputs([box], [project_box(K, box)])
+    with pytest.raises(ValueError, match="expected"):
+        lift_batch(k, rotations, dims[:, :2], rects)
+    with pytest.raises(ValueError, match="finite"):
+        lift_batch(k, rotations, dims, np.full((1, 4), np.nan))
+    with pytest.raises(ValueError, match="unknown constraint mode"):
+        lift_batch(k, rotations, dims, rects, "kitti")
+    empty = lift_batch(k[:0], rotations[:0], dims[:0], rects[:0])
+    assert empty.translation.shape == (0, 3) and empty.outcome.shape == (0,)
