@@ -51,6 +51,7 @@ __all__ = [
     "wrap_angle",
     "angular_distance",
     "rotation_from_angles",
+    "rotations_from_angles",
     "yaw_from_rotation",
     "are_rotations",
     "is_rotation",
@@ -207,6 +208,20 @@ def rotation_from_angles(yaw, pitch=0.0, roll=0.0):
     r_yaw = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
     r_pitch = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
     r_roll = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    return r_yaw @ r_pitch @ r_roll
+
+
+def rotations_from_angles(yaw, pitch, roll):
+    """``rotation_from_angles`` of (N,) angle arrays, stacked as (N, 3, 3)."""
+    (cy, cp, cr), (sy, sp, sr) = np.cos([yaw, pitch, roll]), np.sin([yaw, pitch, roll])
+    zero, one = np.zeros_like(cy), np.ones_like(cy)
+
+    def stack(*entries):  # nine (N,) entries in row-major order
+        return np.stack(entries, axis=-1).reshape(-1, 3, 3)
+
+    r_yaw = stack(cy, zero, sy, zero, one, zero, -sy, zero, cy)
+    r_pitch = stack(cp, -sp, zero, sp, cp, zero, zero, zero, one)
+    r_roll = stack(one, zero, zero, zero, cr, -sr, zero, sr, cr)
     return r_yaw @ r_pitch @ r_roll
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "center_to_location",
     "compute_mean_dims",
     "write_results_jsonl",
-    "read_results_jsonl",
 ]
 
 DONT_CARE = "DontCare"
@@ -311,8 +310,3 @@ def write_results_jsonl(entries, stream):
     """Write result dicts (see ``result_to_json_dict``) one per line."""
     for entry in entries:
         stream.write(json.dumps(entry) + "\n")
-
-
-def read_results_jsonl(stream):
-    """Parse a JSON-lines results stream into a list of dicts."""
-    return [json.loads(line) for line in stream if line.strip()]

@@ -15,9 +15,22 @@ Detections are paired with ground truths by one greedy matcher,
 ``match_greedy``, which both the AOS sweep and the 3D-box errors use. It
 visits detections in descending score order, ties by input order.
 ``boxlift eval`` ranks a result with a null score as 1.0, and a score of
-0.0 as itself, so it ranks last. ``pair_errors`` computes each box measure
-once per matched pair; the distance bins and the overall means are both
-taken from its array.
+0.0 as itself, so it ranks last. The 2D IoUs of all same-frame pairs are
+computed as array operations, in the arithmetic of ``iou2d``, so every IoU
+is bit-identical to the single-pair one; only the greedy pick itself is a
+loop, over the pairs above the threshold.
+
+``pair_errors`` computes each box measure once per matched pair, all pairs
+at once as arrays; the distance bins and the overall means are both taken
+from its array. Closest points come from the batched corners. The 3D IoU
+clips the prediction's footprint by the ground truth's, in the ground
+truth's own frame, where that footprint is an axis-aligned rectangle: four
+Sutherland-Hodgman passes over all pairs, each a half-plane of one
+coordinate, so no crossing divides by a near-zero; two convex
+quadrilaterals meet in at most 8 vertices. ``viewpoint_stats`` validates
+all rotations in one call and takes the angles from the batched trace.
+``iou2d``, ``iou3d``, ``closest_point_distance_error`` and
+``geodesic_distance`` are the one-pair case of the same code.
 """
 
 from dataclasses import dataclass
@@ -25,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUprightBoxError
-from .geometry import Box2D, is_rotation
+from .geometry import VERTEX_SIGNS, Box2D, are_rotations, rotations_from_angles
 
 __all__ = [
     "orientation_similarity",
@@ -48,6 +61,12 @@ __all__ = [
 ]
 
 UPRIGHT_TOLERANCE = 1e-9
+# Footprint vertices this close to a clipping line, relative to the largest
+# coordinate or extent of the pair, are put on it: a few rounding errors.
+SNAP_EPS = 16 * np.finfo(float).eps
+# Same-frame (detection, ground truth) pairs whose 2D IoUs are computed at
+# once: the (n, 4) rectangle gathers stay at 64 KB.
+CHUNK_PAIRS = 2048
 
 
 def orientation_similarity(delta):
@@ -71,15 +90,28 @@ def orientation_score(aos_value, ap_value):
     return aos_value / ap_value
 
 
+def _rects(boxes):
+    """(N, 4) array of Box2D sides, (x_min, y_min, x_max, y_max)."""
+    return np.array(
+        [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=float
+    ).reshape(-1, 4)
+
+
+def _ious(first, second):
+    """IoUs of rectangles paired row by row, (N, 4) each, in ``iou2d``'s
+    arithmetic and operation order, so each is bit-identical to it."""
+    ix = np.minimum(first[:, 2], second[:, 2]) - np.maximum(first[:, 0], second[:, 0])
+    iy = np.minimum(first[:, 3], second[:, 3]) - np.maximum(first[:, 1], second[:, 1])
+    inter = ix * iy
+    area_first = (first[:, 2] - first[:, 0]) * (first[:, 3] - first[:, 1])
+    area_second = (second[:, 2] - second[:, 0]) * (second[:, 3] - second[:, 1])
+    union = area_first + area_second - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=(ix > 0) & (iy > 0))
+
+
 def iou2d(a, b):
     """Intersection over union of two axis-aligned rectangles."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    union = a.width * a.height + b.width * b.height - inter
-    return inter / union
+    return float(_ious(_rects([a]), _rects([b]))[0])
 
 
 @dataclass(frozen=True)
@@ -127,13 +159,62 @@ def _eleven_point(recall, values):
     return total / 11.0
 
 
+def _greedy(gt_frames, gt_rects, det_frames, det_rects, scores, iou_threshold):
+    """The greedy scan of ``match_greedy`` over arrays.
+
+    The IoUs of all same-frame (detection, ground truth) pairs are computed
+    as array operations, in chunks of at most ``CHUNK_PAIRS`` pairs or one
+    detection. The eligible pairs, sorted by visit, then descending IoU,
+    then ground-truth index, are each detection's candidates; it takes the
+    first one not yet taken.
+
+    Returns:
+        (order, matched, overlap): the detection indices in visiting order,
+        and per visit the matched ground-truth index (-1 if none) and IoU.
+    """
+    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
+    codes = {}
+    gt_codes = np.array([codes.setdefault(f, len(codes)) for f in gt_frames], dtype=np.intp)
+    det_codes = np.array([codes.get(f, -1) for f in det_frames], dtype=np.intp)[order]
+    # frame c's ground truths, by index, are by_frame[bounds[c]:bounds[c + 1]]
+    by_frame = np.argsort(gt_codes, kind="stable")
+    bounds = np.searchsorted(gt_codes[by_frame], np.arange(len(codes) + 1))
+
+    visits = np.flatnonzero(det_codes >= 0)  # visits to a frame with ground truths
+    first = bounds[det_codes[visits]]
+    count = bounds[det_codes[visits] + 1] - first
+    step = max(1, CHUNK_PAIRS // max(count.max(initial=0), 1))
+    candidates = []
+    for lo in range(0, len(visits), step):
+        span = count[lo : lo + step]
+        visit = np.repeat(visits[lo : lo + step], span)
+        offset = np.arange(len(visit)) - np.repeat(np.cumsum(span) - span, span)
+        gt = by_frame[np.repeat(first[lo : lo + step], span) + offset]
+        iou = _ious(det_rects[order[visit]], gt_rects[gt])
+        eligible = (iou >= iou_threshold) & (iou > 0.0)
+        candidates.append((visit[eligible], gt[eligible], iou[eligible]))
+
+    matched = np.full(len(order), -1)
+    overlap = np.zeros(len(order))
+    if candidates:
+        visit, gt, iou = (np.concatenate(column) for column in zip(*candidates))
+        ranked = np.lexsort((gt, -iou, visit))
+        taken, last = set(), -1
+        for v, g, value in zip(visit[ranked].tolist(), gt[ranked].tolist(), iou[ranked].tolist()):
+            if v != last and g not in taken:
+                taken.add(g)
+                matched[v], overlap[v], last = g, value, v
+    return order, matched, overlap
+
+
 def match_greedy(ground_truths, detections, iou_threshold):
     """Greedily match scored detections to ground truths by 2D IoU.
 
     Detections are visited in descending score order, ties by index. Each
     one takes the unmatched ground truth of its own frame with the highest
     IoU at or above ``iou_threshold``; equal IoUs go to the lower
-    ground-truth index. Each ground truth matches at most once.
+    ground-truth index. Each ground truth matches at most once. The IoUs of
+    all same-frame pairs are computed together as arrays.
 
     Args:
         ground_truths: sequence of (frame, Box2D).
@@ -143,25 +224,15 @@ def match_greedy(ground_truths, detections, iou_threshold):
         List of (detection index, ground-truth index or -1, IoU) in visiting
         order, one per detection; the IoU is 0.0 when unmatched.
     """
-    gt_by_frame = {}
-    for gt_idx, (frame, _) in enumerate(ground_truths):
-        gt_by_frame.setdefault(frame, []).append(gt_idx)
-    taken = [False] * len(ground_truths)
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i][2], i))
-    visits = []
-    for det_idx in order:
-        frame, box, _ = detections[det_idx]
-        best_iou, best_gt = 0.0, -1
-        for gt_idx in gt_by_frame.get(frame, ()):
-            if taken[gt_idx]:
-                continue
-            overlap = iou2d(box, ground_truths[gt_idx][1])
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_iou, best_gt = overlap, gt_idx
-        if best_gt >= 0:
-            taken[best_gt] = True
-        visits.append((det_idx, best_gt, best_iou))
-    return visits
+    order, matched, overlap = _greedy(
+        [frame for frame, _ in ground_truths],
+        _rects([box for _, box in ground_truths]),
+        [frame for frame, _, _ in detections],
+        _rects([box for _, box, _ in detections]),
+        [score for _, _, score in detections],
+        iou_threshold,
+    )
+    return list(zip(order.tolist(), matched.tolist(), overlap.tolist()))
 
 
 def aos(ground_truths, detections, iou_threshold=0.5):
@@ -180,19 +251,20 @@ def aos(ground_truths, detections, iou_threshold=0.5):
         empty = PRCurve(np.zeros(0), np.zeros(0), np.zeros(0))
         return AosResult(ap=0.0, aos=0.0, curve=empty)
 
-    visits = match_greedy(
-        [(gt.frame, gt.box2d) for gt in ground_truths],
-        [(det.frame, det.box2d, det.score) for det in detections],
+    order, matched, _ = _greedy(
+        [gt.frame for gt in ground_truths],
+        _rects([gt.box2d for gt in ground_truths]),
+        [det.frame for det in detections],
+        _rects([det.box2d for det in detections]),
+        [det.score for det in detections],
         iou_threshold,
     )
-    tp = np.zeros(len(detections))
+    hit = matched >= 0
+    gt_yaw = np.array([gt.yaw for gt in ground_truths], dtype=float)
+    det_yaw = np.array([det.yaw for det in detections], dtype=float)
+    tp = hit.astype(float)
     sim = np.zeros(len(detections))
-    for rank, (det_idx, gt_idx, _) in enumerate(visits):
-        if gt_idx >= 0:
-            tp[rank] = 1.0
-            sim[rank] = orientation_similarity(
-                ground_truths[gt_idx].yaw - detections[det_idx].yaw
-            )
+    sim[hit] = orientation_similarity(gt_yaw[matched[hit]] - det_yaw[order[hit]])
 
     ranks = np.arange(1, len(detections) + 1)
     recall = np.cumsum(tp) / n_gt
@@ -211,111 +283,171 @@ def center_distance(a, b):
     return float(np.linalg.norm(a.center - b.center))
 
 
+class _Boxes:
+    """Box3D sequence as arrays: centers, extents (dx, dy, dz) and angles
+    (yaw, pitch, roll), each (N, 3)."""
+
+    def __init__(self, boxes):
+        n = len(boxes)
+        self.centers = np.array([b.center for b in boxes], dtype=float).reshape(n, 3)
+        self.dims = np.array(
+            [(b.dims.dx, b.dims.dy, b.dims.dz) for b in boxes], dtype=float
+        ).reshape(n, 3)
+        self.angles = np.array([(b.yaw, b.pitch, b.roll) for b in boxes], dtype=float).reshape(n, 3)
+
+
+def _closest_corner_distances(boxes):
+    """Distance from the camera to the nearest of each box's corners, (N,)."""
+    rotations = rotations_from_angles(*boxes.angles.T)
+    local = VERTEX_SIGNS * (0.5 * boxes.dims)[:, None, :]
+    corners = local @ np.swapaxes(rotations, 1, 2) + boxes.centers[:, None, :]
+    return np.linalg.norm(corners, axis=2).min(axis=1)
+
+
+def _closest_point_errors(gt, pred):
+    return np.abs(_closest_corner_distances(gt) - _closest_corner_distances(pred))
+
+
 def closest_point_distance_error(gt, pred):
     """Difference of closest-corner distances to the camera at the origin.
 
     Uses the nearest of the 8 corners as the closest point of each box.
     """
-    gt_min = np.linalg.norm(gt.corners(), axis=1).min()
-    pred_min = np.linalg.norm(pred.corners(), axis=1).min()
-    return float(abs(gt_min - pred_min))
+    return float(_closest_point_errors(_Boxes([gt]), _Boxes([pred]))[0])
 
 
-def _bev_rectangle(box):
-    """Ground-plane (x, z) corners of an upright box, counterclockwise."""
-    c, s = np.cos(box.yaw), np.sin(box.yaw)
-    hx, hz = 0.5 * box.dims.dx, 0.5 * box.dims.dz
-    local = np.array([[hx, hz], [-hx, hz], [-hx, -hz], [hx, -hz]])
-    # camera-frame: x' = c*ox + s*oz + tx ; z' = -s*ox + c*oz + tz
-    rot = np.array([[c, s], [-s, c]])
-    return local @ rot.T + np.array([box.center[0], box.center[2]])
+def _clip(poly, count, axis, sign, bound, snap):
+    """Clip N convex polygons by the half-planes sign * p[axis] <= bound.
+
+    ``poly`` is (N, K, 2) with the first ``count`` vertices of each row in
+    use and the rest repeating its last vertex, so every used vertex's
+    predecessor is the one before it, cyclically. One Sutherland-Hodgman
+    pass: each used vertex emits the crossing of the edge into it, if the
+    edge crosses the line, then itself if inside. A vertex within ``snap``
+    of the line is first put on it, and a crossing lands exactly on it, so
+    an edge along the line is kept once and encloses no rounding sliver.
+    Snaps ``poly`` in place; returns the clipped (poly, count) in the same
+    layout.
+    """
+    bound, snap = bound[:, None], snap[:, None]
+    level = sign * poly[..., axis]
+    level = np.where(np.abs(level - bound) <= snap, bound, level)
+    poly[..., axis] = sign * level
+    prev, prev_level = np.roll(poly, 1, axis=1), np.roll(level, 1, axis=1)
+    inside, prev_inside = level <= bound, prev_level <= bound
+    used = np.arange(poly.shape[1]) < count[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (bound - prev_level) / (level - prev_level)
+        cut = prev + t[..., None] * (poly - prev)
+    cut[..., axis] = sign * bound
+    candidates = np.stack([cut, poly], axis=2).reshape(len(poly), -1, 2)
+    keep = np.stack([used & (inside != prev_inside), used & inside], axis=2)
+    keep = keep.reshape(len(poly), -1)
+
+    count = keep.sum(axis=1)
+    first_kept = np.argsort(~keep, axis=1, kind="stable")
+    slots = np.minimum(np.arange(max(count.max(), 1)), np.maximum(count - 1, 0)[:, None])
+    pick = np.take_along_axis(first_kept, slots, axis=1)
+    poly = np.take_along_axis(candidates, pick[..., None], axis=1)
+    poly[count == 0] = 0.0  # nothing left: no last vertex to repeat
+    return poly, count
 
 
-def _polygon_area(poly):
-    """Shoelace area, positive regardless of winding."""
-    if len(poly) < 3:
-        return 0.0
-    x, z = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)))
+def _footprint_overlaps(a, b):
+    """Ground-plane (x, z) intersection areas of N upright box pairs, (N,).
+
+    Box ``b``'s footprint is expressed in the frame of box ``a``, where
+    ``a``'s footprint is the axis-aligned rectangle of its half extents,
+    and clipped by that rectangle's four sides. Two convex quadrilaterals
+    intersect in at most 8 vertices.
+    """
+    # a point's (x, z) in a's frame is a's yaw rotation, transposed, of its
+    # offset from a's center; b's corners turn by the yaw difference
+    cos_a, sin_a = np.cos(a.angles[:, 0]), np.sin(a.angles[:, 0])
+    dx = b.centers[:, 0] - a.centers[:, 0]
+    dz = b.centers[:, 2] - a.centers[:, 2]
+    offset_x, offset_z = cos_a * dx - sin_a * dz, sin_a * dx + cos_a * dz
+    turn = b.angles[:, 0] - a.angles[:, 0]
+    cos_t, sin_t = np.cos(turn)[:, None], np.sin(turn)[:, None]
+    lx = 0.5 * b.dims[:, :1] * np.array([1.0, -1.0, -1.0, 1.0])
+    lz = 0.5 * b.dims[:, 2:] * np.array([1.0, 1.0, -1.0, -1.0])
+    poly = np.stack(
+        [cos_t * lx + sin_t * lz + offset_x[:, None], -sin_t * lx + cos_t * lz + offset_z[:, None]],
+        axis=2,
+    )
+    scale = np.abs(np.hstack([a.centers, b.centers, a.dims, b.dims])).max(axis=1)
+    snap = SNAP_EPS * scale
+    count = np.full(len(poly), 4)
+    for axis, extent in ((0, 0), (1, 2)):
+        half = 0.5 * a.dims[:, extent]
+        for sign in (1.0, -1.0):
+            poly, count = _clip(poly, count, axis, sign, half, snap)
+    x, z = np.moveaxis(poly - poly[:, :1], 2, 0)  # about a vertex: collinear is exactly 0
+    cross = x * np.roll(z, -1, axis=1) - z * np.roll(x, -1, axis=1)
+    return 0.5 * np.abs(cross.sum(axis=1))
 
 
-def _clip_polygon(subject, clip):
-    """Sutherland-Hodgman clip of ``subject`` by convex ``clip`` polygon."""
-    # Ensure counterclockwise clip winding so the inside test is consistent.
-    x, z = clip[:, 0], clip[:, 1]
-    if np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)) < 0:
-        clip = clip[::-1]
-
-    output = [tuple(p) for p in subject]
-    for i in range(len(clip)):
-        if not output:
-            return []
-        a, b = clip[i], clip[(i + 1) % len(clip)]
-        edge = (b[0] - a[0], b[1] - a[1])
-
-        def inside(p):
-            return edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) >= 0
-
-        def intersect(p, q):
-            dp = (q[0] - p[0], q[1] - p[1])
-            denom = edge[0] * dp[1] - edge[1] * dp[0]
-            t = (edge[0] * (a[1] - p[1]) - edge[1] * (a[0] - p[0])) / denom
-            return (p[0] + t * dp[0], p[1] + t * dp[1])
-
-        clipped = []
-        prev = output[-1]
-        for curr in output:
-            if inside(curr):
-                if not inside(prev):
-                    clipped.append(intersect(prev, curr))
-                clipped.append(curr)
-            elif inside(prev):
-                clipped.append(intersect(prev, curr))
-            prev = curr
-        output = clipped
-    return output
+def _iou3d(a, b):
+    """3D IoU of N upright box pairs, (N,); see ``iou3d``."""
+    angles = np.stack([a.angles, b.angles], axis=1).reshape(-1, 3)  # a0, b0, a1, ...
+    tilted = (np.abs(angles[:, 1:]) > UPRIGHT_TOLERANCE).any(axis=1)
+    if tilted.any():
+        _, pitch, roll = angles[tilted.argmax()].tolist()
+        raise NonUprightBoxError(
+            f"iou3d requires upright boxes, got pitch={pitch}, roll={roll}"
+        )
+    area = _footprint_overlaps(a, b)
+    a_lo, a_hi = a.centers[:, 1] - 0.5 * a.dims[:, 1], a.centers[:, 1] + 0.5 * a.dims[:, 1]
+    b_lo, b_hi = b.centers[:, 1] - 0.5 * b.dims[:, 1], b.centers[:, 1] + 0.5 * b.dims[:, 1]
+    v_overlap = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
+    inter = area * v_overlap
+    union = a.dims.prod(axis=1) + b.dims.prod(axis=1) - inter
+    return np.clip(inter / union, 0.0, 1.0)
 
 
 def iou3d(a, b):
     """3D intersection over union of two upright boxes.
 
-    Bird's-eye-view intersection area (polygon clipping of the two yawed
-    ground rectangles) times vertical overlap, over the union volume.
+    Bird's-eye-view intersection area (``b``'s ground rectangle clipped by
+    ``a``'s, in ``a``'s frame) times vertical overlap, over the union
+    volume.
 
     Raises:
         NonUprightBoxError: if either box has nonzero pitch or roll.
     """
-    for box in (a, b):
-        if abs(box.pitch) > UPRIGHT_TOLERANCE or abs(box.roll) > UPRIGHT_TOLERANCE:
-            raise NonUprightBoxError(
-                f"iou3d requires upright boxes, got pitch={box.pitch}, roll={box.roll}"
-            )
-    rect_a, rect_b = _bev_rectangle(a), _bev_rectangle(b)
-    inter_poly = _clip_polygon(rect_a, rect_b)
-    inter_area = _polygon_area(np.asarray(inter_poly)) if inter_poly else 0.0
+    return float(_iou3d(_Boxes([a]), _Boxes([b]))[0])
 
-    a_lo, a_hi = a.center[1] - 0.5 * a.dims.dy, a.center[1] + 0.5 * a.dims.dy
-    b_lo, b_hi = b.center[1] - 0.5 * b.dims.dy, b.center[1] + 0.5 * b.dims.dy
-    v_overlap = max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
 
-    inter = inter_area * v_overlap
-    union = a.dims.volume + b.dims.volume - inter
-    return float(np.clip(inter / union, 0.0, 1.0))
+def _stacked_rotations(matrices):
+    """(N, 3, 3) array of rotation matrices; ValueError for anything else."""
+    try:
+        stack = np.asarray(matrices, dtype=float)
+    except ValueError:  # ragged shapes
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1:] != (3, 3) or not are_rotations(stack).all():
+        raise ValueError("inputs must be orthonormal rotation matrices")
+    return stack
+
+
+def _geodesic_distances(first, second):
+    """Rotation angles of r1^T r2 over two sequences of rotations, (N,)."""
+    first, second = _stacked_rotations(first), _stacked_rotations(second)
+    trace = np.trace(np.swapaxes(first, 1, 2) @ second, axis1=1, axis2=2)
+    return np.arccos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0))
 
 
 def geodesic_distance(r1, r2):
     """Rotation angle of r1^T r2, the geodesic metric on SO(3), in [0, pi]."""
-    if not (is_rotation(r1) and is_rotation(r2)):
-        raise ValueError("inputs must be orthonormal rotation matrices")
-    relative = np.asarray(r1).T @ np.asarray(r2)
-    return float(np.arccos(np.clip((np.trace(relative) - 1.0) / 2.0, -1.0, 1.0)))
+    return float(_geodesic_distances([r1], [r2])[0])
 
 
 def viewpoint_stats(rotation_pairs):
     """Median geodesic error and fraction within pi/6 over rotation pairs."""
     if len(rotation_pairs) == 0:
         raise ValueError("viewpoint_stats requires at least one pair")
-    dists = np.array([geodesic_distance(r1, r2) for r1, r2 in rotation_pairs])
+    dists = _geodesic_distances(
+        [r1 for r1, _ in rotation_pairs], [r2 for _, r2 in rotation_pairs]
+    )
     return float(np.median(dists)), float(np.mean(dists < np.pi / 6.0))
 
 
@@ -334,21 +466,28 @@ class DistanceBinRow:
 def pair_errors(pairs):
     """Box errors of (ground truth, prediction) Box3D pairs, once per pair.
 
+    All pairs are computed together as arrays.
+
     Returns:
         (n, 4) array; its columns are the distance of the ground-truth
         center from the camera, the center distance, the closest-point
         distance error and the 3D IoU.
+
+    Raises:
+        NonUprightBoxError: if any box has nonzero pitch or roll.
     """
-    rows = [
-        (
-            np.linalg.norm(gt.center),
-            center_distance(gt, pred),
-            closest_point_distance_error(gt, pred),
-            iou3d(gt, pred),
-        )
-        for gt, pred in pairs
-    ]
-    return np.array(rows, dtype=float).reshape(-1, 4)
+    pairs = list(pairs)
+    if not pairs:
+        return np.zeros((0, 4))
+    gt, pred = _Boxes([g for g, _ in pairs]), _Boxes([p for _, p in pairs])
+    return np.column_stack(
+        [
+            np.linalg.norm(gt.centers, axis=1),
+            np.linalg.norm(gt.centers - pred.centers, axis=1),
+            _closest_point_errors(gt, pred),
+            _iou3d(gt, pred),
+        ]
+    )
 
 
 def distance_binned_errors(errors, bin_width=10.0):

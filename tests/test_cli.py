@@ -5,7 +5,7 @@ import pytest
 
 from boxlift.cli import build_parser, main
 from boxlift.errors import MalformedLineError
-from boxlift.kitti import compute_mean_dims, parse_label_file, read_results_jsonl
+from boxlift.kitti import compute_mean_dims, parse_label_file
 
 from conftest import CALIB_TEXT, record_line, sample_scene_box, synth_corpus
 
@@ -35,7 +35,7 @@ def test_lift_synthetic_dataset_exact(tmp_path, precise_dataset, calib):
     assert main(["lift", str(labels), str(calibs), "--out", str(out)]) == 0
 
     with open(out) as handle:
-        entries = read_results_jsonl(handle)
+        entries = [json.loads(line) for line in handle]
     n_records = sum(len(parse_label_file(t)) for t in corpus.values())
     assert len(entries) == n_records  # 100% lifted
 
@@ -93,7 +93,7 @@ def test_lift_with_dimension_residuals(tmp_path, precise_dataset):
     assert main(["lift", str(labels), str(calibs), "--out", str(out),
                  "--residuals", str(residual_path)]) == 0
     with open(out) as handle:
-        entries = read_results_jsonl(handle)
+        entries = [json.loads(line) for line in handle]
     assert len(entries) == len(all_records)
     for entry in entries:
         truth = parse_label_file(corpus[entry["file"]])[entry["line"] - 1]
@@ -123,7 +123,7 @@ def test_lift_reports_physical_lines_after_blank_first_line(tmp_path, calib):
     assert main(["lift", str(labels), str(calibs), "--out", str(out),
                  "--residuals", str(residual_path)]) == 0
     with open(out) as handle:
-        entries = read_results_jsonl(handle)
+        entries = [json.loads(line) for line in handle]
     assert sorted((e["file"], e["line"]) for e in entries) == sorted(truths)
     for entry in entries:
         truth = truths[(entry["file"], entry["line"])]
@@ -232,7 +232,7 @@ def test_eval_antipodal_yaw_kills_similarity_not_ap(tmp_path, precise_dataset):
 
     flipped = tmp_path / "flipped.jsonl"
     with open(results) as handle:
-        entries = read_results_jsonl(handle)
+        entries = [json.loads(line) for line in handle]
     with open(flipped, "w") as handle:
         for entry in entries:
             entry["rotation_y"] = float(

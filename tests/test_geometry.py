@@ -13,6 +13,7 @@ from boxlift.geometry import (
     project,
     project_box,
     rotation_from_angles,
+    rotations_from_angles,
     wrap_angle,
     yaw_from_rotation,
 )
@@ -69,6 +70,14 @@ def test_rotation_orthonormal_and_yaw_recovery():
         yaw = rng.uniform(-np.pi, np.pi)
         recovered = yaw_from_rotation(rotation_from_angles(yaw))
         assert abs(wrap_angle(recovered - yaw)) < 1e-9
+
+
+def test_rotations_from_angles_stacks_rotation_from_angles():
+    angles = np.random.default_rng(2).uniform(-np.pi, np.pi, size=(50, 3))
+    stacked = rotations_from_angles(*angles.T)
+    assert stacked.shape == (50, 3, 3)
+    assert np.array_equal(stacked, [rotation_from_angles(*a) for a in angles])
+    assert rotations_from_angles([], [], []).shape == (0, 3, 3)
 
 
 def test_box_vertices_unit_half_extents():

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from boxlift.kitti import (
     location_to_center,
     parse_calib_file,
     parse_label_file,
-    read_results_jsonl,
     record_from_json_dict,
     result_to_json_dict,
     write_results,
@@ -267,7 +267,7 @@ def test_jsonl_roundtrip():
     buffer = io.StringIO()
     write_results_jsonl([entry], buffer)
     buffer.seek(0)
-    loaded = read_results_jsonl(buffer)
+    loaded = [json.loads(line) for line in buffer]
     assert len(loaded) == 1
     assert loaded[0]["file"] == "000123"
     assert loaded[0]["configuration"] == [0, 5, 2, 5]

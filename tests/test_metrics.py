@@ -64,6 +64,89 @@ def surface_min_distance(box, points_per_edge=160):
     return float(np.linalg.norm(world, axis=1).min())
 
 
+def reference_iou3d(a, b):
+    """Per-pair 3D IoU by Sutherland-Hodgman clipping in camera coordinates."""
+
+    def bev_rectangle(box):
+        c, s = np.cos(box.yaw), np.sin(box.yaw)
+        hx, hz = 0.5 * box.dims.dx, 0.5 * box.dims.dz
+        local = np.array([[hx, hz], [-hx, hz], [-hx, -hz], [hx, -hz]])
+        return local @ np.array([[c, s], [-s, c]]).T + np.array([box.center[0], box.center[2]])
+
+    def clip(subject, clip_poly):
+        x, z = clip_poly[:, 0], clip_poly[:, 1]
+        if np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)) < 0:
+            clip_poly = clip_poly[::-1]  # counterclockwise, for the inside test
+        output = [tuple(p) for p in subject]
+        for i in range(len(clip_poly)):
+            if not output:
+                return []
+            p0, p1 = clip_poly[i], clip_poly[(i + 1) % len(clip_poly)]
+            edge = p1 - p0
+
+            def inside(p):
+                return edge[0] * (p[1] - p0[1]) - edge[1] * (p[0] - p0[0]) >= 0
+
+            def intersect(p, q):
+                dp = (q[0] - p[0], q[1] - p[1])
+                t = (edge[0] * (p0[1] - p[1]) - edge[1] * (p0[0] - p[0])) / (
+                    edge[0] * dp[1] - edge[1] * dp[0]
+                )
+                return (p[0] + t * dp[0], p[1] + t * dp[1])
+
+            clipped, prev = [], output[-1]
+            for curr in output:
+                if inside(curr):
+                    if not inside(prev):
+                        clipped.append(intersect(prev, curr))
+                    clipped.append(curr)
+                elif inside(prev):
+                    clipped.append(intersect(prev, curr))
+                prev = curr
+            output = clipped
+        return output
+
+    poly = np.asarray(clip(bev_rectangle(a), bev_rectangle(b)))
+    area = 0.0
+    if len(poly) >= 3:
+        x, z = poly[:, 0], poly[:, 1]
+        area = 0.5 * abs(np.dot(x, np.roll(z, -1)) - np.dot(z, np.roll(x, -1)))
+    a_lo, a_hi = a.center[1] - 0.5 * a.dims.dy, a.center[1] + 0.5 * a.dims.dy
+    b_lo, b_hi = b.center[1] - 0.5 * b.dims.dy, b.center[1] + 0.5 * b.dims.dy
+    inter = area * max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
+    return float(np.clip(inter / (a.dims.volume + b.dims.volume - inter), 0.0, 1.0))
+
+
+def reference_iou2d(a, b):
+    """Scalar IoU of two Box2D."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.width * a.height + b.width * b.height - inter)
+
+
+def reference_match_greedy(ground_truths, detections, iou_threshold):
+    """Per-detection greedy scan, one ground truth at a time."""
+    taken = [False] * len(ground_truths)
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i][2], i))
+    visits = []
+    for det_idx in order:
+        frame, box, _ = detections[det_idx]
+        best_iou, best_gt = 0.0, -1
+        for gt_idx, (gt_frame, gt_box) in enumerate(ground_truths):
+            if gt_frame != frame or taken[gt_idx]:
+                continue
+            overlap = reference_iou2d(box, gt_box)
+            if overlap >= iou_threshold and overlap > best_iou:
+                best_iou, best_gt = overlap, gt_idx
+        if best_gt >= 0:
+            taken[best_gt] = True
+        visits.append((det_idx, best_gt, best_iou))
+    return visits
+
+
 # --- scalar conversions -------------------------------------------------------
 
 
@@ -324,6 +407,66 @@ def test_iou3d_matches_monte_carlo_oracle():
         assert abs(iou3d(a, b) - estimate) < 2e-2
 
 
+def test_iou3d_boxes_sharing_a_side_line():
+    # b is a moved 1 m along a's length axis: their long sides lie on the
+    # same two lines, and 3 of a's 4 m overlap
+    dims = Dimensions(4.0, 1.5, 1.8)
+    a = Box3D(np.array([1.0, 0.5, 20.0]), dims, 1.7)
+    b = Box3D(a.center + rotation_from_angles(1.7) @ [1.0, 0.0, 0.0], dims, 1.7)
+    assert iou3d(a, b) == pytest.approx(0.75 / 1.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("yaw", [1.7, -0.6, 2.9])
+def test_iou3d_equal_yaw_quarter_offsets_closed_form(yaw):
+    # equal boxes offset along their own axes by quarter extents overlap in
+    # a fraction f of their volume, so IoU = f / (2 - f)
+    dims = Dimensions(4.0, 1.5, 1.8)
+    a = Box3D(np.array([1.0, 0.5, 20.0]), dims, yaw)
+    rot = rotation_from_angles(yaw)
+    steps = range(-3, 4)
+    for i, j, k in ((i, j, k) for i in steps for j in steps for k in steps):
+        offset = np.array([i, j, k]) / 4.0 * dims.as_array
+        f = (1 - abs(i) / 4) * (1 - abs(j) / 4) * (1 - abs(k) / 4)
+        b = Box3D(a.center + rot @ offset, dims, yaw)
+        assert iou3d(a, b) == pytest.approx(f / (2 - f), abs=1e-12), (i, j, k)
+
+
+@pytest.mark.parametrize("yaw", [0.0, 1.7, -2.3, 0.4, np.pi / 2])
+def test_iou3d_boxes_touching_end_to_end_is_zero(yaw):
+    dims = Dimensions(4.0, 1.5, 1.8)
+    for center in ([1.0, 0.5, 20.0], [-3.2, 1.1, 12.7]):
+        a = Box3D(np.array(center), dims, yaw)
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                offset = np.zeros(3)
+                offset[axis] = sign * dims.as_array[axis]
+                b = Box3D(a.center + rotation_from_angles(yaw) @ offset, dims, yaw)
+                assert iou3d(a, b) == 0.0, (center, axis, sign)
+
+
+@pytest.mark.parametrize("yaw", [0.0, 1.7, -2.3, 0.4, np.pi / 2, np.pi])
+def test_iou3d_identical_boxes_is_one(yaw):
+    box = Box3D(np.array([-3.2, 1.1, 12.7]), Dimensions(4.0, 1.5, 1.8), yaw)
+    assert iou3d(box, box) == 1.0
+
+
+def test_iou3d_agrees_with_reference_clipping():
+    rng = np.random.default_rng(31)
+    compared = 0
+    for trial in range(600):
+        a = upright(rng.uniform([-8, -1, 5], [8, 2, 60]), tuple(rng.uniform(0.5, 5, 3)),
+                    rng.uniform(-np.pi, np.pi))
+        dims = tuple(rng.uniform(0.5, 5, 3)) if trial % 3 else (a.dims.dx, a.dims.dy, a.dims.dz)
+        yaw = a.yaw if trial % 4 == 0 else a.yaw + rng.normal(0, 0.3 if trial % 2 else 2.0)
+        b = upright(a.center + rng.normal(0, 1.5, 3), dims, yaw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = reference_iou3d(a, b)
+        if np.isfinite(expected):
+            assert iou3d(a, b) == pytest.approx(expected, abs=1e-12)
+            compared += 1
+    assert compared > 550
+
+
 # --- rotation metrics -------------------------------------------------------------
 
 
@@ -380,6 +523,23 @@ def test_viewpoint_stats():
 
     with pytest.raises(ValueError):
         viewpoint_stats([])
+    with pytest.raises(ValueError, match="orthonormal rotation"):
+        viewpoint_stats([(np.eye(3), np.eye(3)), (np.eye(3), np.eye(2))])
+    with pytest.raises(ValueError, match="orthonormal rotation"):
+        viewpoint_stats([(np.eye(3), np.eye(3)), (np.eye(3), 2 * np.eye(3))])
+
+
+def test_viewpoint_stats_equals_per_pair_geodesic_distance():
+    rng = np.random.default_rng(27)
+    pairs = [
+        tuple(rotation_from_angles(*rng.uniform(-np.pi, np.pi, 3)) for _ in range(2))
+        for _ in range(101)
+    ]
+    dists = [geodesic_distance(r1, r2) for r1, r2 in pairs]
+    assert viewpoint_stats(pairs) == (
+        float(np.median(dists)),
+        float(np.mean(np.array(dists) < np.pi / 6.0)),
+    )
 
 
 # --- matching and binning ----------------------------------------------------------
@@ -421,6 +581,73 @@ def test_match_greedy_never_crosses_frames():
     dets = [("b", square(0, 0), 0.9), ("a", square(100, 0), 0.8), ("a", square(0, 0), 0.1)]
     visits = match_greedy(gts, dets, iou_threshold=0.5)
     assert [(d, g) for d, g, _ in visits] == [(0, -1), (1, -1), (2, 0)]
+
+
+def crowded_scene(rng):
+    """Ground truths and scored detections over frames "a"-"e", where "e"
+    has no ground truth: duplicates, jittered and straddling detections,
+    distractors, repeated scores and zero scores, on a 10 px grid so that
+    equal IoUs occur."""
+    gts, dets = [], []
+    for frame in "abcd":
+        for _ in range(rng.integers(5, 30)):
+            x, y = 10 * rng.integers(0, 40, 2)
+            gts.append((frame, square(x, y)))
+    scores = [0.0, 0.0, 0.3, 0.5, 0.5, 0.9, 1.0]
+    for frame, box in gts:
+        for _ in range(rng.integers(0, 4)):  # duplicates and shifted copies
+            dx, dy = 10 * rng.integers(-2, 3, 2)
+            dets.append((frame, square(box.x_min + dx, box.y_min + dy), rng.choice(scores)))
+        if rng.random() < 0.3:  # straddles this and a possible neighbour 40 px right
+            dets.append((frame, square(box.x_min + 20, box.y_min), rng.choice(scores)))
+    for frame in "abcde":
+        for _ in range(rng.integers(3, 10)):
+            x, y = rng.uniform(0, 400, 2)
+            dets.append((frame, square(x, y, rng.uniform(10, 60)), rng.uniform(0, 1)))
+    order = rng.permutation(len(dets))
+    return gts, [dets[i] for i in order]
+
+
+def test_match_greedy_matches_reference_scan():
+    rng = np.random.default_rng(41)
+    at_threshold = reference_iou2d(square(0, 0), square(20, 0))  # 1/3, occurs often
+    for _ in range(8):
+        gts, dets = crowded_scene(rng)
+        for threshold in (0.0, at_threshold, 0.5, 0.7):
+            visits = match_greedy(gts, dets, threshold)
+            assert visits == reference_match_greedy(gts, dets, threshold)
+        # the threshold case is exercised: some matches sit exactly on it
+        visits = match_greedy(gts, dets, at_threshold)
+        assert any(gt >= 0 and iou == at_threshold for _, gt, iou in visits)
+
+
+def test_iou2d_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        x, y = rng.uniform(0, 100, 2)
+        a = Box2D(x, y, x + rng.uniform(1, 80), y + rng.uniform(1, 80))
+        x, y = rng.uniform(0, 100, 2)
+        b = Box2D(x, y, x + rng.uniform(1, 80), y + rng.uniform(1, 80))
+        assert iou2d(a, b) == reference_iou2d(a, b)
+
+
+def test_pair_errors_match_the_single_pair_metrics():
+    rng = np.random.default_rng(43)
+    pairs = []
+    for _ in range(50):
+        gt = upright(rng.uniform([-8, -1, 5], [8, 2, 60]), tuple(rng.uniform(1, 4, 3)),
+                     rng.uniform(-np.pi, np.pi))
+        pairs.append((gt, upright(gt.center + rng.normal(0, 1, 3), tuple(rng.uniform(1, 4, 3)),
+                                  gt.yaw + rng.normal(0, 0.5))))
+    errors = pair_errors(pairs)
+    for row, (gt, pred) in zip(errors, pairs):
+        assert row[0] == pytest.approx(np.linalg.norm(gt.center), abs=1e-12)
+        assert row[1] == pytest.approx(center_distance(gt, pred), abs=1e-12)
+        assert row[2] == pytest.approx(closest_point_distance_error(gt, pred), abs=1e-12)
+        assert row[3] == pytest.approx(reference_iou3d(gt, pred), abs=1e-12)
+    tilted = Box3D(pairs[7][1].center, pairs[7][1].dims, 0.0, pitch=0.2)
+    with pytest.raises(NonUprightBoxError, match="pitch=0.2"):
+        pair_errors(pairs[:7] + [(pairs[7][0], tilted)])
 
 
 def test_distance_binned_errors_layout():
