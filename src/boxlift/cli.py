@@ -7,6 +7,13 @@ Subcommands:
     encode  Print the multi-bin encoding of an angle.
     decode  Invert an encoding printed by ``encode``.
 
+``lift`` works in columns. Per label file it reads the calibration and
+computes the viewing-ray angles and yaws of all the file's records at once.
+For the whole run it builds every rotation, makes one ``lift_batch`` call,
+and computes every location. Per record it only reads the label fields
+(and, with residuals, looks up the record's extents) and emits the
+record's results line; failed records are reported one by one.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Set BOXLIFT_LOG to
 a logging level name (DEBUG, INFO, ...) for verbosity.
 """
@@ -18,8 +25,8 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, fields
+from itertools import compress
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +37,7 @@ from .errors import (
     NoFeasibleConfigurationError,
     NoSamplesError,
 )
-from .geometry import Box3D, Dimensions, rotation_from_angles
+from .geometry import Box3D, Dimensions, rotations_from_angles
 from .metrics import (
     GroundTruthBox,
     ScoredDetection,
@@ -225,18 +232,6 @@ def _load_residuals(path):
     )
 
 
-class _LiftJob(NamedTuple):
-    """A label record ready for the solver, with what its result needs."""
-
-    stem: str
-    record: kitti.DetectionRecord
-    k: np.ndarray  # intrinsics matrix
-    offset: np.ndarray  # calibration's camera offset
-    theta_ray: float
-    yaw: float
-    dims: Dimensions
-
-
 def cmd_lift(args):
     config = build_config(args)
     labels_dir, calib_dir = Path(args.labels_dir), Path(args.calib_dir)
@@ -253,7 +248,12 @@ def cmd_lift(args):
             except NoSamplesError:
                 logger.warning("no mean dimensions for category %r", category)
 
-    jobs = []
+    # Per record to lift: its file stem and label record, and one row of
+    # each solver input array.
+    stems, jobs, dims = [], [], []
+    ks, offsets, rects, rays, yaws = (
+        [np.empty((0, *shape))] for shape in ((3, 3), (3,), (4,), (), ())
+    )
     n_total = n_failed = 0
     for stem, records in parsed:
         records = [r for r in records if not r.is_dont_care]
@@ -270,39 +270,74 @@ def cmd_lift(args):
             logger.error("calib %s unusable: %s", calib_path, exc)
             n_failed += len(records)
             continue
-        k = intrinsics.matrix
 
+        kept = []
         for record in records:
             try:
-                theta_ray, yaw, dims = _record_pose(record, intrinsics, stem, residuals, mean_dims)
+                dims.append(_record_dims(record, stem, residuals, mean_dims))
             except ValueError as exc:
                 logger.warning("%s line %d not lifted: %s", stem, record.line_no, exc)
                 n_failed += 1
                 continue
-            jobs.append(_LiftJob(stem, record, k, offset, theta_ray, yaw, dims))
+            kept.append(record)
+        sides = np.array(
+            [(b.x_min, b.y_min, b.x_max, b.y_max) for b in (r.box2d for r in kept)]
+        ).reshape(-1, 4)
+        ray = ray_angle(intrinsics, 0.5 * (sides[:, 0] + sides[:, 2]))
+        yaws.append(local_to_global(np.array([r.alpha for r in kept]), ray))
+        rays.append(ray)
+        rects.append(sides)
+        ks.append(np.broadcast_to(intrinsics.matrix, (len(kept), 3, 3)))
+        offsets.append(np.broadcast_to(offset, (len(kept), 3)))
+        stems += [stem] * len(kept)
+        jobs += kept
 
+    ks, offsets, rects, rays, yaws = map(np.concatenate, (ks, offsets, rects, rays, yaws))
+    dims = np.array(dims).reshape(-1, 3)
     batch = lift_batch(
-        np.array([job.k for job in jobs]).reshape(-1, 3, 3),
-        np.array([rotation_from_angles(job.yaw) for job in jobs]).reshape(-1, 3, 3),
-        np.array([job.dims.as_array for job in jobs]).reshape(-1, 3),
-        np.array([job.record.box2d.as_array for job in jobs]).reshape(-1, 4),
+        ks, rotations_from_angles(yaws, np.zeros_like(yaws), np.zeros_like(yaws)), dims, rects,
         config.constraint_mode,
     )
-    entries = []
-    kitti_rows = {}
-    for i, job in enumerate(jobs):
-        try:
-            entry, out_record = _result_entry(job, batch.result(i))
+    # The solver works in the projection frame K (R X + T'); subtract the
+    # calibration's camera offset to express the center in the label frame.
+    centers = batch.translation - offsets
+    lifted = np.isfinite(centers).all(axis=1)  # a failed record's row is NaN
+    for i in np.flatnonzero(~lifted):
+        try:  # the scalar path, for its error: the failure, or a non-finite center
+            Box3D(batch.result(i).translation - offsets[i], Dimensions(*dims[i]), yaws[i])
         except (NoFeasibleConfigurationError, ValueError) as exc:
-            logger.warning("%s line %d not lifted: %s", job.stem, job.record.line_no, exc)
-            n_failed += 1
-            continue
-        entries.append(entry)
-        kitti_rows.setdefault(job.stem, []).append(out_record)
+            logger.warning("%s line %d not lifted: %s", stems[i], jobs[i].line_no, exc)
+    n_failed += int(np.count_nonzero(~lifted))
 
+    keep = lifted.tolist()
+    jobs = list(compress(jobs, keep))
+    entries = kitti.result_entries(
+        {
+            "category": [r.category for r in jobs],
+            "truncated": [r.truncated for r in jobs],
+            "occluded": [r.occluded for r in jobs],
+            "alpha": [r.alpha for r in jobs],
+            "box2d": rects[lifted],
+            "dims_hwl": dims[lifted][:, [1, 2, 0]],
+            "location": kitti.centers_to_locations(centers[lifted], dims[lifted, 1]),
+            "rotation_y": yaws[lifted],
+            "score": [1.0 if r.score is None else r.score for r in jobs],
+            "file": list(compress(stems, keep)),
+            "line": [r.line_no for r in jobs],
+        },
+        diagnostics={
+            "theta_ray": rays[lifted],
+            "configuration": batch.configuration[lifted],
+            "residual": batch.residual[lifted],
+            "reprojection_error": batch.reprojection_error[lifted],
+        },
+    )
     with open(args.out, "w") as handle:
         kitti.write_results_jsonl(entries, handle)
     if args.kitti_out:
+        kitti_rows = {}
+        for entry in entries:
+            kitti_rows.setdefault(entry["file"], []).append(kitti.record_from_json_dict(entry))
         out_dir = Path(args.kitti_out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for stem, rows in kitti_rows.items():
@@ -315,55 +350,21 @@ def cmd_lift(args):
     return 0
 
 
-def _record_pose(record, intrinsics, stem, residuals, mean_dims):
-    """Viewing-ray angle, global yaw and extents of a label record.
+def _record_dims(record, stem, residuals, mean_dims):
+    """Extents (dx, dy, dz) of a label record: its own, or with residuals
+    its category's mean plus its residual.
 
     Raises:
         ValueError: if the record has no usable extents.
     """
-    theta_ray = float(ray_angle(intrinsics, record.box2d.center[0]))
-    yaw = float(local_to_global(record.alpha, theta_ray))
-    if residuals is not None:
-        delta = residuals.get((stem, record.line_no))
-        if delta is None or record.category not in mean_dims:
-            raise ValueError("no dimension residual or category mean available")
-        return theta_ray, yaw, DimensionStats(mean_dims[record.category], delta).corrected
-    if not record.has_dimensions:
-        raise ValueError("record has no dimensions")
-    return theta_ray, yaw, record.dims
-
-
-def _result_entry(job, result):
-    """The JSON-lines entry and the KITTI result record of a lifted job."""
-    record, dims = job.record, job.dims
-    # The solver works in the projection frame K (R X + T'); subtract the
-    # calibration's camera offset to express the center in the label frame.
-    center = result.translation - job.offset
-    location, (h, w, l) = kitti.center_to_location(Box3D(center, dims, job.yaw))
-
-    out_record = kitti.DetectionRecord(
-        category=record.category,
-        truncated=record.truncated,
-        occluded=record.occluded,
-        alpha=record.alpha,
-        box2d=record.box2d,
-        height=h,
-        width=w,
-        length=l,
-        location=location,
-        rotation_y=job.yaw,
-        score=record.score if record.score is not None else 1.0,
-    )
-    diagnostics = {
-        "theta_ray": job.theta_ray,
-        "configuration": list(result.configuration),
-        "residual": result.residual,
-        "reprojection_error": result.reprojection_error,
-    }
-    entry = kitti.result_to_json_dict(
-        out_record, file_id=job.stem, line_no=record.line_no, diagnostics=diagnostics
-    )
-    return entry, out_record
+    if residuals is None:
+        if not record.has_dimensions:
+            raise ValueError("record has no dimensions")
+        return record.length, record.height, record.width
+    delta = residuals.get((stem, record.line_no))
+    if delta is None or record.category not in mean_dims:
+        raise ValueError("no dimension residual or category mean available")
+    return DimensionStats(mean_dims[record.category], delta).corrected.as_array
 
 
 def _difficulty_eligible(record, difficulty):

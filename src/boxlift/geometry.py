@@ -37,6 +37,7 @@ With y pointing down, indices {0, 1, 4, 5} are the bottom corners and
 {2, 3, 6, 7} the top corners.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,7 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("fx", "fy", "cx", "cy", "skew"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
@@ -118,7 +119,7 @@ class Dimensions:
 
     def __post_init__(self):
         arr = (self.dx, self.dy, self.dz)
-        if not all(np.isfinite(d) and d > 0 for d in arr):
+        if not all(math.isfinite(d) and d > 0 for d in arr):
             raise ValueError(f"dimensions must be positive and finite, got {arr}")
 
     @property
@@ -140,9 +141,7 @@ class Box2D:
     y_max: float
 
     def __post_init__(self):
-        if not all(
-            np.isfinite(v) for v in (self.x_min, self.y_min, self.x_max, self.y_max)
-        ):
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
             raise ValueError("rectangle sides must be finite")
         if self.x_min >= self.x_max:
             raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")

@@ -20,6 +20,7 @@ camera-frame translation so projection keeps the x = K (R X + T) form.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,12 +37,20 @@ __all__ = [
     "write_results",
     "location_to_center",
     "center_to_location",
+    "centers_to_locations",
     "compute_mean_dims",
+    "RESULT_FIELDS",
+    "result_entries",
     "write_results_jsonl",
 ]
 
 DONT_CARE = "DontCare"
 _ANGLE_SLACK = 1e-6  # tolerate formatting jitter at +-pi
+# Names of the numeric label columns, in file order after the category.
+_LABEL_COLUMNS = (
+    "truncated", "occluded", "alpha", "x_min", "y_min", "x_max", "y_max",
+    "height", "width", "length", "x", "y", "z", "rotation_y", "score",
+)
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,15 @@ def _parse_label_line(line, line_no):
         )
     category = tokens[0]
     values = [_parse_float(t, line_no) for t in tokens[1:]]
+    if not all(map(math.isfinite, values)):
+        # DontCare lines carry placeholders; only their occlusion is read (as an int).
+        required = (1,) if category == DONT_CARE else range(len(values))
+        column = next((i for i in required if not math.isfinite(values[i])), None)
+        if column is not None:
+            raise MalformedLineError(
+                line_no, tokens[column + 1],
+                f"line {line_no}: {_LABEL_COLUMNS[column]} is not finite",
+            )
     try:
         box2d = Box2D(values[3], values[4], values[5], values[6])
     except ValueError:
@@ -168,8 +186,9 @@ def parse_label_file(text):
     and flagged via ``is_dont_care``.
 
     Raises:
-        MalformedLineError: wrong column count or an unparseable token,
-            reported with its 1-based line number.
+        MalformedLineError: wrong column count, an unparseable token, a
+            non-finite occlusion, or any non-finite number on a line that
+            is not DontCare, reported with its 1-based line number.
     """
     records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -213,8 +232,16 @@ def location_to_center(record):
 
 def center_to_location(box):
     """Bottom-center location and (h, w, l) extents for a Box3D."""
-    location = box.center + np.array([0.0, 0.5 * box.dims.dy, 0.0])
+    location = centers_to_locations(box.center, box.dims.dy)
     return location, (box.dims.dy, box.dims.dz, box.dims.dx)
+
+
+def centers_to_locations(centers, heights):
+    """Bottom-center locations of boxes with centers (N, 3) and heights (N,)."""
+    centers = np.asarray(centers, dtype=float)
+    shift = np.zeros_like(centers)
+    shift[..., 1] = 0.5 * np.asarray(heights, dtype=float)
+    return centers + shift
 
 
 def write_results(records):
@@ -265,26 +292,63 @@ def compute_mean_dims(records, category):
     return Dimensions(dx=mean[0], dy=mean[1], dz=mean[2])
 
 
+# The results layout: a line holds these keys in this order, then "file" and
+# "line" when known, then the solver diagnostics.
+RESULT_FIELDS = (
+    "category", "truncated", "occluded", "alpha", "box2d", "dims_hwl", "location",
+    "rotation_y", "score",
+)
+_FLOAT_ROWS = ("box2d", "location")
+
+
+def _as_list(column):
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def result_entries(fields, diagnostics=None):
+    """JSON-ready dicts of N result records given as columns.
+
+    Args:
+        fields: every key of ``RESULT_FIELDS`` and, optionally, ``file``
+            and ``line``, each mapped to a column of N values (a list or an
+            array; one row per record for ``box2d``, ``dims_hwl`` and
+            ``location``). ``box2d`` and ``location`` rows become lists of
+            floats, array columns become Python values.
+        diagnostics: further keys mapped to columns of N values, appended
+            in the order given.
+    """
+    keys = RESULT_FIELDS + tuple(k for k in ("file", "line") if k in fields)
+    columns = [
+        np.asarray(fields[k], dtype=float).tolist() if k in _FLOAT_ROWS else _as_list(fields[k])
+        for k in keys
+    ]
+    if diagnostics:
+        keys += tuple(diagnostics)
+        columns += map(_as_list, diagnostics.values())
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
 def result_to_json_dict(record, file_id=None, line_no=None, diagnostics=None):
-    """JSON-ready dict for one result record plus solver diagnostics."""
-    out = {
-        "category": record.category,
-        "truncated": record.truncated,
-        "occluded": record.occluded,
-        "alpha": record.alpha,
-        "box2d": [float(v) for v in record.box2d.as_array],
-        "dims_hwl": [record.height, record.width, record.length],
-        "location": [float(v) for v in record.location],
-        "rotation_y": record.rotation_y,
-        "score": record.score,
+    """JSON-ready dict for one result record plus solver diagnostics.
+
+    The N = 1 case of ``result_entries``.
+    """
+    fields = {
+        "category": [record.category],
+        "truncated": [record.truncated],
+        "occluded": [record.occluded],
+        "alpha": [record.alpha],
+        "box2d": [record.box2d.as_array],
+        "dims_hwl": [[record.height, record.width, record.length]],
+        "location": [record.location],
+        "rotation_y": [record.rotation_y],
+        "score": [record.score],
     }
     if file_id is not None:
-        out["file"] = file_id
+        fields["file"] = [file_id]
     if line_no is not None:
-        out["line"] = line_no
-    if diagnostics:
-        out.update(diagnostics)
-    return out
+        fields["line"] = [line_no]
+    return result_entries(fields, {k: [v] for k, v in (diagnostics or {}).items()})[0]
 
 
 def record_from_json_dict(data):
@@ -307,6 +371,5 @@ def record_from_json_dict(data):
 
 
 def write_results_jsonl(entries, stream):
-    """Write result dicts (see ``result_to_json_dict``) one per line."""
-    for entry in entries:
-        stream.write(json.dumps(entry) + "\n")
+    """Write result dicts (see ``result_entries``) one per line, in one write."""
+    stream.write("".join([json.dumps(entry) + "\n" for entry in entries]))

@@ -3,11 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from boxlift.cli import build_parser, main
-from boxlift.errors import MalformedLineError
-from boxlift.kitti import compute_mean_dims, parse_label_file
+from boxlift.cli import MODE_NAMES, build_parser, main
+from boxlift.errors import MalformedLineError, NoFeasibleConfigurationError
+from boxlift.geometry import Box3D, rotation_from_angles
+from boxlift.kitti import (
+    DetectionRecord,
+    center_to_location,
+    compute_mean_dims,
+    parse_label_file,
+    result_to_json_dict,
+    write_results,
+)
+from boxlift.multibin import DimensionStats, local_to_global, ray_angle
+from boxlift.solver import lift
 
-from conftest import CALIB_TEXT, record_line, sample_scene_box, synth_corpus
+from conftest import CALIB_TEXT, DONT_CARE_LINE, record_line, sample_scene_box, synth_corpus
 
 
 def write_dataset(tmp_path, corpus, calib_text=CALIB_TEXT):
@@ -166,6 +176,175 @@ def test_short_label_line_names_label_file(tmp_path, precise_dataset, command):
         f"{label_path} line {n_lines + 1}: expected 15 or 16 columns, got 4"
     )
     assert main(argv) == 1
+
+
+# case -> (token index set to NaN, error after the file and line)
+NON_FINITE_FIELDS = {
+    "occluded": (2, "occluded is not finite"),
+    "alpha": (3, "alpha is not finite"),
+    "rotation_y": (14, "rotation_y is not finite"),
+    "location": (11, "x is not finite"),
+    "score": (15, "score is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_FIELDS))
+@pytest.mark.parametrize("command", ["lift", "eval"])
+def test_non_finite_label_field_names_label_file(tmp_path, precise_dataset, command, case):
+    # a NaN stops the run at the parser, with the file and the line, not
+    # later in the solver or the metrics
+    labels, calibs, corpus = precise_dataset
+    results = tmp_path / "results.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(results)]) == 0
+    label_path = labels / f"{next(iter(corpus))}.txt"
+    # occlusion must be a number even on a DontCare line
+    source = DONT_CARE_LINE if case == "occluded" else corpus[label_path.stem].splitlines()[0]
+    tokens = source.split() + (["0.5"] if case == "score" else [])
+    column, message = NON_FINITE_FIELDS[case]
+    tokens[column] = "nan"
+    n_lines = len(label_path.read_text().splitlines())
+    label_path.write_text(label_path.read_text() + " ".join(tokens) + "\n")
+    argv = {
+        "lift": ["lift", str(labels), str(calibs), "--out", str(tmp_path / "again.jsonl")],
+        "eval": ["eval", str(labels), str(results), "--out", str(tmp_path / "eval")],
+    }[command]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(MalformedLineError) as excinfo:
+        args.func(args)
+    assert str(excinfo.value) == f"{label_path} line {n_lines + 1}: {message}"
+    assert excinfo.value.token == "nan"
+    assert main(argv) == 1
+
+
+def _scalar_lift_reference(corpus, calib, mode, residuals=None):
+    """Results lines and KITTI texts of `lift`, one record at a time.
+
+    Each record goes through the scalar solver, ``center_to_location`` and
+    ``result_to_json_dict``; records the scalar path fails are left out.
+    """
+    intrinsics, offset = calib.intrinsics, calib.translation_offset
+    all_records = [r for text in corpus.values() for r in parse_label_file(text)]
+    means = {c: compute_mean_dims(all_records, c) for c in {r.category for r in all_records}}
+    lines, kitti_rows = [], {}
+    for stem in sorted(corpus):
+        for record in parse_label_file(corpus[stem]):
+            theta_ray = float(ray_angle(intrinsics, record.box2d.center[0]))
+            yaw = float(local_to_global(record.alpha, theta_ray))
+            if residuals is None:
+                dims = record.dims
+            elif (stem, record.line_no) in residuals:
+                delta = residuals[(stem, record.line_no)]
+                dims = DimensionStats(means[record.category], delta).corrected
+            else:
+                continue
+            try:
+                result = lift(intrinsics, rotation_from_angles(yaw), dims, record.box2d, mode)
+            except NoFeasibleConfigurationError:
+                continue
+            location, (h, w, l) = center_to_location(
+                Box3D(result.translation - offset, dims, yaw)
+            )
+            out = DetectionRecord(
+                category=record.category, truncated=record.truncated,
+                occluded=record.occluded, alpha=record.alpha, box2d=record.box2d,
+                height=h, width=w, length=l, location=location, rotation_y=yaw,
+                score=record.score if record.score is not None else 1.0,
+            )
+            diagnostics = {
+                "theta_ray": theta_ray,
+                "configuration": list(result.configuration),
+                "residual": result.residual,
+                "reprojection_error": result.reprojection_error,
+            }
+            entry = result_to_json_dict(
+                out, file_id=stem, line_no=record.line_no, diagnostics=diagnostics
+            )
+            lines.append(json.dumps(entry))
+            kitti_rows.setdefault(stem, []).append(out)
+    return lines, {stem: write_results(rows) for stem, rows in kitti_rows.items()}
+
+
+@pytest.mark.parametrize("with_residuals", [False, True])
+@pytest.mark.parametrize("mode", sorted(MODE_NAMES))
+def test_lift_matches_scalar_reference(tmp_path, calib, mode, with_residuals):
+    # two-decimal labels and KITTI's alpha: inexact lifts, every digit compared
+    n_files, per_file = (2, 2) if mode == "general" else (3, 4)
+    corpus = synth_corpus(calib, n_files=n_files, per_file=per_file, seed=23)
+    labels, calibs = write_dataset(tmp_path, corpus)
+    argv = ["lift", str(labels), str(calibs), "--mode", mode,
+            "--out", str(tmp_path / "r.jsonl"), "--kitti-out", str(tmp_path / "kitti")]
+    residuals = None
+    if with_residuals:
+        rng = np.random.default_rng(24)
+        # every record but the first file's last has a residual
+        residuals = {
+            (stem, line_no): rng.normal(0.0, 0.1, 3)
+            for stem, text in corpus.items()
+            for line_no in range(1, len(text.splitlines()) + 1)
+        }
+        del residuals[("000000", per_file)]
+        residual_path = tmp_path / "residuals.jsonl"
+        residual_path.write_text("".join(
+            json.dumps({"file": f, "line": n, "delta": d.tolist()}) + "\n"
+            for (f, n), d in residuals.items()
+        ))
+        argv += ["--residuals", str(residual_path)]
+    assert main(argv) == 0
+
+    lines, kitti_texts = _scalar_lift_reference(
+        corpus, calib, MODE_NAMES[mode], residuals
+    )
+    assert len(lines) == n_files * per_file - with_residuals
+    assert (tmp_path / "r.jsonl").read_text().splitlines() == lines
+    written = {p.stem: p.read_text() for p in (tmp_path / "kitti").glob("*.txt")}
+    assert written == kitti_texts
+
+
+def test_lift_mixed_failures_counts_warnings_and_exit_code(tmp_path, calib, caplog, capsys):
+    rng = np.random.default_rng(25)
+
+    def good_lines(n):
+        return [record_line("Car", sample_scene_box(rng), calib) for _ in range(n)]
+
+    first = good_lines(2)
+    no_dims = first[0].split()
+    no_dims[8:11] = ["-1", "-1", "-1"]
+    rank_deficient = (  # a rectangle one float wide and high
+        "Car 0.00 0 0.00 600.0 180.0 600.0000000000001 180.00000000000003 "
+        "1.50 1.60 4.00 0.00 1.65 20.00 0.00"
+    )
+    # the sliver of test_solver's test_lift_no_feasible_configuration
+    sliver = "Car 0.00 0 -0.26 1114.13 7.11 1115.43 385.44 0.84 4.75 2.16 1.00 1.65 10.00 0.35"
+    corpus = {
+        "000000": [first[0], " ".join(no_dims), rank_deficient, first[1], sliver],
+        "000001": good_lines(2),  # its calibration is missing
+        "000002": good_lines(1),  # its calibration is unusable
+        "000003": good_lines(2),
+    }
+    labels, calibs = write_dataset(
+        tmp_path, {stem: "\n".join(lines) + "\n" for stem, lines in corpus.items()}
+    )
+    (calibs / "000001.txt").unlink()
+    p2 = next(line for line in CALIB_TEXT.splitlines() if line.startswith("P2:")).split()
+    p2[11] = "2.0"  # P2[2][2]
+    (calibs / "000002.txt").write_text(" ".join(p2) + "\n")
+
+    out = tmp_path / "r.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == f"lifted 4/10 records -> {out}\n"
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "000000 line 2 not lifted: record has no dimensions"),
+        ("ERROR", "missing calib file for 000001"),
+        ("ERROR", f"calib {calibs / '000002.txt'} unusable: P2[2][2] must be 1"),
+        ("WARNING", "000000 line 3 not lifted: "
+                    "side equations are rank-deficient (degenerate rectangle)"),
+        ("WARNING", "000000 line 5 not lifted: all 64 configurations infeasible"),
+        ("ERROR", "more than half of the records failed (6/10)"),
+    ]
+    entries = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(e["file"], e["line"]) for e in entries] == [
+        ("000000", 1), ("000000", 4), ("000003", 1), ("000003", 2),
+    ]
 
 
 def test_lift_warns_on_category_without_dimensions(tmp_path, precise_dataset, caplog):

@@ -117,6 +117,12 @@ def test_parse_calib_wrong_arity():
 # --- record geometry -----------------------------------------------------------
 
 
+def test_parse_keeps_non_finite_dont_care_placeholders():
+    tokens = DONT_CARE_LINE.split()
+    tokens[3], tokens[11] = "nan", "inf"  # alpha and location x
+    assert parse_label_file(" ".join(tokens))[0].is_dont_care
+
+
 def test_location_to_center_half_height_shift():
     line = (
         "Car 0.00 0 0.00 100.00 100.00 200.00 200.00 "
@@ -271,6 +277,10 @@ def test_jsonl_roundtrip():
     assert len(loaded) == 1
     assert loaded[0]["file"] == "000123"
     assert loaded[0]["configuration"] == [0, 5, 2, 5]
+    assert list(loaded[0]) == [
+        "category", "truncated", "occluded", "alpha", "box2d", "dims_hwl", "location",
+        "rotation_y", "score", "file", "line", "configuration", "reprojection_error",
+    ]
     rebuilt = record_from_json_dict(loaded[0])
     assert rebuilt.category == record.category
     assert rebuilt.location == pytest.approx(record.location)
