@@ -20,11 +20,12 @@ a logging level name (DEBUG, INFO, ...) for verbosity.
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import compress
 from pathlib import Path
 
@@ -52,6 +53,7 @@ from .metrics import (
 from .multibin import (
     BinLayout,
     DimensionStats,
+    MultiBinEncoding,
     decode,
     encode,
     local_to_global,
@@ -558,16 +560,8 @@ def cmd_encode(args):
 def cmd_decode(args):
     config = build_config(args)
     payload = json.loads(args.encoding)
-    from .multibin import MultiBinEncoding
-
-    layout = BinLayout(
-        payload.get("n_bins", config.bins), config.overlap * np.pi / payload.get("n_bins", config.bins)
-    )
-    encoding = MultiBinEncoding(
-        confidences=np.asarray(payload["confidences"], dtype=float),
-        residual_cos=np.asarray(payload["cos"], dtype=float),
-        residual_sin=np.asarray(payload["sin"], dtype=float),
-    )
+    layout = replace(config, bins=payload.get("n_bins", config.bins)).bin_layout
+    encoding = MultiBinEncoding(payload["confidences"], payload["cos"], payload["sin"])
     print(f"{decode(layout, encoding):.12f}")
     return 0
 
@@ -632,12 +626,16 @@ def build_parser():
     return parser
 
 
+# parsing does not change the parser, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     logging.basicConfig(
         level=os.environ.get("BOXLIFT_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "bins_sweep", None) is not None and isinstance(args.bins_sweep, str):
         try:

@@ -50,7 +50,6 @@ __all__ = [
     "Box2D",
     "Box3D",
     "wrap_angle",
-    "angular_distance",
     "rotation_from_angles",
     "rotations_from_angles",
     "yaw_from_rotation",
@@ -73,11 +72,6 @@ _EYE = np.eye(3)
 def wrap_angle(theta):
     """Wrap an angle (scalar or array) to the interval (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(theta), 2.0 * np.pi)
-
-
-def angular_distance(a, b):
-    """Absolute angular separation of two angles, in [0, pi]."""
-    return np.abs(wrap_angle(np.asarray(a) - np.asarray(b)))
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,26 @@ local + ray angle.
 
 Loss functions return ``(value, gradient)`` pairs; the gradients are exact
 and are verified against central finite differences in the test suite.
+``loss_conf`` and ``loss_loc`` take one sample or a batch of B: a batch
+gives (B,) losses, one sample a float; gradients are shaped like the input.
+``bin_targets`` is the angle-only part that ``encode``, ``bins_covering``
+and ``loss_loc`` share.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroVectorError
-from .geometry import Dimensions, angular_distance, wrap_angle
+from .geometry import Dimensions, wrap_angle
 
 __all__ = [
     "BinLayout",
     "MultiBinEncoding",
     "DimensionStats",
+    "BinTargets",
+    "bin_targets",
     "bins_covering",
     "encode",
     "decode",
@@ -106,10 +113,32 @@ class DimensionStats:
         return Dimensions(*d)
 
 
+BinTargets = namedtuple("BinTargets", "target_bin covering pairs")
+
+
+def bin_targets(layout, theta):
+    """The angle-only part of encoding angle(s) ``theta``, as ``BinTargets``.
+
+    ``target_bin`` is the nearest bin center (ties to the lower index),
+    ``covering`` marks the bins whose coverage interval contains the angle,
+    and ``pairs`` is the unit (cos, sin) of wrap(theta - center) for every
+    bin. Array input gives a trailing bin axis.
+
+    Raises:
+        ValueError: if any angle is not finite.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
+    offsets = wrap_angle(np.expand_dims(theta, -1) - layout.centers)
+    dist = np.abs(offsets)
+    pairs = np.stack([np.cos(offsets), np.sin(offsets)], axis=-1)
+    return BinTargets(np.argmin(dist, axis=-1), dist <= layout.coverage_half_width, pairs)
+
+
 def bins_covering(layout, theta):
     """Indices of the bins whose coverage interval contains ``theta``."""
-    dist = angular_distance(theta, layout.centers)
-    return np.flatnonzero(dist <= layout.coverage_half_width)
+    return np.flatnonzero(bin_targets(layout, theta).covering)
 
 
 def encode(layout, theta):
@@ -123,61 +152,62 @@ def encode(layout, theta):
     ``theta`` may be a scalar or an array; array input produces arrays with
     a trailing bin axis.
     """
-    theta = wrap_angle(theta)
-    residual = wrap_angle(np.expand_dims(theta, -1) - layout.centers)
-    dist = np.abs(residual)
-    nearest = np.argmin(dist, axis=-1)
-    conf = np.zeros(dist.shape)
-    np.put_along_axis(conf, np.expand_dims(nearest, -1), 1.0, axis=-1)
-    return MultiBinEncoding(
-        confidences=conf,
-        residual_cos=np.cos(residual),
-        residual_sin=np.sin(residual),
-    )
+    targets = bin_targets(layout, theta)
+    one_hot = np.arange(layout.n_bins) == np.expand_dims(targets.target_bin, -1)
+    return MultiBinEncoding(one_hot, targets.pairs[..., 0], targets.pairs[..., 1])
 
 
 def decode(layout, encoding):
     """Angle(s) from an encoding: argmax-confidence bin center + residual.
 
     Confidence ties resolve to the lower bin index.
+
+    Raises:
+        ValueError: if the encoding's bin axis is not ``layout.n_bins`` wide.
     """
-    best = np.argmax(encoding.confidences, axis=-1)
-    centers = layout.centers[best]
-    cos = np.take_along_axis(
-        encoding.residual_cos, np.expand_dims(best, -1), axis=-1
-    ).squeeze(-1)
-    sin = np.take_along_axis(
-        encoding.residual_sin, np.expand_dims(best, -1), axis=-1
-    ).squeeze(-1)
-    out = wrap_angle(centers + np.arctan2(sin, cos))
+    width = (np.shape(encoding.confidences)[-1:] or (0,))[0]
+    if width != layout.n_bins:
+        raise ValueError(f"encoding has {width} bins, layout has {layout.n_bins}")
+    best = np.expand_dims(np.argmax(encoding.confidences, axis=-1), -1)
+    cos = np.take_along_axis(encoding.residual_cos, best, axis=-1)[..., 0]
+    sin = np.take_along_axis(encoding.residual_sin, best, axis=-1)[..., 0]
+    out = wrap_angle(layout.centers[best[..., 0]] + np.arctan2(sin, cos))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def loss_conf(logits, target_bin):
     """Softmax cross-entropy of bin confidences against a one-hot target.
 
+    ``logits`` is (n,) with an int ``target_bin``, or (B, n) with B of them.
+
     Returns:
         (loss, gradient w.r.t. logits), gradient = softmax - one_hot.
     """
     logits = np.asarray(logits, dtype=float)
+    target_bin = np.asarray(target_bin)
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
-    if not 0 <= target_bin < logits.size:
-        raise ValueError(f"target bin {target_bin} out of range")
-    shifted = logits - logits.max()
-    log_norm = np.log(np.sum(np.exp(shifted)))
-    loss = log_norm - shifted[target_bin]
-    grad = np.exp(shifted - log_norm)
-    grad[target_bin] -= 1.0
-    return float(loss), grad
+    if logits.ndim not in (1, 2) or target_bin.shape != logits.shape[:-1]:
+        raise ValueError("logits must be (n,) or (B, n), with one target bin per row")
+    bad = (target_bin < 0) | (target_bin >= logits.shape[-1])
+    if np.any(bad):
+        raise ValueError(f"target bin {target_bin[bad][0]} out of range")
+    target = np.expand_dims(target_bin, -1)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    loss = log_norm - np.take_along_axis(shifted, target, axis=-1)[..., 0]
+    grad = np.exp(shifted - log_norm[..., None]) - (np.arange(logits.shape[-1]) == target)
+    return (float(loss) if logits.ndim == 1 else loss), grad
 
 
 def loss_loc(layout, raw_pairs, theta):
     """Residual-angle loss over the bins covering ``theta``.
 
     ``raw_pairs`` is an (n_bins, 2) array of unnormalized (cos, sin)
-    outputs. Each pair is L2-normalized, then the loss is the negative mean
-    cosine of the decode error over covering bins,
+    outputs for one angle, or (B, n_bins, 2) for B angles; ``theta`` may
+    also be their ``bin_targets``, which a training loop computes once.
+    Each pair is L2-normalized, then the loss is the negative mean cosine
+    of the decode error over covering bins,
 
         -(1/n_cov) * sum_i cos(theta - center_i) * cos_i
                          + sin(theta - center_i) * sin_i,
@@ -187,30 +217,33 @@ def loss_loc(layout, raw_pairs, theta):
     scaling a raw pair by any positive factor leaves the loss unchanged.
 
     Raises:
+        ValueError: if a raw pair or an angle is not finite.
         ZeroVectorError: if any raw pair has norm below 1e-12.
     """
     raw = np.asarray(raw_pairs, dtype=float)
-    if raw.shape != (layout.n_bins, 2):
-        raise ValueError(f"raw_pairs must have shape ({layout.n_bins}, 2)")
-    norms = np.linalg.norm(raw, axis=1)
+    if raw.ndim not in (2, 3) or raw.shape[-2:] != (layout.n_bins, 2):
+        n = layout.n_bins
+        raise ValueError(f"raw_pairs must have shape ({n}, 2) or (B, {n}, 2)")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("raw pairs must be finite")
+    _, covering, pairs = theta if isinstance(theta, BinTargets) else bin_targets(layout, theta)
+    if covering.shape != raw.shape[:-1]:
+        raise ValueError("theta must hold one angle per row of raw_pairs")
+    norms = np.sqrt(np.einsum("...i,...i->...", raw, raw))
     if np.any(norms < 1e-12):
         raise ZeroVectorError("raw (cos, sin) pair too small to normalize")
 
-    covering = bins_covering(layout, theta)
-    theta = float(wrap_angle(theta))
-    unit = raw / norms[:, None]
-    offsets = theta - layout.centers[covering]
-    targets = np.stack([np.cos(offsets), np.sin(offsets)], axis=1)
-    cosines = np.sum(targets * unit[covering], axis=1)
-    n_cov = covering.size
-    loss = -float(np.sum(cosines)) / n_cov
-
-    grad = np.zeros_like(raw)
+    unit = raw / norms[..., None]
+    n_cov = covering.sum(axis=-1)
+    dots = np.einsum("...i,...i->...", pairs, unit)
+    loss = -(dots * covering).sum(axis=-1) / n_cov
     # d/d raw of (k . raw/|raw|) = (k - (k.u) u) / |raw|
-    grad[covering] = -(targets - cosines[:, None] * unit[covering]) / (
-        n_cov * norms[covering, None]
+    grad = (
+        -covering[..., None].astype(float)
+        * (pairs - dots[..., None] * unit)
+        / (n_cov[..., None, None] * norms[..., None])
     )
-    return loss, grad
+    return (float(loss) if raw.ndim == 2 else loss), grad
 
 
 def loss_total_orientation(conf_part, loc_part, weight=1.0):

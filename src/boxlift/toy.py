@@ -11,8 +11,11 @@ reproduces this ordering: one bin (the scalar baseline) loses to every
 multi-bin width.
 
 Training is full-batch gradient descent with manual backpropagation, bit
-reproducible for a fixed seed. ``gradient_check`` verifies every parameter
-tensor against central finite differences.
+reproducible for a fixed seed. The multi-bin head trains on ``multibin``'s
+batched ``loss_conf`` and ``loss_loc`` (targets from ``bin_targets``, once
+per run) and predicts through ``multibin.decode``; this module only
+backpropagates through the two layers. ``gradient_check`` verifies every
+parameter tensor against central finite differences.
 """
 
 from dataclasses import dataclass
@@ -20,10 +23,19 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergedLossError, ZeroVectorError
+from .errors import DivergedLossError
 from .geometry import wrap_angle
 from .metrics import orientation_similarity
-from .multibin import BinLayout
+from .multibin import (
+    BinLayout,
+    BinTargets,
+    MultiBinEncoding,
+    bin_targets,
+    decode,
+    loss_conf,
+    loss_loc,
+    loss_total_orientation,
+)
 
 __all__ = [
     "ToyModel",
@@ -63,10 +75,6 @@ class ToyModel:
     layout: Optional[BinLayout] = None
     loc_weight: float = 1.0
 
-    @property
-    def n_bins(self):
-        return self.layout.n_bins if self.layout is not None else 0
-
     def parameters(self):
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
@@ -79,18 +87,17 @@ class ToyModel:
         _, out = self.forward(features)
         if self.kind == L2_SCALAR:
             return wrap_angle(out[:, 0])
-        n = self.n_bins
-        logits = out[:, :n]
+        n = self.layout.n_bins
         raw = out[:, n:].reshape(-1, n, 2)
-        best = np.argmax(logits, axis=1)
-        rows = np.arange(len(best))
-        residual = np.arctan2(raw[rows, best, 1], raw[rows, best, 0])
-        return wrap_angle(self.layout.centers[best] + residual)
+        return decode(self.layout, MultiBinEncoding(out[:, :n], raw[..., 0], raw[..., 1]))
 
     def loss_and_grads(self, features, angles):
-        """Mean loss over the batch and gradients for every parameter."""
+        """Mean loss over the batch and gradients for every parameter.
+
+        A multibin model also accepts the angles' ``bin_targets``, as ``train`` passes.
+        """
         hidden, out = self.forward(features)
-        batch = len(angles)
+        batch = len(out)
 
         if self.kind == L2_SCALAR:
             diff = out[:, 0] - angles
@@ -99,7 +106,12 @@ class ToyModel:
             d_out = np.zeros_like(out)
             d_out[:, 0] = 2.0 * diff / batch
         else:
-            loss, d_out = self._multibin_loss(out, angles)
+            n, w = self.layout.n_bins, self.loc_weight
+            targets = angles if isinstance(angles, BinTargets) else bin_targets(self.layout, angles)
+            conf, d_logits = loss_conf(out[:, :n], targets.target_bin)
+            loc, d_raw = loss_loc(self.layout, out[:, n:].reshape(batch, n, 2), targets)
+            loss = float(np.mean(loss_total_orientation(conf, loc, w)))
+            d_out = np.concatenate([d_logits, w * d_raw.reshape(batch, 2 * n)], axis=1) / batch
 
         d_w2 = hidden.T @ d_out
         d_b2 = d_out.sum(axis=0)
@@ -108,45 +120,6 @@ class ToyModel:
         d_w1 = features.T @ d_pre
         d_b1 = d_pre.sum(axis=0)
         return loss, {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
-
-    def _multibin_loss(self, out, angles):
-        n, batch = self.n_bins, len(angles)
-        centers = self.layout.centers
-        logits = out[:, :n]
-        raw = out[:, n:].reshape(batch, n, 2)
-
-        offsets = wrap_angle(angles[:, None] - centers[None, :])  # (B, n)
-        target_bin = np.argmin(np.abs(offsets), axis=1)
-        covering = np.abs(offsets) <= self.layout.coverage_half_width
-        n_cov = covering.sum(axis=1)
-
-        # softmax cross-entropy on the confidence logits
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=1))
-        rows = np.arange(batch)
-        conf_loss = log_norm - shifted[rows, target_bin]
-        d_logits = np.exp(shifted - log_norm[:, None])
-        d_logits[rows, target_bin] -= 1.0
-
-        # localization loss through the per-bin L2 normalization
-        norms = np.linalg.norm(raw, axis=2)
-        if np.any(norms < 1e-12):
-            raise ZeroVectorError("raw (cos, sin) pair too small to normalize")
-        unit = raw / norms[:, :, None]
-        targets = np.stack([np.cos(offsets), np.sin(offsets)], axis=2)
-        dots = (targets * unit).sum(axis=2)
-        loc_loss = -(dots * covering).sum(axis=1) / n_cov
-        d_raw = (
-            -covering[:, :, None].astype(float)
-            * (targets - dots[:, :, None] * unit)
-            / (n_cov[:, None, None] * norms[:, :, None])
-        )
-
-        loss = float(np.mean(conf_loss + self.loc_weight * loc_loss))
-        d_out = np.concatenate(
-            [d_logits, self.loc_weight * d_raw.reshape(batch, 2 * n)], axis=1
-        )
-        return loss, d_out / batch
 
 
 def _init_model(kind, n_bins, hidden, overlap, loc_weight, rng):
@@ -194,9 +167,10 @@ def train(
     features, angles = dataset
     rng = np.random.default_rng(seed)
     model = _init_model(kind, n_bins, hidden, overlap, loc_weight, rng)
+    targets = angles if kind == L2_SCALAR else bin_targets(model.layout, angles)
     history = np.empty(epochs)
     for epoch in range(epochs):
-        loss, grads = model.loss_and_grads(features, angles)
+        loss, grads = model.loss_and_grads(features, targets)
         if not np.isfinite(loss):
             raise DivergedLossError(f"loss became {loss} at epoch {epoch}")
         history[epoch] = loss

@@ -582,6 +582,29 @@ def test_encode_zero_angle_two_bins(capsys):
     assert np.arctan2(data["sin"][chosen], data["cos"][chosen]) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("payload,message", [
+    ('{"n_bins": 4, "confidences": [0, 1], "cos": [1, 0.5], "sin": [0, 0.8660254]}',
+     "encoding has 2 bins, layout has 4"),
+    ('{"confidences": [0, 1, 0, 0], "cos": [1, 0.5, 1, 1], "sin": [0, 0.8660254, 0, 0]}',
+     "encoding has 4 bins, layout has 2"),
+])
+def test_decode_rejects_payload_of_another_width(payload, message, capsys, caplog):
+    assert main(["decode", "--encoding", payload]) == 1
+    assert capsys.readouterr().out == ""
+    assert [r.getMessage() for r in caplog.records] == [message]
+
+
+def test_consecutive_main_calls_parse_independently(capsys):
+    assert main(["encode", "--theta", "0.3", "--bins", "4", "--overlap", "1.5"]) == 0
+    payload = capsys.readouterr().out.strip()
+    assert json.loads(payload)["n_bins"] == 4
+    assert main(["decode", "--encoding", payload]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(0.3, abs=1e-12)
+    assert main(["encode", "--theta", "-2.0"]) == 0  # --bins 4 does not carry over
+    data = json.loads(capsys.readouterr().out)
+    assert data["n_bins"] == 2 and data["chosen_bin"] == 0
+
+
 def test_malformed_angle_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["encode", "--theta", "not-a-number"])

@@ -6,6 +6,7 @@ from boxlift.geometry import CameraIntrinsics, wrap_angle
 from boxlift.multibin import (
     BinLayout,
     MultiBinEncoding,
+    bin_targets,
     bins_covering,
     decode,
     encode,
@@ -139,6 +140,15 @@ def test_decode_tie_breaks_to_lower_index():
     assert wrap_angle(decode(layout, enc) - layout.centers[0]) == pytest.approx(0.0)
 
 
+def test_decode_rejects_encoding_of_another_width():
+    layout = BinLayout(4)
+    with pytest.raises(ValueError, match="2 bins, layout has 4"):
+        decode(layout, MultiBinEncoding([0.0, 1.0], [1.0, 0.5], [0.0, 0.8660254]))
+    batch = encode(BinLayout(8), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="8 bins, layout has 4"):
+        decode(layout, batch)
+
+
 @pytest.mark.parametrize("n_bins", [1, 2, 4, 8, 16])
 def test_roundtrip_identity(n_bins):
     layout = BinLayout(n_bins)
@@ -241,6 +251,84 @@ def test_loss_loc_zero_vector_rejected():
     raw = np.array([[1.0, 0.0], [1e-13, 0.0]])
     with pytest.raises(ZeroVectorError):
         loss_loc(layout, raw, 0.0)
+
+
+def test_loss_loc_rejects_non_finite_inputs():
+    layout = BinLayout(4)
+    raw = np.ones((4, 2))
+    for theta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta"):
+            loss_loc(layout, raw, theta)
+    bad_raw = raw.copy()
+    bad_raw[1, 0] = np.nan
+    with pytest.raises(ValueError, match="raw pairs"):
+        loss_loc(layout, bad_raw, 0.3)
+
+    batch_raw = np.ones((5, 4, 2))
+    theta = np.linspace(-3.0, 3.0, 5)
+    theta[2] = np.nan
+    with pytest.raises(ValueError, match="theta"):
+        loss_loc(layout, batch_raw, theta)
+    batch_raw[3, 2, 1] = np.inf
+    with pytest.raises(ValueError, match="raw pairs"):
+        loss_loc(layout, batch_raw, np.zeros(5))
+
+
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 8])
+def test_batched_losses_equal_per_row_calls(n_bins):
+    layout = BinLayout(n_bins)
+    rng = np.random.default_rng(40 + n_bins)
+    batch = 257
+    logits = rng.normal(0, 2, size=(batch, n_bins))
+    target = rng.integers(n_bins, size=batch)
+    raw = rng.normal(0, 1, size=(batch, n_bins, 2))
+    theta = rng.uniform(-np.pi, np.pi, size=batch)
+
+    conf, conf_grad = loss_conf(logits, target)
+    loc, loc_grad = loss_loc(layout, raw, theta)
+    rows = [(loss_conf(logits[i], target[i]), loss_loc(layout, raw[i], theta[i]))
+            for i in range(batch)]
+    assert np.array_equal(conf, [c for (c, _), _ in rows])
+    assert np.array_equal(conf_grad, [g for (_, g), _ in rows])
+    assert np.array_equal(loc, [v for _, (v, _) in rows])
+    assert np.array_equal(loc_grad, [g for _, (_, g) in rows])
+
+    from_targets = loss_loc(layout, raw, bin_targets(layout, theta))
+    assert np.array_equal(from_targets[0], loc) and np.array_equal(from_targets[1], loc_grad)
+
+
+def test_scalar_and_single_row_return_types():
+    layout = BinLayout(4)
+    logits, raw = np.array([0.3, -1.0, 2.0, 0.5]), np.arange(1.0, 9.0).reshape(4, 2)
+    for loss, grad, shape in (loss_conf(logits, 2) + ((4,),),
+                              loss_loc(layout, raw, 0.7) + ((4, 2),)):
+        assert type(loss) is float
+        assert isinstance(grad, np.ndarray) and grad.shape == shape
+
+    conf, conf_grad = loss_conf(logits[None], np.array([2]))
+    loc, loc_grad = loss_loc(layout, raw[None], np.array([0.7]))
+    assert conf.shape == (1,) and conf_grad.shape == (1, 4)
+    assert loc.shape == (1,) and loc_grad.shape == (1, 4, 2)
+    assert conf[0] == loss_conf(logits, 2)[0] and loc[0] == loss_loc(layout, raw, 0.7)[0]
+
+
+def test_batched_losses_raise_the_scalar_errors():
+    layout = BinLayout(4)
+    logits = np.zeros((6, 4))
+    with pytest.raises(ValueError, match="target bin 4 out of range"):
+        loss_conf(logits, np.array([0, 1, 2, 4, 3, 0]))
+    with pytest.raises(ValueError):
+        loss_conf(logits, np.zeros(5, dtype=int))  # one target short
+
+    raw = np.ones((6, 4, 2))
+    raw[4, 1] = [1e-13, 0.0]
+    with pytest.raises(ZeroVectorError):
+        loss_loc(layout, raw, np.zeros(6))
+    for shape in ((6, 4, 3), (6, 5, 2), (6, 8)):
+        with pytest.raises(ValueError, match="raw_pairs must have shape"):
+            loss_loc(layout, np.ones(shape), np.zeros(6))
+    with pytest.raises(ValueError, match="one angle per row"):
+        loss_loc(layout, np.ones((6, 4, 2)), np.zeros(5))
 
 
 def test_loss_total_orientation():

@@ -3,7 +3,7 @@ import pytest
 
 from boxlift.errors import DivergedLossError
 from boxlift.geometry import wrap_angle
-from boxlift.multibin import loss_conf, loss_loc
+from boxlift.multibin import bin_targets, loss_conf, loss_loc
 from boxlift.toy import bin_study, evaluate, gradient_check, make_dataset, train
 
 
@@ -63,6 +63,20 @@ def test_batched_loss_matches_per_sample_loss_functions():
         loc, _ = loss_loc(layout, raw, theta)
         per_sample.append(conf + model.loc_weight * loc)
     assert batch_loss == pytest.approx(np.mean(per_sample), rel=1e-12)
+
+
+def test_precomputed_targets_give_the_same_loss_and_gradients(small_data):
+    features, angles = small_data
+    model, _ = train(small_data, kind="multibin", n_bins=4, epochs=3, seed=1)
+    loss, grads = model.loss_and_grads(features, angles)
+    again, again_grads = model.loss_and_grads(features, bin_targets(model.layout, angles))
+    assert loss == again
+    assert all(np.array_equal(grads[name], again_grads[name]) for name in grads)
+
+
+def test_zero_localization_weight_rejected(small_data):
+    with pytest.raises(ValueError, match="weight must be positive"):
+        train(small_data, kind="multibin", n_bins=2, epochs=1, loc_weight=0.0)
 
 
 def test_multibin_beats_scalar_l2_on_shared_data():
