@@ -12,7 +12,9 @@ computes the viewing-ray angles and yaws of all the file's records at once.
 For the whole run it builds every rotation, makes one ``lift_batch`` call,
 and computes every location. Per record it only reads the label fields
 (and, with residuals, looks up the record's extents) and emits the
-record's results line; failed records are reported one by one.
+record's results line; failed records are reported one by one. ``eval``
+reads each results line into one row of numbers, with no record object,
+and makes one ``metrics.evaluate`` call over the rows and the labels.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Set BOXLIFT_LOG to
 a logging level name (DEBUG, INFO, ...) for verbosity.
@@ -23,6 +25,7 @@ import csv
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -40,15 +43,10 @@ from .errors import (
 )
 from .geometry import Box3D, Dimensions, rotations_from_angles
 from .metrics import (
-    GroundTruthBox,
-    ScoredDetection,
-    aos,
     distance_binned_errors,
+    evaluate,
     iou3d,  # noqa: F401 - perfbench/selftest.py traces it through this binding
-    match_greedy,
     orientation_score,
-    pair_errors,
-    viewpoint_stats,
 )
 from .multibin import (
     BinLayout,
@@ -71,14 +69,6 @@ MODE_NAMES = {
     "kitti": ConstraintMode.KITTI_ZERO_PITCH_ROLL,
 }
 
-# KITTI difficulty gates: (min 2D box height px, max occlusion, max truncation)
-DIFFICULTY_RULES = {
-    "easy": (40.0, 0, 0.15),
-    "moderate": (25.0, 1, 0.30),
-    "hard": (25.0, 2, 0.50),
-}
-
-
 @dataclass
 class RunConfig:
     """Validated run settings shared by the subcommands."""
@@ -87,7 +77,6 @@ class RunConfig:
     bins: int = 2
     overlap: float = 1.1
     w: float = 1.0
-    alpha: float = 1.0
     iou_thresh: float = 0.7
     seed: int = 0
     sigma: float = 0.05
@@ -105,8 +94,8 @@ class RunConfig:
             raise ValueError("bins must be >= 1")
         if not 1.0 <= self.overlap < 2.0:
             raise ValueError("overlap factor must be in [1, 2)")
-        if self.w <= 0 or self.alpha <= 0:
-            raise ValueError("loss weights w and alpha must be positive")
+        if self.w <= 0:
+            raise ValueError("loss weight w must be positive")
         if not 0.0 < self.iou_thresh <= 1.0:
             raise ValueError("iou_thresh must be in (0, 1]")
         if self.epochs < 1 or self.hidden < 1 or self.n_train < 1 or self.n_test < 1:
@@ -146,9 +135,9 @@ def _parse_flat_toml(text):
 
 def _parse_toml_value(value):
     if value.startswith("[") and value.endswith("]"):
-        inner = value[1:-1].strip()
+        inner = value[1:-1].strip().removesuffix(",")
         return [_parse_toml_value(v.strip()) for v in inner.split(",")] if inner else []
-    if value.startswith('"') and value.endswith('"'):
+    if value[:1] in ('"', "'") and value.endswith(value[0]):
         return value[1:-1]
     if value in ("true", "false"):
         return value == "true"
@@ -209,7 +198,7 @@ def _read_json_lines(path, convert):
                 continue
             try:
                 converted.append(convert(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise MalformedLineError(
                     line_no, line.strip(),
                     f"{path} line {line_no}: {type(exc).__name__}: {exc}",
@@ -369,88 +358,76 @@ def _record_dims(record, stem, residuals, mean_dims):
     return DimensionStats(mean_dims[record.category], delta).corrected.as_array
 
 
-def _difficulty_eligible(record, difficulty):
-    min_height, max_occlusion, max_truncation = DIFFICULTY_RULES[difficulty]
-    return (
-        record.box2d.height >= min_height
-        and record.occluded <= max_occlusion
-        and record.truncated <= max_truncation
-    )
-
-
-def _read_predictions(path):
-    """Frame -> [(DetectionRecord, Box3D)] over the non-blank lines of a results file.
+def _result_row(entry):
+    """(frame, row) of one results entry. The row holds the label columns
+    from x_min on: the rectangle, h, w, l, the location, rotation_y and the
+    score, 1.0 when null.
 
     Raises:
-        MalformedLineError: for a line that is not JSON, lacks a key or has
-            no dimensions, naming the file and the 1-based physical line.
+        KeyError, TypeError, ValueError: for a missing key or a bad value.
     """
-    by_frame = {}
-    for frame, record, box3d in _read_json_lines(path, _prediction):
-        by_frame.setdefault(frame, []).append((record, box3d))
-    return by_frame
+    box, dims, location = entry["box2d"], entry["dims_hwl"], entry["location"]
+    # not read here, but a line without them is no results line
+    category, _, _ = entry["category"], entry["alpha"], int(entry.get("occluded", 0))
+    if (len(box), len(dims), len(location)) != (4, 3, 3):
+        raise ValueError("box2d, dims_hwl and location need 4, 3 and 3 values")
+    score = entry.get("score")
+    row = [*box, *dims, *location, entry["rotation_y"], 1.0 if score is None else score]
+    finite = [math.isfinite(v) for v in row]  # TypeError for a non-number
+    if not all(finite):
+        raise ValueError(f"{kitti.LABEL_COLUMNS[3 + finite.index(False)]} is not finite")
+    if min(dims) <= 0:
+        raise ValueError(f"record has no dimensions: {category}")
+    if box[0] >= box[2] or box[1] >= box[3]:
+        raise ValueError("degenerate 2D box")
+    return entry.get("file", "0"), row
 
 
-def _prediction(entry):
-    """(frame, DetectionRecord, Box3D) of one results entry."""
-    record = kitti.record_from_json_dict(entry)
-    return entry.get("file", "0"), record, kitti.location_to_center(record)
+def _columns(frames, rows, *extra):
+    """``metrics.evaluate``'s columns of rows laid out as results rows, with
+    the ``extra`` columns in place of the score."""
+    rows = np.array(rows, dtype=float).reshape(len(frames), 11 + len(extra))
+    columns = {"frame": frames, "box2d": rows[:, :4], "dims_hwl": rows[:, 4:7]}
+    columns["location"] = rows[:, 7:10]
+    return columns | dict(zip(("rotation_y", *extra), rows[:, 10:].T))
 
 
 def cmd_eval(args):
     config = build_config(args)
     gt_dir = Path(args.gt_dir)
-    by_frame = _read_predictions(args.results)
+    by_frame = {}  # frame -> its results rows; frames in order of first appearance
+    for frame, row in _read_json_lines(args.results, _result_row):
+        by_frame.setdefault(frame, []).append(row)
 
-    missing = []
-    gt_records = {}
+    missing, gt_frames, gt_rows = [], [], []
     for frame in sorted(by_frame):
         gt_path = gt_dir / f"{frame}.txt"
         if not gt_path.exists():
             missing.append(frame)
             continue
-        gt_records[frame] = [r for r in _parse_labels(gt_path) if not r.is_dont_care]
+        records = [r for r in _parse_labels(gt_path) if not r.is_dont_care]
+        gt_frames += [frame] * len(records)
+        gt_rows += [
+            (r.box2d.x_min, r.box2d.y_min, r.box2d.x_max, r.box2d.y_max, r.height, r.width,
+             r.length, *r.location.tolist(), r.rotation_y, r.occluded, r.truncated)
+            for r in records
+        ]
     if missing:
         print(f"skipped {len(missing)} frames without ground truth: {missing}")
 
-    gt_all = []
-    detections = []
-    pred_boxes = []
-    for frame, preds in by_frame.items():
-        if frame not in gt_records:
-            continue
-        gt_all.extend((frame, g) for g in gt_records[frame])
-        for pred, box3d in preds:
-            detections.append(
-                ScoredDetection(
-                    box2d=pred.box2d,
-                    yaw=pred.rotation_y,
-                    score=pred.score if pred.score is not None else 1.0,
-                    frame=frame,
-                )
-            )
-            pred_boxes.append(box3d)
-
-    visits = match_greedy(
-        [(frame, g.box2d) for frame, g in gt_all],
-        [(d.frame, d.box2d, d.score) for d in detections],
+    # score ties rank by frame, in order of first appearance, then by line
+    scored = [frame for frame in by_frame if frame not in missing]
+    det_frames = [frame for frame in scored for _ in by_frame[frame]]
+    det_rows = [row for frame in scored for row in by_frame[frame]]
+    difficulties, errors, viewpoint = evaluate(
+        _columns(gt_frames, gt_rows, "occluded", "truncated"),
+        _columns(det_frames, det_rows, "score"),
         config.iou_thresh,
     )
-    pairs = [
-        (kitti.location_to_center(gt_all[gt_idx][1]), pred_boxes[det_idx])
-        for det_idx, gt_idx, _ in visits
-        if gt_idx >= 0
-    ]
 
     difficulty_rows = []
     summary = {"difficulties": {}, "missing_frames": missing}
-    for difficulty in ("easy", "moderate", "hard"):
-        gts = [
-            GroundTruthBox(box2d=g.box2d, yaw=g.rotation_y, frame=frame)
-            for frame, g in gt_all
-            if _difficulty_eligible(g, difficulty)
-        ]
-        result = aos(gts, detections, iou_threshold=config.iou_thresh)
+    for difficulty, (result, n_gt) in difficulties.items():
         score = orientation_score(result.aos, result.ap) if result.ap > 0 else 0.0
         difficulty_rows.append(
             [difficulty, f"{result.ap:.6f}", f"{result.aos:.6f}", f"{score:.6f}"]
@@ -459,10 +436,9 @@ def cmd_eval(args):
             "ap": result.ap,
             "aos": result.aos,
             "os": score,
-            "n_gt": len(gts),
+            "n_gt": n_gt,
         }
 
-    errors = pair_errors(pairs)
     bin_rows = [
         [
             f"{row.bin_lo:.0f}",
@@ -474,12 +450,10 @@ def cmd_eval(args):
         ]
         for row in distance_binned_errors(errors, bin_width=10.0)
     ]
-    if pairs:
-        med_err, acc = viewpoint_stats(
-            [(gt.rotation, pred.rotation) for gt, pred in pairs]
-        )
+    if viewpoint:
+        med_err, acc = viewpoint
         summary["matched_pairs"] = {
-            "count": len(pairs),
+            "count": len(errors),
             "mean_center_error": float(np.mean(errors[:, 1])),
             "mean_closest_point_error": float(np.mean(errors[:, 2])),
             "mean_iou3d": float(np.mean(errors[:, 3])),
@@ -560,6 +534,11 @@ def cmd_encode(args):
 def cmd_decode(args):
     config = build_config(args)
     payload = json.loads(args.encoding)
+    if not isinstance(payload, dict):
+        raise ValueError("--encoding must be a JSON object")
+    missing = [key for key in ("confidences", "cos", "sin") if key not in payload]
+    if missing:
+        raise ValueError(f"--encoding lacks {', '.join(missing)}")
     layout = replace(config, bins=payload.get("n_bins", config.bins)).bin_layout
     encoding = MultiBinEncoding(payload["confidences"], payload["cos"], payload["sin"])
     print(f"{decode(layout, encoding):.12f}")
@@ -573,7 +552,6 @@ def _add_config_flags(parser):
     parser.add_argument("--overlap", type=float, default=None,
                         help="bin coverage half-width as a multiple of pi/bins")
     parser.add_argument("--w", type=float, default=None, help="localization loss weight")
-    parser.add_argument("--alpha", type=float, default=None, help="dimension loss weight")
     parser.add_argument("--iou-thresh", dest="iou_thresh", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None)
 

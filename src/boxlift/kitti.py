@@ -39,6 +39,7 @@ __all__ = [
     "center_to_location",
     "centers_to_locations",
     "compute_mean_dims",
+    "LABEL_COLUMNS",
     "RESULT_FIELDS",
     "result_entries",
     "write_results_jsonl",
@@ -47,7 +48,7 @@ __all__ = [
 DONT_CARE = "DontCare"
 _ANGLE_SLACK = 1e-6  # tolerate formatting jitter at +-pi
 # Names of the numeric label columns, in file order after the category.
-_LABEL_COLUMNS = (
+LABEL_COLUMNS = (
     "truncated", "occluded", "alpha", "x_min", "y_min", "x_max", "y_max",
     "height", "width", "length", "x", "y", "z", "rotation_y", "score",
 )
@@ -148,7 +149,7 @@ def _parse_label_line(line, line_no):
         if column is not None:
             raise MalformedLineError(
                 line_no, tokens[column + 1],
-                f"line {line_no}: {_LABEL_COLUMNS[column]} is not finite",
+                f"line {line_no}: {LABEL_COLUMNS[column]} is not finite",
             )
     try:
         box2d = Box2D(values[3], values[4], values[5], values[6])

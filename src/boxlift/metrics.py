@@ -18,7 +18,12 @@ visits detections in descending score order, ties by input order.
 0.0 as itself, so it ranks last. The 2D IoUs of all same-frame pairs are
 computed as array operations, in the arithmetic of ``iou2d``, so every IoU
 is bit-identical to the single-pair one; only the greedy pick itself is a
-loop, over the pairs above the threshold.
+loop, over the pairs above the threshold. ``evaluate``, which serves
+``boxlift eval``, takes KITTI fields as columns and computes those IoUs
+once: the pick runs over them for the overall match and once per
+difficulty of ``DIFFICULTY_RULES``, with only that difficulty's ground
+truths as candidates. ``aos`` and ``evaluate`` take AP and AOS from the
+same sweep.
 
 ``pair_errors`` computes each box measure once per matched pair, all pairs
 at once as arrays; the distance bins and the overall means are both taken
@@ -33,12 +38,13 @@ all rotations in one call and takes the angles from the batched trace.
 ``geodesic_distance`` are the one-pair case of the same code.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonUprightBoxError
-from .geometry import VERTEX_SIGNS, Box2D, are_rotations, rotations_from_angles
+from .geometry import VERTEX_SIGNS, Box2D, are_rotations, rotations_from_angles, wrap_angle
 
 __all__ = [
     "orientation_similarity",
@@ -58,6 +64,8 @@ __all__ = [
     "viewpoint_stats",
     "pair_errors",
     "distance_binned_errors",
+    "DIFFICULTY_RULES",
+    "evaluate",
 ]
 
 UPRIGHT_TOLERANCE = 1e-9
@@ -159,18 +167,17 @@ def _eleven_point(recall, values):
     return total / 11.0
 
 
-def _greedy(gt_frames, gt_rects, det_frames, det_rects, scores, iou_threshold):
-    """The greedy scan of ``match_greedy`` over arrays.
+def _scan(gt_frames, gt_rects, det_frames, det_rects, scores, iou_threshold):
+    """The candidates of ``match_greedy``'s greedy pick, ``_pick``.
 
     The IoUs of all same-frame (detection, ground truth) pairs are computed
     as array operations, in chunks of at most ``CHUNK_PAIRS`` pairs or one
-    detection. The eligible pairs, sorted by visit, then descending IoU,
-    then ground-truth index, are each detection's candidates; it takes the
-    first one not yet taken.
+    detection.
 
     Returns:
-        (order, matched, overlap): the detection indices in visiting order,
-        and per visit the matched ground-truth index (-1 if none) and IoU.
+        (order, visit, gt, iou): the detection indices in visiting order,
+        and the eligible pairs sorted by visit, then descending IoU, then
+        ground-truth index.
     """
     order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
     codes = {}
@@ -184,7 +191,7 @@ def _greedy(gt_frames, gt_rects, det_frames, det_rects, scores, iou_threshold):
     first = bounds[det_codes[visits]]
     count = bounds[det_codes[visits] + 1] - first
     step = max(1, CHUNK_PAIRS // max(count.max(initial=0), 1))
-    candidates = []
+    candidates = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
     for lo in range(0, len(visits), step):
         span = count[lo : lo + step]
         visit = np.repeat(visits[lo : lo + step], span)
@@ -193,18 +200,22 @@ def _greedy(gt_frames, gt_rects, det_frames, det_rects, scores, iou_threshold):
         iou = _ious(det_rects[order[visit]], gt_rects[gt])
         eligible = (iou >= iou_threshold) & (iou > 0.0)
         candidates.append((visit[eligible], gt[eligible], iou[eligible]))
+    visit, gt, iou = (np.concatenate(column) for column in zip(*candidates))
+    ranked = np.lexsort((gt, -iou, visit))
+    return order, visit[ranked], gt[ranked], iou[ranked]
 
+
+def _pick(order, visit, gt, iou):
+    """Per visit of ``_scan``, the first of its candidate ground truths not
+    yet taken, or -1, and the IoU."""
     matched = np.full(len(order), -1)
     overlap = np.zeros(len(order))
-    if candidates:
-        visit, gt, iou = (np.concatenate(column) for column in zip(*candidates))
-        ranked = np.lexsort((gt, -iou, visit))
-        taken, last = set(), -1
-        for v, g, value in zip(visit[ranked].tolist(), gt[ranked].tolist(), iou[ranked].tolist()):
-            if v != last and g not in taken:
-                taken.add(g)
-                matched[v], overlap[v], last = g, value, v
-    return order, matched, overlap
+    taken, last = set(), -1
+    for v, g, value in zip(visit.tolist(), gt.tolist(), iou.tolist()):
+        if v != last and g not in taken:
+            taken.add(g)
+            matched[v], overlap[v], last = g, value, v
+    return matched, overlap
 
 
 def match_greedy(ground_truths, detections, iou_threshold):
@@ -224,7 +235,7 @@ def match_greedy(ground_truths, detections, iou_threshold):
         List of (detection index, ground-truth index or -1, IoU) in visiting
         order, one per detection; the IoU is 0.0 when unmatched.
     """
-    order, matched, overlap = _greedy(
+    order, *candidates = _scan(
         [frame for frame, _ in ground_truths],
         _rects([box for _, box in ground_truths]),
         [frame for frame, _, _ in detections],
@@ -232,7 +243,31 @@ def match_greedy(ground_truths, detections, iou_threshold):
         [score for _, _, score in detections],
         iou_threshold,
     )
+    matched, overlap = _pick(order, *candidates)
     return list(zip(order.tolist(), matched.tolist(), overlap.tolist()))
+
+
+def _sweep(matched, gt_yaw, det_yaw, n_gt):
+    """AosResult of ``n_gt`` ground truths given, per visit, the matched
+    ground-truth index (-1 if none) and the detection's yaw."""
+    if len(matched) == 0 or n_gt == 0:
+        empty = PRCurve(np.zeros(0), np.zeros(0), np.zeros(0))
+        return AosResult(ap=0.0, aos=0.0, curve=empty)
+    hit = matched >= 0
+    tp = hit.astype(float)
+    sim = np.zeros(len(matched))
+    sim[hit] = orientation_similarity(gt_yaw[matched[hit]] - det_yaw[hit])
+
+    ranks = np.arange(1, len(matched) + 1)
+    recall = np.cumsum(tp) / n_gt
+    precision = np.cumsum(tp) / ranks
+    similarity = np.cumsum(sim) / ranks
+    curve = PRCurve(recall=recall, precision=precision, similarity=similarity)
+    return AosResult(
+        ap=_eleven_point(recall, precision),
+        aos=_eleven_point(recall, similarity),
+        curve=curve,
+    )
 
 
 def aos(ground_truths, detections, iou_threshold=0.5):
@@ -246,36 +281,15 @@ def aos(ground_truths, detections, iou_threshold=0.5):
     Returns:
         AosResult with ``ap``, ``aos`` and the raw per-rank curve.
     """
-    n_gt = len(ground_truths)
-    if len(detections) == 0 or n_gt == 0:
-        empty = PRCurve(np.zeros(0), np.zeros(0), np.zeros(0))
-        return AosResult(ap=0.0, aos=0.0, curve=empty)
-
-    order, matched, _ = _greedy(
-        [gt.frame for gt in ground_truths],
-        _rects([gt.box2d for gt in ground_truths]),
-        [det.frame for det in detections],
-        _rects([det.box2d for det in detections]),
-        [det.score for det in detections],
+    visits = match_greedy(
+        [(gt.frame, gt.box2d) for gt in ground_truths],
+        [(det.frame, det.box2d, det.score) for det in detections],
         iou_threshold,
     )
-    hit = matched >= 0
+    order, matched = np.array([v[:2] for v in visits], dtype=np.intp).reshape(-1, 2).T
     gt_yaw = np.array([gt.yaw for gt in ground_truths], dtype=float)
     det_yaw = np.array([det.yaw for det in detections], dtype=float)
-    tp = hit.astype(float)
-    sim = np.zeros(len(detections))
-    sim[hit] = orientation_similarity(gt_yaw[matched[hit]] - det_yaw[order[hit]])
-
-    ranks = np.arange(1, len(detections) + 1)
-    recall = np.cumsum(tp) / n_gt
-    precision = np.cumsum(tp) / ranks
-    similarity = np.cumsum(sim) / ranks
-    curve = PRCurve(recall=recall, precision=precision, similarity=similarity)
-    return AosResult(
-        ap=_eleven_point(recall, precision),
-        aos=_eleven_point(recall, similarity),
-        curve=curve,
-    )
+    return _sweep(matched, gt_yaw, det_yaw[order], len(ground_truths))
 
 
 def center_distance(a, b):
@@ -283,17 +297,18 @@ def center_distance(a, b):
     return float(np.linalg.norm(a.center - b.center))
 
 
-class _Boxes:
-    """Box3D sequence as arrays: centers, extents (dx, dy, dz) and angles
-    (yaw, pitch, roll), each (N, 3)."""
+# N boxes as arrays: centers, extents (dx, dy, dz) and angles (yaw, pitch, roll), each (N, 3)
+_Boxes = namedtuple("_Boxes", "centers dims angles")
 
-    def __init__(self, boxes):
-        n = len(boxes)
-        self.centers = np.array([b.center for b in boxes], dtype=float).reshape(n, 3)
-        self.dims = np.array(
-            [(b.dims.dx, b.dims.dy, b.dims.dz) for b in boxes], dtype=float
-        ).reshape(n, 3)
-        self.angles = np.array([(b.yaw, b.pitch, b.roll) for b in boxes], dtype=float).reshape(n, 3)
+
+def _boxes(boxes):
+    """_Boxes of a Box3D sequence."""
+    n = len(boxes)
+    return _Boxes(
+        np.array([b.center for b in boxes], dtype=float).reshape(n, 3),
+        np.array([(b.dims.dx, b.dims.dy, b.dims.dz) for b in boxes], dtype=float).reshape(n, 3),
+        np.array([(b.yaw, b.pitch, b.roll) for b in boxes], dtype=float).reshape(n, 3),
+    )
 
 
 def _closest_corner_distances(boxes):
@@ -313,7 +328,7 @@ def closest_point_distance_error(gt, pred):
 
     Uses the nearest of the 8 corners as the closest point of each box.
     """
-    return float(_closest_point_errors(_Boxes([gt]), _Boxes([pred]))[0])
+    return float(_closest_point_errors(_boxes([gt]), _boxes([pred]))[0])
 
 
 def _clip(poly, count, axis, sign, bound, snap):
@@ -415,7 +430,7 @@ def iou3d(a, b):
     Raises:
         NonUprightBoxError: if either box has nonzero pitch or roll.
     """
-    return float(_iou3d(_Boxes([a]), _Boxes([b]))[0])
+    return float(_iou3d(_boxes([a]), _boxes([b]))[0])
 
 
 def _stacked_rotations(matrices):
@@ -479,7 +494,10 @@ def pair_errors(pairs):
     pairs = list(pairs)
     if not pairs:
         return np.zeros((0, 4))
-    gt, pred = _Boxes([g for g, _ in pairs]), _Boxes([p for _, p in pairs])
+    return _pair_errors(_boxes([g for g, _ in pairs]), _boxes([p for _, p in pairs]))
+
+
+def _pair_errors(gt, pred):
     return np.column_stack(
         [
             np.linalg.norm(gt.centers, axis=1),
@@ -520,3 +538,65 @@ def distance_binned_errors(errors, bin_width=10.0):
             )
         )
     return rows
+
+
+# KITTI difficulty gates: (min 2D box height px, max occlusion, max truncation)
+DIFFICULTY_RULES = {
+    "easy": (40.0, 0, 0.15),
+    "moderate": (25.0, 1, 0.30),
+    "hard": (25.0, 2, 0.50),
+}
+
+
+def _kitti_boxes(columns, rows):
+    """_Boxes of some rows of ``evaluate``'s columns, the yaw wrapped as by Box3D."""
+    dims = columns["dims_hwl"][rows]
+    if (dims <= 0).any():
+        frame = columns["frame"][rows[(dims <= 0).any(axis=1).argmax()]]
+        raise ValueError(f"a record of frame {frame} has no dimensions")
+    centers = columns["location"][rows]
+    centers[:, 1] -= 0.5 * dims[:, 0]  # the location is the bottom-center
+    yaw = wrap_angle(columns["rotation_y"][rows])
+    return _Boxes(centers, dims[:, [2, 0, 1]], np.column_stack([yaw, np.zeros((len(yaw), 2))]))
+
+
+def evaluate(ground_truths, detections, iou_threshold):
+    """AP and AOS per difficulty and the 3D-box errors, from one IoU scan.
+
+    Each argument maps KITTI field names to columns: ``frame``, ``box2d``,
+    ``dims_hwl``, ``location``, ``rotation_y``, and ``occluded`` and
+    ``truncated`` for the ground truths or ``score`` for the detections.
+    The greedy pick of ``match_greedy`` runs on the scan's candidates for
+    the overall match, and per difficulty on those of its ground truths,
+    which is ``aos`` of them.
+
+    Returns:
+        (difficulties, errors, viewpoint): per name of ``DIFFICULTY_RULES``
+        the AosResult and the number of its ground truths; ``pair_errors``
+        of the matched pairs in visiting order; ``viewpoint_stats`` of
+        their rotations, None without pairs.
+
+    Raises:
+        ValueError: if a matched box has no dimensions.
+    """
+    gt, det = ground_truths, detections
+    order, *candidates = _scan(
+        gt["frame"], gt["box2d"], det["frame"], det["box2d"], det["score"], iou_threshold
+    )
+    height, det_yaw = gt["box2d"][:, 3] - gt["box2d"][:, 1], det["rotation_y"][order]
+    difficulties = {}
+    for name, (min_height, max_occluded, max_truncated) in DIFFICULTY_RULES.items():
+        eligible = (height >= min_height) & (gt["occluded"] <= max_occluded)
+        eligible &= gt["truncated"] <= max_truncated
+        keep = eligible[candidates[1]]
+        matched, _ = _pick(order, *(column[keep] for column in candidates))
+        n_gt = int(np.count_nonzero(eligible))
+        difficulties[name] = (_sweep(matched, gt["rotation_y"], det_yaw, n_gt), n_gt)
+
+    matched, _ = _pick(order, *candidates)
+    hit = matched >= 0
+    if not hit.any():
+        return difficulties, np.zeros((0, 4)), None
+    pairs = _kitti_boxes(gt, matched[hit]), _kitti_boxes(det, order[hit])
+    rotations = [rotations_from_angles(*boxes.angles.T) for boxes in pairs]
+    return difficulties, _pair_errors(*pairs), viewpoint_stats(list(zip(*rotations)))

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from boxlift.cli import MODE_NAMES, build_parser, main
+from boxlift.cli import MODE_NAMES, _parse_flat_toml, build_config, build_parser, main
 from boxlift.errors import MalformedLineError, NoFeasibleConfigurationError
-from boxlift.geometry import Box3D, rotation_from_angles
+from boxlift.geometry import Box2D, Box3D, rotation_from_angles
 from boxlift.kitti import (
     DetectionRecord,
     center_to_location,
@@ -14,6 +14,7 @@ from boxlift.kitti import (
     result_to_json_dict,
     write_results,
 )
+from boxlift.metrics import DIFFICULTY_RULES, GroundTruthBox, ScoredDetection, aos
 from boxlift.multibin import DimensionStats, local_to_global, ray_angle
 from boxlift.solver import lift
 
@@ -517,6 +518,95 @@ def test_eval_malformed_results_line_names_file_and_line(tmp_path, calib, bad_li
     assert main(["eval", str(labels), str(results), "--out", str(tmp_path / "eval")]) == 1
 
 
+@pytest.mark.parametrize(
+    "override, detail",
+    [
+        ({"rotation_y": float("nan")}, "ValueError: rotation_y is not finite"),
+        ({"score": "high"}, "TypeError: must be real number, not str"),
+        ({"score": float("nan")}, "ValueError: score is not finite"),
+        ({"box2d": [0.0, 0.0, 10.0]}, "ValueError: box2d, dims_hwl and location need"),
+        ({"occluded": float("inf")}, "OverflowError: cannot convert float infinity"),
+    ],
+    ids=["nan-rotation_y", "string-score", "nan-score", "short-box2d", "infinite-occluded"],
+)
+def test_eval_bad_results_value_names_file_and_line(tmp_path, calib, override, detail):
+    box = sample_scene_box(np.random.default_rng(42))
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    line = record_line("Car", box, calib)
+    (labels / "000000.txt").write_text(line + "\n")
+    good = _result_entry(parse_label_file(line)[0], score=0.9)
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps(good) + "\n\n" + json.dumps({**good, **override}) + "\n")
+
+    args = build_parser().parse_args(
+        ["eval", str(labels), str(results), "--out", str(tmp_path / "eval")]
+    )
+    with pytest.raises(MalformedLineError) as excinfo:
+        args.func(args)
+    assert excinfo.value.line_no == 3
+    assert str(excinfo.value).startswith(f"{results} line 3: {detail}")
+
+
+def test_eval_ground_truth_without_dimensions_fails_only_when_matched(tmp_path, calib, caplog):
+    rng = np.random.default_rng(43)
+    boxes = [sample_scene_box(rng, depth_range=(10.0, 18.0)) for _ in range(2)]
+    lines = [record_line("Car", box, calib, precision=9) for box in boxes]
+    records = parse_label_file("\n".join(lines))
+    tokens = lines[1].split()
+    tokens[8:11] = ["-1", "-1", "-1"]
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "000000.txt").write_text(lines[0] + "\n" + " ".join(tokens) + "\n")
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps(_result_entry(records[0], score=0.9)) + "\n")
+    out_dir = tmp_path / "eval"
+    assert main(["eval", str(labels), str(results), "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "summary.json").read_text())["matched_pairs"]["count"] == 1
+
+    with open(results, "a") as handle:
+        handle.write(json.dumps(_result_entry(records[1], score=0.8)) + "\n")
+    assert main(["eval", str(labels), str(results), "--out", str(out_dir)]) == 1
+    assert "no dimensions" in caplog.records[-1].getMessage()
+
+
+def test_eval_ranks_score_ties_by_frame_then_line(tmp_path, precise_dataset):
+    # interleaved frames and tied scores: ties rank grouped by frame, in
+    # order of first appearance, then by line, as the reference below does
+    labels, calibs, _ = precise_dataset
+    results = tmp_path / "results.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(results)]) == 0
+    rng = np.random.default_rng(44)
+    entries = []
+    for entry in map(json.loads, results.read_text().splitlines()):
+        entries.append({**entry, "score": float(rng.choice([0.5, 0.9]))})
+        if rng.random() < 0.6:  # a tied false positive in the same frame
+            entries.append({**entries[-1], "box2d": [2000.0, 1000.0, 2040.0, 1040.0]})
+    entries = [entries[i] for i in rng.permutation(len(entries))]
+    results.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    out_dir = tmp_path / "eval"
+    assert main(["eval", str(labels), str(results), "--out", str(out_dir)]) == 0
+
+    def detection(entry):
+        return ScoredDetection(Box2D(*entry["box2d"]), entry["rotation_y"], entry["score"], entry["file"])
+
+    by_frame = {}
+    for entry in entries:
+        by_frame.setdefault(entry["file"], []).append(detection(entry))
+    min_height = DIFFICULTY_RULES["hard"][0]
+    gts = [
+        GroundTruthBox(r.box2d, r.rotation_y, frame)
+        for frame in by_frame
+        for r in parse_label_file((labels / f"{frame}.txt").read_text())
+        if r.box2d.height >= min_height
+    ]
+    expected = aos(gts, [d for frame_dets in by_frame.values() for d in frame_dets], 0.7)
+    hard = json.loads((out_dir / "summary.json").read_text())["difficulties"]["hard"]
+    assert (hard["ap"], hard["aos"]) == (expected.ap, expected.aos)
+    # the case needs the grouping: plain file order ranks the ties otherwise
+    assert aos(gts, [detection(e) for e in entries], 0.7).ap != expected.ap
+
+
 def _result_entry(record, score):
     return {
         "file": "000000",
@@ -594,6 +684,16 @@ def test_decode_rejects_payload_of_another_width(payload, message, capsys, caplo
     assert [r.getMessage() for r in caplog.records] == [message]
 
 
+@pytest.mark.parametrize("payload,message", [
+    ('{"confidences": [1, 0]}', "--encoding lacks cos, sin"),
+    ("[1, 2]", "--encoding must be a JSON object"),
+])
+def test_decode_names_what_a_malformed_payload_lacks(payload, message, capsys, caplog):
+    assert main(["decode", "--encoding", payload]) == 1
+    assert capsys.readouterr().out == ""
+    assert [r.getMessage() for r in caplog.records] == [message]
+
+
 def test_consecutive_main_calls_parse_independently(capsys):
     assert main(["encode", "--theta", "0.3", "--bins", "4", "--overlap", "1.5"]) == 0
     payload = capsys.readouterr().out.strip()
@@ -632,3 +732,36 @@ def test_config_file_round(tmp_path):
     bad = tmp_path / "bad.toml"
     bad.write_text("unknown_key = 3\n")
     assert main(["encode", "--theta", "1.0", "--config", str(bad)]) == 1
+
+
+def test_alpha_is_no_option(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["encode", "--theta", "1.0", "--alpha", "2.0"])
+    assert excinfo.value.code == 2
+    config = tmp_path / "run.toml"
+    config.write_text("alpha = 2.0\n")
+    with pytest.raises(ValueError, match=r"unknown config keys: \['alpha'\]"):
+        build_config(build_parser().parse_args(["encode", "--theta", "1.0", "--config", str(config)]))
+
+
+def test_flat_toml_fallback_reads_the_config_schema_like_tomllib():
+    tomllib = pytest.importorskip("tomllib")
+    text = """
+# every key of the config schema, in the forms a config file may use
+mode = "kitti"
+bins = 4  # a trailing comment
+overlap = 1.25
+w = 2.5e-1
+iou_thresh = +0.5
+seed = -3
+sigma = 0.05
+epochs=10
+lr = 1e-2
+hidden = 32
+n_train = 5_000
+n_test = 2000
+bins_sweep = [1, 2, 4, 8]
+"""
+    variants = [text, text.replace('"kitti"', "'kitti'"), "bins_sweep = [ 1,2, ]\n", "bins_sweep = []\n"]
+    for variant in variants:
+        assert _parse_flat_toml(variant) == tomllib.loads(variant)

@@ -5,12 +5,14 @@ from scipy.linalg import logm
 from boxlift.errors import NonUprightBoxError
 from boxlift.geometry import Box2D, Box3D, Dimensions, rotation_from_angles
 from boxlift.metrics import (
+    DIFFICULTY_RULES,
     GroundTruthBox,
     ScoredDetection,
     aos,
     center_distance,
     closest_point_distance_error,
     distance_binned_errors,
+    evaluate,
     geodesic_distance,
     iou2d,
     iou3d,
@@ -619,6 +621,107 @@ def test_match_greedy_matches_reference_scan():
         # the threshold case is exercised: some matches sit exactly on it
         visits = match_greedy(gts, dets, at_threshold)
         assert any(gt >= 0 and iou == at_threshold for _, gt, iou in visits)
+
+
+def kitti_columns(rng, frames, boxes, near=None):
+    """``evaluate``'s columns for 2D boxes, with random 3D fields, or with
+    each row's near the row ``near[i]`` of other columns."""
+    n = len(boxes)
+    columns = {
+        "frame": frames,
+        "box2d": np.array([b.as_array for b in boxes]).reshape(n, 4),
+        "dims_hwl": rng.uniform([1.4, 1.5, 3.0], [1.8, 1.9, 4.6], (n, 3)),
+        "location": rng.uniform([-10.0, 1.5, 5.0], [10.0, 1.8, 60.0], (n, 3)),
+        "rotation_y": rng.choice([-np.pi, np.pi, 0.3, -2.0, 3.0], n) + rng.uniform(0, 1e-3, n),
+    }
+    if near is not None:
+        for key, noise in (("dims_hwl", 0.05), ("location", 0.4), ("rotation_y", 0.3)):
+            columns[key] = near[key][columns_rows(near, frames, boxes)] + rng.normal(
+                0.0, noise, columns[key].shape
+            )
+    return columns
+
+
+def columns_rows(columns, frames, boxes):
+    """Per box, the row of ``columns`` in its frame whose x_min is nearest (0 if none)."""
+    rows = []
+    for frame, box in zip(frames, boxes):
+        same = [i for i, f in enumerate(columns["frame"]) if f == frame] or [0]
+        rows.append(min(same, key=lambda i: abs(columns["box2d"][i, 0] - box.x_min)))
+    return rows
+
+
+def test_evaluate_equals_the_object_path():
+    # the reference: match_greedy for the match, aos per difficulty on that
+    # difficulty's ground truths, pair_errors and viewpoint_stats on Box3D
+    rng = np.random.default_rng(44)
+    scale = {"a": 0.5, "b": 0.7, "c": 1.0, "d": 1.0, "e": 1.0}  # 2D heights 20, 28, 40 px
+
+    def stretch(frame, box):
+        return Box2D(box.x_min, box.y_min * scale[frame], box.x_max, box.y_max * scale[frame])
+
+    def box3d(columns, i):
+        h, w, l = columns["dims_hwl"][i]
+        center = columns["location"][i] - np.array([0.0, 0.5 * h, 0.0])
+        return Box3D(center, Dimensions(l, h, w), columns["rotation_y"][i])
+
+    for _ in range(6):
+        gts, dets = crowded_scene(rng)
+        gt_boxes = [stretch(f, b) for f, b in gts]
+        det_boxes = [stretch(f, b) for f, b, _ in dets]
+        gt = kitti_columns(rng, [f for f, _ in gts], gt_boxes)
+        gt["occluded"] = rng.integers(0, 4, len(gts)).astype(float)
+        gt["truncated"] = rng.choice([0.0, 0.1, 0.2, 0.4, 0.6], len(gts))
+        det = kitti_columns(rng, [f for f, _, _ in dets], det_boxes, near=gt)
+        det["score"] = np.array([s for _, _, s in dets])
+        difficulties, errors, viewpoint = evaluate(gt, det, 0.5)
+
+        gt_objects = [GroundTruthBox(b, y, f) for f, b, y in zip(gt["frame"], gt_boxes, gt["rotation_y"])]
+        det_objects = [
+            ScoredDetection(b, y, s, f)
+            for f, b, y, s in zip(det["frame"], det_boxes, det["rotation_y"], det["score"])
+        ]
+        counts = []
+        for name, (min_height, max_occluded, max_truncated) in DIFFICULTY_RULES.items():
+            eligible = [
+                g for g, occluded, truncated in zip(gt_objects, gt["occluded"], gt["truncated"])
+                if g.box2d.height >= min_height and occluded <= max_occluded
+                and truncated <= max_truncated
+            ]
+            expected = aos(eligible, det_objects, 0.5)
+            result, n_gt = difficulties[name]
+            assert n_gt == len(eligible) < len(gt_objects)
+            assert (result.ap, result.aos) == (expected.ap, expected.aos)
+            for field in ("recall", "precision", "similarity"):
+                assert np.array_equal(getattr(result.curve, field), getattr(expected.curve, field))
+            counts.append(n_gt)
+        assert counts[0] < counts[1] < counts[2]
+
+        visits = match_greedy(
+            [(g.frame, g.box2d) for g in gt_objects],
+            [(d.frame, d.box2d, d.score) for d in det_objects],
+            0.5,
+        )
+        pairs = [(box3d(gt, g), box3d(det, d)) for d, g, _ in visits if g >= 0]
+        assert np.array_equal(errors, pair_errors(pairs))
+        assert (errors[:, 3] > 0).any()
+        assert viewpoint == viewpoint_stats([(g.rotation, p.rotation) for g, p in pairs])
+
+
+def test_evaluate_without_pairs():
+    rng = np.random.default_rng(45)
+    gt = kitti_columns(rng, ["a"], [square(0, 0)])
+    gt["occluded"], gt["truncated"] = np.zeros(1), np.zeros(1)
+    det = kitti_columns(rng, ["a", "b"], [square(200, 0), square(0, 0)])
+    det["score"] = np.array([0.5, 0.9])
+    difficulties, errors, viewpoint = evaluate(gt, det, 0.5)
+    assert errors.shape == (0, 4) and viewpoint is None
+    assert [(r.ap, r.aos, n) for r, n in difficulties.values()] == [(0.0, 0.0, 1)] * 3
+    gt["dims_hwl"][0, 1] = -1.0  # without dimensions: fails only once matched
+    assert evaluate(gt, det, 0.5)[1].shape == (0, 4)
+    det["frame"][1] = "a"
+    with pytest.raises(ValueError, match="frame a has no dimensions"):
+        evaluate(gt, det, 0.5)
 
 
 def test_iou2d_matches_reference_bit_for_bit():
