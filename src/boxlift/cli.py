@@ -7,14 +7,14 @@ Subcommands:
     encode  Print the multi-bin encoding of an angle.
     decode  Invert an encoding printed by ``encode``.
 
-``lift`` works in columns. Per label file it reads the calibration and
-computes the viewing-ray angles and yaws of all the file's records at once.
-For the whole run it builds every rotation, makes one ``lift_batch`` call,
-and computes every location. Per record it only reads the label fields
-(and, with residuals, looks up the record's extents) and emits the
-record's results line; failed records are reported one by one. ``eval``
-reads each results line into one row of numbers, with no record object,
-and makes one ``metrics.evaluate`` call over the rows and the labels.
+``lift`` and ``eval`` read labels as ``kitti.read_label_columns`` columns.
+``lift`` computes the viewing-ray angles of each file's records at once;
+for the whole run it builds every rotation, makes one ``lift_batch`` call,
+and computes every location and results line. Per record it only looks up
+a residual and reports a failure. ``eval`` reads each results line into
+one row of numbers and makes one ``metrics.evaluate`` call over the rows
+and every label file's columns, so labelled frames without results count
+as misses. ``main`` runs ``cmd_<command>`` as bound at call time.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Set BOXLIFT_LOG to
 a logging level name (DEBUG, INFO, ...) for verbosity.
@@ -27,9 +27,10 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import compress
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,6 @@ from .errors import (
     MalformedLineError,
     MissingKeyError,
     NoFeasibleConfigurationError,
-    NoSamplesError,
 )
 from .geometry import Box3D, Dimensions, rotations_from_angles
 from .metrics import (
@@ -113,6 +113,10 @@ class RunConfig:
         return BinLayout(self.bins, self.overlap * np.pi / self.bins)
 
 
+# a line up to its first "#" outside a quoted string
+_UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*')*""")
+
+
 def _parse_flat_toml(text):
     """Minimal TOML reader for flat ``key = value`` config files.
 
@@ -121,7 +125,7 @@ def _parse_flat_toml(text):
     """
     data = {}
     for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
+        line = _UNCOMMENTED.match(raw_line).group().strip()
         if not line:
             continue
         if line.startswith("["):
@@ -142,7 +146,7 @@ def _parse_toml_value(value):
     if value in ("true", "false"):
         return value == "true"
     try:
-        return int(value)
+        return int(value, 0)  # also hex, octal, binary and underscored
     except ValueError:
         return float(value)
 
@@ -206,12 +210,28 @@ def _read_json_lines(path, convert):
     return converted
 
 
-def _parse_labels(path):
-    """Records of a KITTI label file; a malformed line's error names the file."""
-    try:
-        return kitti.parse_label_file(path.read_text())
-    except MalformedLineError as exc:
-        raise MalformedLineError(exc.line_no, exc.token, f"{path} {exc}") from None
+def _read_label_dir(directory):
+    """(stems, file, categories, values, line_nos): the ``kitti.read_label_columns``
+    of every ``*.txt`` file in ``directory``, in name order, concatenated
+    without DontCare rows; ``file`` indexes ``stems``, ``categories`` is an
+    object array."""
+    paths = sorted(Path(directory).glob("*.txt"))
+    lines = [path.read_text().splitlines() for path in paths]
+    starts = np.cumsum([0] + [len(file_lines) for file_lines in lines])
+    try:  # one call for every file: the array checks cost mostly per call
+        columns = kitti.read_label_columns("\n".join(chain.from_iterable(lines)))
+    except MalformedLineError as exc:  # name the file and its own line
+        file = int(np.searchsorted(starts, exc.line_no)) - 1
+        line_no = exc.line_no - int(starts[file])
+        message = str(exc).replace(f"line {exc.line_no}:", f"{paths[file]} line {line_no}:", 1)
+        raise MalformedLineError(line_no, exc.token, message) from None
+    categories, values, dont_care, line_nos = columns
+    file = np.searchsorted(starts, line_nos) - 1
+    keep = ~dont_care
+    return (
+        [path.stem for path in paths], file[keep], np.array(categories, dtype=object)[keep],
+        values[keep], (line_nos - starts[file])[keep],
+    )
 
 
 def _load_residuals(path):
@@ -225,99 +245,89 @@ def _load_residuals(path):
 
 def cmd_lift(args):
     config = build_config(args)
-    labels_dir, calib_dir = Path(args.labels_dir), Path(args.calib_dir)
     residuals = _load_residuals(args.residuals) if args.residuals else None
+    stems, file, categories, values, line_nos = _read_label_dir(args.labels_dir)
+    n_total = len(file)
 
-    parsed = [(path.stem, _parse_labels(path)) for path in sorted(labels_dir.glob("*.txt"))]
-
-    mean_dims = {}
-    if residuals is not None:
-        all_records = [r for _, records in parsed for r in records]
-        for category in {r.category for r in all_records if not r.is_dont_care}:
-            try:
-                mean_dims[category] = kitti.compute_mean_dims(all_records, category)
-            except NoSamplesError:
+    extents = values[:, [9, 7, 8]]  # KITTI (l, h, w) are the solver's (dx, dy, dz)
+    sized = (extents > 0).all(axis=1)
+    dims, why = extents, dict.fromkeys(np.flatnonzero(~sized).tolist(), "record has no dimensions")
+    if residuals is not None:  # per category mean extents, plus each record's residual
+        mean_dims = {}
+        for category in set(categories):
+            own = sized & (categories == category)
+            if own.any():
+                mean_dims[category] = Dimensions(*extents[own].mean(axis=0))
+            else:
                 logger.warning("no mean dimensions for category %r", category)
+        dims, why = np.zeros_like(extents), {}
+        for i in range(n_total):
+            delta = residuals.get((stems[file[i]], int(line_nos[i])))
+            try:
+                if delta is None or categories[i] not in mean_dims:
+                    raise ValueError("no dimension residual or category mean available")
+                dims[i] = DimensionStats(mean_dims[categories[i]], delta).corrected.as_array
+            except ValueError as exc:
+                why[i] = exc
+    failed = np.zeros(n_total, dtype=bool)
+    failed[list(why)] = True
 
-    # Per record to lift: its file stem and label record, and one row of
-    # each solver input array.
-    stems, jobs, dims = [], [], []
-    ks, offsets, rects, rays, yaws = (
-        [np.empty((0, *shape))] for shape in ((3, 3), (3,), (4,), (), ())
-    )
-    n_total = n_failed = 0
-    for stem, records in parsed:
-        records = [r for r in records if not r.is_dont_care]
-        n_total += len(records)
-        calib_path = calib_dir / f"{stem}.txt"
+    # per record: its camera, from its file's calibration, and its ray angle
+    ks, offsets, rays = np.zeros((n_total, 3, 3)), np.zeros((n_total, 3)), np.zeros(n_total)
+    usable = np.zeros(n_total, dtype=bool)
+    u = 0.5 * (values[:, 3] + values[:, 5])
+    bounds = np.searchsorted(file, np.arange(len(stems) + 1))
+    for stem, lo, hi in zip(stems, bounds[:-1], bounds[1:]):
+        calib_path = Path(args.calib_dir) / f"{stem}.txt"
         if not calib_path.exists():
             logger.error("missing calib file for %s", stem)
-            n_failed += len(records)
             continue
         try:
             calib = kitti.parse_calib_file(calib_path.read_text())
-            intrinsics, offset = calib.intrinsics, calib.translation_offset
+            intrinsics, offsets[lo:hi] = calib.intrinsics, calib.translation_offset
         except (MalformedLineError, MissingKeyError, ValueError) as exc:
             logger.error("calib %s unusable: %s", calib_path, exc)
-            n_failed += len(records)
             continue
+        ks[lo:hi], rays[lo:hi] = intrinsics.matrix, ray_angle(intrinsics, u[lo:hi])
+        usable[lo:hi] = ~failed[lo:hi]
+        for i in (lo + np.flatnonzero(failed[lo:hi])).tolist():
+            logger.warning("%s line %d not lifted: %s", stem, line_nos[i], why[i])
 
-        kept = []
-        for record in records:
-            try:
-                dims.append(_record_dims(record, stem, residuals, mean_dims))
-            except ValueError as exc:
-                logger.warning("%s line %d not lifted: %s", stem, record.line_no, exc)
-                n_failed += 1
-                continue
-            kept.append(record)
-        sides = np.array(
-            [(b.x_min, b.y_min, b.x_max, b.y_max) for b in (r.box2d for r in kept)]
-        ).reshape(-1, 4)
-        ray = ray_angle(intrinsics, 0.5 * (sides[:, 0] + sides[:, 2]))
-        yaws.append(local_to_global(np.array([r.alpha for r in kept]), ray))
-        rays.append(ray)
-        rects.append(sides)
-        ks.append(np.broadcast_to(intrinsics.matrix, (len(kept), 3, 3)))
-        offsets.append(np.broadcast_to(offset, (len(kept), 3)))
-        stems += [stem] * len(kept)
-        jobs += kept
-
-    ks, offsets, rects, rays, yaws = map(np.concatenate, (ks, offsets, rects, rays, yaws))
-    dims = np.array(dims).reshape(-1, 3)
+    rows = np.flatnonzero(usable)
+    yaws = local_to_global(values[rows, 2], rays[rows])
     batch = lift_batch(
-        ks, rotations_from_angles(yaws, np.zeros_like(yaws), np.zeros_like(yaws)), dims, rects,
-        config.constraint_mode,
+        ks[rows], rotations_from_angles(yaws, np.zeros_like(yaws), np.zeros_like(yaws)),
+        dims[rows], values[rows, 3:7], config.constraint_mode,
     )
     # The solver works in the projection frame K (R X + T'); subtract the
     # calibration's camera offset to express the center in the label frame.
-    centers = batch.translation - offsets
+    centers = batch.translation - offsets[rows]
     lifted = np.isfinite(centers).all(axis=1)  # a failed record's row is NaN
-    for i in np.flatnonzero(~lifted):
+    for j in np.flatnonzero(~lifted):
+        i = rows[j]
         try:  # the scalar path, for its error: the failure, or a non-finite center
-            Box3D(batch.result(i).translation - offsets[i], Dimensions(*dims[i]), yaws[i])
+            Box3D(batch.result(j).translation - offsets[i], Dimensions(*dims[i]), yaws[j])
         except (NoFeasibleConfigurationError, ValueError) as exc:
-            logger.warning("%s line %d not lifted: %s", stems[i], jobs[i].line_no, exc)
-    n_failed += int(np.count_nonzero(~lifted))
+            logger.warning("%s line %d not lifted: %s", stems[file[i]], line_nos[i], exc)
 
-    keep = lifted.tolist()
-    jobs = list(compress(jobs, keep))
+    done = rows[lifted]
+    score = values[done, 14]
     entries = kitti.result_entries(
         {
-            "category": [r.category for r in jobs],
-            "truncated": [r.truncated for r in jobs],
-            "occluded": [r.occluded for r in jobs],
-            "alpha": [r.alpha for r in jobs],
-            "box2d": rects[lifted],
-            "dims_hwl": dims[lifted][:, [1, 2, 0]],
-            "location": kitti.centers_to_locations(centers[lifted], dims[lifted, 1]),
+            "category": categories[done],
+            "truncated": values[done, 0],
+            "occluded": list(map(int, values[done, 1].tolist())),
+            "alpha": values[done, 2],
+            "box2d": values[done, 3:7],
+            "dims_hwl": dims[done][:, [1, 2, 0]],
+            "location": kitti.centers_to_locations(centers[lifted], dims[done, 1]),
             "rotation_y": yaws[lifted],
-            "score": [1.0 if r.score is None else r.score for r in jobs],
-            "file": list(compress(stems, keep)),
-            "line": [r.line_no for r in jobs],
+            "score": np.where(np.isnan(score), 1.0, score),  # NaN: the line has no score
+            "file": np.array(stems, dtype=object)[file[done]],
+            "line": line_nos[done],
         },
         diagnostics={
-            "theta_ray": rays[lifted],
+            "theta_ray": rays[done],
             "configuration": batch.configuration[lifted],
             "residual": batch.residual[lifted],
             "reprojection_error": batch.reprojection_error[lifted],
@@ -331,31 +341,14 @@ def cmd_lift(args):
             kitti_rows.setdefault(entry["file"], []).append(kitti.record_from_json_dict(entry))
         out_dir = Path(args.kitti_out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for stem, rows in kitti_rows.items():
-            (out_dir / f"{stem}.txt").write_text(kitti.write_results(rows))
+        for stem, records in kitti_rows.items():
+            (out_dir / f"{stem}.txt").write_text(kitti.write_results(records))
 
-    print(f"lifted {n_total - n_failed}/{n_total} records -> {args.out}")
-    if n_total and n_failed > 0.5 * n_total:
-        logger.error("more than half of the records failed (%d/%d)", n_failed, n_total)
+    print(f"lifted {len(done)}/{n_total} records -> {args.out}")
+    if n_total and n_total - len(done) > 0.5 * n_total:
+        logger.error("more than half of the records failed (%d/%d)", n_total - len(done), n_total)
         return 1
     return 0
-
-
-def _record_dims(record, stem, residuals, mean_dims):
-    """Extents (dx, dy, dz) of a label record: its own, or with residuals
-    its category's mean plus its residual.
-
-    Raises:
-        ValueError: if the record has no usable extents.
-    """
-    if residuals is None:
-        if not record.has_dimensions:
-            raise ValueError("record has no dimensions")
-        return record.length, record.height, record.width
-    delta = residuals.get((stem, record.line_no))
-    if delta is None or record.category not in mean_dims:
-        raise ValueError("no dimension residual or category mean available")
-    return DimensionStats(mean_dims[record.category], delta).corrected.as_array
 
 
 def _result_row(entry):
@@ -380,48 +373,42 @@ def _result_row(entry):
         raise ValueError(f"record has no dimensions: {category}")
     if box[0] >= box[2] or box[1] >= box[3]:
         raise ValueError("degenerate 2D box")
-    return entry.get("file", "0"), row
+    return str(entry.get("file", "0")), row
 
 
-def _columns(frames, rows, *extra):
-    """``metrics.evaluate``'s columns of rows laid out as results rows, with
-    the ``extra`` columns in place of the score."""
-    rows = np.array(rows, dtype=float).reshape(len(frames), 11 + len(extra))
-    columns = {"frame": frames, "box2d": rows[:, :4], "dims_hwl": rows[:, 4:7]}
-    columns["location"] = rows[:, 7:10]
-    return columns | dict(zip(("rotation_y", *extra), rows[:, 10:].T))
+def _columns(frames, rows, **extra):
+    """``metrics.evaluate``'s columns of rows that hold the label columns from
+    x_min on, and the ``extra`` columns."""
+    rows = np.asarray(rows, dtype=float).reshape(len(frames), 12)
+    return {
+        "frame": frames, "box2d": rows[:, :4], "dims_hwl": rows[:, 4:7], "location": rows[:, 7:10],
+        "rotation_y": rows[:, 10], "score": rows[:, 11], **extra,
+    }
 
 
 def cmd_eval(args):
     config = build_config(args)
-    gt_dir = Path(args.gt_dir)
     by_frame = {}  # frame -> its results rows; frames in order of first appearance
     for frame, row in _read_json_lines(args.results, _result_row):
         by_frame.setdefault(frame, []).append(row)
+    # every labelled object counts, whether or not its frame has results
+    stems, file, _, values, _ = _read_label_dir(args.gt_dir)
 
-    missing, gt_frames, gt_rows = [], [], []
-    for frame in sorted(by_frame):
-        gt_path = gt_dir / f"{frame}.txt"
-        if not gt_path.exists():
-            missing.append(frame)
-            continue
-        records = [r for r in _parse_labels(gt_path) if not r.is_dont_care]
-        gt_frames += [frame] * len(records)
-        gt_rows += [
-            (r.box2d.x_min, r.box2d.y_min, r.box2d.x_max, r.box2d.y_max, r.height, r.width,
-             r.length, *r.location.tolist(), r.rotation_y, r.occluded, r.truncated)
-            for r in records
-        ]
+    labelled = set(stems)
+    missing = [frame for frame in sorted(by_frame) if frame not in labelled]
     if missing:
         print(f"skipped {len(missing)} frames without ground truth: {missing}")
 
     # score ties rank by frame, in order of first appearance, then by line
-    scored = [frame for frame in by_frame if frame not in missing]
+    scored = [frame for frame in by_frame if frame in labelled]
     det_frames = [frame for frame in scored for _ in by_frame[frame]]
     det_rows = [row for frame in scored for row in by_frame[frame]]
     difficulties, errors, viewpoint = evaluate(
-        _columns(gt_frames, gt_rows, "occluded", "truncated"),
-        _columns(det_frames, det_rows, "score"),
+        _columns(
+            np.array(stems, dtype=object)[file], values[:, 3:],
+            occluded=np.trunc(values[:, 1]), truncated=values[:, 0],
+        ),
+        _columns(det_frames, det_rows),
         config.iou_thresh,
     )
 
@@ -569,14 +556,12 @@ def build_parser():
     p_lift.add_argument("--residuals", default=None,
                         help="JSON-lines dimension residuals keyed by (file, line)")
     _add_config_flags(p_lift)
-    p_lift.set_defaults(func=cmd_lift)
 
     p_eval = sub.add_parser("eval", help="score results against ground truth")
     p_eval.add_argument("gt_dir")
     p_eval.add_argument("results")
     p_eval.add_argument("--out", required=True, help="output directory")
     _add_config_flags(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_toy = sub.add_parser("toy", help="synthetic bin-count study")
     p_toy.add_argument("--out", required=True, help="CSV output path")
@@ -589,23 +574,26 @@ def build_parser():
     p_toy.add_argument("--n-train", dest="n_train", type=int, default=None)
     p_toy.add_argument("--n-test", dest="n_test", type=int, default=None)
     _add_config_flags(p_toy)
-    p_toy.set_defaults(func=cmd_toy)
 
     p_enc = sub.add_parser("encode", help="print the encoding of an angle")
     p_enc.add_argument("--theta", type=float, required=True, help="angle in radians")
     _add_config_flags(p_enc)
-    p_enc.set_defaults(func=cmd_encode)
 
     p_dec = sub.add_parser("decode", help="decode an encoding back to an angle")
     p_dec.add_argument("--encoding", required=True, help="JSON payload from encode")
     _add_config_flags(p_dec)
-    p_dec.set_defaults(func=cmd_decode)
 
     return parser
 
 
 # parsing does not change the parser, so one per process serves every call
 _parser = functools.cache(build_parser)
+
+
+def _dispatch(args):
+    """Run the parsed subcommand: the module's ``cmd_<command>`` as bound
+    at call time, so a rebound command function is the one called."""
+    return globals()[f"cmd_{args.command}"](args)
 
 
 def main(argv=None):
@@ -621,7 +609,7 @@ def main(argv=None):
         except ValueError:
             parser.error(f"bad --bins-sweep value: {args.bins_sweep!r}")
     try:
-        return args.func(args)
+        return _dispatch(args)
     except Exception as exc:  # runtime failures map to exit code 1
         logger.error("%s", exc)
         return 1

@@ -12,6 +12,10 @@ camera frame (y down), so the box center sits half a height above it.
 DontCare lines carry -1/-1000 placeholders and are kept, flagged, so
 callers can exclude the regions from matching.
 
+``read_label_columns`` is the one label parser. It splits and converts
+each line once and checks the whole file as array operations, and returns
+columns; ``parse_label_file`` is its view as DetectionRecords.
+
 Calibration files are "KEY: v0 ... v11" lines; only P2 (the 3x4 projection
 matrix of the left color camera) is required here. Its left 3x3 block is
 the intrinsics matrix K and its fourth column encodes the camera's offset
@@ -32,6 +36,7 @@ from .geometry import Box2D, Box3D, CameraIntrinsics, Dimensions
 __all__ = [
     "DetectionRecord",
     "CalibRecord",
+    "read_label_columns",
     "parse_label_file",
     "parse_calib_file",
     "write_results",
@@ -133,70 +138,104 @@ def _parse_float(token, line_no):
         raise MalformedLineError(line_no, token) from None
 
 
-def _parse_label_line(line, line_no):
-    tokens = line.split()
-    if len(tokens) not in (15, 16):
-        raise MalformedLineError(
-            line_no, tokens[-1] if tokens else "",
-            f"line {line_no}: expected 15 or 16 columns, got {len(tokens)}",
-        )
-    category = tokens[0]
-    values = [_parse_float(t, line_no) for t in tokens[1:]]
-    if not all(map(math.isfinite, values)):
-        # DontCare lines carry placeholders; only their occlusion is read (as an int).
-        required = (1,) if category == DONT_CARE else range(len(values))
-        column = next((i for i in required if not math.isfinite(values[i])), None)
-        if column is not None:
-            raise MalformedLineError(
-                line_no, tokens[column + 1],
-                f"line {line_no}: {LABEL_COLUMNS[column]} is not finite",
-            )
-    try:
-        box2d = Box2D(values[3], values[4], values[5], values[6])
-    except ValueError:
-        raise MalformedLineError(
-            line_no, " ".join(tokens[4:8]), f"line {line_no}: degenerate 2D box"
-        ) from None
-    record = DetectionRecord(
-        category=category,
-        truncated=values[0],
-        occluded=int(values[1]),
-        alpha=values[2],
-        box2d=box2d,
-        height=values[7],
-        width=values[8],
-        length=values[9],
-        location=np.array(values[10:13]),
-        rotation_y=values[13],
-        score=values[14] if len(values) == 15 else None,
-        line_no=line_no,
-    )
-    if not record.is_dont_care:
-        for name, angle in (("alpha", record.alpha), ("rotation_y", record.rotation_y)):
-            if abs(angle) > np.pi + _ANGLE_SLACK:
-                raise MalformedLineError(
-                    line_no, f"{name}={angle}", f"line {line_no}: {name} out of [-pi, pi]"
-                )
-    return record
+# The checks of a label line, in the order they are reported: the first
+# failing check of the first bad line is the error.
+_CHECKS = ("columns", "token", "finite", "rectangle", "angle")
+_NAN_TOKENS = ["nan"] * 16  # pads a line to 16 tokens
+
+
+def read_label_columns(text):
+    """Read KITTI label text into columns, one row per non-blank line.
+
+    Each line is split and converted once; the checks run as array
+    operations over the whole file.
+
+    Returns:
+        (categories, values, dont_care, line_nos): a list of str; a float
+        (n, 15) array in ``LABEL_COLUMNS`` order, whose score is NaN when
+        the line has none (or, on a DontCare line, a non-finite one); a
+        bool DontCare mask; and the 1-based physical line numbers.
+
+    Raises:
+        MalformedLineError: for the first bad line: a column count other
+            than 15 or 16, an unparseable token, a non-finite number (only
+            the occlusion on a DontCare line), a degenerate rectangle, or
+            alpha or rotation_y outside [-pi, pi] on a line not DontCare.
+    """
+    categories, line_nos, counts, rows = [], [], [], []
+    parsed = True  # False: the last line read holds a token that is no number
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        categories.append(tokens[0])
+        line_nos.append(line_no)
+        counts.append(len(tokens))
+        tokens += _NAN_TOKENS[len(tokens):]  # a missing score, or a short line
+        try:
+            rows.append(list(map(float, tokens[1:16])))
+        except ValueError:  # no later line can be the first bad one
+            parsed = False
+            rows.append([math.nan] * 15)
+            break
+    values = np.array(rows, dtype=float).reshape(-1, 15)
+    counts = np.array(counts)
+    dont_care = np.array([c == DONT_CARE for c in categories], dtype=bool)
+
+    finite = np.isfinite(values)
+    finite[:, 14] |= counts != 16  # no score column, no score to check
+    box = values[:, 3:7]
+    passed = np.empty((len(rows), len(_CHECKS)), dtype=bool)  # row, check
+    passed[:, 0] = (counts == 15) | (counts == 16)
+    passed[:, 1] = True
+    passed[-1:, 1] = parsed
+    passed[:, 2] = np.where(dont_care, finite[:, 1], finite.all(axis=1))
+    passed[:, 3] = finite[:, 3:7].all(axis=1) & (box[:, :2] < box[:, 2:]).all(axis=1)
+    passed[:, 4] = dont_care | (np.abs(values[:, 2:14:11]) <= np.pi + _ANGLE_SLACK).all(axis=1)
+    if not passed.all():
+        row = int(np.argmin(passed.all(axis=1)))
+        line_no = line_nos[row]
+        tokens = text.splitlines()[line_no - 1].split()
+        _raise_label_error(_CHECKS[int(np.argmin(passed[row]))], line_no, tokens, values[row])
+    return categories, values, dont_care, np.array(line_nos, dtype=int)
+
+
+def _raise_label_error(check, line_no, tokens, values):
+    """Raise the MalformedLineError of a label line's first failing check."""
+    if check == "columns":
+        token, message = tokens[-1], f"expected 15 or 16 columns, got {len(tokens)}"
+    elif check == "token":
+        for token in tokens[1:]:
+            _parse_float(token, line_no)
+    elif check == "finite":
+        column = 1 if tokens[0] == DONT_CARE else int(np.argmin(np.isfinite(values)))
+        token, message = tokens[column + 1], f"{LABEL_COLUMNS[column]} is not finite"
+    elif check == "rectangle":
+        token, message = " ".join(tokens[4:8]), "degenerate 2D box"
+    else:
+        name = "alpha" if abs(values[2]) > np.pi + _ANGLE_SLACK else "rotation_y"
+        angle = values[LABEL_COLUMNS.index(name)].item()
+        token, message = f"{name}={angle}", f"{name} out of [-pi, pi]"
+    raise MalformedLineError(line_no, token, f"line {line_no}: {message}")
 
 
 def parse_label_file(text):
     """Parse KITTI label text into DetectionRecords, one per non-blank line.
 
-    Unknown categories are preserved verbatim; DontCare records are kept
-    and flagged via ``is_dont_care``.
-
-    Raises:
-        MalformedLineError: wrong column count, an unparseable token, a
-            non-finite occlusion, or any non-finite number on a line that
-            is not DontCare, reported with its 1-based line number.
+    The records view of ``read_label_columns``, whose MalformedLineError it
+    raises. Unknown categories are preserved verbatim; DontCare records are
+    kept and flagged via ``is_dont_care``.
     """
-    records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        records.append(_parse_label_line(line, line_no))
-    return records
+    categories, values, _, line_nos = read_label_columns(text)
+    rows = zip(categories, values.tolist(), values[:, 10:13], line_nos.tolist())
+    return [
+        DetectionRecord(
+            category, row[0], int(row[1]), row[2], Box2D(*row[3:7]), *row[7:10],
+            location=location, rotation_y=row[13],
+            score=None if math.isnan(row[14]) else row[14], line_no=line_no,
+        )
+        for category, row, location, line_no in rows
+    ]
 
 
 def parse_calib_file(text):

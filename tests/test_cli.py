@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from boxlift.cli import MODE_NAMES, _parse_flat_toml, build_config, build_parser, main
+from boxlift import cli
+from boxlift.cli import MODE_NAMES, _dispatch, _parse_flat_toml, build_config, build_parser, main
 from boxlift.errors import MalformedLineError, NoFeasibleConfigurationError
 from boxlift.geometry import Box2D, Box3D, rotation_from_angles
 from boxlift.kitti import (
@@ -151,7 +152,7 @@ def test_lift_malformed_residuals_line_names_file_and_line(tmp_path, precise_dat
          "--residuals", str(residual_path)]
     )
     with pytest.raises(MalformedLineError, match="JSONDecodeError") as excinfo:
-        args.func(args)
+        _dispatch(args)
     assert excinfo.value.line_no == 3
     assert str(excinfo.value).startswith(f"{residual_path} line 3: ")
     assert main(["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl"),
@@ -172,11 +173,33 @@ def test_short_label_line_names_label_file(tmp_path, precise_dataset, command):
     }[command]
     args = build_parser().parse_args(argv)
     with pytest.raises(MalformedLineError) as excinfo:
-        args.func(args)
+        _dispatch(args)
     assert str(excinfo.value) == (
         f"{label_path} line {n_lines + 1}: expected 15 or 16 columns, got 4"
     )
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize("command", ["lift", "eval"])
+def test_bad_label_line_in_a_later_file_names_that_file(tmp_path, precise_dataset, command):
+    # the files are read together; the error still names the file and its own line
+    labels, calibs, corpus = precise_dataset
+    results = tmp_path / "results.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(results)]) == 0
+    first, *_, last = sorted(labels.glob("*.txt"))
+    first.write_text("\n\n" + first.read_text())
+    (labels / f"{first.stem}a.txt").write_text("")
+    n_lines = len(last.read_text().splitlines())
+    last.write_text(last.read_text() + "\n" + DONT_CARE_LINE + " 0.5 0.5\n")
+    argv = {
+        "lift": ["lift", str(labels), str(calibs), "--out", str(tmp_path / "again.jsonl")],
+        "eval": ["eval", str(labels), str(results), "--out", str(tmp_path / "eval")],
+    }[command]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(MalformedLineError) as excinfo:
+        _dispatch(args)
+    assert str(excinfo.value) == f"{last} line {n_lines + 2}: expected 15 or 16 columns, got 17"
+    assert (excinfo.value.line_no, excinfo.value.token) == (n_lines + 2, "0.5")
 
 
 # case -> (token index set to NaN, error after the file and line)
@@ -211,7 +234,7 @@ def test_non_finite_label_field_names_label_file(tmp_path, precise_dataset, comm
     }[command]
     args = build_parser().parse_args(argv)
     with pytest.raises(MalformedLineError) as excinfo:
-        args.func(args)
+        _dispatch(args)
     assert str(excinfo.value) == f"{label_path} line {n_lines + 1}: {message}"
     assert excinfo.value.token == "nan"
     assert main(argv) == 1
@@ -512,7 +535,7 @@ def test_eval_malformed_results_line_names_file_and_line(tmp_path, calib, bad_li
         ["eval", str(labels), str(results), "--out", str(tmp_path / "eval")]
     )
     with pytest.raises(MalformedLineError, match=detail) as excinfo:
-        args.func(args)
+        _dispatch(args)
     assert excinfo.value.line_no == 3
     assert str(excinfo.value).startswith(f"{results} line 3: ")
     assert main(["eval", str(labels), str(results), "--out", str(tmp_path / "eval")]) == 1
@@ -543,7 +566,7 @@ def test_eval_bad_results_value_names_file_and_line(tmp_path, calib, override, d
         ["eval", str(labels), str(results), "--out", str(tmp_path / "eval")]
     )
     with pytest.raises(MalformedLineError) as excinfo:
-        args.func(args)
+        _dispatch(args)
     assert excinfo.value.line_no == 3
     assert str(excinfo.value).startswith(f"{results} line 3: {detail}")
 
@@ -633,6 +656,34 @@ def test_eval_missing_ground_truth_skipped(tmp_path, precise_dataset, capsys):
     assert "000001" in capsys.readouterr().out
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["missing_frames"] == ["000001"]
+
+
+def test_eval_counts_ground_truths_of_frames_without_results(tmp_path, precise_dataset):
+    # a labelled frame with no results line still counts: its objects are misses
+    labels, calibs, corpus = precise_dataset
+    results = tmp_path / "results.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(results)]) == 0
+    kept = [l for l in results.read_text().splitlines(True) if json.loads(l)["file"] != "000001"]
+    results.write_text("".join(kept))
+    n_labelled = sum(not r.is_dont_care for text in corpus.values() for r in parse_label_file(text))
+    out_dir = tmp_path / "eval"
+    assert main(["eval", str(labels), str(results), "--out", str(out_dir)]) == 0
+
+    summary = json.loads((out_dir / "summary.json").read_text())
+    hard = summary["difficulties"]["hard"]
+    assert hard["n_gt"] == n_labelled
+    assert hard["ap"] < 1.0
+    assert summary["matched_pairs"]["count"] == len(kept)
+    assert summary["missing_frames"] == []
+
+
+def test_main_calls_the_command_bound_at_call_time(monkeypatch):
+    # perfbench's span recorder rebinds cli.cmd_eval after the parser is cached
+    cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.gt_dir) or 7)
+    assert main(["eval", "gt", "results.jsonl", "--out", "out"]) == 7
+    assert calls == ["gt"]
 
 
 def test_toy_csv_deterministic_and_single_row(tmp_path):
@@ -763,5 +814,7 @@ n_test = 2000
 bins_sweep = [1, 2, 4, 8]
 """
     variants = [text, text.replace('"kitti"', "'kitti'"), "bins_sweep = [ 1,2, ]\n", "bins_sweep = []\n"]
+    # a "#" inside a quoted string is no comment; integers in every TOML base
+    variants += ['mode = "a#b"  # a comment\n', "mode = 'a#b'\n", "seed = 0x10\n", "seed = 1_000\n"]
     for variant in variants:
         assert _parse_flat_toml(variant) == tomllib.loads(variant)

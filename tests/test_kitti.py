@@ -1,17 +1,24 @@
 import io
 import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from boxlift.errors import MalformedLineError, MissingKeyError, NoSamplesError
-from boxlift.geometry import Box3D, project_box, wrap_angle
+from boxlift.geometry import Box2D, Box3D, project_box, wrap_angle
 from boxlift.kitti import (
+    DONT_CARE,
+    LABEL_COLUMNS,
+    DetectionRecord,
     compute_mean_dims,
     center_to_location,
     location_to_center,
     parse_calib_file,
     parse_label_file,
+    read_label_columns,
     record_from_json_dict,
     result_to_json_dict,
     write_results,
@@ -81,6 +88,183 @@ def test_parse_line_with_score():
     line = REAL_LABEL_LINES[1] + " 0.87"
     record = parse_label_file(line)[0]
     assert record.score == pytest.approx(0.87)
+
+
+def test_read_label_columns_layout():
+    text = "\n" + REAL_LABEL_LINES[0] + " 0.5\n\n" + DONT_CARE_LINE + "\n" + REAL_LABEL_LINES[1]
+    categories, values, dont_care, line_nos = read_label_columns(text)
+    assert categories == ["Pedestrian", "DontCare", "Car"]
+    assert values.shape == (3, len(LABEL_COLUMNS)) and values.dtype == float
+    assert values[0].tolist() == [float(t) for t in REAL_LABEL_LINES[0].split()[1:]] + [0.5]
+    assert np.isnan(values[2, 14])  # no score column
+    assert dont_care.tolist() == [False, True, False]
+    assert line_nos.tolist() == [2, 4, 5]
+    categories, values, dont_care, line_nos = read_label_columns("\n \n")
+    assert categories == [] and values.shape == (0, 15)
+    assert dont_care.shape == line_nos.shape == (0,)
+
+
+# --- the reader against the per-line parser it replaced ------------------------
+
+_ANGLE_SLACK = 1e-6
+
+
+def _reference_float(token, line_no):
+    try:
+        return float(token)
+    except ValueError:
+        raise MalformedLineError(line_no, token) from None
+
+
+def _reference_line(line, line_no):
+    tokens = line.split()
+    if len(tokens) not in (15, 16):
+        raise MalformedLineError(
+            line_no, tokens[-1] if tokens else "",
+            f"line {line_no}: expected 15 or 16 columns, got {len(tokens)}",
+        )
+    category = tokens[0]
+    values = [_reference_float(t, line_no) for t in tokens[1:]]
+    if not all(map(math.isfinite, values)):
+        required = (1,) if category == DONT_CARE else range(len(values))
+        column = next((i for i in required if not math.isfinite(values[i])), None)
+        if column is not None:
+            raise MalformedLineError(
+                line_no, tokens[column + 1],
+                f"line {line_no}: {LABEL_COLUMNS[column]} is not finite",
+            )
+    try:
+        box2d = Box2D(values[3], values[4], values[5], values[6])
+    except ValueError:
+        raise MalformedLineError(
+            line_no, " ".join(tokens[4:8]), f"line {line_no}: degenerate 2D box"
+        ) from None
+    record = DetectionRecord(
+        category=category, truncated=values[0], occluded=int(values[1]), alpha=values[2],
+        box2d=box2d, height=values[7], width=values[8], length=values[9],
+        location=np.array(values[10:13]), rotation_y=values[13],
+        score=values[14] if len(values) == 15 else None, line_no=line_no,
+    )
+    if not record.is_dont_care:
+        for name, angle in (("alpha", record.alpha), ("rotation_y", record.rotation_y)):
+            if abs(angle) > np.pi + _ANGLE_SLACK:
+                raise MalformedLineError(
+                    line_no, f"{name}={angle}", f"line {line_no}: {name} out of [-pi, pi]"
+                )
+    return record
+
+
+def reference_parse_label_file(text):
+    """The per-line label parser that ``read_label_columns`` replaced."""
+    return [
+        _reference_line(line, line_no)
+        for line_no, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+
+
+def _fields(record):
+    return {name: getattr(record, name) for name in DetectionRecord.__dataclass_fields__}
+
+
+@pytest.fixture(scope="module")
+def benchmark_label_texts():
+    """The label text of every frame of every benchmark workload, seeds 3, 7, 11."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+    from workload import WORKLOADS
+
+    return [
+        frame.label_text
+        for spec in WORKLOADS.values()
+        for seed in (3, 7, 11)
+        for frame in gen.make_corpus(
+            seed, spec.frames, spec.objects, spec.depth, detections=spec.crowded
+        ).frames
+    ]
+
+
+def test_records_view_equals_reference_on_benchmark_labels(benchmark_label_texts):
+    n_records = n_dont_care = 0
+    for text in benchmark_label_texts:
+        records, expected = parse_label_file(text), reference_parse_label_file(text)
+        assert len(records) == len(expected)
+        for record, reference in zip(records, expected):
+            got, want = _fields(record), _fields(reference)
+            assert np.array_equal(got.pop("location"), want.pop("location"))
+            assert got == want
+            assert type(record.occluded) is int
+        n_records += len(records)
+        n_dont_care += sum(r.is_dont_care for r in records)
+    assert n_records > 10_000 and n_dont_care > 0
+
+
+GOOD_LINES = [REAL_LABEL_LINES[0], DONT_CARE_LINE, REAL_LABEL_LINES[1] + " 0.87"]
+
+
+def _with_token(line, index, token):
+    tokens = line.split()
+    tokens[index] = token
+    return " ".join(tokens)
+
+
+CAR = REAL_LABEL_LINES[1]
+HOSTILE_LINES = {
+    "14-columns": " ".join(CAR.split()[:14]),
+    "17-columns": CAR + " 0.5 0.5",
+    "short-with-bad-token": "Car 0.00 zero -1.0",
+    "non-numeric": _with_token(CAR, 12, "1.7l"),
+    "non-numeric-score": CAR + " high",
+    "dont-care-nan-occluded": _with_token(DONT_CARE_LINE, 2, "nan"),
+    "dont-care-inverted-box": _with_token(DONT_CARE_LINE, 4, "700.00"),
+    "nan-alpha": _with_token(CAR, 3, "nan"),
+    "nan-rotation_y": _with_token(CAR, 14, "nan"),
+    "nan-location": _with_token(CAR, 12, "nan"),
+    "inf-height": _with_token(CAR, 8, "inf"),
+    "nan-score": CAR + " nan",
+    "inverted-rectangle": _with_token(CAR, 6, "500.00"),
+    "empty-rectangle": _with_token(CAR, 7, "173.33"),
+    "alpha-above-pi": _with_token(CAR, 3, "3.15"),
+    "alpha-past-the-slack": _with_token(CAR, 3, "-3.1416"),
+    "alpha-below-minus-pi": _with_token(CAR, 3, "-7.58"),
+    "rotation_y-above-pi": _with_token(CAR, 14, "4.00"),
+}
+
+
+def _error(parse, text):
+    with pytest.raises(MalformedLineError) as excinfo:
+        parse(text)
+    return str(excinfo.value), excinfo.value.line_no, excinfo.value.token
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_LINES))
+@pytest.mark.parametrize("before", [0, 3], ids=["alone", "after-good-lines"])
+def test_hostile_line_raises_the_reference_error(case, before):
+    text = "\n".join(GOOD_LINES[:before] + [HOSTILE_LINES[case]] + GOOD_LINES) + "\n"
+    expected = _error(reference_parse_label_file, text)
+    assert expected[1] == before + 1
+    assert _error(read_label_columns, text) == expected
+    assert _error(parse_label_file, text) == expected
+
+
+def test_angles_within_the_slack_of_pi_are_read():
+    # pi to eight digits lies within the formatting slack, above pi itself
+    text = _with_token(_with_token(CAR, 3, "3.1415927"), 14, "-3.1415927")
+    (record,), (reference,) = parse_label_file(text), reference_parse_label_file(text)
+    assert (record.alpha, record.rotation_y) == (reference.alpha, reference.rotation_y)
+    assert (record.alpha, record.rotation_y) == (3.1415927, -3.1415927)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("nan-score", "14-columns"), ("alpha-above-pi", "non-numeric"),
+     ("non-numeric", "nan-alpha"), ("inverted-rectangle", "dont-care-nan-occluded")],
+)
+def test_first_bad_line_is_reported(first, second):
+    text = "\n".join([GOOD_LINES[0], HOSTILE_LINES[first], "", HOSTILE_LINES[second]])
+    expected = _error(reference_parse_label_file, text)
+    assert expected[1] == 2
+    assert _error(read_label_columns, text) == expected
 
 
 # --- calibration -----------------------------------------------------------
