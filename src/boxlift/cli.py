@@ -312,20 +312,21 @@ def cmd_lift(args):
 
     done = rows[lifted]
     score = values[done, 14]
+    fields = {
+        "category": categories[done],
+        "truncated": values[done, 0],
+        "occluded": list(map(int, values[done, 1].tolist())),
+        "alpha": values[done, 2],
+        "box2d": values[done, 3:7],
+        "dims_hwl": dims[done][:, [1, 2, 0]],
+        "location": kitti.centers_to_locations(centers[lifted], dims[done, 1]),
+        "rotation_y": yaws[lifted],
+        "score": np.where(np.isnan(score), 1.0, score),  # NaN: the line has no score
+        "file": np.array(stems, dtype=object)[file[done]],
+        "line": line_nos[done],
+    }
     entries = kitti.result_entries(
-        {
-            "category": categories[done],
-            "truncated": values[done, 0],
-            "occluded": list(map(int, values[done, 1].tolist())),
-            "alpha": values[done, 2],
-            "box2d": values[done, 3:7],
-            "dims_hwl": dims[done][:, [1, 2, 0]],
-            "location": kitti.centers_to_locations(centers[lifted], dims[done, 1]),
-            "rotation_y": yaws[lifted],
-            "score": np.where(np.isnan(score), 1.0, score),  # NaN: the line has no score
-            "file": np.array(stems, dtype=object)[file[done]],
-            "line": line_nos[done],
-        },
+        fields,
         diagnostics={
             "theta_ray": rays[done],
             "configuration": batch.configuration[lifted],
@@ -336,13 +337,13 @@ def cmd_lift(args):
     with open(args.out, "w") as handle:
         kitti.write_results_jsonl(entries, handle)
     if args.kitti_out:
-        kitti_rows = {}
-        for entry in entries:
-            kitti_rows.setdefault(entry["file"], []).append(kitti.record_from_json_dict(entry))
         out_dir = Path(args.kitti_out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for stem, records in kitti_rows.items():
-            (out_dir / f"{stem}.txt").write_text(kitti.write_results(records))
+        lines = kitti.result_lines(fields)
+        bounds = np.searchsorted(file[done], np.arange(len(stems) + 1))  # done is in file order
+        for stem, lo, hi in zip(stems, bounds[:-1].tolist(), bounds[1:].tolist()):
+            if hi > lo:
+                (out_dir / f"{stem}.txt").write_text("\n".join(lines[lo:hi]) + "\n")
 
     print(f"lifted {len(done)}/{n_total} records -> {args.out}")
     if n_total and n_total - len(done) > 0.5 * n_total:

@@ -47,6 +47,7 @@ __all__ = [
     "LABEL_COLUMNS",
     "RESULT_FIELDS",
     "result_entries",
+    "result_lines",
     "write_results_jsonl",
 ]
 
@@ -287,31 +288,23 @@ def centers_to_locations(centers, heights):
 def write_results(records):
     """Serialize records back to KITTI text, 2-decimal fixed point.
 
-    The score column, when present, is appended last. Records are written
-    in the order given.
+    The records view of ``result_lines``: the score column, when present, is
+    appended last. Records are written in the order given.
     """
-    lines = []
-    for r in records:
-        fields = [
-            r.category,
-            f"{r.truncated:.2f}",
-            f"{r.occluded:d}",
-            f"{r.alpha:.2f}",
-            f"{r.box2d.x_min:.2f}",
-            f"{r.box2d.y_min:.2f}",
-            f"{r.box2d.x_max:.2f}",
-            f"{r.box2d.y_max:.2f}",
-            f"{r.height:.2f}",
-            f"{r.width:.2f}",
-            f"{r.length:.2f}",
-            f"{r.location[0]:.2f}",
-            f"{r.location[1]:.2f}",
-            f"{r.location[2]:.2f}",
-            f"{r.rotation_y:.2f}",
-        ]
-        if r.score is not None:
-            fields.append(f"{r.score:.2f}")
-        lines.append(" ".join(fields))
+    records = list(records)
+    lines = result_lines(
+        {
+            "category": [r.category for r in records],
+            "truncated": [r.truncated for r in records],
+            "occluded": [r.occluded for r in records],
+            "alpha": [r.alpha for r in records],
+            "box2d": [r.box2d.as_array for r in records],
+            "dims_hwl": [(r.height, r.width, r.length) for r in records],
+            "location": [r.location for r in records],
+            "rotation_y": [r.rotation_y for r in records],
+            "score": [r.score for r in records],
+        }
+    )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -366,6 +359,33 @@ def result_entries(fields, diagnostics=None):
         keys += tuple(diagnostics)
         columns += map(_as_list, diagnostics.values())
     return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+def _fixed(column):
+    return [f"{v:.2f}" for v in _as_list(column)]
+
+
+def result_lines(fields):
+    """KITTI text lines, 2-decimal fixed point, of N result records given as columns.
+
+    ``fields`` holds the keys of ``RESULT_FIELDS`` as for ``result_entries``,
+    with ``occluded`` as ints. A score of None leaves its line without the
+    score column, which otherwise comes last.
+    """
+    columns = [
+        _as_list(fields["category"]),
+        _fixed(fields["truncated"]),
+        [f"{o:d}" for o in _as_list(fields["occluded"])],
+        _fixed(fields["alpha"]),
+    ]
+    for key in ("box2d", "dims_hwl", "location"):
+        columns += map(_fixed, np.asarray(fields[key], dtype=float).T)
+    columns.append(_fixed(fields["rotation_y"]))
+    lines = [" ".join(row) for row in zip(*columns)]
+    return [
+        line if score is None else f"{line} {score:.2f}"
+        for line, score in zip(lines, _as_list(fields["score"]))
+    ]
 
 
 def result_to_json_dict(record, file_id=None, line_no=None, diagnostics=None):

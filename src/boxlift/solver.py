@@ -76,10 +76,13 @@ RANK_TOLERANCE = 1e-10
 
 # Candidates (records x configurations) solved at once, but at least one
 # record, so a GENERAL record (4096 candidates) is one chunk. It bounds the
-# (8, records, C) work arrays and so the peak memory. At 1024 a kitti
-# chunk's arrays are 64 KB, under glibc's default 128 KB mmap threshold; at
-# 4096 (256 KB arrays) unrelated numpy work later in the same process, the
-# toy training of perfbench, ran about 8 % slower, at no gain in lift speed.
+# (8, records, C) work arrays and so the peak memory: 64 KB for a kitti
+# chunk at 1024, 256 KB at 4096. After lifts at 4096, perfbench's toy
+# training in the same process once ran 4-16 % slower; that was its epochs
+# faulting in heap pages again. Since ``toy.train`` allocates its work arrays
+# once, the toy rate at 4096 is within run-to-run noise (-3 % to +3 %), and
+# lift_records_per_s read 0-11 % higher (perfbench road and bin_study, seeds
+# 51-53, one run each; 2 vCPUs, numpy 2.4).
 CHUNK_CANDIDATES = 1024
 
 LIFTED = "lifted"
@@ -277,13 +280,17 @@ def _solve(k, rotations, dims, rects, configs):
             reprojection[chunk] = rep[rows, best]
             any_feasible[chunk] = feasible.any(axis=1)
 
-    failures = np.stack([~are_rotations(rotations), ~rank_ok, ~any_feasible])  # FAILURES order
-    failed = failures.any(axis=0)
-    outcome = np.where(failed, _FAILURE_CODES[failures.argmax(axis=0)], LIFTED)
-    translation[failed] = np.nan
-    configuration[failed] = -1
-    residual[failed] = np.nan
-    reprojection[failed] = np.nan
+    rotations_ok = are_rotations(rotations)
+    ok = rotations_ok & rank_ok & any_feasible
+    outcome = np.full(n, LIFTED, dtype=_FAILURE_CODES.dtype)  # the codes are the longer strings
+    if not ok.all():
+        failed = ~ok
+        failures = np.stack([~rotations_ok, ~rank_ok, ~any_feasible])[:, failed]  # FAILURES order
+        outcome[failed] = _FAILURE_CODES[failures.argmax(axis=0)]
+        translation[failed] = np.nan
+        configuration[failed] = -1
+        residual[failed] = np.nan
+        reprojection[failed] = np.nan
     return BatchLiftResult(translation, configuration, residual, reprojection, outcome, c)
 
 

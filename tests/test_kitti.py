@@ -12,6 +12,7 @@ from boxlift.geometry import Box2D, Box3D, project_box, wrap_angle
 from boxlift.kitti import (
     DONT_CARE,
     LABEL_COLUMNS,
+    RESULT_FIELDS,
     DetectionRecord,
     compute_mean_dims,
     center_to_location,
@@ -20,6 +21,7 @@ from boxlift.kitti import (
     parse_label_file,
     read_label_columns,
     record_from_json_dict,
+    result_lines,
     result_to_json_dict,
     write_results,
     write_results_jsonl,
@@ -391,6 +393,27 @@ def test_write_appends_score_last():
 
 def test_write_empty_is_empty():
     assert write_results([]) == ""
+    assert result_lines({key: [] for key in RESULT_FIELDS}) == []
+
+
+def test_result_lines_from_columns_match_the_records_view(label_corpus):
+    records = parse_label_file(label_corpus["real"] + REAL_LABEL_LINES[1] + " 0.87\n")
+    assert records[0].score is None and records[-1].score == 0.87
+    lines = result_lines(
+        {
+            "category": np.array([r.category for r in records], dtype=object),
+            "truncated": np.array([r.truncated for r in records]),
+            "occluded": [r.occluded for r in records],
+            "alpha": np.array([r.alpha for r in records]),
+            "box2d": np.array([r.box2d.as_array for r in records]),
+            "dims_hwl": np.array([[r.height, r.width, r.length] for r in records]),
+            "location": np.array([r.location for r in records]),
+            "rotation_y": np.array([r.rotation_y for r in records]),
+            "score": [r.score for r in records],
+        }
+    )
+    assert "\n".join(lines) + "\n" == write_results(records)
+    assert len(lines[0].split()) == 15 and lines[-1].endswith(" 0.87")
 
 
 def test_roundtrip_through_formatting(label_corpus):

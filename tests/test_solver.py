@@ -325,15 +325,22 @@ def test_lift_batch_failures_are_per_record():
         (np.eye(3) * 2.0, box.dims, project_box(K, box)),
         (valid[2].rotation, valid[2].dims, project_box(K, valid[2])),
     ]
-    batch = lift_batch(
+    inputs = (
         np.repeat(K.matrix[None], len(records), axis=0),
         np.array([r for r, _, _ in records]),
         np.array([d.as_array for _, d, _ in records]),
         np.array([rect.as_array for _, _, rect in records]),
     )
+    batch = lift_batch(*inputs)
     assert list(batch.outcome) == [
         "lifted", "rank_deficient", "lifted", "all_infeasible", "bad_rotation", "lifted",
     ]
+    # a batch without failures skips the failure bookkeeping: same rows, same dtype
+    ok = batch.outcome == "lifted"
+    clean = lift_batch(*(a[ok] for a in inputs))
+    assert clean.outcome.dtype == batch.outcome.dtype and list(clean.outcome) == ["lifted"] * 3
+    for name in ("translation", "configuration", "residual", "reprojection_error"):
+        assert np.array_equal(getattr(clean, name), getattr(batch, name)[ok])
     for i, (rotation, dims, rect) in enumerate(records):
         try:
             single = lift(K, rotation, dims, rect)

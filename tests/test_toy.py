@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,55 @@ def test_precomputed_targets_give_the_same_loss_and_gradients(small_data):
     again, again_grads = model.loss_and_grads(features, bin_targets(model.layout, angles))
     assert loss == again
     assert all(np.array_equal(grads[name], again_grads[name]) for name in grads)
+
+
+@pytest.mark.parametrize("kind,bins", [("l2_scalar", 1), ("multibin", 2), ("multibin", 8)])
+def test_work_arrays_change_no_bit_of_loss_or_gradients(small_data, kind, bins):
+    features, angles = small_data
+    model, _ = train(small_data, kind=kind, n_bins=bins, epochs=5, seed=4)
+    loss, grads = model.loss_and_grads(features, angles)
+    work = model._work_arrays(len(features))
+    for fill in (np.nan, 7.0):  # every entry is written, whatever was there
+        for array in work:
+            array.fill(fill)
+        again, again_grads = model.loss_and_grads(features, angles, work)
+        assert again == loss
+        assert all(np.array_equal(grads[name], again_grads[name]) for name in grads)
+        assert not any(np.shares_memory(g, w) for g in again_grads.values() for w in work)
+
+
+@pytest.mark.parametrize("kind,bins", [("l2_scalar", 1), ("multibin", 2), ("multibin", 8)])
+def test_train_equals_a_loop_over_plain_loss_and_grads(small_data, kind, bins):
+    features, angles = small_data
+    trained, history = train(small_data, kind=kind, n_bins=bins, epochs=25, seed=6)
+    model, _ = train(small_data, kind=kind, n_bins=bins, epochs=0, seed=6)  # the initial model
+    losses = []
+    for _ in range(25):
+        loss, grads = model.loss_and_grads(features, angles)
+        losses.append(loss)
+        for name, param in model.parameters():
+            param -= 0.05 * grads[name]
+    assert np.array_equal(history, losses)
+    for (_, p1), (_, p2) in zip(trained.parameters(), model.parameters()):
+        assert np.array_equal(p1, p2)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+def test_extra_epochs_add_almost_no_page_faults():
+    # An epoch that allocates and frees its (n, hidden) arrays makes the heap
+    # return their pages and fault them in again: 1 300-1 600 minor faults an
+    # epoch at 4 bins on 5 000 samples. Arrays allocated once per run leave
+    # the 20 extra epochs of the longer run with none (0-1 measured).
+    resource = pytest.importorskip("resource")
+    data = make_dataset(5000, 0.05, seed=0)
+
+    def faults(epochs):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(data, kind="multibin", n_bins=4, epochs=epochs, seed=0)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(5), faults(5)  # warm-up: the heap grows to hold a run's arrays
+    assert faults(25) - faults(5) < 400
 
 
 def test_zero_localization_weight_rejected(small_data):
