@@ -411,25 +411,6 @@ def result_to_json_dict(record, file_id=None, line_no=None, diagnostics=None):
     return result_entries(fields, {k: [v] for k, v in (diagnostics or {}).items()})[0]
 
 
-def record_from_json_dict(data):
-    """Rebuild a DetectionRecord from a JSON-lines entry."""
-    box = data["box2d"]
-    h, w, l = data["dims_hwl"]
-    return DetectionRecord(
-        category=data["category"],
-        truncated=data.get("truncated", 0.0),
-        occluded=int(data.get("occluded", 0)),
-        alpha=data["alpha"],
-        box2d=Box2D(box[0], box[1], box[2], box[3]),
-        height=h,
-        width=w,
-        length=l,
-        location=np.array(data["location"]),
-        rotation_y=data["rotation_y"],
-        score=data.get("score"),
-    )
-
-
 def write_results_jsonl(entries, stream):
     """Write result dicts (see ``result_entries``) one per line, in one write."""
     stream.write("".join([json.dumps(entry) + "\n" for entry in entries]))

@@ -35,18 +35,28 @@ indices per the ordering in :mod:`boxlift.geometry`; y points down, so
 
 Each mode's family is a subset of the previous one, so relaxing the mode
 never loses the optimum it would have found. Each family is a (C, 4)
-index array built once at import.
+index array, built once at import together with the columns its
+candidates gather (see BATCHES).
 
 BATCHES
 =======
 ``lift_batch`` lifts N records in one numpy pass over N x C candidates;
 each record brings its own intrinsics, rotation, extents and rectangle.
-The per-record work (rotation check, SVD of the 4x3 side matrix, the
-right-hand side of every corner on every side) is done once for the whole
-batch. The candidates are then solved, checked for positive depth and
-ranked by reprojection in chunks of ``CHUNK_CANDIDATES`` candidates or one
-record, whichever is more, so the candidate arrays never exceed those of
-one GENERAL lift however large N is. Every record ends in one outcome:
+The per-record work is done once for the whole batch: the rotation check,
+the SVD of the 4x3 side matrix, the right-hand side of every corner on
+every side as a flat table of 32 (side, corner) entries, and the rotated
+corners' u, v and depth as contiguous (8, N) slabs. The candidates are
+then solved, checked for positive depth and ranked by reprojection in
+chunks of ``CHUNK_CANDIDATES`` candidates or one record, whichever is
+more, so the candidate arrays never exceed those of one GENERAL lift
+however large N is. A chunk gathers its right-hand sides with one
+``np.take`` of the mode's columns (corner + 8 * side, built at import
+beside the configurations) into side-major (records, side, C) arrays, so
+its translations come out as contiguous x, y and z rows and every pass
+over its (8, records, C) corner arrays reads unit-stride memory. A
+candidate is feasible when its nearest corner is in front of the camera;
+rounding is monotonic, so this one sum decides exactly what the minimum
+over all eight corner depths would. Every record ends in one outcome:
 ``lifted``, or a failure code of ``FAILURES`` carrying the message the
 scalar ``lift`` raises. ``lift`` and ``solve_translation`` are the N = 1
 case of the same code.
@@ -76,14 +86,14 @@ RANK_TOLERANCE = 1e-10
 
 # Candidates (records x configurations) solved at once, but at least one
 # record, so a GENERAL record (4096 candidates) is one chunk. It bounds the
-# (8, records, C) work arrays and so the peak memory: 64 KB for a kitti
-# chunk at 1024, 256 KB at 4096. After lifts at 4096, perfbench's toy
-# training in the same process once ran 4-16 % slower; that was its epochs
-# faulting in heap pages again. Since ``toy.train`` allocates its work arrays
-# once, the toy rate at 4096 is within run-to-run noise (-3 % to +3 %), and
-# lift_records_per_s read 0-11 % higher (perfbench road and bin_study, seeds
-# 51-53, one run each; 2 vCPUs, numpy 2.4).
-CHUNK_CANDIDATES = 1024
+# (8, records, C) work arrays and so the peak memory: 256 KB a slab, as for
+# one GENERAL record. Against 1024, 4096 read lift_records_per_s 7.7 %
+# higher on perfbench road (16 790 against 15 590 records/s, medians of 5
+# alternating 20 s pairs, seeds 121-125, 5 of 5 won) with frame times, toy
+# rate and peak_rss_mb unchanged; general, one record a chunk either way,
+# read 1692 against 1698 (seeds 101-105). 2 vCPUs, numpy 2.4, one BLAS
+# thread.
+CHUNK_CANDIDATES = 4096
 
 LIFTED = "lifted"
 # Failure code -> (exception the scalar ``lift`` raises, its message).
@@ -163,19 +173,36 @@ class BatchLiftResult(NamedTuple):
         )
 
 
+class _Family(NamedTuple):
+    """A mode's corner assignments and the right-hand-side columns they gather.
+
+    ``columns[side]`` is ``configs[:, side] + 8 * side``: the index of each
+    candidate's right-hand side for that side in a record's flattened
+    (side, corner) table of 32.
+    """
+
+    configs: np.ndarray  # (C, 4)
+    columns: np.ndarray  # (4, C)
+
+
+def _family(configs):
+    configs = np.asarray(configs, dtype=np.intp)
+    columns = (configs + 8 * np.arange(4)).T.copy()
+    configs.flags.writeable = columns.flags.writeable = False  # shared by every lift
+    return _Family(configs, columns)
+
+
 def _configuration_array(left, right, top, bottom=None):
-    """Every (left, right, top, bottom) combination, left varying slowest.
+    """The family of every (left, right, top, bottom) combination, left slowest.
 
     Without ``bottom`` the bottom corner is the top corner's antipode,
-    7 - top. The array is read-only: it is shared by every lift.
+    7 - top.
     """
     sides = (left, right, top) if bottom is None else (left, right, top, bottom)
     rows = np.stack(np.meshgrid(*sides, indexing="ij"), axis=-1).reshape(-1, len(sides))
     if bottom is None:
         rows = np.column_stack([rows, 7 - rows[:, 2]])
-    rows = rows.astype(np.intp)
-    rows.flags.writeable = False
-    return rows
+    return _family(rows)
 
 
 _CONFIGURATIONS = {
@@ -200,7 +227,7 @@ def _configurations(mode):
 
 def enumerate_configurations(mode):
     """All admissible corner-to-side assignments for ``mode``, in a fixed order."""
-    return [Configuration(*row) for row in _configurations(mode).tolist()]
+    return [Configuration(*row) for row in _configurations(mode).configs.tolist()]
 
 
 # Per side, in (left, right, top, bottom) order: the intrinsics row that
@@ -208,15 +235,18 @@ def enumerate_configurations(mode):
 # bottom) and the rectangle column holding that coordinate.
 _SIDE_ROWS = np.array([0, 0, 1, 1])
 _SIDE_COLUMNS = np.array([0, 2, 1, 3])
-_SIDES = np.arange(4)
-_FAILURE_CODES = np.array(list(FAILURES))
+# Outcome label by (rotation ok, rank ok, some candidate feasible) as 0/1
+# indices: lifted when all three hold, else the first failed check in
+# FAILURES order.
+_OUTCOMES = np.array([LIFTED, *FAILURES])[[[[1, 1], [1, 1]], [[2, 2], [3, 0]]]]
 
 
-def _solve(k, rotations, dims, rects, configs):
-    """Solve and rank every configuration of ``configs`` (C, 4) for N records.
+def _solve(k, rotations, dims, rects, family):
+    """Solve and rank every configuration of ``family`` for N records.
 
     The inputs are float arrays of the shapes ``lift_batch`` checks.
     """
+    configs, columns = family
     n, c = len(rects), len(configs)
     # Per record: side rows k_row - s * k3, their pseudo-inverse, the
     # rotated corners and every side's right-hand side for every corner.
@@ -224,16 +254,21 @@ def _solve(k, rotations, dims, rects, configs):
     left, s, vt = np.linalg.svd(a, full_matrices=False)
     rank_ok = s[:, -1] > RANK_TOLERANCE
     s = np.where(rank_ok[:, None], s, 1.0)  # keeps failed records' rows finite
-    pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(left, 1, 2)  # (N, 3, 4)
-    pinv_t, a_t = np.swapaxes(pinv, 1, 2), np.swapaxes(a, 1, 2)
-    rotated = (VERTEX_SIGNS * (0.5 * dims)[:, None, :]) @ np.swapaxes(rotations, 1, 2)  # (N, 8, 3)
-    rhs = -(a @ np.swapaxes(rotated, 1, 2))  # (N, 4, 8): -a_side . (R X_corner)
+    pinv = (vt.swapaxes(1, 2) / s[:, None, :]) @ left.swapaxes(1, 2)  # (N, 3, 4)
+    rotated = (VERTEX_SIGNS * (0.5 * dims)[:, None, :]) @ rotations.swapaxes(1, 2)  # (N, 8, 3)
+    # -a_side . (R X_corner), flattened to (side, corner) columns.
+    rhs = -(a @ rotated.swapaxes(1, 2)).reshape(n, 32)
     # K (R X + T) = K R X + K T; the third row is the depth (K's third row
-    # is (0, 0, 1)), the first two give u and v. Corner-major layouts make
-    # the reductions over the eight corners elementwise ones over slabs.
-    k_uv_t = np.swapaxes(k[:, :2], 1, 2)  # (N, 3, 2)
-    corners_z = rotated[:, :, 2].T  # (8, N)
-    corners_uv = np.swapaxes(rotated @ k_uv_t, 0, 1)  # (8, N, 2)
+    # is (0, 0, 1)), the first two give u and v. The corners are held
+    # corner-major and the candidates side-major, (m, side, C), so every
+    # pass over the (8, m, C) corner slabs reads unit-stride memory.
+    corners_uv = rotated @ k[:, :2].swapaxes(1, 2)  # (N, 8, 2)
+    corners_u, corners_v = corners_uv.transpose(2, 1, 0).copy()  # (8, N) each
+    corners_z = rotated[:, :, 2].T.copy()
+    # A candidate is feasible if its nearest corner is in front of the
+    # camera. Rounding is monotonic, so min_j fl(z_j + t) = fl(min_j z_j + t)
+    # and this equals the minimum over all eight corner depths.
+    nearest_z = corners_z.min(axis=0)
 
     translation = np.empty((n, 3))
     configuration = np.empty((n, 4), dtype=np.intp)
@@ -246,25 +281,32 @@ def _solve(k, rotations, dims, rects, configs):
     with np.errstate(all="ignore"):
         for lo in range(0, n, step):
             chunk = slice(lo, lo + step)
-            b = rhs[chunk][:, _SIDES, configs]  # (m, C, 4)
-            t = b @ pinv_t[chunk]  # (m, C, 3)
-            d = t @ a_t[chunk] - b
-            res = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2 + d[..., 3] ** 2
-            depth = corners_z[:, chunk, None] + t[:, :, 2]  # (8, m, C)
-            feasible = depth.min(axis=0) > 0
+            b = np.take(rhs[chunk], columns, axis=1)  # (m, 4, C)
+            t = pinv[chunk] @ b  # (m, 3, C)
+            d = a[chunk] @ t
+            d -= b
+            d *= d
+            res = d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3]
+            del b, d  # freed before the (8, m, C) slabs
+            t_z = t[:, 2]
+            t_u, t_v = (k[chunk, :2] @ t).swapaxes(0, 1)  # (m, C) each
+            feasible = nearest_z[chunk, None] + t_z > 0
 
-            # Re-projected corners as separate (8, m, C) u and v arrays, and
-            # the squared mismatch of their tight rectangle, summed in
+            # Re-projected corners: u, then v in the same (8, m, C) slab,
+            # and the squared mismatch of their tight rectangle, summed in
             # (x_min, y_min, x_max, y_max) order.
-            t_uv = t @ k_uv_t[chunk]  # (m, C, 2)
-            u = (corners_uv[:, chunk, None, 0] + t_uv[..., 0]) / depth
-            v = (corners_uv[:, chunk, None, 1] + t_uv[..., 1]) / depth
+            depth = corners_z[:, chunk, None] + t_z
+            slab = corners_u[:, chunk, None] + t_u
+            slab /= depth
+            u_min, u_max = slab.min(axis=0), slab.max(axis=0)
+            np.add(corners_v[:, chunk, None], t_v, out=slab)
+            slab /= depth
             r = rects[chunk, None]
             rep = (
-                (u.min(axis=0) - r[..., 0]) ** 2
-                + (v.min(axis=0) - r[..., 1]) ** 2
-                + (u.max(axis=0) - r[..., 2]) ** 2
-                + (v.max(axis=0) - r[..., 3]) ** 2
+                (u_min - r[..., 0]) ** 2
+                + (slab.min(axis=0) - r[..., 1]) ** 2
+                + (u_max - r[..., 2]) ** 2
+                + (slab.max(axis=0) - r[..., 3]) ** 2
             )
             rep = np.where(feasible, rep, np.inf)
             res = np.where(feasible, res, np.inf)
@@ -274,19 +316,18 @@ def _solve(k, rotations, dims, rects, configs):
             tied = rep == rep.min(axis=1, keepdims=True)
             best = np.argmin(np.where(tied, res, np.inf), axis=1)
             rows = np.arange(len(best))
-            translation[chunk] = t[rows, best]
+            translation[chunk] = t[rows, :, best]
             configuration[chunk] = configs[best]
             residual[chunk] = res[rows, best]
             reprojection[chunk] = rep[rows, best]
             any_feasible[chunk] = feasible.any(axis=1)
 
     rotations_ok = are_rotations(rotations)
+    checks = rotations_ok.astype(np.intp), rank_ok.astype(np.intp), any_feasible.astype(np.intp)
+    outcome = _OUTCOMES[checks]
     ok = rotations_ok & rank_ok & any_feasible
-    outcome = np.full(n, LIFTED, dtype=_FAILURE_CODES.dtype)  # the codes are the longer strings
     if not ok.all():
         failed = ~ok
-        failures = np.stack([~rotations_ok, ~rank_ok, ~any_feasible])[:, failed]  # FAILURES order
-        outcome[failed] = _FAILURE_CODES[failures.argmax(axis=0)]
         translation[failed] = np.nan
         configuration[failed] = -1
         residual[failed] = np.nan
@@ -352,8 +393,12 @@ def solve_translation(intrinsics, rotation, dims, box2d, configuration):
             (smallest singular value <= 1e-10) or the recovered translation
             places any box corner at or behind the camera.
     """
-    configs = np.asarray([tuple(configuration)], dtype=np.intp)
-    batch = _solve(*_one_record(intrinsics, rotation, dims, box2d), configs)
+    # The configuration twice: numpy multiplies a single candidate through
+    # a matrix-vector BLAS routine, whose sums round differently from the
+    # matrix products ``lift`` ranks, so one candidate would not reproduce
+    # its translation bit for bit.
+    family = _family([tuple(configuration)] * 2)
+    batch = _solve(*_one_record(intrinsics, rotation, dims, box2d), family)
     if batch.outcome[0] == "all_infeasible":
         raise InfeasibleConfigurationError(
             "recovered translation places the box at or behind the camera"

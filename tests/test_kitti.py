@@ -20,7 +20,6 @@ from boxlift.kitti import (
     parse_calib_file,
     parse_label_file,
     read_label_columns,
-    record_from_json_dict,
     result_lines,
     result_to_json_dict,
     write_results,
@@ -488,7 +487,9 @@ def test_jsonl_roundtrip():
         "category", "truncated", "occluded", "alpha", "box2d", "dims_hwl", "location",
         "rotation_y", "score", "file", "line", "configuration", "reprojection_error",
     ]
-    rebuilt = record_from_json_dict(loaded[0])
-    assert rebuilt.category == record.category
-    assert rebuilt.location == pytest.approx(record.location)
-    assert rebuilt.score == pytest.approx(0.87)
+    assert loaded[0]["category"] == record.category
+    assert loaded[0]["box2d"] == pytest.approx(record.box2d.as_array)
+    assert loaded[0]["dims_hwl"] == pytest.approx([record.height, record.width, record.length])
+    assert loaded[0]["location"] == pytest.approx(record.location)
+    assert loaded[0]["rotation_y"] == pytest.approx(record.rotation_y)
+    assert loaded[0]["score"] == pytest.approx(0.87)

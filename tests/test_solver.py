@@ -21,6 +21,7 @@ from boxlift.geometry import (
     rotation_from_angles,
 )
 from boxlift.solver import (
+    CHUNK_CANDIDATES,
     Configuration,
     ConstraintMode,
     enumerate_configurations,
@@ -356,6 +357,54 @@ def test_lift_batch_failures_are_per_record():
         assert np.array_equal(result.translation, single.translation)
         assert result.residual == single.residual
         assert result.reprojection_error == single.reprojection_error
+
+
+def test_lift_batch_is_scalar_lift_bitwise_across_chunks():
+    # Three chunks in each mode (160 kitti records, 3 GENERAL and 10
+    # UPRIGHT at 4096 candidates a chunk), with a rank-deficient record
+    # inside the middle chunk.
+    rng = np.random.default_rng(20)
+    modes = (ConstraintMode.KITTI_ZERO_PITCH_ROLL, ConstraintMode.GENERAL, ConstraintMode.UPRIGHT)
+    for mode in modes:
+        per_chunk = max(1, CHUNK_CANDIDATES // EXPECTED_COUNTS[mode])
+        n = 2 * per_chunk + max(1, per_chunk // 2)
+        boxes = [sample_scene_box(rng, depth_range=(5.0, 60.0)) for _ in range(n)]
+        if mode is not ConstraintMode.KITTI_ZERO_PITCH_ROLL:
+            tilts = rng.uniform(-0.15, 0.15, size=(n, 2))
+            boxes = [Box3D(b.center, b.dims, b.yaw, *tilt) for b, tilt in zip(boxes, tilts)]
+        rects = [project_box(K, b) for b in boxes]
+        failing = per_chunk + per_chunk // 2
+        rects[failing] = degenerate_rect(600.0, 180.0, 600.0, 180.0)
+        batch = lift_batch(*batch_inputs(boxes, rects), mode)
+        assert [o == "lifted" for o in batch.outcome] == [i != failing for i in range(n)]
+        assert batch.outcome[failing] == "rank_deficient"
+        for i, (box, rect) in enumerate(zip(boxes, rects)):
+            if i == failing:
+                with pytest.raises(NoFeasibleConfigurationError, match="rank"):
+                    lift(K, box.rotation, box.dims, rect, mode)
+                continue
+            single = lift(K, box.rotation, box.dims, rect, mode)
+            result = batch.result(i)
+            assert result.configuration == single.configuration
+            assert np.array_equal(result.translation, single.translation)
+            assert result.residual == single.residual
+            assert result.reprojection_error == single.reprojection_error
+
+
+def test_solve_translation_is_the_lifted_candidate_bitwise():
+    # solve_translation gathers from its own one-configuration table; for
+    # the configuration lift chose it must give lift's numbers exactly.
+    rng = np.random.default_rng(21)
+    for mode in ConstraintMode:
+        for _ in range(5 if mode is ConstraintMode.GENERAL else 20):
+            box = sample_scene_box(rng)
+            rect = Box2D(*(project_box(K, box).as_array + rng.normal(0.0, 1.0, size=4)))
+            result = lift(K, box.rotation, box.dims, rect, mode)
+            translation, residual = solve_translation(
+                K, box.rotation, box.dims, rect, result.configuration
+            )
+            assert np.array_equal(translation, result.translation)
+            assert residual == result.residual
 
 
 def test_lift_batch_rejects_malformed_arrays():
