@@ -325,17 +325,14 @@ def cmd_lift(args):
         "file": np.array(stems, dtype=object)[file[done]],
         "line": line_nos[done],
     }
-    entries = kitti.result_entries(
-        fields,
-        diagnostics={
-            "theta_ray": rays[done],
-            "configuration": batch.configuration[lifted],
-            "residual": batch.residual[lifted],
-            "reprojection_error": batch.reprojection_error[lifted],
-        },
-    )
+    diagnostics = {
+        "theta_ray": rays[done],
+        "configuration": batch.configuration[lifted],
+        "residual": batch.residual[lifted],
+        "reprojection_error": batch.reprojection_error[lifted],
+    }
     with open(args.out, "w") as handle:
-        kitti.write_results_jsonl(entries, handle)
+        kitti.write_results_jsonl(fields, handle, diagnostics)
     if args.kitti_out:
         out_dir = Path(args.kitti_out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -194,8 +194,15 @@ def rotation_from_angles(yaw, pitch=0.0, roll=0.0):
 
     Axes per the module conventions: yaw about camera y (down), pitch about
     the object width axis (z), roll about the object length axis (x).
+    A finite scalar yaw with zero pitch and roll builds the yaw matrix
+    directly; ``+ 0.0`` turns its -0.0 entries into the product's +0.0, so
+    the result is bit-identical to the product.
     """
     cy, sy = np.cos(yaw), np.sin(yaw)
+    if isinstance(yaw, (int, float)) and math.isfinite(yaw) and pitch == 0 and roll == 0:
+        return np.array(
+            [[cy + 0.0, 0.0, sy + 0.0], [0.0, 1.0, 0.0], [-sy + 0.0, 0.0, cy + 0.0]]
+        )
     cp, sp = np.cos(pitch), np.sin(pitch)
     cr, sr = np.cos(roll), np.sin(roll)
     r_yaw = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])

@@ -244,7 +244,7 @@ def parse_calib_file(text):
 
     Raises:
         MissingKeyError: if no P2 line is present.
-        MalformedLineError: if the P2 line does not hold 12 numbers.
+        MalformedLineError: if the P2 line does not hold 12 finite numbers.
     """
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.startswith("P2:"):
@@ -255,6 +255,11 @@ def parse_calib_file(text):
                 line_no, line.strip(), f"line {line_no}: P2 needs 12 values"
             )
         values = [_parse_float(t, line_no) for t in tokens]
+        for token, value in zip(tokens, values):
+            if not math.isfinite(value):
+                raise MalformedLineError(
+                    line_no, token, f"line {line_no}: P2 value {token} is not finite"
+                )
         return CalibRecord(p2=np.array(values).reshape(3, 4))
     raise MissingKeyError("P2")
 
@@ -332,10 +337,24 @@ RESULT_FIELDS = (
     "rotation_y", "score",
 )
 _FLOAT_ROWS = ("box2d", "location")
+# The keys whose values are rows, and their widths.
+_ROW_WIDTHS = {"box2d": 4, "dims_hwl": 3, "location": 3, "configuration": 4}
 
 
 def _as_list(column):
     return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def _result_columns(fields, diagnostics):
+    """Each key of a results line, in line order, mapped to its column as
+    given; ``box2d`` and ``location`` as float arrays. A key given twice keeps
+    its first place and its last column, as in a dict built from the keys."""
+    keys = RESULT_FIELDS + tuple(k for k in ("file", "line") if k in fields)
+    columns = {
+        k: np.asarray(fields[k], dtype=float) if k in _FLOAT_ROWS else fields[k] for k in keys
+    }
+    columns.update(diagnostics or {})
+    return columns
 
 
 def result_entries(fields, diagnostics=None):
@@ -350,15 +369,8 @@ def result_entries(fields, diagnostics=None):
         diagnostics: further keys mapped to columns of N values, appended
             in the order given.
     """
-    keys = RESULT_FIELDS + tuple(k for k in ("file", "line") if k in fields)
-    columns = [
-        np.asarray(fields[k], dtype=float).tolist() if k in _FLOAT_ROWS else _as_list(fields[k])
-        for k in keys
-    ]
-    if diagnostics:
-        keys += tuple(diagnostics)
-        columns += map(_as_list, diagnostics.values())
-    return [dict(zip(keys, row)) for row in zip(*columns)]
+    columns = _result_columns(fields, diagnostics)
+    return [dict(zip(columns, row)) for row in zip(*map(_as_list, columns.values()))]
 
 
 def _fixed(column):
@@ -411,6 +423,53 @@ def result_to_json_dict(record, file_id=None, line_no=None, diagnostics=None):
     return result_entries(fields, {k: [v] for k, v in (diagnostics or {}).items()})[0]
 
 
-def write_results_jsonl(entries, stream):
-    """Write result dicts (see ``result_entries``) one per line, in one write."""
-    stream.write("".join([json.dumps(entry) + "\n" for entry in entries]))
+def _json_texts(values):
+    """``json.dumps`` of each of a list of values.
+
+    One call for the whole list, split on ", ": exact when it gives one text
+    a value, since no value's text starts with a space or ends with a comma.
+    Otherwise (some text holds ", ", or N = 0) one call a value.
+    """
+    texts = json.dumps(values)[1:-1].split(", ")
+    return texts if len(texts) == len(values) else [json.dumps(v) for v in values]
+
+
+def _row_columns(rows, width):
+    """The ``width`` columns of a column of N rows of ``width`` values each.
+
+    An array's rows are transposed as an array. A list's rows are transposed
+    as lists, so each value keeps its type: an int stays an int.
+    """
+    if isinstance(rows, np.ndarray):
+        return rows.reshape(len(rows), width).T.tolist()
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"rows of {width} values expected")
+    return list(zip(*rows)) or [()] * width
+
+
+def write_results_jsonl(fields, stream, diagnostics=None):
+    """Write N result records given as columns as JSON lines, in one write.
+
+    Takes the columns of ``result_entries`` and writes, for each of its
+    entries, exactly ``json.dumps(entry) + "\\n"``, but builds no entry: each
+    column, and each component column of a row column, is encoded by one
+    ``json.dumps`` call (see ``_json_texts``), and the texts fill one line
+    template built from the keys.
+
+    Raises:
+        TypeError: for a value ``json.dumps`` cannot encode.
+        ValueError: for a row of ``box2d``, ``dims_hwl``, ``location`` or
+            ``configuration`` without 4, 3, 3 or 4 values.
+    """
+    formats, texts = [], []
+    for key, column in _result_columns(fields, diagnostics).items():
+        name = json.dumps(key).replace("%", "%%")
+        width = _ROW_WIDTHS.get(key)
+        if width is None:
+            formats.append(f"{name}: %s")
+            texts.append(_json_texts(_as_list(column)))
+        else:
+            formats.append(f"{name}: [{', '.join(['%s'] * width)}]")
+            texts += map(_json_texts, _row_columns(column, width))
+    template = "{" + ", ".join(formats) + "}\n"
+    stream.write("".join(map(template.__mod__, zip(*texts))))

@@ -30,8 +30,14 @@ indices per the ordering in :mod:`boxlift.geometry`; y points down, so
   lies below the camera horizon (the road scenario). The top side is then
   touched by the deepest top corner and the bottom side by the shallowest
   bottom corner, which is its antipode (index 7 - top). Tying the bottom
-  corner to the top choice leaves 4 * 4 * 4 = 64 configurations, and this
-  family provably contains the true assignment for such scenes.
+  corner to the top choice leaves 4 * 4 * 4 = 64 configurations. The
+  family provably contains the true assignment only when the rectangle
+  lies wholly below the principal row (y_min > c_y) or wholly above it. A
+  rectangle that straddles that row belongs to a box whose top plane is
+  above the camera: its top and bottom sides are touched by the two
+  corners of the nearest vertical edge (bottom = top - 2). This family
+  misses that assignment, and such a record is lifted wrong without
+  failing.
 
 Each mode's family is a subset of the previous one, so relaxing the mode
 never loses the optimum it would have found. Each family is a (C, 4)

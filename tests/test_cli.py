@@ -371,6 +371,21 @@ def test_lift_mixed_failures_counts_warnings_and_exit_code(tmp_path, calib, capl
     ]
 
 
+def test_lift_names_a_non_finite_calib_value(tmp_path, calib, caplog):
+    rng = np.random.default_rng(26)
+    lines = [record_line("Car", sample_scene_box(rng), calib) for _ in range(3)]
+    labels, calibs = write_dataset(tmp_path, {"000000": "\n".join(lines) + "\n"})
+    p2 = next(line for line in CALIB_TEXT.splitlines() if line.startswith("P2:")).split()
+    p2[12] = "nan"  # P2[2][3], the last offset
+    (calibs / "000000.txt").write_text("P0: 1 0 0 0 0 1 0 0 0 0 1 0\n" + " ".join(p2) + "\n")
+
+    assert main(["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl")]) == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("ERROR", f"calib {calibs / '000000.txt'} unusable: line 2: P2 value nan is not finite"),
+        ("ERROR", "more than half of the records failed (3/3)"),
+    ]
+
+
 def test_lift_warns_on_category_without_dimensions(tmp_path, precise_dataset, caplog):
     labels, calibs, corpus = precise_dataset
     stem = next(iter(corpus))

@@ -80,6 +80,17 @@ def test_rotations_from_angles_stacks_rotation_from_angles():
     assert rotations_from_angles([], [], []).shape == (0, 3, 3)
 
 
+def test_yaw_only_rotation_is_bit_identical_to_the_product():
+    specials = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 3 * np.pi]
+    yaws = np.concatenate([specials, np.random.default_rng(3).uniform(-4.0, 4.0, 100_000)])
+    direct = np.array([rotation_from_angles(yaw) for yaw in yaws.tolist()])
+    assert direct.tobytes() == rotations_from_angles(yaws, 0 * yaws, 0 * yaws).tobytes()
+    # a 0-d array yaw takes the product of the three factors
+    product = np.array([rotation_from_angles(np.array(yaw)) for yaw in yaws[:2000]])
+    assert direct[:2000].tobytes() == product.tobytes()
+    assert not np.signbit(direct[:2]).any()  # yaw = -0.0 gives +0.0 entries, as the product does
+
+
 def test_box_vertices_unit_half_extents():
     v = box_vertices(Dimensions(2.0, 2.0, 2.0))
     assert v.shape == (8, 3)

@@ -20,6 +20,7 @@ from boxlift.kitti import (
     parse_calib_file,
     parse_label_file,
     read_label_columns,
+    result_entries,
     result_lines,
     result_to_json_dict,
     write_results,
@@ -299,6 +300,16 @@ def test_parse_calib_wrong_arity():
         parse_calib_file("P2: 1 0 0 0 0 1 0 0 0 0 1\n")
 
 
+@pytest.mark.parametrize("index", [0, 3, 5, 11])  # fx, an offset, fy, the last offset
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_parse_calib_rejects_non_finite_p2(index, token):
+    values = "1 0 0 0 0 1 0 0 0 0 1 0".split()
+    values[index] = token
+    with pytest.raises(MalformedLineError, match=f"line 2: P2 value {token} is not finite") as info:
+        parse_calib_file("P0: 1 0 0 0 0 1 0 0 0 0 1 0\nP2: " + " ".join(values) + "\n")
+    assert (info.value.line_no, info.value.token) == (2, token)
+
+
 # --- record geometry -----------------------------------------------------------
 
 
@@ -470,14 +481,29 @@ def test_car_dimension_spread_is_reportable(label_corpus):
 
 def test_jsonl_roundtrip():
     record = parse_label_file(REAL_LABEL_LINES[1] + " 0.87")[0]
+    fields = {
+        "category": [record.category],
+        "truncated": [record.truncated],
+        "occluded": [record.occluded],
+        "alpha": [record.alpha],
+        "box2d": [record.box2d.as_array],
+        "dims_hwl": [[record.height, record.width, record.length]],
+        "location": [record.location],
+        "rotation_y": [record.rotation_y],
+        "score": [record.score],
+        "file": ["000123"],
+        "line": [4],
+    }
+    diagnostics = {"configuration": [[0, 5, 2, 5]], "reprojection_error": [1e-12]}
+    buffer = io.StringIO()
+    write_results_jsonl(fields, buffer, diagnostics)
     entry = result_to_json_dict(
         record,
         file_id="000123",
         line_no=4,
         diagnostics={"configuration": [0, 5, 2, 5], "reprojection_error": 1e-12},
     )
-    buffer = io.StringIO()
-    write_results_jsonl([entry], buffer)
+    assert buffer.getvalue() == json.dumps(entry) + "\n"
     buffer.seek(0)
     loaded = [json.loads(line) for line in buffer]
     assert len(loaded) == 1
@@ -493,3 +519,52 @@ def test_jsonl_roundtrip():
     assert loaded[0]["location"] == pytest.approx(record.location)
     assert loaded[0]["rotation_y"] == pytest.approx(record.rotation_y)
     assert loaded[0]["score"] == pytest.approx(0.87)
+
+
+def _results_columns(n, rng):
+    """Result columns of n records whose values stress the JSON encoding."""
+    odd = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2, 1 / 3, 123456789.12345678]
+
+    def floats(*shape):
+        return rng.choice(odd + list(rng.normal(size=8) * 1e3), size=shape)
+
+    names = ['Car', 'say "hi"', 'a, b', 'back\\slash', 'Fußgänger', '雪', 'tab\t, "]', '']
+    return {
+        "category": [names[i % len(names)] for i in range(n)],
+        "truncated": floats(n),
+        "occluded": [i % 4 for i in range(n)],
+        "alpha": floats(n).tolist(),
+        "box2d": floats(n, 4),
+        "dims_hwl": [[i, 2.0, 3] if i % 2 else (1.5, 0.5, 4.25) for i in range(n)],
+        "location": floats(n, 3).tolist(),
+        "rotation_y": floats(n),
+        "score": [None if i % 3 == 0 else float(floats(1)[0]) for i in range(n)],
+        "file": np.array([f"{i % 3:06d}, \"x\"\\ü" for i in range(n)], dtype=object),
+        "line": np.arange(1, n + 1),
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 40])
+def test_results_jsonl_is_json_dumps_of_result_entries(n):
+    rng = np.random.default_rng(n)
+    fields = _results_columns(n, rng)
+    diagnostics = {
+        "theta_ray": rng.normal(size=n),
+        "configuration": rng.integers(0, 8, size=(n, 4)),  # int rows, as an array
+        "corners": [[int(i), -i] for i in range(n)],  # a 2-D int column of no known width
+        "residual": [math.nan] * n,
+        "100%": [True] * n,
+    }
+    buffer = io.StringIO()
+    write_results_jsonl(fields, buffer, diagnostics)
+    entries = result_entries(fields, diagnostics)
+    assert buffer.getvalue() == "".join(json.dumps(entry) + "\n" for entry in entries)
+    assert len(buffer.getvalue().splitlines()) == n
+
+
+def test_results_jsonl_keeps_the_errors_of_json_dumps():
+    fields = _results_columns(2, np.random.default_rng(0))
+    with pytest.raises(TypeError):  # numpy ints are no JSON numbers
+        write_results_jsonl({**fields, "occluded": [np.int64(1), np.int64(2)]}, io.StringIO())
+    with pytest.raises(ValueError, match="rows of 3 values"):
+        write_results_jsonl({**fields, "dims_hwl": [[1.0, 2.0, 3.0], [1.0, 2.0]]}, io.StringIO())
