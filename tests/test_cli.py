@@ -6,7 +6,7 @@ import pytest
 from boxlift import cli
 from boxlift.cli import MODE_NAMES, _dispatch, _parse_flat_toml, build_config, build_parser, main
 from boxlift.errors import MalformedLineError, NoFeasibleConfigurationError
-from boxlift.geometry import Box2D, Box3D, rotation_from_angles
+from boxlift.geometry import Box2D, Box3D, Dimensions, rotation_from_angles
 from boxlift.kitti import (
     DetectionRecord,
     center_to_location,
@@ -19,7 +19,9 @@ from boxlift.metrics import DIFFICULTY_RULES, GroundTruthBox, ScoredDetection, a
 from boxlift.multibin import DimensionStats, local_to_global, ray_angle
 from boxlift.solver import lift
 
-from conftest import CALIB_TEXT, DONT_CARE_LINE, record_line, sample_scene_box, synth_corpus
+from conftest import (
+    CALIB_TEXT, CAMERA_HEIGHT, DONT_CARE_LINE, record_line, sample_scene_box, synth_corpus,
+)
 
 
 def write_dataset(tmp_path, corpus, calib_text=CALIB_TEXT):
@@ -399,6 +401,53 @@ def test_lift_warns_on_category_without_dimensions(tmp_path, precise_dataset, ca
     assert any(
         r.levelname == "WARNING" and "'Tram'" in r.getMessage() for r in caplog.records
     )
+
+
+def test_lift_residual_failures_warn_per_record(tmp_path, calib, caplog, capsys):
+    # every Car has the extents (l, h, w) = (4, 1.5, 1.75), so the category
+    # mean is exact and each message can be written out in full
+    rng = np.random.default_rng(27)
+
+    def car_line():
+        box = sample_scene_box(rng, depth_range=(10.0, 30.0))
+        center = [box.center[0], CAMERA_HEIGHT - 0.75, box.center[2]]
+        return record_line("Car", Box3D(center, Dimensions(4.0, 1.5, 1.75), box.yaw), calib)
+
+    tram = car_line().split()
+    tram[0], tram[8:11] = "Tram", ["-1", "-1", "-1"]
+    lines = [car_line() for _ in range(8)] + [" ".join(tram), car_line()]
+    labels, calibs = write_dataset(tmp_path, {"000000": "\n".join(lines) + "\n"})
+    deltas = {
+        1: [0.0, 0.0, 0.0], 2: [0.0, 0.0], 3: [-100.0, 0.0, 0.0], 4: [0.1, 0.0, 0.0],
+        5: [float("nan")] * 3, 7: [0.0, 0.25, 0.0], 8: [0.0, 0.0, 0.0], 9: [0.0, 0.0, 0.0],
+        10: [0.0, 0.0, 0.0],
+    }  # line 6 has none
+    residual_path = tmp_path / "residuals.jsonl"
+    residual_path.write_text("".join(
+        json.dumps({"file": "000000", "line": n, "delta": d}) + "\n" for n, d in deltas.items()
+    ))
+
+    out = tmp_path / "r.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(out),
+                 "--residuals", str(residual_path)]) == 0
+    assert capsys.readouterr().out == f"lifted 5/10 records -> {out}\n"
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "no mean dimensions for category 'Tram'"),
+        ("WARNING", "000000 line 2 not lifted: residual must be a 3-vector"),
+        ("WARNING", "000000 line 3 not lifted: "
+                    "dimensions must be positive and finite, "
+                    "got (np.float64(-96.0), np.float64(1.5), np.float64(1.75))"),
+        ("WARNING", "000000 line 5 not lifted: "
+                    "dimensions must be positive and finite, "
+                    "got (np.float64(nan), np.float64(nan), np.float64(nan))"),
+        ("WARNING", "000000 line 6 not lifted: no dimension residual or category mean available"),
+        ("WARNING", "000000 line 9 not lifted: no dimension residual or category mean available"),
+    ]
+    entries = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(e["line"], e["dims_hwl"]) for e in entries] == [
+        (1, [1.5, 1.75, 4.0]), (4, [1.5, 1.75, 4.1]), (7, [1.75, 1.75, 4.0]), (8, [1.5, 1.75, 4.0]),
+        (10, [1.5, 1.75, 4.0]),
+    ]
 
 
 def test_lift_empty_directory(tmp_path):
