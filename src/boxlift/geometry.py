@@ -112,7 +112,7 @@ class Dimensions:
     dz: float
 
     def __post_init__(self):
-        arr = (self.dx, self.dy, self.dz)
+        arr = tuple(map(float, (self.dx, self.dy, self.dz)))  # plain floats in the message
         if not all(math.isfinite(d) and d > 0 for d in arr):
             raise ValueError(f"dimensions must be positive and finite, got {arr}")
 

@@ -435,11 +435,9 @@ def test_lift_residual_failures_warn_per_record(tmp_path, calib, caplog, capsys)
         ("WARNING", "no mean dimensions for category 'Tram'"),
         ("WARNING", "000000 line 2 not lifted: residual must be a 3-vector"),
         ("WARNING", "000000 line 3 not lifted: "
-                    "dimensions must be positive and finite, "
-                    "got (np.float64(-96.0), np.float64(1.5), np.float64(1.75))"),
+                    "dimensions must be positive and finite, got (-96.0, 1.5, 1.75)"),
         ("WARNING", "000000 line 5 not lifted: "
-                    "dimensions must be positive and finite, "
-                    "got (np.float64(nan), np.float64(nan), np.float64(nan))"),
+                    "dimensions must be positive and finite, got (nan, nan, nan)"),
         ("WARNING", "000000 line 6 not lifted: no dimension residual or category mean available"),
         ("WARNING", "000000 line 9 not lifted: no dimension residual or category mean available"),
     ]
