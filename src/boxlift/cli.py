@@ -7,14 +7,11 @@ Subcommands:
     encode  Print the multi-bin encoding of an angle.
     decode  Invert an encoding printed by ``encode``.
 
-``lift`` and ``eval`` read labels as ``kitti.read_label_columns`` columns.
-``lift`` computes the viewing-ray angles of each file's records at once;
-for the whole run it builds every rotation, makes one ``lift_batch`` call,
-and computes every location and results line. Per record it only looks up
-a residual and reports a failure. ``eval`` reads each results line into
-one row of numbers and makes one ``metrics.evaluate`` call over the rows
-and every label file's columns, so labelled frames without results count
-as misses. ``main`` runs ``cmd_<command>`` as bound at call time.
+The commands parse arguments, read files, call the library and write its
+output. ``lift`` reads the label directory and each file's calibration,
+runs ``kitti.lift_columns`` and logs each record that failed. ``eval``
+reads the results with ``kitti.read_results`` and the labels, and makes one
+``metrics.evaluate`` call. ``main`` runs ``cmd_<command>`` as bound at call time.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Set BOXLIFT_LOG to
 a logging level name (DEBUG, INFO, ...) for verbosity.
@@ -25,39 +22,26 @@ import csv
 import functools
 import json
 import logging
-import math
 import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import kitti
-from .errors import (
-    MalformedLineError,
-    MissingKeyError,
-    NoFeasibleConfigurationError,
-)
-from .geometry import Box3D, Dimensions, rotations_from_angles
+from .errors import MalformedLineError, MissingKeyError
 from .metrics import (
     distance_binned_errors,
     evaluate,
     iou3d,  # noqa: F401 - perfbench/selftest.py traces it through this binding
     orientation_score,
 )
-from .multibin import (
-    BinLayout,
-    DimensionStats,
-    MultiBinEncoding,
-    decode,
-    encode,
-    local_to_global,
-    ray_angle,
-)
-from .solver import ConstraintMode, lift_batch
+from .multibin import BinLayout, MultiBinEncoding, decode, encode
+from .solver import ConstraintMode
 from .toy import bin_study
 
 logger = logging.getLogger("boxlift")
@@ -188,33 +172,9 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_json_lines(path, convert):
-    """``convert(entry)`` for each non-blank line of a JSON-lines file, in order.
-
-    Raises:
-        MalformedLineError: for a line that is not JSON or that ``convert``
-            rejects, naming the file and the 1-based physical line.
-    """
-    converted = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                converted.append(convert(json.loads(line)))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise MalformedLineError(
-                    line_no, line.strip(),
-                    f"{path} line {line_no}: {type(exc).__name__}: {exc}",
-                ) from None
-    return converted
-
-
 def _read_label_dir(directory):
-    """(stems, file, categories, values, line_nos): the ``kitti.read_label_columns``
-    of every ``*.txt`` file in ``directory``, in name order, concatenated
-    without DontCare rows; ``file`` indexes ``stems``, ``categories`` is an
-    object array."""
+    """``kitti.lift_columns``' label columns: ``kitti.read_label_columns`` of
+    every ``*.txt`` file in ``directory``, in name order, without DontCare rows."""
     paths = sorted(Path(directory).glob("*.txt"))
     lines = [path.read_text().splitlines() for path in paths]
     starts = np.cumsum([0] + [len(file_lines) for file_lines in lines])
@@ -234,181 +194,57 @@ def _read_label_dir(directory):
     )
 
 
-def _load_residuals(path):
-    """Residual file: JSON lines of {"file", "line", "delta": [3]}."""
-    return dict(
-        _read_json_lines(
-            path, lambda e: ((e["file"], e["line"]), np.asarray(e["delta"], dtype=float))
-        )
-    )
+def _read_calib(path):
+    """The CalibRecord of a calibration file; None without the file, or the
+    error that makes it unusable. Either failure is logged."""
+    try:
+        return kitti.parse_calib_file(path.read_text())
+    except FileNotFoundError:
+        logger.error("missing calib file for %s", path.stem)
+        return None
+    except (MalformedLineError, MissingKeyError, ValueError) as exc:
+        logger.error("calib %s unusable: %s", path, exc)
+        return exc
 
 
 def cmd_lift(args):
     config = build_config(args)
-    residuals = _load_residuals(args.residuals) if args.residuals else None
-    stems, file, categories, values, line_nos = _read_label_dir(args.labels_dir)
-    n_total = len(file)
-
-    extents = values[:, [9, 7, 8]]  # KITTI (l, h, w) are the solver's (dx, dy, dz)
-    sized = (extents > 0).all(axis=1)
-    dims, why = extents, dict.fromkeys(np.flatnonzero(~sized).tolist(), "record has no dimensions")
-    if residuals is not None:  # per category mean extents, plus each record's residual
-        mean_dims = {}
-        for category in set(categories):
-            own = sized & (categories == category)
-            if own.any():
-                mean_dims[category] = Dimensions(*extents[own].mean(axis=0))
-            else:
-                logger.warning("no mean dimensions for category %r", category)
-        dims, why = np.zeros_like(extents), {}
-        for i in range(n_total):
-            delta = residuals.get((stems[file[i]], int(line_nos[i])))
-            try:
-                if delta is None or categories[i] not in mean_dims:
-                    raise ValueError("no dimension residual or category mean available")
-                dims[i] = DimensionStats(mean_dims[categories[i]], delta).corrected.as_array
-            except ValueError as exc:
-                why[i] = exc
-    failed = np.zeros(n_total, dtype=bool)
-    failed[list(why)] = True
-
-    # per record: its camera, from its file's calibration, and its ray angle
-    ks, offsets, rays = np.zeros((n_total, 3, 3)), np.zeros((n_total, 3)), np.zeros(n_total)
-    usable = np.zeros(n_total, dtype=bool)
-    u = 0.5 * (values[:, 3] + values[:, 5])
-    bounds = np.searchsorted(file, np.arange(len(stems) + 1))
-    for stem, lo, hi in zip(stems, bounds[:-1], bounds[1:]):
-        calib_path = Path(args.calib_dir) / f"{stem}.txt"
-        if not calib_path.exists():
-            logger.error("missing calib file for %s", stem)
-            continue
-        try:
-            calib = kitti.parse_calib_file(calib_path.read_text())
-            intrinsics, offsets[lo:hi] = calib.intrinsics, calib.translation_offset
-        except (MalformedLineError, MissingKeyError, ValueError) as exc:
-            logger.error("calib %s unusable: %s", calib_path, exc)
-            continue
-        ks[lo:hi], rays[lo:hi] = intrinsics.matrix, ray_angle(intrinsics, u[lo:hi])
-        usable[lo:hi] = ~failed[lo:hi]
-        for i in (lo + np.flatnonzero(failed[lo:hi])).tolist():
-            logger.warning("%s line %d not lifted: %s", stem, line_nos[i], why[i])
-
-    rows = np.flatnonzero(usable)
-    yaws = local_to_global(values[rows, 2], rays[rows])
-    batch = lift_batch(
-        ks[rows], rotations_from_angles(yaws, np.zeros_like(yaws), np.zeros_like(yaws)),
-        dims[rows], values[rows, 3:7], config.constraint_mode,
+    residuals = kitti.read_residuals(args.residuals) if args.residuals else None
+    labels = stems, file, categories, _, line_nos = _read_label_dir(args.labels_dir)
+    calibs = [_read_calib(Path(args.calib_dir) / f"{stem}.txt") for stem in stems]
+    fields, diagnostics, status, messages = kitti.lift_columns(
+        labels, calibs, config.constraint_mode, residuals
     )
-    # The solver works in the projection frame K (R X + T'); subtract the
-    # calibration's camera offset to express the center in the label frame.
-    centers = batch.translation - offsets[rows]
-    lifted = np.isfinite(centers).all(axis=1)  # a failed record's row is NaN
-    for j in np.flatnonzero(~lifted):
-        i = rows[j]
-        try:  # the scalar path, for its error: the failure, or a non-finite center
-            Box3D(batch.result(j).translation - offsets[i], Dimensions(*dims[i]), yaws[j])
-        except (NoFeasibleConfigurationError, ValueError) as exc:
-            logger.warning("%s line %d not lifted: %s", stems[file[i]], line_nos[i], exc)
-
-    done = rows[lifted]
-    score = values[done, 14]
-    fields = {
-        "category": categories[done],
-        "truncated": values[done, 0],
-        "occluded": list(map(int, values[done, 1].tolist())),
-        "alpha": values[done, 2],
-        "box2d": values[done, 3:7],
-        "dims_hwl": dims[done][:, [1, 2, 0]],
-        "location": kitti.centers_to_locations(centers[lifted], dims[done, 1]),
-        "rotation_y": yaws[lifted],
-        "score": np.where(np.isnan(score), 1.0, score),  # NaN: the line has no score
-        "file": np.array(stems, dtype=object)[file[done]],
-        "line": line_nos[done],
-    }
-    diagnostics = {
-        "theta_ray": rays[done],
-        "configuration": batch.configuration[lifted],
-        "residual": batch.residual[lifted],
-        "reprojection_error": batch.reprojection_error[lifted],
-    }
+    if residuals is not None:  # the records of a category without mean extents
+        for category in dict.fromkeys(categories[status == "missing_dims"].tolist()):
+            logger.warning("no mean dimensions for category %r", category)
+    # a calibration failure is logged once, for its file
+    for i in np.flatnonzero(~np.isin(status, ["lifted", "missing_calib", "bad_calib"])).tolist():
+        logger.warning("%s line %d not lifted: %s", stems[file[i]], line_nos[i], messages[i])
     with open(args.out, "w") as handle:
         kitti.write_results_jsonl(fields, handle, diagnostics)
     if args.kitti_out:
         out_dir = Path(args.kitti_out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        lines = kitti.result_lines(fields)
-        bounds = np.searchsorted(file[done], np.arange(len(stems) + 1))  # done is in file order
-        for stem, lo, hi in zip(stems, bounds[:-1].tolist(), bounds[1:].tolist()):
-            if hi > lo:
-                (out_dir / f"{stem}.txt").write_text("\n".join(lines[lo:hi]) + "\n")
+        lines = zip(fields["file"], kitti.result_lines(fields))
+        for stem, group in groupby(lines, key=itemgetter(0)):  # records are in file order
+            (out_dir / f"{stem}.txt").write_text("".join(line + "\n" for _, line in group))
 
-    print(f"lifted {len(done)}/{n_total} records -> {args.out}")
-    if n_total and n_total - len(done) > 0.5 * n_total:
-        logger.error("more than half of the records failed (%d/%d)", n_total - len(done), n_total)
+    n_total, n_failed = len(status), len(status) - len(fields["line"])
+    print(f"lifted {n_total - n_failed}/{n_total} records -> {args.out}")
+    if n_failed > 0.5 * n_total:
+        logger.error("more than half of the records failed (%d/%d)", n_failed, n_total)
         return 1
     return 0
 
 
-def _result_row(entry):
-    """(frame, row) of one results entry. The row holds the label columns
-    from x_min on: the rectangle, h, w, l, the location, rotation_y and the
-    score, 1.0 when null.
-
-    Raises:
-        KeyError, TypeError, ValueError: for a missing key or a bad value.
-    """
-    box, dims, location = entry["box2d"], entry["dims_hwl"], entry["location"]
-    # not read here, but a line without them is no results line
-    category, _, _ = entry["category"], entry["alpha"], int(entry.get("occluded", 0))
-    if (len(box), len(dims), len(location)) != (4, 3, 3):
-        raise ValueError("box2d, dims_hwl and location need 4, 3 and 3 values")
-    score = entry.get("score")
-    row = [*box, *dims, *location, entry["rotation_y"], 1.0 if score is None else score]
-    finite = [math.isfinite(v) for v in row]  # TypeError for a non-number
-    if not all(finite):
-        raise ValueError(f"{kitti.LABEL_COLUMNS[3 + finite.index(False)]} is not finite")
-    if min(dims) <= 0:
-        raise ValueError(f"record has no dimensions: {category}")
-    if box[0] >= box[2] or box[1] >= box[3]:
-        raise ValueError("degenerate 2D box")
-    return str(entry.get("file", "0")), row
-
-
-def _columns(frames, rows, **extra):
-    """``metrics.evaluate``'s columns of rows that hold the label columns from
-    x_min on, and the ``extra`` columns."""
-    rows = np.asarray(rows, dtype=float).reshape(len(frames), 12)
-    return {
-        "frame": frames, "box2d": rows[:, :4], "dims_hwl": rows[:, 4:7], "location": rows[:, 7:10],
-        "rotation_y": rows[:, 10], "score": rows[:, 11], **extra,
-    }
-
-
 def cmd_eval(args):
     config = build_config(args)
-    by_frame = {}  # frame -> its results rows; frames in order of first appearance
-    for frame, row in _read_json_lines(args.results, _result_row):
-        by_frame.setdefault(frame, []).append(row)
-    # every labelled object counts, whether or not its frame has results
-    stems, file, _, values, _ = _read_label_dir(args.gt_dir)
-
-    labelled = set(stems)
-    missing = [frame for frame in sorted(by_frame) if frame not in labelled]
+    results = kitti.read_results(args.results)
+    truths, detections, missing = kitti.evaluation_columns(_read_label_dir(args.gt_dir), results)
     if missing:
         print(f"skipped {len(missing)} frames without ground truth: {missing}")
-
-    # score ties rank by frame, in order of first appearance, then by line
-    scored = [frame for frame in by_frame if frame in labelled]
-    det_frames = [frame for frame in scored for _ in by_frame[frame]]
-    det_rows = [row for frame in scored for row in by_frame[frame]]
-    difficulties, errors, viewpoint = evaluate(
-        _columns(
-            np.array(stems, dtype=object)[file], values[:, 3:],
-            occluded=np.trunc(values[:, 1]), truncated=values[:, 0],
-        ),
-        _columns(det_frames, det_rows),
-        config.iou_thresh,
-    )
+    difficulties, errors, viewpoint = evaluate(truths, detections, config.iou_thresh)
 
     difficulty_rows = []
     summary = {"difficulties": {}, "missing_frames": missing}
@@ -530,22 +366,11 @@ def cmd_decode(args):
     return 0
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--config", help="TOML or JSON config file")
-    parser.add_argument("--mode", choices=sorted(MODE_NAMES), default=None)
-    parser.add_argument("--bins", type=int, default=None)
-    parser.add_argument("--overlap", type=float, default=None,
-                        help="bin coverage half-width as a multiple of pi/bins")
-    parser.add_argument("--w", type=float, default=None, help="localization loss weight")
-    parser.add_argument("--iou-thresh", dest="iou_thresh", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="boxlift", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_lift = sub.add_parser("lift", help="lift 2D detections to 3D boxes")
+    p_lift = sub.add_parser("lift", help="lift 2D detections to 3D boxes", allow_abbrev=False)
     p_lift.add_argument("labels_dir")
     p_lift.add_argument("calib_dir")
     p_lift.add_argument("--out", required=True, help="JSON-lines results path")
@@ -553,15 +378,15 @@ def build_parser():
                         help="also write KITTI-format results to this directory")
     p_lift.add_argument("--residuals", default=None,
                         help="JSON-lines dimension residuals keyed by (file, line)")
-    _add_config_flags(p_lift)
+    p_lift.add_argument("--mode", choices=sorted(MODE_NAMES))
 
-    p_eval = sub.add_parser("eval", help="score results against ground truth")
+    p_eval = sub.add_parser("eval", help="score results against ground truth", allow_abbrev=False)
     p_eval.add_argument("gt_dir")
     p_eval.add_argument("results")
     p_eval.add_argument("--out", required=True, help="output directory")
-    _add_config_flags(p_eval)
+    p_eval.add_argument("--iou-thresh", dest="iou_thresh", type=float)
 
-    p_toy = sub.add_parser("toy", help="synthetic bin-count study")
+    p_toy = sub.add_parser("toy", help="synthetic bin-count study", allow_abbrev=False)
     p_toy.add_argument("--out", required=True, help="CSV output path")
     p_toy.add_argument("--bins-sweep", dest="bins_sweep", default=None,
                        help="comma-separated bin counts, e.g. 1,2,4,8")
@@ -571,15 +396,23 @@ def build_parser():
     p_toy.add_argument("--hidden", type=int, default=None)
     p_toy.add_argument("--n-train", dest="n_train", type=int, default=None)
     p_toy.add_argument("--n-test", dest="n_test", type=int, default=None)
-    _add_config_flags(p_toy)
+    p_toy.add_argument("--w", type=float, help="localization loss weight")
+    p_toy.add_argument("--seed", type=int)
 
-    p_enc = sub.add_parser("encode", help="print the encoding of an angle")
+    p_enc = sub.add_parser("encode", help="print the encoding of an angle", allow_abbrev=False)
     p_enc.add_argument("--theta", type=float, required=True, help="angle in radians")
-    _add_config_flags(p_enc)
 
-    p_dec = sub.add_parser("decode", help="decode an encoding back to an angle")
+    p_dec = sub.add_parser("decode", help="decode an encoding back to an angle", allow_abbrev=False)
     p_dec.add_argument("--encoding", required=True, help="JSON payload from encode")
-    _add_config_flags(p_dec)
+
+    # each subcommand takes only the config flags it reads, unabbreviated; --config sets any
+    for p in (p_enc, p_dec):
+        p.add_argument("--bins", type=int)
+    for p in (p_toy, p_enc, p_dec):
+        p.add_argument("--overlap", type=float,
+                       help="bin coverage half-width as a multiple of pi/bins")
+    for p in (p_lift, p_eval, p_toy, p_enc, p_dec):
+        p.add_argument("--config", help="TOML or JSON config file")
 
     return parser
 

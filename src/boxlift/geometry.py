@@ -52,7 +52,6 @@ __all__ = [
     "wrap_angle",
     "rotation_from_angles",
     "rotations_from_angles",
-    "yaw_from_rotation",
     "are_rotations",
     "is_rotation",
     "box_vertices",
@@ -112,9 +111,9 @@ class Dimensions:
     dz: float
 
     def __post_init__(self):
-        arr = tuple(map(float, (self.dx, self.dy, self.dz)))  # plain floats in the message
+        arr = (self.dx, self.dy, self.dz)
         if not all(math.isfinite(d) and d > 0 for d in arr):
-            raise ValueError(f"dimensions must be positive and finite, got {arr}")
+            raise ValueError(f"dimensions must be positive and finite, got {tuple(map(float, arr))}")
 
     @property
     def as_array(self):
@@ -223,12 +222,6 @@ def rotations_from_angles(yaw, pitch, roll):
     r_pitch = stack(cp, -sp, zero, sp, cp, zero, zero, zero, one)
     r_roll = stack(one, zero, zero, zero, cr, -sr, zero, sr, cr)
     return r_yaw @ r_pitch @ r_roll
-
-
-def yaw_from_rotation(rotation):
-    """Recover yaw from a yaw-only rotation matrix (pitch = roll = 0)."""
-    rotation = np.asarray(rotation)
-    return float(np.arctan2(rotation[0, 2], rotation[0, 0]))
 
 
 def are_rotations(matrices, tol=1e-9):

@@ -16,6 +16,9 @@ callers can exclude the regions from matching.
 each line once and checks the whole file as array operations, and returns
 columns; ``parse_label_file`` is its view as DetectionRecords.
 
+``lift_columns`` is the paper's pipeline over such columns; it returns the
+results columns of ``write_results_jsonl`` and one status per record.
+
 Calibration files are "KEY: v0 ... v11" lines; only P2 (the 3x4 projection
 matrix of the left color camera) is required here. Its left 3x3 block is
 the intrinsics matrix K and its fourth column encodes the camera's offset
@@ -31,7 +34,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import MalformedLineError, MissingKeyError, NoSamplesError
-from .geometry import Box2D, Box3D, CameraIntrinsics, Dimensions
+from .geometry import Box2D, CameraIntrinsics, Dimensions, rotations_from_angles
+from .multibin import local_to_global, ray_angle
+from .solver import FAILURES, LIFTED, lift_batch
 
 __all__ = [
     "DetectionRecord",
@@ -40,7 +45,6 @@ __all__ = [
     "parse_label_file",
     "parse_calib_file",
     "write_results",
-    "location_to_center",
     "center_to_location",
     "centers_to_locations",
     "compute_mean_dims",
@@ -49,6 +53,10 @@ __all__ = [
     "result_entries",
     "result_lines",
     "write_results_jsonl",
+    "read_results",
+    "read_residuals",
+    "evaluation_columns",
+    "lift_columns",
 ]
 
 DONT_CARE = "DontCare"
@@ -114,6 +122,8 @@ class CalibRecord:
             raise ValueError("P2[2][2] must be 1")
         if p2[0, 0] <= 0 or p2[1, 1] <= 0:
             raise ValueError("focal lengths in P2 must be positive")
+        if p2[1, 0] != 0 or p2[2, 0] != 0 or p2[2, 1] != 0:  # K is upper triangular
+            raise ValueError("P2[1][0], P2[2][0] and P2[2][1] must be 0")
         object.__setattr__(self, "p2", p2)
 
     @property
@@ -262,18 +272,6 @@ def parse_calib_file(text):
                 )
         return CalibRecord(p2=np.array(values).reshape(3, 4))
     raise MissingKeyError("P2")
-
-
-def location_to_center(record):
-    """Box3D for a record: center half a height above the bottom-center.
-
-    Raises:
-        ValueError: if the record has no valid dimensions.
-    """
-    if not record.has_dimensions:
-        raise ValueError(f"record has no dimensions: {record.category}")
-    center = record.location - np.array([0.0, 0.5 * record.height, 0.0])
-    return Box3D(center=center, dims=record.dims, yaw=record.rotation_y)
 
 
 def center_to_location(box):
@@ -473,3 +471,198 @@ def write_results_jsonl(fields, stream, diagnostics=None):
             texts += map(_json_texts, _row_columns(column, width))
     template = "{" + ", ".join(formats) + "}\n"
     stream.write("".join(map(template.__mod__, zip(*texts))))
+
+
+def _read_json_lines(path, convert):
+    """``convert(entry)`` for each non-blank line of a JSON-lines file, in order.
+
+    Raises:
+        MalformedLineError: for a line that is not JSON or that ``convert``
+            rejects, naming the file and the 1-based physical line.
+    """
+    converted = []
+    with open(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                converted.append(convert(json.loads(line)))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise MalformedLineError(
+                    line_no, line.strip(),
+                    f"{path} line {line_no}: {type(exc).__name__}: {exc}",
+                ) from None
+    return converted
+
+
+def read_residuals(path):
+    """Dimension residuals from JSON lines of {"file", "line", "delta": [3]},
+    as (file, line) -> the delta as a float array."""
+    return dict(
+        _read_json_lines(
+            path, lambda e: ((e["file"], e["line"]), np.asarray(e["delta"], dtype=float))
+        )
+    )
+
+
+def _result_row(entry):
+    """(frame, row) of one results entry. The row holds the label columns
+    from x_min on: the rectangle, h, w, l, the location, rotation_y and the
+    score, 1.0 when null.
+
+    Raises:
+        KeyError, TypeError, ValueError: for a missing key or a bad value.
+    """
+    box, dims, location = entry["box2d"], entry["dims_hwl"], entry["location"]
+    # not read here, but a line without them is no results line
+    category, _, _ = entry["category"], entry["alpha"], int(entry.get("occluded", 0))
+    if (len(box), len(dims), len(location)) != (4, 3, 3):
+        raise ValueError("box2d, dims_hwl and location need 4, 3 and 3 values")
+    score = entry.get("score")
+    row = [*box, *dims, *location, entry["rotation_y"], 1.0 if score is None else score]
+    finite = [math.isfinite(v) for v in row]  # TypeError for a non-number
+    if not all(finite):
+        raise ValueError(f"{LABEL_COLUMNS[3 + finite.index(False)]} is not finite")
+    if min(dims) <= 0:
+        raise ValueError(f"record has no dimensions: {category}")
+    if box[0] >= box[2] or box[1] >= box[3]:
+        raise ValueError("degenerate 2D box")
+    return str(entry.get("file", "0")), row
+
+
+def _columns(frames, rows, **extra):
+    """``metrics.evaluate``'s columns of rows that hold the label columns from
+    x_min on, and the ``extra`` columns."""
+    rows = np.asarray(rows, dtype=float).reshape(len(frames), 12)
+    return {
+        "frame": frames, "box2d": rows[:, :4], "dims_hwl": rows[:, 4:7], "location": rows[:, 7:10],
+        "rotation_y": rows[:, 10], "score": rows[:, 11], **extra,
+    }
+
+
+def read_results(path):
+    """(frame, row) of each line of a results file: see ``_result_row``."""
+    return _read_json_lines(path, _result_row)
+
+
+def evaluation_columns(labels, results):
+    """(ground truths, detections, missing frames) for ``metrics.evaluate``.
+
+    Every object of the label columns counts. The ``read_results`` rows of
+    labelled frames rank tied scores by frame, in order of first appearance,
+    then by line; the frames without labels are returned sorted."""
+    stems, file, _, values, _ = labels
+    by_frame = {}  # frame -> its rows; frames in order of first appearance
+    for frame, row in results:
+        by_frame.setdefault(frame, []).append(row)
+    labelled = set(stems)
+    truths = _columns(
+        np.array(stems, dtype=object)[file], values[:, 3:],
+        occluded=np.trunc(values[:, 1]), truncated=values[:, 0],
+    )
+    detections = _columns(
+        [frame for frame in by_frame if frame in labelled for _ in by_frame[frame]],
+        [row for frame in by_frame if frame in labelled for row in by_frame[frame]],
+    )
+    return truths, detections, sorted(set(by_frame) - labelled)
+
+
+def lift_columns(labels, calibs, mode, residuals=None):
+    """Lift label records to 3D boxes: the paper's pipeline, over columns.
+
+    ``labels`` are (stems, file, categories, values, line_nos) without
+    DontCare rows, ``file`` indexing ``stems`` in order; ``calibs`` holds per
+    stem its CalibRecord, None without a calibration file, or the error that
+    made it unusable. A record's dimensions are its label's, or with the
+    ``read_residuals`` mapping ``residuals`` its category's mean plus its
+    residual; its yaw is alpha plus the yaw of the ray through its
+    rectangle's center. One ``lift_batch`` call solves every translation.
+
+    Returns:
+        (fields, diagnostics, status, messages): ``write_results_jsonl``'s
+        columns of the lifted records, in input order, and per record
+        ``"lifted"`` or its first failure of ``missing_calib``, ``bad_calib``,
+        ``missing_dims``, ``missing_residual``, ``bad_residual``, the
+        ``solver.FAILURES`` and ``non_finite_center``, with its message.
+    """
+    stems, file, categories, values, line_nos = labels
+    n = len(file)
+    status, messages = np.full(n, LIFTED, dtype=object), np.full(n, None, dtype=object)
+
+    def fail(mask, code, message):  # the records of mask that have not failed yet
+        mask = mask & (status == LIFTED)
+        status[mask], messages[mask] = code, message
+
+    # per record: its camera, from its file's calibration, and its ray angle
+    ks, offsets, rays = np.zeros((n, 3, 3)), np.zeros((n, 3)), np.zeros(n)
+    bounds = np.searchsorted(file, np.arange(len(stems) + 1))
+    for calib, lo, hi in zip(calibs, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if isinstance(calib, CalibRecord):
+            intrinsics = calib.intrinsics
+            ks[lo:hi], offsets[lo:hi] = intrinsics.matrix, calib.translation_offset
+            rays[lo:hi] = ray_angle(intrinsics, 0.5 * (values[lo:hi, 3] + values[lo:hi, 5]))
+        else:  # no calibration file, or the error that made it unusable
+            status[lo:hi] = "missing_calib" if calib is None else "bad_calib"
+            messages[lo:hi] = "no calibration file" if calib is None else str(calib)
+
+    names = np.array(stems, dtype=object)[file]
+    extents = values[:, [9, 7, 8]]  # KITTI (l, h, w) are the solver's (dx, dy, dz)
+    sized = (extents > 0).all(axis=1)
+    if residuals is None:
+        dims = extents
+        fail(~sized, "missing_dims", "record has no dimensions")
+    else:  # per category mean extents, plus each record's residual
+        dims = np.full_like(extents, np.nan)
+        for category in dict.fromkeys(categories.tolist()):
+            own = categories == category
+            if (own & sized).any():
+                dims[own] = extents[own & sized].mean(axis=0)
+        unknown = "no dimension residual or category mean available"
+        fail(np.isnan(dims[:, 0]), "missing_dims", unknown)
+        deltas = [residuals.get(key) for key in zip(names.tolist(), line_nos.tolist())]
+        fail(np.array([d is None for d in deltas], dtype=bool), "missing_residual", unknown)
+        three = np.array([d is not None and d.shape == (3,) for d in deltas], dtype=bool)
+        fail(~three, "bad_residual", "residual must be a 3-vector")
+        dims[three] += np.reshape([d for d, ok in zip(deltas, three) if ok], (-1, 3))
+        bad = ~(np.isfinite(dims) & (dims > 0)).all(axis=1) & (status == LIFTED)
+        fail(bad, "bad_residual", [
+            f"dimensions must be positive and finite, got {tuple(row)}" for row in dims[bad].tolist()
+        ])
+
+    yaws = local_to_global(values[:, 2], rays)
+    rows = np.flatnonzero(status == LIFTED)
+    rotations = rotations_from_angles(yaws[rows], *np.zeros((2, len(rows))))  # yaw only
+    batch = lift_batch(ks[rows], rotations, dims[rows], values[rows, 3:7], mode)
+    outcome = np.full(n, LIFTED, dtype=object)
+    outcome[rows] = batch.outcome
+    for code, (_, message) in FAILURES.items():
+        fail(outcome == code, code, message.format(count=batch.n_configurations))
+    # The solver works in the projection frame K (R X + T'); subtract the
+    # calibration's camera offset to express the center in the label frame.
+    centers = np.zeros((n, 3))
+    centers[rows] = batch.translation - offsets[rows]
+    fail(~np.isfinite(centers).all(axis=1), "non_finite_center", "center must be a finite 3-vector")
+
+    lifted = status[rows] == LIFTED
+    done = rows[lifted]
+    score = values[done, 14]
+    fields = {
+        "category": categories[done],
+        "truncated": values[done, 0],
+        "occluded": list(map(int, values[done, 1].tolist())),
+        "alpha": values[done, 2],
+        "box2d": values[done, 3:7],
+        "dims_hwl": dims[done][:, [1, 2, 0]],
+        "location": centers_to_locations(centers[done], dims[done, 1]),
+        "rotation_y": yaws[done],
+        "score": np.where(np.isnan(score), 1.0, score),  # NaN: the line has no score
+        "file": names[done],
+        "line": line_nos[done],
+    }
+    diagnostics = {
+        "theta_ray": rays[done],
+        "configuration": batch.configuration[lifted],
+        "residual": batch.residual[lifted],
+        "reprojection_error": batch.reprojection_error[lifted],
+    }
+    return fields, diagnostics, status, messages

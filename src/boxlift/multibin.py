@@ -30,7 +30,6 @@ from .geometry import Dimensions, wrap_angle
 __all__ = [
     "BinLayout",
     "MultiBinEncoding",
-    "DimensionStats",
     "BinTargets",
     "bin_targets",
     "bins_covering",
@@ -91,26 +90,6 @@ class MultiBinEncoding:
             self.confidences.shape == self.residual_cos.shape == self.residual_sin.shape
         ):
             raise ValueError("encoding arrays must have identical shapes")
-
-
-@dataclass(frozen=True)
-class DimensionStats:
-    """Category mean extents plus a per-axis residual correction."""
-
-    mean_dims: Dimensions
-    residual: np.ndarray
-
-    def __post_init__(self):
-        residual = np.asarray(self.residual, dtype=float)
-        if residual.shape != (3,):
-            raise ValueError("residual must be a 3-vector")
-        object.__setattr__(self, "residual", residual)
-
-    @property
-    def corrected(self):
-        """Mean plus residual as a Dimensions value."""
-        d = self.mean_dims.as_array + self.residual
-        return Dimensions(*d)
 
 
 BinTargets = namedtuple("BinTargets", "target_bin covering pairs")

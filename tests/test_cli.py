@@ -16,7 +16,7 @@ from boxlift.kitti import (
     write_results,
 )
 from boxlift.metrics import DIFFICULTY_RULES, GroundTruthBox, ScoredDetection, aos
-from boxlift.multibin import DimensionStats, local_to_global, ray_angle
+from boxlift.multibin import local_to_global, ray_angle
 from boxlift.solver import lift
 
 from conftest import (
@@ -260,7 +260,7 @@ def _scalar_lift_reference(corpus, calib, mode, residuals=None):
                 dims = record.dims
             elif (stem, record.line_no) in residuals:
                 delta = residuals[(stem, record.line_no)]
-                dims = DimensionStats(means[record.category], delta).corrected
+                dims = Dimensions(*(means[record.category].as_array + delta))
             else:
                 continue
             try:
@@ -358,10 +358,11 @@ def test_lift_mixed_failures_counts_warnings_and_exit_code(tmp_path, calib, capl
     out = tmp_path / "r.jsonl"
     assert main(["lift", str(labels), str(calibs), "--out", str(out)]) == 1
     assert capsys.readouterr().out == f"lifted 4/10 records -> {out}\n"
+    # calibrations are read and logged first, then each failed record in input order
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("WARNING", "000000 line 2 not lifted: record has no dimensions"),
         ("ERROR", "missing calib file for 000001"),
         ("ERROR", f"calib {calibs / '000002.txt'} unusable: P2[2][2] must be 1"),
+        ("WARNING", "000000 line 2 not lifted: record has no dimensions"),
         ("WARNING", "000000 line 3 not lifted: "
                     "side equations are rank-deficient (degenerate rectangle)"),
         ("WARNING", "000000 line 5 not lifted: all 64 configurations infeasible"),
@@ -386,6 +387,33 @@ def test_lift_names_a_non_finite_calib_value(tmp_path, calib, caplog):
         ("ERROR", f"calib {calibs / '000000.txt'} unusable: line 2: P2 value nan is not finite"),
         ("ERROR", "more than half of the records failed (3/3)"),
     ]
+
+
+def test_lift_rejects_a_calib_that_is_not_upper_triangular(tmp_path, calib, caplog):
+    rng = np.random.default_rng(28)
+    lines = [record_line("Car", sample_scene_box(rng), calib) for _ in range(3)]
+    labels, calibs = write_dataset(tmp_path, {"000000": "\n".join(lines) + "\n"})
+    (calibs / "000000.txt").write_text("P2: 700 0 600 0 35 700 170 0 0.001 0 1 0\n")
+
+    assert main(["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl")]) == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("ERROR", f"calib {calibs / '000000.txt'} unusable: "
+                  "P2[1][0], P2[2][0] and P2[2][1] must be 0"),
+        ("ERROR", "more than half of the records failed (3/3)"),
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift", "labels", "calib", "--out", "r.jsonl", "--seed", "1"],
+    ["eval", "labels", "r.jsonl", "--out", "eval", "--mode", "kitti"],
+    ["encode", "--theta", "0.3", "--iou-thresh", "0.5"],
+    ["toy", "--out", "study.csv", "--bins", "4"],  # no abbreviation of --bins-sweep
+])
+def test_subcommands_take_only_the_config_flags_they_read(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # a command that ran would write here
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
 
 
 def test_lift_warns_on_category_without_dimensions(tmp_path, precise_dataset, caplog):

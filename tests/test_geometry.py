@@ -15,7 +15,6 @@ from boxlift.geometry import (
     rotation_from_angles,
     rotations_from_angles,
     wrap_angle,
-    yaw_from_rotation,
 )
 
 
@@ -66,10 +65,6 @@ def test_rotation_orthonormal_and_yaw_recovery():
         yaw, pitch, roll = rng.uniform(-np.pi, np.pi, size=3)
         r = rotation_from_angles(yaw, pitch, roll)
         assert is_rotation(r, tol=1e-9)
-    for _ in range(200):
-        yaw = rng.uniform(-np.pi, np.pi)
-        recovered = yaw_from_rotation(rotation_from_angles(yaw))
-        assert abs(wrap_angle(recovered - yaw)) < 1e-9
 
 
 def test_rotations_from_angles_stacks_rotation_from_angles():

@@ -16,7 +16,6 @@ from boxlift.kitti import (
     DetectionRecord,
     compute_mean_dims,
     center_to_location,
-    location_to_center,
     parse_calib_file,
     parse_label_file,
     read_label_columns,
@@ -310,6 +309,16 @@ def test_parse_calib_rejects_non_finite_p2(index, token):
     assert (info.value.line_no, info.value.token) == (2, token)
 
 
+@pytest.mark.parametrize("index", [4, 8, 9])  # P2[1][0], P2[2][0], P2[2][1]
+def test_parse_calib_rejects_p2_that_is_not_upper_triangular(index):
+    # intrinsics reads only the upper triangle; translation_offset would
+    # solve with the whole block and so describe another camera
+    values = "700 0 600 0 0 700 170 0 0 0 1 0".split()
+    values[index] = "0.001"
+    with pytest.raises(ValueError, match=r"P2\[1\]\[0\], P2\[2\]\[0\] and P2\[2\]\[1\] must be 0"):
+        parse_calib_file("P2: " + " ".join(values) + "\n")
+
+
 # --- record geometry -----------------------------------------------------------
 
 
@@ -319,37 +328,21 @@ def test_parse_keeps_non_finite_dont_care_placeholders():
     assert parse_label_file(" ".join(tokens))[0].is_dont_care
 
 
-def test_location_to_center_half_height_shift():
-    line = (
-        "Car 0.00 0 0.00 100.00 100.00 200.00 200.00 "
-        "1.65 1.70 4.00 0.00 1.65 10.00 0.00"
-    )
-    box = location_to_center(parse_label_file(line)[0])
-    assert box.center == pytest.approx([0.0, 0.825, 10.0])
-    assert (box.dims.dx, box.dims.dy, box.dims.dz) == (4.00, 1.65, 1.70)
-    assert box.yaw == 0.0
-
-
 def test_location_center_roundtrip():
     record = parse_label_file(REAL_LABEL_LINES[1])[0]
-    box = location_to_center(record)
+    center = record.location - [0.0, 0.5 * record.height, 0.0]  # the location is the bottom-center
+    box = Box3D(center, record.dims, record.rotation_y)
     location, (h, w, l) = center_to_location(box)
     assert location == pytest.approx(record.location)
     assert (h, w, l) == pytest.approx((record.height, record.width, record.length))
-
-
-def test_location_to_center_requires_dimensions():
-    record = parse_label_file(DONT_CARE_LINE)[0]
-    with pytest.raises(ValueError):
-        location_to_center(record)
 
 
 def test_real_car_box_projects_onto_labeled_rectangle(calib):
     # the projected 3D box of the transcribed car sits within a few pixels
     # of its labeled 2D box
     record = parse_label_file(REAL_LABEL_LINES[1])[0]
-    box = location_to_center(record)
-    shifted = Box3D(box.center + calib.translation_offset, box.dims, box.yaw)
+    center = record.location - [0.0, 0.5 * record.height, 0.0]
+    shifted = Box3D(center + calib.translation_offset, record.dims, record.rotation_y)
     rect = project_box(calib.intrinsics, shifted)
     assert np.max(np.abs(rect.as_array - record.box2d.as_array)) < 5.0
 
@@ -359,8 +352,8 @@ def test_synthetic_records_project_onto_their_rectangles(calib, label_corpus):
         if stem == "real":
             continue
         for record in parse_label_file(text):
-            box = location_to_center(record)
-            shifted = Box3D(box.center + calib.translation_offset, box.dims, box.yaw)
+            center = record.location - [0.0, 0.5 * record.height, 0.0]
+            shifted = Box3D(center + calib.translation_offset, record.dims, record.rotation_y)
             rect = project_box(calib.intrinsics, shifted)
             # all label fields are rounded to 2 decimals; the roundings
             # propagate to at most ~1 px through the projection
