@@ -195,13 +195,12 @@ def _read_label_dir(directory):
 
 
 def _read_calib(path):
-    """The CalibRecord of a calibration file; None without the file, or the
-    error that makes it unusable. Either failure is logged."""
-    try:
-        return kitti.parse_calib_file(path.read_text())
-    except FileNotFoundError:
+    """The CalibRecord of a calibration file, None without one, or the error (logged)."""
+    if not path.exists():
         logger.error("missing calib file for %s", path.stem)
         return None
+    try:
+        return kitti.parse_calib_file(path.read_text())
     except (MalformedLineError, MissingKeyError, ValueError) as exc:
         logger.error("calib %s unusable: %s", path, exc)
         return exc
