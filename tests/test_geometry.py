@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
@@ -68,10 +70,16 @@ def test_rotation_orthonormal_and_yaw_recovery():
 
 
 def test_rotations_from_angles_stacks_rotation_from_angles():
-    angles = np.random.default_rng(2).uniform(-np.pi, np.pi, size=(50, 3))
+    angles = np.random.default_rng(2).uniform(-np.pi, np.pi, size=(12_000, 3))
+    angles[:1000, 1] = 0.0  # zero pitch
+    angles[1000:2000, 2] = 0.0  # zero roll
+    angles[2000:2500, 1:] = 0.0  # yaw only
+    specials = [0.0, -0.0, np.pi, -np.pi, np.pi / 2]
+    angles = np.concatenate([angles, list(itertools.product(specials, repeat=3))])
     stacked = rotations_from_angles(*angles.T)
-    assert stacked.shape == (50, 3, 3)
-    assert np.array_equal(stacked, [rotation_from_angles(*a) for a in angles])
+    assert stacked.shape == (len(angles), 3, 3)
+    scalar = np.array([rotation_from_angles(*a) for a in angles.tolist()])
+    assert stacked.tobytes() == scalar.tobytes()
     assert rotations_from_angles([], [], []).shape == (0, 3, 3)
 
 
