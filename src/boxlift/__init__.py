@@ -19,7 +19,6 @@ from .errors import (
     NoFeasibleConfigurationError,
     NonPositiveDepthError,
     NonUprightBoxError,
-    NoSamplesError,
     ZeroVectorError,
 )
 from .geometry import (
@@ -85,6 +84,5 @@ __all__ = [
     "NoFeasibleConfigurationError",
     "NonPositiveDepthError",
     "NonUprightBoxError",
-    "NoSamplesError",
     "ZeroVectorError",
 ]

@@ -46,12 +46,8 @@ from .toy import bin_study
 
 logger = logging.getLogger("boxlift")
 
-MODE_NAMES = {
-    "general": ConstraintMode.GENERAL,
-    "upright": ConstraintMode.UPRIGHT,
-    "zeroroll": ConstraintMode.UPRIGHT_ZERO_ROLL,
-    "kitti": ConstraintMode.KITTI_ZERO_PITCH_ROLL,
-}
+_MODES = sorted(mode.value for mode in ConstraintMode)
+
 
 @dataclass
 class RunConfig:
@@ -72,8 +68,8 @@ class RunConfig:
     bins_sweep: tuple = (1, 2, 4, 8)
 
     def __post_init__(self):
-        if self.mode not in MODE_NAMES:
-            raise ValueError(f"mode must be one of {sorted(MODE_NAMES)}")
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
         if not 1.0 <= self.overlap < 2.0:
@@ -90,7 +86,7 @@ class RunConfig:
 
     @property
     def constraint_mode(self):
-        return MODE_NAMES[self.mode]
+        return ConstraintMode(self.mode)
 
     @property
     def bin_layout(self):
@@ -104,8 +100,8 @@ _UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*')*""")
 def _parse_flat_toml(text):
     """Minimal TOML reader for flat ``key = value`` config files.
 
-    Handles strings, numbers, booleans and one-level arrays, which covers
-    the config schema; a full parser takes over on Python >= 3.11.
+    Handles strings, numbers, booleans and one-line, one-level arrays,
+    which covers the config schema.
     """
     data = {}
     for raw_line in text.splitlines():
@@ -140,12 +136,7 @@ def load_config_file(path):
     text = Path(path).read_text()
     if str(path).endswith(".json"):
         return json.loads(text)
-    try:
-        import tomllib
-
-        return tomllib.loads(text)
-    except ModuleNotFoundError:
-        return _parse_flat_toml(text)
+    return _parse_flat_toml(text)
 
 
 def build_config(args):
@@ -210,7 +201,11 @@ def cmd_lift(args):
     config = build_config(args)
     residuals = kitti.read_residuals(args.residuals) if args.residuals else None
     labels = stems, file, categories, _, line_nos = _read_label_dir(args.labels_dir)
-    calibs = [_read_calib(Path(args.calib_dir) / f"{stem}.txt") for stem in stems]
+    held = set(file.tolist())  # the files that hold a record to lift
+    calibs = [
+        _read_calib(Path(args.calib_dir) / f"{stem}.txt") if i in held else None
+        for i, stem in enumerate(stems)
+    ]
     fields, diagnostics, status, messages = kitti.lift_columns(
         labels, calibs, config.constraint_mode, residuals
     )
@@ -377,7 +372,7 @@ def build_parser():
                         help="also write KITTI-format results to this directory")
     p_lift.add_argument("--residuals", default=None,
                         help="JSON-lines dimension residuals keyed by (file, line)")
-    p_lift.add_argument("--mode", choices=sorted(MODE_NAMES))
+    p_lift.add_argument("--mode", choices=_MODES)
 
     p_eval = sub.add_parser("eval", help="score results against ground truth", allow_abbrev=False)
     p_eval.add_argument("gt_dir")

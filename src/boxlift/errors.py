@@ -47,13 +47,5 @@ class MissingKeyError(KeyError):
         super().__init__(key)
 
 
-class NoSamplesError(ValueError):
-    """No records of the requested category were available."""
-
-    def __init__(self, category):
-        self.category = category
-        super().__init__(f"no samples for category {category!r}")
-
-
 class DivergedLossError(RuntimeError):
     """Training loss became non-finite."""

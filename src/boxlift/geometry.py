@@ -193,21 +193,16 @@ def rotation_from_angles(yaw, pitch=0.0, roll=0.0):
 
     Axes per the module conventions: yaw about camera y (down), pitch about
     the object width axis (z), roll about the object length axis (x).
-    A finite scalar yaw with zero pitch and roll builds the yaw matrix
-    directly; ``+ 0.0`` turns its -0.0 entries into the product's +0.0, so
-    the result is bit-identical to the product.
+    The N = 1 case of ``rotations_from_angles``. A finite scalar yaw with
+    zero pitch and roll builds the yaw matrix directly; ``+ 0.0`` turns its
+    -0.0 entries into the product's +0.0, so the result is bit-identical.
     """
-    cy, sy = np.cos(yaw), np.sin(yaw)
     if isinstance(yaw, (int, float)) and math.isfinite(yaw) and pitch == 0 and roll == 0:
+        cy, sy = np.cos(yaw), np.sin(yaw)
         return np.array(
             [[cy + 0.0, 0.0, sy + 0.0], [0.0, 1.0, 0.0], [-sy + 0.0, 0.0, cy + 0.0]]
         )
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cr, sr = np.cos(roll), np.sin(roll)
-    r_yaw = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-    r_pitch = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
-    r_roll = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    return r_yaw @ r_pitch @ r_roll
+    return rotations_from_angles(yaw, pitch, roll)[0]
 
 
 def rotations_from_angles(yaw, pitch, roll):

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MalformedLineError, MissingKeyError, NoSamplesError
+from .errors import MalformedLineError, MissingKeyError
 from .geometry import Box2D, CameraIntrinsics, Dimensions, rotations_from_angles
 from .multibin import local_to_global, ray_angle
 from .solver import FAILURES, LIFTED, lift_batch
@@ -45,9 +45,7 @@ __all__ = [
     "parse_label_file",
     "parse_calib_file",
     "write_results",
-    "center_to_location",
     "centers_to_locations",
-    "compute_mean_dims",
     "LABEL_COLUMNS",
     "RESULT_FIELDS",
     "result_entries",
@@ -97,10 +95,6 @@ class DetectionRecord:
     @property
     def is_dont_care(self):
         return self.category == DONT_CARE
-
-    @property
-    def has_dimensions(self):
-        return self.height > 0 and self.width > 0 and self.length > 0
 
     @property
     def dims(self):
@@ -274,12 +268,6 @@ def parse_calib_file(text):
     raise MissingKeyError("P2")
 
 
-def center_to_location(box):
-    """Bottom-center location and (h, w, l) extents for a Box3D."""
-    location = centers_to_locations(box.center, box.dims.dy)
-    return location, (box.dims.dy, box.dims.dz, box.dims.dx)
-
-
 def centers_to_locations(centers, heights):
     """Bottom-center locations of boxes with centers (N, 3) and heights (N,)."""
     centers = np.asarray(centers, dtype=float)
@@ -309,23 +297,6 @@ def write_results(records):
         }
     )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def compute_mean_dims(records, category):
-    """Per-axis mean extents over non-DontCare records of ``category``.
-
-    Raises:
-        NoSamplesError: if no such record exists.
-    """
-    samples = [
-        r.dims.as_array
-        for r in records
-        if r.category == category and not r.is_dont_care and r.has_dimensions
-    ]
-    if not samples:
-        raise NoSamplesError(category)
-    mean = np.mean(samples, axis=0)
-    return Dimensions(dx=mean[0], dy=mean[1], dz=mean[2])
 
 
 # The results layout: a line holds these keys in this order, then "file" and
@@ -396,29 +367,6 @@ def result_lines(fields):
         line if score is None else f"{line} {score:.2f}"
         for line, score in zip(lines, _as_list(fields["score"]))
     ]
-
-
-def result_to_json_dict(record, file_id=None, line_no=None, diagnostics=None):
-    """JSON-ready dict for one result record plus solver diagnostics.
-
-    The N = 1 case of ``result_entries``.
-    """
-    fields = {
-        "category": [record.category],
-        "truncated": [record.truncated],
-        "occluded": [record.occluded],
-        "alpha": [record.alpha],
-        "box2d": [record.box2d.as_array],
-        "dims_hwl": [[record.height, record.width, record.length]],
-        "location": [record.location],
-        "rotation_y": [record.rotation_y],
-        "score": [record.score],
-    }
-    if file_id is not None:
-        fields["file"] = [file_id]
-    if line_no is not None:
-        fields["line"] = [line_no]
-    return result_entries(fields, {k: [v] for k, v in (diagnostics or {}).items()})[0]
 
 
 def _json_texts(values):
@@ -573,10 +521,11 @@ def lift_columns(labels, calibs, mode, residuals=None):
     ``labels`` are (stems, file, categories, values, line_nos) without
     DontCare rows, ``file`` indexing ``stems`` in order; ``calibs`` holds per
     stem its CalibRecord, None without a calibration file, or the error that
-    made it unusable. A record's dimensions are its label's, or with the
-    ``read_residuals`` mapping ``residuals`` its category's mean plus its
-    residual; its yaw is alpha plus the yaw of the ray through its
-    rectangle's center. One ``lift_batch`` call solves every translation.
+    made it unusable; the entry of a stem without records is not read. A
+    record's dimensions are its label's, or with the ``read_residuals``
+    mapping ``residuals`` its category's mean plus its residual; its yaw is
+    alpha plus the yaw of the ray through its rectangle's center. One
+    ``lift_batch`` call solves every translation.
 
     Returns:
         (fields, diagnostics, status, messages): ``write_results_jsonl``'s
@@ -597,6 +546,8 @@ def lift_columns(labels, calibs, mode, residuals=None):
     ks, offsets, rays = np.zeros((n, 3, 3)), np.zeros((n, 3)), np.zeros(n)
     bounds = np.searchsorted(file, np.arange(len(stems) + 1))
     for calib, lo, hi in zip(calibs, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if lo == hi:  # a file without records: its calibration is never read
+            continue
         if isinstance(calib, CalibRecord):
             intrinsics = calib.intrinsics
             ks[lo:hi], offsets[lo:hi] = intrinsics.matrix, calib.translation_offset

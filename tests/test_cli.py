@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from boxlift import cli
-from boxlift.cli import MODE_NAMES, _dispatch, _parse_flat_toml, build_config, build_parser, main
+from boxlift.cli import _dispatch, _parse_flat_toml, build_config, build_parser, main
 from boxlift.errors import MalformedLineError, NoFeasibleConfigurationError
 from boxlift.geometry import Box2D, Box3D, Dimensions, rotation_from_angles
 from boxlift.kitti import (
     DetectionRecord,
-    center_to_location,
-    compute_mean_dims,
+    centers_to_locations,
     parse_label_file,
-    result_to_json_dict,
+    result_entries,
     write_results,
 )
 from boxlift.metrics import DIFFICULTY_RULES, GroundTruthBox, ScoredDetection, aos
 from boxlift.multibin import local_to_global, ray_angle
-from boxlift.solver import lift
+from boxlift.solver import ConstraintMode, lift
 
 from conftest import (
     CALIB_TEXT, CAMERA_HEIGHT, DONT_CARE_LINE, record_line, sample_scene_box, synth_corpus,
@@ -33,6 +32,15 @@ def write_dataset(tmp_path, corpus, calib_text=CALIB_TEXT):
         (labels / f"{stem}.txt").write_text(text)
         (calibs / f"{stem}.txt").write_text(calib_text)
     return labels, calibs
+
+
+def category_means(records):
+    """Per category, the mean (dx, dy, dz) extents of its records with dimensions."""
+    extents = {}
+    for r in records:
+        if min(r.height, r.width, r.length) > 0:
+            extents.setdefault(r.category, []).append(r.dims.as_array)
+    return {category: np.mean(rows, axis=0) for category, rows in extents.items()}
 
 
 @pytest.fixture()
@@ -89,15 +97,12 @@ def test_lift_with_dimension_residuals(tmp_path, precise_dataset):
     # dimensions equal the labeled ones and the lift stays exact
     labels, calibs, corpus = precise_dataset
     all_records = [r for text in corpus.values() for r in parse_label_file(text)]
-    means = {
-        category: compute_mean_dims(all_records, category)
-        for category in {r.category for r in all_records}
-    }
+    means = category_means(all_records)
     residual_path = tmp_path / "residuals.jsonl"
     with open(residual_path, "w") as handle:
         for stem, text in corpus.items():
             for line_no, record in enumerate(parse_label_file(text), start=1):
-                delta = record.dims.as_array - means[record.category].as_array
+                delta = record.dims.as_array - means[record.category]
                 handle.write(
                     json.dumps({"file": stem, "line": line_no, "delta": delta.tolist()})
                     + "\n"
@@ -123,14 +128,14 @@ def test_lift_reports_physical_lines_after_blank_first_line(tmp_path, calib):
     corpus = synth_corpus(calib, n_files=2, per_file=4, seed=22, precision=9, alpha="ray")
     labels, calibs = write_dataset(tmp_path, {k: "\n" + v for k, v in corpus.items()})
     all_records = [r for text in corpus.values() for r in parse_label_file(text)]
-    means = {c: compute_mean_dims(all_records, c) for c in {r.category for r in all_records}}
+    means = category_means(all_records)
     truths = {}
     residual_path = tmp_path / "residuals.jsonl"
     with open(residual_path, "w") as handle:
         for stem, text in corpus.items():
             for line_no, record in enumerate(parse_label_file(text), start=2):
                 truths[(stem, line_no)] = record
-                delta = record.dims.as_array - means[record.category].as_array
+                delta = record.dims.as_array - means[record.category]
                 handle.write(json.dumps({"file": stem, "line": line_no, "delta": delta.tolist()}) + "\n")
 
     out = tmp_path / "results.jsonl"
@@ -245,12 +250,12 @@ def test_non_finite_label_field_names_label_file(tmp_path, precise_dataset, comm
 def _scalar_lift_reference(corpus, calib, mode, residuals=None):
     """Results lines and KITTI texts of `lift`, one record at a time.
 
-    Each record goes through the scalar solver, ``center_to_location`` and
-    ``result_to_json_dict``; records the scalar path fails are left out.
+    Each record goes through the scalar solver, ``centers_to_locations`` and
+    ``result_entries``; records the scalar path fails are left out.
     """
     intrinsics, offset = calib.intrinsics, calib.translation_offset
     all_records = [r for text in corpus.values() for r in parse_label_file(text)]
-    means = {c: compute_mean_dims(all_records, c) for c in {r.category for r in all_records}}
+    means = category_means(all_records)
     lines, kitti_rows = [], {}
     for stem in sorted(corpus):
         for record in parse_label_file(corpus[stem]):
@@ -260,38 +265,40 @@ def _scalar_lift_reference(corpus, calib, mode, residuals=None):
                 dims = record.dims
             elif (stem, record.line_no) in residuals:
                 delta = residuals[(stem, record.line_no)]
-                dims = Dimensions(*(means[record.category].as_array + delta))
+                dims = Dimensions(*(means[record.category] + delta))
             else:
                 continue
             try:
                 result = lift(intrinsics, rotation_from_angles(yaw), dims, record.box2d, mode)
             except NoFeasibleConfigurationError:
                 continue
-            location, (h, w, l) = center_to_location(
-                Box3D(result.translation - offset, dims, yaw)
-            )
+            location = centers_to_locations(result.translation - offset, dims.dy)
             out = DetectionRecord(
                 category=record.category, truncated=record.truncated,
                 occluded=record.occluded, alpha=record.alpha, box2d=record.box2d,
-                height=h, width=w, length=l, location=location, rotation_y=yaw,
+                height=dims.dy, width=dims.dz, length=dims.dx, location=location, rotation_y=yaw,
                 score=record.score if record.score is not None else 1.0,
             )
-            diagnostics = {
-                "theta_ray": theta_ray,
-                "configuration": list(result.configuration),
-                "residual": result.residual,
-                "reprojection_error": result.reprojection_error,
+            fields = {
+                "category": [out.category], "truncated": [out.truncated],
+                "occluded": [out.occluded], "alpha": [out.alpha], "box2d": [out.box2d.as_array],
+                "dims_hwl": [[out.height, out.width, out.length]], "location": [out.location],
+                "rotation_y": [out.rotation_y], "score": [out.score],
+                "file": [stem], "line": [record.line_no],
             }
-            entry = result_to_json_dict(
-                out, file_id=stem, line_no=record.line_no, diagnostics=diagnostics
-            )
-            lines.append(json.dumps(entry))
+            diagnostics = {
+                "theta_ray": [theta_ray],
+                "configuration": [list(result.configuration)],
+                "residual": [result.residual],
+                "reprojection_error": [result.reprojection_error],
+            }
+            lines.append(json.dumps(result_entries(fields, diagnostics)[0]))
             kitti_rows.setdefault(stem, []).append(out)
     return lines, {stem: write_results(rows) for stem, rows in kitti_rows.items()}
 
 
 @pytest.mark.parametrize("with_residuals", [False, True])
-@pytest.mark.parametrize("mode", sorted(MODE_NAMES))
+@pytest.mark.parametrize("mode", sorted(mode.value for mode in ConstraintMode))
 def test_lift_matches_scalar_reference(tmp_path, calib, mode, with_residuals):
     # two-decimal labels and KITTI's alpha: inexact lifts, every digit compared
     n_files, per_file = (2, 2) if mode == "general" else (3, 4)
@@ -318,7 +325,7 @@ def test_lift_matches_scalar_reference(tmp_path, calib, mode, with_residuals):
     assert main(argv) == 0
 
     lines, kitti_texts = _scalar_lift_reference(
-        corpus, calib, MODE_NAMES[mode], residuals
+        corpus, calib, ConstraintMode(mode), residuals
     )
     assert len(lines) == n_files * per_file - with_residuals
     assert (tmp_path / "r.jsonl").read_text().splitlines() == lines
@@ -494,6 +501,29 @@ def test_lift_missing_calib_fails_records(tmp_path, calib):
     out = tmp_path / "results.jsonl"
     assert main(["lift", str(labels), str(calibs), "--out", str(out)]) == 1
     assert out.read_text() == ""
+
+
+def test_lift_reads_no_calibration_for_a_file_with_nothing_to_lift(tmp_path, calib, caplog, capsys):
+    labels, calibs = write_dataset(tmp_path, {"000000": "", "000001": DONT_CARE_LINE + "\n"})
+    for f in calibs.glob("*.txt"):
+        f.unlink()
+    out = tmp_path / "r.jsonl"
+    argv = ["lift", str(labels), str(calibs), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"lifted 0/0 records -> {out}\n"
+    (calibs / "000001.txt").write_text("P2: 1 2 3\n")  # unusable, and not read
+    assert main(argv) == 0
+    assert caplog.records == []
+
+    # a file with a record to lift still needs its calibration
+    line = record_line("Car", sample_scene_box(np.random.default_rng(29)), calib)
+    (labels / "000002.txt").write_text(line + "\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().out == f"lifted 0/0 records -> {out}\nlifted 0/1 records -> {out}\n"
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("ERROR", "missing calib file for 000002"),
+        ("ERROR", "more than half of the records failed (1/1)"),
+    ]
 
 
 def test_eval_self_is_perfect(tmp_path, precise_dataset):
@@ -871,8 +901,10 @@ def test_config_file_round(tmp_path):
     assert json.loads(buffer.getvalue())["n_bins"] == 4
 
     bad = tmp_path / "bad.toml"
-    bad.write_text("unknown_key = 3\n")
-    assert main(["encode", "--theta", "1.0", "--config", str(bad)]) == 1
+    # a multi-line array is TOML, but config files are read as flat TOML on every Python
+    for text in ("unknown_key = 3\n", "bins_sweep = [\n  1,\n  2,\n]\n"):
+        bad.write_text(text)
+        assert main(["encode", "--theta", "1.0", "--config", str(bad)]) == 1
 
 
 def test_alpha_is_no_option(tmp_path):

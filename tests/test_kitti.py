@@ -7,27 +7,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxlift.errors import MalformedLineError, MissingKeyError, NoSamplesError
-from boxlift.geometry import Box2D, Box3D, project_box, wrap_angle
+from boxlift.errors import MalformedLineError, MissingKeyError
+from boxlift.geometry import Box2D, Box3D, Dimensions, project_box, wrap_angle
 from boxlift.kitti import (
     DONT_CARE,
     LABEL_COLUMNS,
     RESULT_FIELDS,
     DetectionRecord,
-    compute_mean_dims,
-    center_to_location,
+    centers_to_locations,
+    lift_columns,
     parse_calib_file,
     parse_label_file,
     read_label_columns,
+    read_results,
     result_entries,
     result_lines,
-    result_to_json_dict,
     write_results,
     write_results_jsonl,
 )
 from boxlift.multibin import ray_angle
+from boxlift.solver import ConstraintMode
 
-from conftest import DONT_CARE_LINE, REAL_LABEL_LINES
+from conftest import (
+    CAMERA_HEIGHT, DONT_CARE_LINE, REAL_LABEL_LINES, record_line, sample_scene_box,
+)
 
 
 # --- label parsing -----------------------------------------------------------
@@ -70,7 +73,6 @@ def test_parse_reports_offending_token_and_line():
 def test_parse_dont_care_line():
     record = parse_label_file(DONT_CARE_LINE)[0]
     assert record.is_dont_care
-    assert not record.has_dimensions
     assert record.box2d.width > 0
 
 
@@ -332,9 +334,7 @@ def test_location_center_roundtrip():
     record = parse_label_file(REAL_LABEL_LINES[1])[0]
     center = record.location - [0.0, 0.5 * record.height, 0.0]  # the location is the bottom-center
     box = Box3D(center, record.dims, record.rotation_y)
-    location, (h, w, l) = center_to_location(box)
-    assert location == pytest.approx(record.location)
-    assert (h, w, l) == pytest.approx((record.height, record.width, record.length))
+    assert centers_to_locations(box.center, box.dims.dy) == pytest.approx(record.location)
 
 
 def test_real_car_box_projects_onto_labeled_rectangle(calib):
@@ -433,29 +433,6 @@ def test_roundtrip_through_formatting(label_corpus):
 # --- category statistics ----------------------------------------------------------
 
 
-def test_compute_mean_dims_single_record():
-    record = parse_label_file(REAL_LABEL_LINES[1])[0]
-    dims = compute_mean_dims([record], "Car")
-    assert dims.as_array == pytest.approx(record.dims.as_array)
-
-
-def test_compute_mean_dims_average():
-    lines = [
-        "Car 0.00 0 0.00 100 100 200 200 2.00 2.00 4.00 0 1 10 0.00",
-        "Car 0.00 0 0.00 100 100 200 200 2.00 2.00 2.00 0 1 10 0.00",
-    ]
-    dims = compute_mean_dims(parse_label_file("\n".join(lines)), "Car")
-    assert dims.as_array == pytest.approx([3.0, 2.0, 2.0])
-
-
-def test_compute_mean_dims_ignores_dont_care_and_other_categories():
-    records = parse_label_file("\n".join(REAL_LABEL_LINES + [DONT_CARE_LINE]))
-    with pytest.raises(NoSamplesError):
-        compute_mean_dims(records, "DontCare")
-    with pytest.raises(NoSamplesError):
-        compute_mean_dims(records, "Tram")
-
-
 def test_car_dimension_spread_is_reportable(label_corpus):
     records = [
         r
@@ -490,12 +467,7 @@ def test_jsonl_roundtrip():
     diagnostics = {"configuration": [[0, 5, 2, 5]], "reprojection_error": [1e-12]}
     buffer = io.StringIO()
     write_results_jsonl(fields, buffer, diagnostics)
-    entry = result_to_json_dict(
-        record,
-        file_id="000123",
-        line_no=4,
-        diagnostics={"configuration": [0, 5, 2, 5], "reprojection_error": 1e-12},
-    )
+    entry = result_entries(fields, diagnostics)[0]
     assert buffer.getvalue() == json.dumps(entry) + "\n"
     buffer.seek(0)
     loaded = [json.loads(line) for line in buffer]
@@ -561,3 +533,115 @@ def test_results_jsonl_keeps_the_errors_of_json_dumps():
         write_results_jsonl({**fields, "occluded": [np.int64(1), np.int64(2)]}, io.StringIO())
     with pytest.raises(ValueError, match="rows of 3 values"):
         write_results_jsonl({**fields, "dims_hwl": [[1.0, 2.0, 3.0], [1.0, 2.0]]}, io.StringIO())
+
+
+def test_read_results_reads_back_write_results_jsonl(tmp_path):
+    fields = {
+        "category": ["Car", "Van"],
+        "truncated": [0.0, 0.5],
+        "occluded": [0, 2],
+        "alpha": [0.1, -0.2],
+        "box2d": [[10.0, 20.0, 30.0, 45.5], [100.25, 50.0, 180.0, 90.0]],
+        "dims_hwl": [[1.5, 1.6, 4.0], [2.0, 1.9, 5.0]],
+        "location": [[1.0, 1.65, 20.0], [-3.5, 1.7, 35.25]],
+        "rotation_y": [0.3, -3.0],
+        "score": [0.75, None],  # a null score reads as 1.0
+        "file": ["000007", "000009"],
+        "line": [3, 1],
+    }
+    path = tmp_path / "results.jsonl"
+    with open(path, "w") as handle:
+        write_results_jsonl(fields, handle, {"residual": [0.1, 0.2]})
+    # per line: its file, then the rectangle, h, w, l, location, rotation_y and score
+    assert read_results(path) == [
+        ("000007", [10.0, 20.0, 30.0, 45.5, 1.5, 1.6, 4.0, 1.0, 1.65, 20.0, 0.3, 0.75]),
+        ("000009", [100.25, 50.0, 180.0, 90.0, 2.0, 1.9, 5.0, -3.5, 1.7, 35.25, -3.0, 1.0]),
+    ]
+
+
+# --- lifting ---------------------------------------------------------------------
+
+
+def _label_columns(texts):
+    """``lift_columns``' label columns of label texts without DontCare lines, by stem."""
+    stems = sorted(texts)
+    read = [read_label_columns(texts[stem]) for stem in stems]
+    return (
+        stems,
+        np.concatenate([np.full(len(categories), i) for i, (categories, *_) in enumerate(read)]),
+        np.array([c for categories, *_ in read for c in categories], dtype=object),
+        np.concatenate([values for _, values, _, _ in read]),
+        np.concatenate([line_nos for *_, line_nos in read]),
+    )
+
+
+def test_lift_columns_gives_each_record_one_status_in_input_order(calib):
+    rng = np.random.default_rng(30)
+
+    def car_line():
+        return record_line("Car", sample_scene_box(rng), calib)
+
+    no_dims = car_line().split()
+    no_dims[8:11] = ["-1", "-1", "-1"]
+    no_dims = " ".join(no_dims)
+    # the sliver of test_solver's test_lift_no_feasible_configuration
+    sliver = "Car 0.00 0 -0.26 1114.13 7.11 1115.43 385.44 0.84 4.75 2.16 1.00 1.65 10.00 0.35"
+    texts = {
+        "000000": [car_line(), no_dims, sliver, car_line()],
+        "000001": [car_line(), no_dims],  # no calibration
+        "000002": [car_line()],  # an unusable calibration
+        "000003": [car_line()],
+    }
+    labels = _label_columns({stem: "\n".join(lines) for stem, lines in texts.items()})
+    calibs = [calib, None, ValueError("P2[2][2] must be 1"), calib]
+    fields, diagnostics, status, messages = lift_columns(
+        labels, calibs, ConstraintMode.KITTI_ZERO_PITCH_ROLL
+    )
+    assert status.tolist() == [
+        "lifted", "missing_dims", "all_infeasible", "lifted",
+        "missing_calib", "missing_calib", "bad_calib", "lifted",
+    ]
+    assert messages.tolist() == [
+        None, "record has no dimensions", "all 64 configurations infeasible", None,
+        "no calibration file", "no calibration file", "P2[2][2] must be 1", None,
+    ]
+    # the result columns hold the lifted records only, in input order
+    assert list(zip(fields["file"], fields["line"].tolist())) == [
+        ("000000", 1), ("000000", 4), ("000003", 1),
+    ]
+    assert {len(column) for column in [*fields.values(), *diagnostics.values()]} == {3}
+
+
+def test_lift_columns_residual_means_leave_out_other_records(calib):
+    # a category's mean extents come from its own records with dimensions;
+    # DontCare rows never reach lift_columns
+    rng = np.random.default_rng(31)
+
+    def line(category, lhw):
+        box = sample_scene_box(rng, depth_range=(10.0, 30.0))
+        center = [box.center[0], CAMERA_HEIGHT - 0.5 * lhw[1], box.center[2]]
+        return record_line(category, Box3D(center, Dimensions(*lhw), box.yaw), calib)
+
+    def without_dims(text):
+        tokens = text.split()
+        tokens[8:11] = ["-1", "-1", "-1"]
+        return " ".join(tokens)
+
+    lines = [
+        line("Car", (4.0, 1.5, 1.5)),
+        line("Van", (5.0, 1.75, 2.0)),
+        without_dims(line("Car", (4.0, 1.5, 1.5))),
+        line("Car", (3.0, 1.5, 2.0)),
+        without_dims(line("Tram", (10.0, 3.0, 2.5))),
+    ]
+    labels = _label_columns({"000000": "\n".join(lines)})
+    residuals = {("000000", n): np.zeros(3) for n in range(1, len(lines) + 1)}
+    fields, _, status, messages = lift_columns(
+        labels, [calib], ConstraintMode.KITTI_ZERO_PITCH_ROLL, residuals
+    )
+    assert status.tolist() == ["lifted"] * 4 + ["missing_dims"]
+    assert messages[4] == "no dimension residual or category mean available"
+    # (h, w, l): the Cars' mean of two, the Van's own extents
+    assert fields["dims_hwl"].tolist() == [
+        [1.5, 1.75, 3.5], [1.75, 2.0, 5.0], [1.5, 1.75, 3.5], [1.5, 1.75, 3.5],
+    ]
