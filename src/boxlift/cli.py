@@ -97,23 +97,27 @@ class RunConfig:
 _UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*')*""")
 
 
-def _parse_flat_toml(text):
+def _parse_flat_toml(text, path):
     """Minimal TOML reader for flat ``key = value`` config files.
 
     Handles strings, numbers, booleans and one-line, one-level arrays,
-    which covers the config schema.
+    which covers the config schema. Errors name the file, line and key.
     """
     data = {}
-    for raw_line in text.splitlines():
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = _UNCOMMENTED.match(raw_line).group().strip()
         if not line:
             continue
+        where = f"{path} line {line_no}"
         if line.startswith("["):
-            raise ValueError(f"config tables are not supported: {line}")
+            raise ValueError(f"{where}: config tables are not supported: {line}")
         if "=" not in line:
-            raise ValueError(f"bad config line: {raw_line!r}")
+            raise ValueError(f"{where}: bad config line: {raw_line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        data[key] = _parse_toml_value(value)
+        try:
+            data[key] = _parse_toml_value(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {key}: {exc}") from None
     return data
 
 
@@ -134,22 +138,36 @@ def _parse_toml_value(value):
 def load_config_file(path):
     """Read a TOML or JSON config file into a flat dict."""
     text = Path(path).read_text()
-    if str(path).endswith(".json"):
+    if not str(path).endswith(".json"):
+        return _parse_flat_toml(text, path)
+    try:
         return json.loads(text)
-    return _parse_flat_toml(text)
+    except json.JSONDecodeError as exc:  # its message gives the line
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _is_config_value(kind, value):
+    """No bool is a number, an int is also a float, a tuple is a list of ints."""
+    if kind is tuple:
+        return isinstance(value, list) and all(_is_config_value(int, v) for v in value)
+    return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
 
 
 def build_config(args):
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    kinds = {f.name: f.type for f in fields(RunConfig)}
     settings = {}
     if getattr(args, "config", None):
         file_settings = load_config_file(args.config)
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_settings) - known
+        unknown = set(file_settings) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_settings.items():
+            if not _is_config_value(kinds[key], value):
+                wanted = "a list of int" if kinds[key] is tuple else kinds[key].__name__
+                raise ValueError(f"{args.config}: {key} must be {wanted}, got {value!r}")
         settings.update(file_settings)
-    for name in (f.name for f in fields(RunConfig)):
+    for name in kinds:
         value = getattr(args, name, None)
         if value is not None:
             settings[name] = value
@@ -164,8 +182,9 @@ def _write_csv(path, header, rows):
 
 
 def _read_label_dir(directory):
-    """``kitti.lift_columns``' label columns: ``kitti.read_label_columns`` of
-    every ``*.txt`` file in ``directory``, in name order, without DontCare rows."""
+    """(stems, table): the stems of the ``*.txt`` files in ``directory``, in
+    name order, and the ``kitti.label_table`` of their records without
+    DontCare rows, with each record's ``file`` stem and physical ``line``."""
     paths = sorted(Path(directory).glob("*.txt"))
     lines = [path.read_text().splitlines() for path in paths]
     starts = np.cumsum([0] + [len(file_lines) for file_lines in lines])
@@ -177,12 +196,12 @@ def _read_label_dir(directory):
         message = str(exc).replace(f"line {exc.line_no}:", f"{paths[file]} line {line_no}:", 1)
         raise MalformedLineError(line_no, exc.token, message) from None
     categories, values, dont_care, line_nos = columns
+    stems = [path.stem for path in paths]
     file = np.searchsorted(starts, line_nos) - 1
-    keep = ~dont_care
-    return (
-        [path.stem for path in paths], file[keep], np.array(categories, dtype=object)[keep],
-        values[keep], (line_nos - starts[file])[keep],
+    table = kitti.label_table(
+        categories, values, file=np.array(stems, dtype=object)[file], line=line_nos - starts[file]
     )
+    return stems, {key: column[~dont_care] for key, column in table.items()}
 
 
 def _read_calib(path):
@@ -200,31 +219,28 @@ def _read_calib(path):
 def cmd_lift(args):
     config = build_config(args)
     residuals = kitti.read_residuals(args.residuals) if args.residuals else None
-    labels = stems, file, categories, _, line_nos = _read_label_dir(args.labels_dir)
-    held = set(file.tolist())  # the files that hold a record to lift
-    calibs = [
-        _read_calib(Path(args.calib_dir) / f"{stem}.txt") if i in held else None
-        for i, stem in enumerate(stems)
-    ]
-    fields, diagnostics, status, messages = kitti.lift_columns(
-        labels, calibs, config.constraint_mode, residuals
-    )
+    _, labels = _read_label_dir(args.labels_dir)
+    calibs = {  # only the files that hold a record to lift, in file order
+        stem: _read_calib(Path(args.calib_dir) / f"{stem}.txt")
+        for stem in dict.fromkeys(labels["file"].tolist())
+    }
+    results, status, messages = kitti.lift_columns(labels, calibs, config.constraint_mode, residuals)
     if residuals is not None:  # the records of a category without mean extents
-        for category in dict.fromkeys(categories[status == "missing_dims"].tolist()):
+        for category in dict.fromkeys(labels["category"][status == "missing_dims"].tolist()):
             logger.warning("no mean dimensions for category %r", category)
     # a calibration failure is logged once, for its file
     for i in np.flatnonzero(~np.isin(status, ["lifted", "missing_calib", "bad_calib"])).tolist():
-        logger.warning("%s line %d not lifted: %s", stems[file[i]], line_nos[i], messages[i])
+        logger.warning("%s line %d not lifted: %s", labels["file"][i], labels["line"][i], messages[i])
     with open(args.out, "w") as handle:
-        kitti.write_results_jsonl(fields, handle, diagnostics)
+        kitti.write_results_jsonl(results, handle)
     if args.kitti_out:
         out_dir = Path(args.kitti_out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        lines = zip(fields["file"], kitti.result_lines(fields))
+        lines = zip(results["file"], kitti.result_lines(results))
         for stem, group in groupby(lines, key=itemgetter(0)):  # records are in file order
             (out_dir / f"{stem}.txt").write_text("".join(line + "\n" for _, line in group))
 
-    n_total, n_failed = len(status), len(status) - len(fields["line"])
+    n_total, n_failed = len(status), len(status) - len(results["line"])
     print(f"lifted {n_total - n_failed}/{n_total} records -> {args.out}")
     if n_failed > 0.5 * n_total:
         logger.error("more than half of the records failed (%d/%d)", n_failed, n_total)
@@ -235,7 +251,7 @@ def cmd_lift(args):
 def cmd_eval(args):
     config = build_config(args)
     results = kitti.read_results(args.results)
-    truths, detections, missing = kitti.evaluation_columns(_read_label_dir(args.gt_dir), results)
+    truths, detections, missing = kitti.evaluation_columns(*_read_label_dir(args.gt_dir), results)
     if missing:
         print(f"skipped {len(missing)} frames without ground truth: {missing}")
     difficulties, errors, viewpoint = evaluate(truths, detections, config.iou_thresh)

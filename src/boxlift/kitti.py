@@ -16,8 +16,14 @@ callers can exclude the regions from matching.
 each line once and checks the whole file as array operations, and returns
 columns; ``parse_label_file`` is its view as DetectionRecords.
 
-``lift_columns`` is the paper's pipeline over such columns; it returns the
-results columns of ``write_results_jsonl`` and one status per record.
+In memory a set of records is a KITTI table: a dict of numpy columns, one
+row per record, keyed by the results-format names: the keys of
+``RESULT_FIELDS`` (``box2d``, ``dims_hwl`` and ``location`` hold rows of 4,
+3 and 3), then ``file`` (the label file's stem), ``line`` (the physical
+line) and any diagnostics; text and exact-int columns are object arrays.
+``label_table`` names the label columns so; ``lift_columns`` (the paper's
+pipeline), the results writers and readers and ``metrics.evaluate`` take
+or give such tables.
 
 Calibration files are "KEY: v0 ... v11" lines; only P2 (the 3x4 projection
 matrix of the left color camera) is required here. Its left 3x3 block is
@@ -42,6 +48,7 @@ __all__ = [
     "DetectionRecord",
     "CalibRecord",
     "read_label_columns",
+    "label_table",
     "parse_label_file",
     "parse_calib_file",
     "write_results",
@@ -224,6 +231,18 @@ def _raise_label_error(check, line_no, tokens, values):
     raise MalformedLineError(line_no, token, f"line {line_no}: {message}")
 
 
+def label_table(categories, values, **extra):
+    """The KITTI table of ``read_label_columns``' categories and values, and
+    the ``extra`` columns. ``occluded`` is truncated to a whole number, as
+    ``int`` does; ``score`` is NaN where a line has none."""
+    return {
+        "category": np.array(categories, dtype=object), "truncated": values[:, 0],
+        "occluded": np.trunc(values[:, 1]), "alpha": values[:, 2], "box2d": values[:, 3:7],
+        "dims_hwl": values[:, 7:10], "location": values[:, 10:13], "rotation_y": values[:, 13],
+        "score": values[:, 14], **extra,
+    }
+
+
 def parse_label_file(text):
     """Parse KITTI label text into DetectionRecords, one per non-blank line.
 
@@ -285,9 +304,9 @@ def write_results(records):
     records = list(records)
     lines = result_lines(
         {
-            "category": [r.category for r in records],
+            "category": np.array([r.category for r in records], dtype=object),
             "truncated": [r.truncated for r in records],
-            "occluded": [r.occluded for r in records],
+            "occluded": np.array([r.occluded for r in records], dtype=object),
             "alpha": [r.alpha for r in records],
             "box2d": [r.box2d.as_array for r in records],
             "dims_hwl": [(r.height, r.width, r.length) for r in records],
@@ -299,73 +318,48 @@ def write_results(records):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# The results layout: a line holds these keys in this order, then "file" and
-# "line" when known, then the solver diagnostics.
+# The results layout: a line holds these keys in this order, then the other
+# keys of its table in the table's order ("file", "line", the diagnostics).
 RESULT_FIELDS = (
     "category", "truncated", "occluded", "alpha", "box2d", "dims_hwl", "location",
     "rotation_y", "score",
 )
-_FLOAT_ROWS = ("box2d", "location")
 # The keys whose values are rows, and their widths.
 _ROW_WIDTHS = {"box2d": 4, "dims_hwl": 3, "location": 3, "configuration": 4}
 
 
-def _as_list(column):
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+def _line_keys(table):
+    return RESULT_FIELDS + tuple(key for key in table if key not in RESULT_FIELDS)
 
 
-def _result_columns(fields, diagnostics):
-    """Each key of a results line, in line order, mapped to its column as
-    given; ``box2d`` and ``location`` as float arrays. A key given twice keeps
-    its first place and its last column, as in a dict built from the keys."""
-    keys = RESULT_FIELDS + tuple(k for k in ("file", "line") if k in fields)
-    columns = {
-        k: np.asarray(fields[k], dtype=float) if k in _FLOAT_ROWS else fields[k] for k in keys
-    }
-    columns.update(diagnostics or {})
-    return columns
-
-
-def result_entries(fields, diagnostics=None):
-    """JSON-ready dicts of N result records given as columns.
-
-    Args:
-        fields: every key of ``RESULT_FIELDS`` and, optionally, ``file``
-            and ``line``, each mapped to a column of N values (a list or an
-            array; one row per record for ``box2d``, ``dims_hwl`` and
-            ``location``). ``box2d`` and ``location`` rows become lists of
-            floats, array columns become Python values.
-        diagnostics: further keys mapped to columns of N values, appended
-            in the order given.
-    """
-    columns = _result_columns(fields, diagnostics)
-    return [dict(zip(columns, row)) for row in zip(*map(_as_list, columns.values()))]
+def result_entries(table):
+    """JSON-ready dicts of the records of a KITTI table, one a row: its keys
+    in results-line order, each column as ``np.asarray(column).tolist()``."""
+    keys = _line_keys(table)
+    return [dict(zip(keys, row)) for row in zip(*(np.asarray(table[k]).tolist() for k in keys))]
 
 
 def _fixed(column):
-    return [f"{v:.2f}" for v in _as_list(column)]
+    return [f"{v:.2f}" for v in np.asarray(column).tolist()]
 
 
-def result_lines(fields):
-    """KITTI text lines, 2-decimal fixed point, of N result records given as columns.
-
-    ``fields`` holds the keys of ``RESULT_FIELDS`` as for ``result_entries``,
-    with ``occluded`` as ints. A score of None leaves its line without the
-    score column, which otherwise comes last.
-    """
+def result_lines(table):
+    """KITTI text lines, 2-decimal fixed point, of the records of a KITTI table
+    whose ``occluded`` holds ints. A score of None leaves its line without
+    the score column, which otherwise comes last."""
     columns = [
-        _as_list(fields["category"]),
-        _fixed(fields["truncated"]),
-        [f"{o:d}" for o in _as_list(fields["occluded"])],
-        _fixed(fields["alpha"]),
+        np.asarray(table["category"]).tolist(),
+        _fixed(table["truncated"]),
+        [f"{o:d}" for o in np.asarray(table["occluded"]).tolist()],
+        _fixed(table["alpha"]),
     ]
     for key in ("box2d", "dims_hwl", "location"):
-        columns += map(_fixed, np.asarray(fields[key], dtype=float).T)
-    columns.append(_fixed(fields["rotation_y"]))
+        columns += map(_fixed, np.asarray(table[key], dtype=float).T)
+    columns.append(_fixed(table["rotation_y"]))
     lines = [" ".join(row) for row in zip(*columns)]
     return [
         line if score is None else f"{line} {score:.2f}"
-        for line, score in zip(lines, _as_list(fields["score"]))
+        for line, score in zip(lines, np.asarray(table["score"]).tolist())
     ]
 
 
@@ -380,27 +374,14 @@ def _json_texts(values):
     return texts if len(texts) == len(values) else [json.dumps(v) for v in values]
 
 
-def _row_columns(rows, width):
-    """The ``width`` columns of a column of N rows of ``width`` values each.
+def write_results_jsonl(table, stream):
+    """Write the records of a KITTI table as JSON lines, in one write.
 
-    An array's rows are transposed as an array. A list's rows are transposed
-    as lists, so each value keeps its type: an int stays an int.
-    """
-    if isinstance(rows, np.ndarray):
-        return rows.reshape(len(rows), width).T.tolist()
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"rows of {width} values expected")
-    return list(zip(*rows)) or [()] * width
-
-
-def write_results_jsonl(fields, stream, diagnostics=None):
-    """Write N result records given as columns as JSON lines, in one write.
-
-    Takes the columns of ``result_entries`` and writes, for each of its
-    entries, exactly ``json.dumps(entry) + "\\n"``, but builds no entry: each
-    column, and each component column of a row column, is encoded by one
-    ``json.dumps`` call (see ``_json_texts``), and the texts fill one line
-    template built from the keys.
+    Writes, for each entry of ``result_entries(table)``, exactly
+    ``json.dumps(entry) + "\\n"``, but builds no entry: each column, and each
+    component column of a row column, is encoded by one ``json.dumps`` call
+    (see ``_json_texts``), and the texts fill one line template built from
+    the keys.
 
     Raises:
         TypeError: for a value ``json.dumps`` cannot encode.
@@ -408,15 +389,18 @@ def write_results_jsonl(fields, stream, diagnostics=None):
             ``configuration`` without 4, 3, 3 or 4 values.
     """
     formats, texts = [], []
-    for key, column in _result_columns(fields, diagnostics).items():
+    for key in _line_keys(table):
         name = json.dumps(key).replace("%", "%%")
         width = _ROW_WIDTHS.get(key)
+        column = np.asarray(table[key])
         if width is None:
             formats.append(f"{name}: %s")
-            texts.append(_json_texts(_as_list(column)))
+            texts.append(_json_texts(column.tolist()))
+        elif column.size != len(column) * width:
+            raise ValueError(f"rows of {width} values expected")
         else:
             formats.append(f"{name}: [{', '.join(['%s'] * width)}]")
-            texts += map(_json_texts, _row_columns(column, width))
+            texts += map(_json_texts, column.reshape(-1, width).T.tolist())
     template = "{" + ", ".join(formats) + "}\n"
     stream.write("".join(map(template.__mod__, zip(*texts))))
 
@@ -443,18 +427,22 @@ def _read_json_lines(path, convert):
     return converted
 
 
+def _residual(entry):
+    delta = entry["delta"]
+    if any(isinstance(v, str) for v in np.asarray(delta, dtype=object).flat):
+        raise TypeError(f"delta must hold numbers, not strings: {delta!r}")
+    return (entry["file"], entry["line"]), np.asarray(delta, dtype=float)
+
+
 def read_residuals(path):
     """Dimension residuals from JSON lines of {"file", "line", "delta": [3]},
-    as (file, line) -> the delta as a float array."""
-    return dict(
-        _read_json_lines(
-            path, lambda e: ((e["file"], e["line"]), np.asarray(e["delta"], dtype=float))
-        )
-    )
+    as (file, line) -> the delta as a float array. A string in a delta makes
+    its line malformed; a null or NaN is read as NaN."""
+    return dict(_read_json_lines(path, _residual))
 
 
 def _result_row(entry):
-    """(frame, row) of one results entry. The row holds the label columns
+    """(file, row) of one results entry. The row holds the label columns
     from x_min on: the rectangle, h, w, l, the location, rotation_y and the
     score, 1.0 when null.
 
@@ -478,64 +466,57 @@ def _result_row(entry):
     return str(entry.get("file", "0")), row
 
 
-def _columns(frames, rows, **extra):
-    """``metrics.evaluate``'s columns of rows that hold the label columns from
-    x_min on, and the ``extra`` columns."""
-    rows = np.asarray(rows, dtype=float).reshape(len(frames), 12)
+def read_results(path):
+    """The KITTI table of a results file, each line checked by ``_result_row``:
+    ``file`` ("0" where a line has none), ``box2d``, ``dims_hwl``,
+    ``location``, ``rotation_y`` and ``score`` (1.0 where null)."""
+    rows = _read_json_lines(path, _result_row)
+    values = np.array([row for _, row in rows], dtype=float).reshape(-1, 12)
     return {
-        "frame": frames, "box2d": rows[:, :4], "dims_hwl": rows[:, 4:7], "location": rows[:, 7:10],
-        "rotation_y": rows[:, 10], "score": rows[:, 11], **extra,
+        "file": np.array([file for file, _ in rows], dtype=object), "box2d": values[:, :4],
+        "dims_hwl": values[:, 4:7], "location": values[:, 7:10], "rotation_y": values[:, 10],
+        "score": values[:, 11],
     }
 
 
-def read_results(path):
-    """(frame, row) of each line of a results file: see ``_result_row``."""
-    return _read_json_lines(path, _result_row)
+def evaluation_columns(stems, labels, results):
+    """(ground truths, detections, missing files) for ``metrics.evaluate``.
 
-
-def evaluation_columns(labels, results):
-    """(ground truths, detections, missing frames) for ``metrics.evaluate``.
-
-    Every object of the label columns counts. The ``read_results`` rows of
-    labelled frames rank tied scores by frame, in order of first appearance,
-    then by line; the frames without labels are returned sorted."""
-    stems, file, _, values, _ = labels
-    by_frame = {}  # frame -> its rows; frames in order of first appearance
-    for frame, row in results:
-        by_frame.setdefault(frame, []).append(row)
+    The ground truths are ``labels``, the objects of the label files
+    ``stems``. The detections are the ``read_results`` rows of those files,
+    also of one without objects, ordered so tied scores rank by file, in
+    order of first appearance, then by line. The other files come sorted."""
+    first = {}  # file -> its rank by first appearance
+    rank = np.array([first.setdefault(f, len(first)) for f in results["file"].tolist()], int)
     labelled = set(stems)
-    truths = _columns(
-        np.array(stems, dtype=object)[file], values[:, 3:],
-        occluded=np.trunc(values[:, 1]), truncated=values[:, 0],
-    )
-    detections = _columns(
-        [frame for frame in by_frame if frame in labelled for _ in by_frame[frame]],
-        [row for frame in by_frame if frame in labelled for row in by_frame[frame]],
-    )
-    return truths, detections, sorted(set(by_frame) - labelled)
+    kept = np.flatnonzero(np.array([f in labelled for f in first], dtype=bool)[rank])
+    order = kept[np.argsort(rank[kept], kind="stable")]
+    detections = {key: column[order] for key, column in results.items()}
+    return labels, detections, sorted(set(first) - labelled)
 
 
 def lift_columns(labels, calibs, mode, residuals=None):
-    """Lift label records to 3D boxes: the paper's pipeline, over columns.
+    """Lift label records to 3D boxes: the paper's pipeline, over a KITTI table.
 
-    ``labels`` are (stems, file, categories, values, line_nos) without
-    DontCare rows, ``file`` indexing ``stems`` in order; ``calibs`` holds per
-    stem its CalibRecord, None without a calibration file, or the error that
-    made it unusable; the entry of a stem without records is not read. A
-    record's dimensions are its label's, or with the ``read_residuals``
-    mapping ``residuals`` its category's mean plus its residual; its yaw is
-    alpha plus the yaw of the ray through its rectangle's center. One
+    ``labels`` is a ``label_table`` without DontCare rows, with ``file`` and
+    ``line``. ``calibs`` maps the stem of each file that holds a record to
+    its CalibRecord, None without a calibration file, or the error that made
+    it unusable. A record's
+    dimensions are its label's, or with the ``read_residuals`` mapping
+    ``residuals`` its category's mean plus its residual; its yaw is alpha
+    plus the yaw of the ray through its rectangle's center. One
     ``lift_batch`` call solves every translation.
 
     Returns:
-        (fields, diagnostics, status, messages): ``write_results_jsonl``'s
-        columns of the lifted records, in input order, and per record
-        ``"lifted"`` or its first failure of ``missing_calib``, ``bad_calib``,
+        (results, status, messages): the table of the lifted records, in
+        input order, with the diagnostics ``theta_ray``, ``configuration``,
+        ``residual`` and ``reprojection_error``; and per record ``"lifted"``
+        or its first failure of ``missing_calib``, ``bad_calib``,
         ``missing_dims``, ``missing_residual``, ``bad_residual``, the
         ``solver.FAILURES`` and ``non_finite_center``, with its message.
     """
-    stems, file, categories, values, line_nos = labels
-    n = len(file)
+    files, categories, box = labels["file"], labels["category"], labels["box2d"]
+    n = len(files)
     status, messages = np.full(n, LIFTED, dtype=object), np.full(n, None, dtype=object)
 
     def fail(mask, code, message):  # the records of mask that have not failed yet
@@ -544,20 +525,18 @@ def lift_columns(labels, calibs, mode, residuals=None):
 
     # per record: its camera, from its file's calibration, and its ray angle
     ks, offsets, rays = np.zeros((n, 3, 3)), np.zeros((n, 3)), np.zeros(n)
-    bounds = np.searchsorted(file, np.arange(len(stems) + 1))
-    for calib, lo, hi in zip(calibs, bounds[:-1].tolist(), bounds[1:].tolist()):
-        if lo == hi:  # a file without records: its calibration is never read
-            continue
+    starts = np.flatnonzero(np.r_[n > 0, files[1:] != files[:-1]]).tolist()  # where files change
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        calib = calibs[files[lo]]
         if isinstance(calib, CalibRecord):
             intrinsics = calib.intrinsics
             ks[lo:hi], offsets[lo:hi] = intrinsics.matrix, calib.translation_offset
-            rays[lo:hi] = ray_angle(intrinsics, 0.5 * (values[lo:hi, 3] + values[lo:hi, 5]))
+            rays[lo:hi] = ray_angle(intrinsics, 0.5 * (box[lo:hi, 0] + box[lo:hi, 2]))
         else:  # no calibration file, or the error that made it unusable
             status[lo:hi] = "missing_calib" if calib is None else "bad_calib"
             messages[lo:hi] = "no calibration file" if calib is None else str(calib)
 
-    names = np.array(stems, dtype=object)[file]
-    extents = values[:, [9, 7, 8]]  # KITTI (l, h, w) are the solver's (dx, dy, dz)
+    extents = labels["dims_hwl"][:, [2, 0, 1]]  # KITTI (l, h, w) are the solver's (dx, dy, dz)
     sized = (extents > 0).all(axis=1)
     if residuals is None:
         dims = extents
@@ -570,7 +549,7 @@ def lift_columns(labels, calibs, mode, residuals=None):
                 dims[own] = extents[own & sized].mean(axis=0)
         unknown = "no dimension residual or category mean available"
         fail(np.isnan(dims[:, 0]), "missing_dims", unknown)
-        deltas = [residuals.get(key) for key in zip(names.tolist(), line_nos.tolist())]
+        deltas = [residuals.get(key) for key in zip(files.tolist(), labels["line"].tolist())]
         fail(np.array([d is None for d in deltas], dtype=bool), "missing_residual", unknown)
         three = np.array([d is not None and d.shape == (3,) for d in deltas], dtype=bool)
         fail(~three, "bad_residual", "residual must be a 3-vector")
@@ -580,10 +559,10 @@ def lift_columns(labels, calibs, mode, residuals=None):
             f"dimensions must be positive and finite, got {tuple(row)}" for row in dims[bad].tolist()
         ])
 
-    yaws = local_to_global(values[:, 2], rays)
+    yaws = local_to_global(labels["alpha"], rays)
     rows = np.flatnonzero(status == LIFTED)
     rotations = rotations_from_angles(yaws[rows], *np.zeros((2, len(rows))))  # yaw only
-    batch = lift_batch(ks[rows], rotations, dims[rows], values[rows, 3:7], mode)
+    batch = lift_batch(ks[rows], rotations, dims[rows], box[rows], mode)
     outcome = np.full(n, LIFTED, dtype=object)
     outcome[rows] = batch.outcome
     for code, (_, message) in FAILURES.items():
@@ -596,24 +575,18 @@ def lift_columns(labels, calibs, mode, residuals=None):
 
     lifted = status[rows] == LIFTED
     done = rows[lifted]
-    score = values[done, 14]
-    fields = {
-        "category": categories[done],
-        "truncated": values[done, 0],
-        "occluded": list(map(int, values[done, 1].tolist())),
-        "alpha": values[done, 2],
-        "box2d": values[done, 3:7],
-        "dims_hwl": dims[done][:, [1, 2, 0]],
-        "location": centers_to_locations(centers[done], dims[done, 1]),
-        "rotation_y": yaws[done],
-        "score": np.where(np.isnan(score), 1.0, score),  # NaN: the line has no score
-        "file": names[done],
-        "line": line_nos[done],
-    }
-    diagnostics = {
-        "theta_ray": rays[done],
-        "configuration": batch.configuration[lifted],
-        "residual": batch.residual[lifted],
-        "reprojection_error": batch.reprojection_error[lifted],
-    }
-    return fields, diagnostics, status, messages
+    score = labels["score"][done]
+    results = {key: column[done] for key, column in labels.items()}
+    results.update(
+        # exact ints: astype(int) would wrap a finite 1e20
+        occluded=np.array([int(o) for o in results["occluded"].tolist()], dtype=object),
+        dims_hwl=dims[done][:, [1, 2, 0]],
+        location=centers_to_locations(centers[done], dims[done, 1]),
+        rotation_y=yaws[done],
+        score=np.where(np.isnan(score), 1.0, score),  # NaN: the line has no score
+        theta_ray=rays[done],
+        configuration=batch.configuration[lifted],
+        residual=batch.residual[lifted],
+        reprojection_error=batch.reprojection_error[lifted],
+    )
+    return results, status, messages

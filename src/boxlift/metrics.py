@@ -552,7 +552,7 @@ def _kitti_boxes(columns, rows):
     """_Boxes of some rows of ``evaluate``'s columns, the yaw wrapped as by Box3D."""
     dims = columns["dims_hwl"][rows]
     if (dims <= 0).any():
-        frame = columns["frame"][rows[(dims <= 0).any(axis=1).argmax()]]
+        frame = columns["file"][rows[(dims <= 0).any(axis=1).argmax()]]
         raise ValueError(f"a record of frame {frame} has no dimensions")
     centers = columns["location"][rows]
     centers[:, 1] -= 0.5 * dims[:, 0]  # the location is the bottom-center
@@ -563,9 +563,9 @@ def _kitti_boxes(columns, rows):
 def evaluate(ground_truths, detections, iou_threshold):
     """AP and AOS per difficulty and the 3D-box errors, from one IoU scan.
 
-    Each argument maps KITTI field names to columns: ``frame``, ``box2d``,
-    ``dims_hwl``, ``location``, ``rotation_y``, and ``occluded`` and
-    ``truncated`` for the ground truths or ``score`` for the detections.
+    Each argument is a KITTI table (see ``boxlift.kitti``) with ``file``,
+    ``box2d``, ``dims_hwl``, ``location``, ``rotation_y``, and ``occluded``
+    and ``truncated`` for the ground truths or ``score`` for the detections.
     The greedy pick of ``match_greedy`` runs on the scan's candidates for
     the overall match, and per difficulty on those of its ground truths,
     which is ``aos`` of them.
@@ -581,7 +581,7 @@ def evaluate(ground_truths, detections, iou_threshold):
     """
     gt, det = ground_truths, detections
     order, *candidates = _scan(
-        gt["frame"], gt["box2d"], det["frame"], det["box2d"], det["score"], iou_threshold
+        gt["file"], gt["box2d"], det["file"], det["box2d"], det["score"], iou_threshold
     )
     height, det_yaw = gt["box2d"][:, 3] - gt["box2d"][:, 1], det["rotation_y"][order]
     difficulties = {}

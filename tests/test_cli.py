@@ -166,6 +166,35 @@ def test_lift_malformed_residuals_line_names_file_and_line(tmp_path, precise_dat
                  "--residuals", str(residual_path)]) == 1
 
 
+@pytest.mark.parametrize("delta", [[0.0, "0.2", 0.0], "1e3", [["0", "0", "0"]]])
+def test_lift_string_residual_delta_names_file_and_line(tmp_path, precise_dataset, caplog, delta):
+    # a string is no number, also where float() would read it
+    labels, calibs, corpus = precise_dataset
+    entries = [
+        {"file": stem, "line": n, "delta": [0.0, 0.0, 0.0]}
+        for stem, text in corpus.items() for n in range(1, len(text.splitlines()) + 1)
+    ]
+    entries[1]["delta"], entries[2]["delta"] = None, delta
+    residual_path = tmp_path / "residuals.jsonl"
+    residual_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    argv = ["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl"),
+            "--residuals", str(residual_path)]
+    with pytest.raises(MalformedLineError) as excinfo:
+        _dispatch(build_parser().parse_args(argv))
+    assert excinfo.value.line_no == 3
+    assert str(excinfo.value).startswith(f"{residual_path} line 3: TypeError: delta must hold numbers")
+
+    # a null delta is read: only its own record fails
+    del entries[2]
+    residual_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    assert main(argv) == 0
+    stem = entries[1]["file"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{stem} line 2 not lifted: residual must be a 3-vector",
+        f"{stem} line 3 not lifted: no dimension residual or category mean available",
+    ]
+
+
 @pytest.mark.parametrize("command", ["lift", "eval"])
 def test_short_label_line_names_label_file(tmp_path, precise_dataset, command):
     labels, calibs, corpus = precise_dataset
@@ -285,14 +314,12 @@ def _scalar_lift_reference(corpus, calib, mode, residuals=None):
                 "dims_hwl": [[out.height, out.width, out.length]], "location": [out.location],
                 "rotation_y": [out.rotation_y], "score": [out.score],
                 "file": [stem], "line": [record.line_no],
-            }
-            diagnostics = {
                 "theta_ray": [theta_ray],
                 "configuration": [list(result.configuration)],
                 "residual": [result.residual],
                 "reprojection_error": [result.reprojection_error],
             }
-            lines.append(json.dumps(result_entries(fields, diagnostics)[0]))
+            lines.append(json.dumps(result_entries(fields)[0]))
             kitti_rows.setdefault(stem, []).append(out)
     return lines, {stem: write_results(rows) for stem, rows in kitti_rows.items()}
 
@@ -766,6 +793,31 @@ def _result_entry(record, score):
     }
 
 
+def test_eval_scores_results_of_label_files_without_objects(tmp_path, calib):
+    # an empty or DontCare-only label file is labelled: its results lines are
+    # false positives, not missing frames
+    line = record_line("Car", sample_scene_box(np.random.default_rng(46), depth_range=(10.0, 18.0)), calib)
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "000000.txt").write_text(line + "\n")
+    (labels / "000001.txt").write_text("")
+    (labels / "000002.txt").write_text(DONT_CARE_LINE + "\n")
+    record = parse_label_file(line)[0]
+    entries = [_result_entry(record, score=0.9)] + [
+        {**_result_entry(record, score=0.95), "file": stem} for stem in ("000001", "000002")
+    ]
+    results = tmp_path / "results.jsonl"
+    results.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    out_dir = tmp_path / "eval"
+    assert main(["eval", str(labels), str(results), "--out", str(out_dir)]) == 0
+
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["missing_frames"] == []
+    assert summary["matched_pairs"]["count"] == 1
+    # two false positives rank above the one true positive: precision 1/3
+    assert summary["difficulties"]["hard"]["ap"] == pytest.approx(1 / 3)
+
+
 def test_eval_missing_ground_truth_skipped(tmp_path, precise_dataset, capsys):
     labels, calibs, _ = precise_dataset
     results = tmp_path / "results.jsonl"
@@ -907,6 +959,47 @@ def test_config_file_round(tmp_path):
         assert main(["encode", "--theta", "1.0", "--config", str(bad)]) == 1
 
 
+_ENCODE = ["encode", "--theta", "1.0"]
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (_ENCODE, "bins = 4\nmode = kitti\n", "{path} line 2: mode: could not convert string to float: 'kitti'"),
+    (_ENCODE, "bins_sweep = [\n  1,\n]\n", "{path} line 1: bins_sweep: could not convert string to float: '['"),
+    (_ENCODE, "\n[run]\n", "{path} line 2: config tables are not supported: [run]"),
+    (["toy", "--out", "toy.csv"], "epochs = 2.5\n", "{path}: epochs must be int, got 2.5"),
+    (_ENCODE, 'bins_sweep = "1,2"\n', "{path}: bins_sweep must be a list of int, got '1,2'"),
+    (_ENCODE, "bins_sweep = [1, 2.0]\n", "{path}: bins_sweep must be a list of int, got [1, 2.0]"),
+    (_ENCODE, "bins = true\n", "{path}: bins must be int, got True"),
+    (_ENCODE, 'overlap = "1.5"\n', "{path}: overlap must be float, got '1.5'"),
+    (_ENCODE, "mode = 1\n", "{path}: mode must be str, got 1"),
+], ids=[
+    "unquoted-string", "multi-line-array", "table", "float-for-int", "string-for-list",
+    "float-in-list", "bool-for-int", "string-for-float", "int-for-string",
+])
+def test_config_file_errors_name_the_file_line_and_key(tmp_path, monkeypatch, caplog, argv, text, message):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.toml"
+    config.write_text(text)
+    assert main(argv + ["--config", str(config)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [message.format(path=config)]
+
+
+def test_json_config_file_errors_name_the_file(tmp_path, caplog):
+    config = tmp_path / "run.json"
+    config.write_text('{"bins": 4,}')
+    assert main(_ENCODE + ["--config", str(config)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{config}: Expecting property name enclosed in double quotes: line 1 column 12 (char 11)"
+    ]
+
+
+def test_config_file_takes_an_int_for_a_float(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"overlap": 1, "bins": 4}')
+    assert main(_ENCODE + ["--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_bins"] == 4
+
+
 def test_alpha_is_no_option(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["encode", "--theta", "1.0", "--alpha", "2.0"])
@@ -939,4 +1032,4 @@ bins_sweep = [1, 2, 4, 8]
     # a "#" inside a quoted string is no comment; integers in every TOML base
     variants += ['mode = "a#b"  # a comment\n', "mode = 'a#b'\n", "seed = 0x10\n", "seed = 1_000\n"]
     for variant in variants:
-        assert _parse_flat_toml(variant) == tomllib.loads(variant)
+        assert _parse_flat_toml(variant, "run.toml") == tomllib.loads(variant)

@@ -15,6 +15,7 @@ from boxlift.kitti import (
     RESULT_FIELDS,
     DetectionRecord,
     centers_to_locations,
+    label_table,
     lift_columns,
     parse_calib_file,
     parse_label_file,
@@ -399,6 +400,17 @@ def test_write_empty_is_empty():
     assert result_lines({key: [] for key in RESULT_FIELDS}) == []
 
 
+def test_write_keeps_occlusions_and_categories_exact():
+    # no numpy dtype may round an occlusion or trim a category's trailing NUL
+    tokens = REAL_LABEL_LINES[1].split()
+    lines = [" ".join([name, tokens[1], occluded, *tokens[3:]])
+             for name, occluded in (("Car\x00", "9.3e18"), ("Van", "-1"))]
+    text = write_results(parse_label_file("\n".join(lines)))
+    assert [line.split(" ")[:3] for line in text.splitlines()] == [
+        ["Car\x00", "0.00", "9300000000000000000"], ["Van", "0.00", "-1"],
+    ]
+
+
 def test_result_lines_from_columns_match_the_records_view(label_corpus):
     records = parse_label_file(label_corpus["real"] + REAL_LABEL_LINES[1] + " 0.87\n")
     assert records[0].score is None and records[-1].score == 0.87
@@ -463,11 +475,12 @@ def test_jsonl_roundtrip():
         "score": [record.score],
         "file": ["000123"],
         "line": [4],
+        "configuration": [[0, 5, 2, 5]],
+        "reprojection_error": [1e-12],
     }
-    diagnostics = {"configuration": [[0, 5, 2, 5]], "reprojection_error": [1e-12]}
     buffer = io.StringIO()
-    write_results_jsonl(fields, buffer, diagnostics)
-    entry = result_entries(fields, diagnostics)[0]
+    write_results_jsonl(fields, buffer)
+    entry = result_entries(fields)[0]
     assert buffer.getvalue() == json.dumps(entry) + "\n"
     buffer.seek(0)
     loaded = [json.loads(line) for line in buffer]
@@ -486,8 +499,8 @@ def test_jsonl_roundtrip():
     assert loaded[0]["score"] == pytest.approx(0.87)
 
 
-def _results_columns(n, rng):
-    """Result columns of n records whose values stress the JSON encoding."""
+def _results_table(n, rng):
+    """A KITTI table of n records whose values stress the JSON encoding."""
     odd = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2, 1 / 3, 123456789.12345678]
 
     def floats(*shape):
@@ -495,15 +508,15 @@ def _results_columns(n, rng):
 
     names = ['Car', 'say "hi"', 'a, b', 'back\\slash', 'Fußgänger', '雪', 'tab\t, "]', '']
     return {
-        "category": [names[i % len(names)] for i in range(n)],
+        "category": np.array([names[i % len(names)] for i in range(n)], dtype=object),
         "truncated": floats(n),
-        "occluded": [i % 4 for i in range(n)],
-        "alpha": floats(n).tolist(),
+        "occluded": np.array([10**20 if i == 1 else i % 4 for i in range(n)], dtype=object),
+        "alpha": floats(n),
         "box2d": floats(n, 4),
-        "dims_hwl": [[i, 2.0, 3] if i % 2 else (1.5, 0.5, 4.25) for i in range(n)],
-        "location": floats(n, 3).tolist(),
+        "dims_hwl": np.array([[i, 2.0, 3] if i % 2 else (1.5, 0.5, 4.25) for i in range(n)]),
+        "location": floats(n, 3),
         "rotation_y": floats(n),
-        "score": [None if i % 3 == 0 else float(floats(1)[0]) for i in range(n)],
+        "score": np.array([None if i % 3 == 0 else float(floats(1)[0]) for i in range(n)], dtype=object),
         "file": np.array([f"{i % 3:06d}, \"x\"\\ü" for i in range(n)], dtype=object),
         "line": np.arange(1, n + 1),
     }
@@ -512,27 +525,29 @@ def _results_columns(n, rng):
 @pytest.mark.parametrize("n", [0, 1, 2, 9, 40])
 def test_results_jsonl_is_json_dumps_of_result_entries(n):
     rng = np.random.default_rng(n)
-    fields = _results_columns(n, rng)
-    diagnostics = {
+    table = {
+        **_results_table(n, rng),
         "theta_ray": rng.normal(size=n),
-        "configuration": rng.integers(0, 8, size=(n, 4)),  # int rows, as an array
-        "corners": [[int(i), -i] for i in range(n)],  # a 2-D int column of no known width
-        "residual": [math.nan] * n,
-        "100%": [True] * n,
+        "configuration": rng.integers(0, 8, size=(n, 4)),  # int rows
+        "corners": np.array([[i, -i] for i in range(n)]).reshape(n, 2),  # int rows of no known width
+        "residual": np.full(n, math.nan),
+        "100%": np.ones(n, dtype=bool),
     }
     buffer = io.StringIO()
-    write_results_jsonl(fields, buffer, diagnostics)
-    entries = result_entries(fields, diagnostics)
+    write_results_jsonl(table, buffer)
+    entries = result_entries(table)
     assert buffer.getvalue() == "".join(json.dumps(entry) + "\n" for entry in entries)
     assert len(buffer.getvalue().splitlines()) == n
+    if n > 1:  # an occlusion beyond int64 is written exactly
+        assert entries[1]["occluded"] == 10**20 and '"occluded": 100000000000000000000,' in buffer.getvalue()
 
 
 def test_results_jsonl_keeps_the_errors_of_json_dumps():
-    fields = _results_columns(2, np.random.default_rng(0))
-    with pytest.raises(TypeError):  # numpy ints are no JSON numbers
-        write_results_jsonl({**fields, "occluded": [np.int64(1), np.int64(2)]}, io.StringIO())
+    table = _results_table(2, np.random.default_rng(0))
+    with pytest.raises(TypeError):  # a set is no JSON value
+        write_results_jsonl({**table, "category": np.array([{1}, {2}], dtype=object)}, io.StringIO())
     with pytest.raises(ValueError, match="rows of 3 values"):
-        write_results_jsonl({**fields, "dims_hwl": [[1.0, 2.0, 3.0], [1.0, 2.0]]}, io.StringIO())
+        write_results_jsonl({**table, "dims_hwl": np.ones((2, 2))}, io.StringIO())
 
 
 def test_read_results_reads_back_write_results_jsonl(tmp_path):
@@ -548,31 +563,31 @@ def test_read_results_reads_back_write_results_jsonl(tmp_path):
         "score": [0.75, None],  # a null score reads as 1.0
         "file": ["000007", "000009"],
         "line": [3, 1],
+        "residual": [0.1, 0.2],
     }
     path = tmp_path / "results.jsonl"
     with open(path, "w") as handle:
-        write_results_jsonl(fields, handle, {"residual": [0.1, 0.2]})
-    # per line: its file, then the rectangle, h, w, l, location, rotation_y and score
-    assert read_results(path) == [
-        ("000007", [10.0, 20.0, 30.0, 45.5, 1.5, 1.6, 4.0, 1.0, 1.65, 20.0, 0.3, 0.75]),
-        ("000009", [100.25, 50.0, 180.0, 90.0, 2.0, 1.9, 5.0, -3.5, 1.7, 35.25, -3.0, 1.0]),
-    ]
+        write_results_jsonl(fields, handle)
+    table = read_results(path)
+    assert list(table) == ["file", "box2d", "dims_hwl", "location", "rotation_y", "score"]
+    assert table["file"].tolist() == ["000007", "000009"]
+    for key in ("box2d", "dims_hwl", "location", "rotation_y"):
+        assert table[key].tolist() == fields[key]
+    assert table["score"].tolist() == [0.75, 1.0]
 
 
 # --- lifting ---------------------------------------------------------------------
 
 
-def _label_columns(texts):
-    """``lift_columns``' label columns of label texts without DontCare lines, by stem."""
-    stems = sorted(texts)
-    read = [read_label_columns(texts[stem]) for stem in stems]
-    return (
-        stems,
-        np.concatenate([np.full(len(categories), i) for i, (categories, *_) in enumerate(read)]),
-        np.array([c for categories, *_ in read for c in categories], dtype=object),
-        np.concatenate([values for _, values, _, _ in read]),
-        np.concatenate([line_nos for *_, line_nos in read]),
-    )
+def _label_table(texts):
+    """``lift_columns``' label table of label texts without DontCare lines, by stem."""
+    tables = []
+    for stem in sorted(texts):
+        categories, values, dont_care, line_nos = read_label_columns(texts[stem])
+        file = np.full(len(categories), stem, dtype=object)
+        table = label_table(categories, values, file=file, line=line_nos)
+        tables.append({key: column[~dont_care] for key, column in table.items()})
+    return {key: np.concatenate([table[key] for table in tables]) for key in tables[0]}
 
 
 def test_lift_columns_gives_each_record_one_status_in_input_order(calib):
@@ -592,9 +607,9 @@ def test_lift_columns_gives_each_record_one_status_in_input_order(calib):
         "000002": [car_line()],  # an unusable calibration
         "000003": [car_line()],
     }
-    labels = _label_columns({stem: "\n".join(lines) for stem, lines in texts.items()})
-    calibs = [calib, None, ValueError("P2[2][2] must be 1"), calib]
-    fields, diagnostics, status, messages = lift_columns(
+    labels = _label_table({stem: "\n".join(lines) for stem, lines in texts.items()})
+    calibs = {"000000": calib, "000001": None, "000002": ValueError("P2[2][2] must be 1"), "000003": calib}
+    results, status, messages = lift_columns(
         labels, calibs, ConstraintMode.KITTI_ZERO_PITCH_ROLL
     )
     assert status.tolist() == [
@@ -605,11 +620,12 @@ def test_lift_columns_gives_each_record_one_status_in_input_order(calib):
         None, "record has no dimensions", "all 64 configurations infeasible", None,
         "no calibration file", "no calibration file", "P2[2][2] must be 1", None,
     ]
-    # the result columns hold the lifted records only, in input order
-    assert list(zip(fields["file"], fields["line"].tolist())) == [
+    # the results table holds the lifted records only, in input order
+    assert list(zip(results["file"], results["line"].tolist())) == [
         ("000000", 1), ("000000", 4), ("000003", 1),
     ]
-    assert {len(column) for column in [*fields.values(), *diagnostics.values()]} == {3}
+    assert {len(column) for column in results.values()} == {3}
+    assert list(results)[-4:] == ["theta_ray", "configuration", "residual", "reprojection_error"]
 
 
 def test_lift_columns_residual_means_leave_out_other_records(calib):
@@ -634,14 +650,14 @@ def test_lift_columns_residual_means_leave_out_other_records(calib):
         line("Car", (3.0, 1.5, 2.0)),
         without_dims(line("Tram", (10.0, 3.0, 2.5))),
     ]
-    labels = _label_columns({"000000": "\n".join(lines)})
+    labels = _label_table({"000000": "\n".join(lines)})
     residuals = {("000000", n): np.zeros(3) for n in range(1, len(lines) + 1)}
-    fields, _, status, messages = lift_columns(
-        labels, [calib], ConstraintMode.KITTI_ZERO_PITCH_ROLL, residuals
+    results, status, messages = lift_columns(
+        labels, {"000000": calib}, ConstraintMode.KITTI_ZERO_PITCH_ROLL, residuals
     )
     assert status.tolist() == ["lifted"] * 4 + ["missing_dims"]
     assert messages[4] == "no dimension residual or category mean available"
     # (h, w, l): the Cars' mean of two, the Van's own extents
-    assert fields["dims_hwl"].tolist() == [
+    assert results["dims_hwl"].tolist() == [
         [1.5, 1.75, 3.5], [1.75, 2.0, 5.0], [1.5, 1.75, 3.5], [1.5, 1.75, 3.5],
     ]

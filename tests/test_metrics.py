@@ -628,7 +628,7 @@ def kitti_columns(rng, frames, boxes, near=None):
     each row's near the row ``near[i]`` of other columns."""
     n = len(boxes)
     columns = {
-        "frame": frames,
+        "file": frames,
         "box2d": np.array([b.as_array for b in boxes]).reshape(n, 4),
         "dims_hwl": rng.uniform([1.4, 1.5, 3.0], [1.8, 1.9, 4.6], (n, 3)),
         "location": rng.uniform([-10.0, 1.5, 5.0], [10.0, 1.8, 60.0], (n, 3)),
@@ -646,7 +646,7 @@ def columns_rows(columns, frames, boxes):
     """Per box, the row of ``columns`` in its frame whose x_min is nearest (0 if none)."""
     rows = []
     for frame, box in zip(frames, boxes):
-        same = [i for i, f in enumerate(columns["frame"]) if f == frame] or [0]
+        same = [i for i, f in enumerate(columns["file"]) if f == frame] or [0]
         rows.append(min(same, key=lambda i: abs(columns["box2d"][i, 0] - box.x_min)))
     return rows
 
@@ -676,10 +676,10 @@ def test_evaluate_equals_the_object_path():
         det["score"] = np.array([s for _, _, s in dets])
         difficulties, errors, viewpoint = evaluate(gt, det, 0.5)
 
-        gt_objects = [GroundTruthBox(b, y, f) for f, b, y in zip(gt["frame"], gt_boxes, gt["rotation_y"])]
+        gt_objects = [GroundTruthBox(b, y, f) for f, b, y in zip(gt["file"], gt_boxes, gt["rotation_y"])]
         det_objects = [
             ScoredDetection(b, y, s, f)
-            for f, b, y, s in zip(det["frame"], det_boxes, det["rotation_y"], det["score"])
+            for f, b, y, s in zip(det["file"], det_boxes, det["rotation_y"], det["score"])
         ]
         counts = []
         for name, (min_height, max_occluded, max_truncated) in DIFFICULTY_RULES.items():
@@ -719,7 +719,7 @@ def test_evaluate_without_pairs():
     assert [(r.ap, r.aos, n) for r, n in difficulties.values()] == [(0.0, 0.0, 1)] * 3
     gt["dims_hwl"][0, 1] = -1.0  # without dimensions: fails only once matched
     assert evaluate(gt, det, 0.5)[1].shape == (0, 4)
-    det["frame"][1] = "a"
+    det["file"][1] = "a"
     with pytest.raises(ValueError, match="frame a has no dimensions"):
         evaluate(gt, det, 0.5)
 
