@@ -10,6 +10,7 @@ from boxlift.geometry import (
     Box3D,
     CameraIntrinsics,
     Dimensions,
+    are_rotations,
     box_vertices,
     is_rotation,
     project,
@@ -92,6 +93,39 @@ def test_yaw_only_rotation_is_bit_identical_to_the_product():
     product = np.array([rotation_from_angles(np.array(yaw)) for yaw in yaws[:2000]])
     assert direct[:2000].tobytes() == product.tobytes()
     assert not np.signbit(direct[:2]).any()  # yaw = -0.0 gives +0.0 entries, as the product does
+
+
+def test_are_rotations_follows_its_documented_rule():
+    # R^T R within np.allclose(rtol=1e-5, atol=1e-9) of the identity, and
+    # |det R - 1| <= 1e-9, checked one matrix at a time
+    rng = np.random.default_rng(4)
+
+    def rotations(n):
+        return rotations_from_angles(*rng.uniform(-np.pi, np.pi, size=(3, n)))
+
+    def scales(n, lo, hi):  # log-uniform magnitudes in [lo, hi], random signs
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), n)
+
+    perturbed = rotations(4000) + scales(4000, 1e-12, 1e-6)[:, None, None] * rng.normal(size=(4000, 3, 3))
+    reflections = rotations(1500) * rng.choice([[1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]], 1500)[:, None, :]
+    reflections[:500] += 1e-10 * rng.normal(size=(500, 3, 3))
+    scaled = rotations(1500) * (1.0 + scales(1500, 1e-12, 1e-4))[:, None, None]
+    broken = rotations(1000)
+    broken.reshape(-1, 9)[np.arange(1000), rng.integers(0, 9, 1000)] = rng.choice([np.nan, np.inf, -np.inf], 1000)
+    matrices = np.concatenate([rotations(1000), perturbed, reflections, scaled, broken, rng.normal(size=(1000, 3, 3))])
+
+    def reference(m):
+        with np.errstate(all="ignore"):
+            return np.allclose(m.T @ m, np.eye(3), rtol=1e-5, atol=1e-9) and abs(np.linalg.det(m) - 1.0) <= 1e-9
+
+    expected = np.array([reference(m) for m in matrices])
+    assert are_rotations(matrices).tolist() == expected.tolist()
+    assert [is_rotation(m) for m in matrices[::10]] == expected[::10].tolist()
+    # exact rotations pass; reflections, NaN, inf and random matrices fail
+    assert expected[:1000].all() and not expected[5000:6500].any() and not expected[8000:].any()
+    # the perturbed and scaled ones fall on both sides of the bound
+    assert 1000 < np.count_nonzero(expected[1000:5000]) < 3000
+    assert 300 < np.count_nonzero(expected[6500:8000]) < 1200
 
 
 def test_box_vertices_unit_half_extents():
