@@ -183,25 +183,24 @@ def _write_csv(path, header, rows):
 
 def _read_label_dir(directory):
     """(stems, table): the stems of the ``*.txt`` files in ``directory``, in
-    name order, and the ``kitti.label_table`` of their records without
-    DontCare rows, with each record's ``file`` stem and physical ``line``."""
+    name order, and the ``kitti.read_label_columns`` table of their records
+    without DontCare rows, with each one's ``file`` stem before its ``line``."""
     paths = sorted(Path(directory).glob("*.txt"))
     lines = [path.read_text().splitlines() for path in paths]
     starts = np.cumsum([0] + [len(file_lines) for file_lines in lines])
     try:  # one call for every file: the array checks cost mostly per call
-        columns = kitti.read_label_columns("\n".join(chain.from_iterable(lines)))
+        table = kitti.read_label_columns("\n".join(chain.from_iterable(lines)))
     except MalformedLineError as exc:  # name the file and its own line
         file = int(np.searchsorted(starts, exc.line_no)) - 1
         line_no = exc.line_no - int(starts[file])
         message = str(exc).replace(f"line {exc.line_no}:", f"{paths[file]} line {line_no}:", 1)
         raise MalformedLineError(line_no, exc.token, message) from None
-    categories, values, dont_care, line_nos = columns
     stems = [path.stem for path in paths]
-    file = np.searchsorted(starts, line_nos) - 1
-    table = kitti.label_table(
-        categories, values, file=np.array(stems, dtype=object)[file], line=line_nos - starts[file]
-    )
-    return stems, {key: column[~dont_care] for key, column in table.items()}
+    file = np.searchsorted(starts, table["line"]) - 1
+    table["file"] = np.array(stems, dtype=object)[file]
+    table["line"] = table.pop("line") - starts[file]  # after "file", as results lines order them
+    kept = table["category"] != kitti.DONT_CARE
+    return stems, {key: column[kept] for key, column in table.items()}
 
 
 def _read_calib(path):
@@ -251,7 +250,8 @@ def cmd_lift(args):
 def cmd_eval(args):
     config = build_config(args)
     results = kitti.read_results(args.results)
-    truths, detections, missing = kitti.evaluation_columns(*_read_label_dir(args.gt_dir), results)
+    stems, truths = _read_label_dir(args.gt_dir)
+    detections, missing = kitti.evaluation_columns(stems, results)
     if missing:
         print(f"skipped {len(missing)} frames without ground truth: {missing}")
     difficulties, errors, viewpoint = evaluate(truths, detections, config.iou_thresh)
@@ -279,7 +279,7 @@ def cmd_eval(args):
             f"{row.mean_closest_point_error:.6f}",
             f"{row.mean_iou3d:.6f}",
         ]
-        for row in distance_binned_errors(errors, bin_width=10.0)
+        for row in distance_binned_errors(errors)
     ]
     if viewpoint:
         med_err, acc = viewpoint

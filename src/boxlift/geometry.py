@@ -55,6 +55,7 @@ __all__ = [
     "are_rotations",
     "is_rotation",
     "box_vertices",
+    "rotated_corners",
     "project",
     "project_box",
 ]
@@ -66,6 +67,8 @@ TOP_CORNERS = (2, 3, 6, 7)
 VERTEX_SIGNS = 1.0 - 2.0 * np.array([[i % 2, (i // 2) % 2, (i // 4) % 2] for i in range(8)])
 VERTEX_SIGNS.flags.writeable = False
 _EYE = np.eye(3)
+ROTATION_TOLERANCE = 1e-9  # are_rotations' absolute tolerance, on det R and on R^T R
+_GRAM_TOLERANCE = ROTATION_TOLERANCE + 1e-5 * _EYE  # plus np.allclose's 1e-5 relative to I
 
 
 def wrap_angle(theta):
@@ -219,26 +222,24 @@ def rotations_from_angles(yaw, pitch, roll):
     return r_yaw @ r_pitch @ r_roll
 
 
-def are_rotations(matrices, tol=1e-9):
+def are_rotations(matrices):
     """Per matrix of an (N, 3, 3) stack: orthonormal with determinant +1.
 
-    R^T R must equal the identity within ``np.allclose``'s tolerance
-    (absolute ``tol`` plus 1e-5 relative to the identity's entries) and the
-    determinant must be within ``tol`` of 1. Returns an (N,) bool array.
+    R^T R must equal the identity within ``np.allclose``'s tolerance (absolute
+    ``ROTATION_TOLERANCE`` plus 1e-5 relative to the identity's entries) and
+    the determinant must be within it of 1. Returns an (N,) bool array.
     """
     matrices = np.asarray(matrices, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         gram = np.swapaxes(matrices, 1, 2) @ matrices
-        orthonormal = (np.abs(gram - _EYE) <= tol + 1e-5 * _EYE).all(axis=(1, 2))
-        return orthonormal & (np.abs(np.linalg.det(matrices) - 1.0) <= tol)
+        orthonormal = (np.abs(gram - _EYE) <= _GRAM_TOLERANCE).all(axis=(1, 2))
+        return orthonormal & (np.abs(np.linalg.det(matrices) - 1.0) <= ROTATION_TOLERANCE)
 
 
-def is_rotation(matrix, tol=1e-9):
-    """True if ``matrix`` is orthonormal with determinant +1 within ``tol``."""
+def is_rotation(matrix):
+    """True if ``matrix`` is a 3x3 rotation, as ``are_rotations`` decides."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (3, 3):
-        return False
-    return bool(are_rotations(matrix[None], tol)[0])
+    return matrix.shape == (3, 3) and bool(are_rotations(matrix[None])[0])
 
 
 def box_vertices(dims):
@@ -248,6 +249,12 @@ def box_vertices(dims):
     module docstring); vertex 0 is (+dx/2, +dy/2, +dz/2).
     """
     return VERTEX_SIGNS * (0.5 * dims.as_array)
+
+
+def rotated_corners(extents, rotations):
+    """Corners of N boxes about their centers, (N, 8, 3): ``box_vertices`` of
+    each row of ``extents`` (N, 3), turned by that box's rotation (N, 3, 3)."""
+    return (VERTEX_SIGNS * (0.5 * extents)[:, None, :]) @ rotations.swapaxes(1, 2)
 
 
 def project(intrinsics, rotation, translation, points):

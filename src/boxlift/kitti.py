@@ -13,17 +13,16 @@ DontCare lines carry -1/-1000 placeholders and are kept, flagged, so
 callers can exclude the regions from matching.
 
 ``read_label_columns`` is the one label parser. It splits and converts
-each line once and checks the whole file as array operations, and returns
-columns; ``parse_label_file`` is its view as DetectionRecords.
+each line once, checks the whole file as array operations, and returns
+the file's KITTI table; ``parse_label_file`` is its view as DetectionRecords.
 
 In memory a set of records is a KITTI table: a dict of numpy columns, one
 row per record, keyed by the results-format names: the keys of
 ``RESULT_FIELDS`` (``box2d``, ``dims_hwl`` and ``location`` hold rows of 4,
 3 and 3), then ``file`` (the label file's stem), ``line`` (the physical
 line) and any diagnostics; text and exact-int columns are object arrays.
-``label_table`` names the label columns so; ``lift_columns`` (the paper's
-pipeline), the results writers and readers and ``metrics.evaluate`` take
-or give such tables.
+The label reader, ``lift_columns`` (the paper's pipeline), the results
+writers and readers and ``metrics.evaluate`` take or give such tables.
 
 Calibration files are "KEY: v0 ... v11" lines; only P2 (the 3x4 projection
 matrix of the left color camera) is required here. Its left 3x3 block is
@@ -48,7 +47,6 @@ __all__ = [
     "DetectionRecord",
     "CalibRecord",
     "read_label_columns",
-    "label_table",
     "parse_label_file",
     "parse_calib_file",
     "write_results",
@@ -157,16 +155,17 @@ _NAN_TOKENS = ["nan"] * 16  # pads a line to 16 tokens
 
 
 def read_label_columns(text):
-    """Read KITTI label text into columns, one row per non-blank line.
+    """Read KITTI label text into a KITTI table, one row per non-blank line.
 
     Each line is split and converted once; the checks run as array
     operations over the whole file.
 
     Returns:
-        (categories, values, dont_care, line_nos): a list of str; a float
-        (n, 15) array in ``LABEL_COLUMNS`` order, whose score is NaN when
-        the line has none (or, on a DontCare line, a non-finite one); a
-        bool DontCare mask; and the 1-based physical line numbers.
+        The table of every record, DontCare included: ``category``,
+        ``truncated``, ``occluded`` (truncated to a whole number, as ``int``
+        does), ``alpha``, ``box2d``, ``dims_hwl``, ``location``, ``rotation_y``,
+        ``score`` (NaN where the line has none or, on a DontCare line, a
+        non-finite one) and ``line``, the 1-based physical line.
 
     Raises:
         MalformedLineError: for the first bad line: a column count other
@@ -209,7 +208,12 @@ def read_label_columns(text):
         line_no = line_nos[row]
         tokens = text.splitlines()[line_no - 1].split()
         _raise_label_error(_CHECKS[int(np.argmin(passed[row]))], line_no, tokens, values[row])
-    return categories, values, dont_care, np.array(line_nos, dtype=int)
+    return {
+        "category": np.array(categories, dtype=object), "truncated": values[:, 0],
+        "occluded": np.trunc(values[:, 1]), "alpha": values[:, 2], "box2d": values[:, 3:7],
+        "dims_hwl": values[:, 7:10], "location": values[:, 10:13], "rotation_y": values[:, 13],
+        "score": values[:, 14], "line": np.array(line_nos, dtype=int),
+    }
 
 
 def _raise_label_error(check, line_no, tokens, values):
@@ -231,18 +235,6 @@ def _raise_label_error(check, line_no, tokens, values):
     raise MalformedLineError(line_no, token, f"line {line_no}: {message}")
 
 
-def label_table(categories, values, **extra):
-    """The KITTI table of ``read_label_columns``' categories and values, and
-    the ``extra`` columns. ``occluded`` is truncated to a whole number, as
-    ``int`` does; ``score`` is NaN where a line has none."""
-    return {
-        "category": np.array(categories, dtype=object), "truncated": values[:, 0],
-        "occluded": np.trunc(values[:, 1]), "alpha": values[:, 2], "box2d": values[:, 3:7],
-        "dims_hwl": values[:, 7:10], "location": values[:, 10:13], "rotation_y": values[:, 13],
-        "score": values[:, 14], **extra,
-    }
-
-
 def parse_label_file(text):
     """Parse KITTI label text into DetectionRecords, one per non-blank line.
 
@@ -250,15 +242,15 @@ def parse_label_file(text):
     raises. Unknown categories are preserved verbatim; DontCare records are
     kept and flagged via ``is_dont_care``.
     """
-    categories, values, _, line_nos = read_label_columns(text)
-    rows = zip(categories, values.tolist(), values[:, 10:13], line_nos.tolist())
+    table = read_label_columns(text)
+    keys = ("category", "truncated", "occluded", "alpha", "box2d", "dims_hwl", "rotation_y", "score")
+    rows = zip(*(table[key].tolist() for key in (*keys, "line")), table["location"])
     return [
         DetectionRecord(
-            category, row[0], int(row[1]), row[2], Box2D(*row[3:7]), *row[7:10],
-            location=location, rotation_y=row[13],
-            score=None if math.isnan(row[14]) else row[14], line_no=line_no,
+            category, truncated, int(occluded), alpha, Box2D(*box), *hwl, location=location,
+            rotation_y=yaw, score=None if math.isnan(score) else score, line_no=line_no,
         )
-        for category, row, location, line_no in rows
+        for category, truncated, occluded, alpha, box, hwl, yaw, score, line_no, location in rows
     ]
 
 
@@ -429,15 +421,15 @@ def _read_json_lines(path, convert):
 
 def _residual(entry):
     delta = entry["delta"]
-    if any(isinstance(v, str) for v in np.asarray(delta, dtype=object).flat):
-        raise TypeError(f"delta must hold numbers, not strings: {delta!r}")
+    if any(isinstance(v, (str, bool)) for v in np.asarray(delta, dtype=object).flat):
+        raise TypeError(f"delta must hold numbers, not strings or booleans: {delta!r}")
     return (entry["file"], entry["line"]), np.asarray(delta, dtype=float)
 
 
 def read_residuals(path):
     """Dimension residuals from JSON lines of {"file", "line", "delta": [3]},
     as (file, line) -> the delta as a float array. A string in a delta makes
-    its line malformed; a null or NaN is read as NaN."""
+    its line malformed, as does a boolean; a null or NaN is read as NaN."""
     return dict(_read_json_lines(path, _residual))
 
 
@@ -456,6 +448,9 @@ def _result_row(entry):
         raise ValueError("box2d, dims_hwl and location need 4, 3 and 3 values")
     score = entry.get("score")
     row = [*box, *dims, *location, entry["rotation_y"], 1.0 if score is None else score]
+    if bool in map(type, row):  # math.isfinite would read it as 0 or 1
+        column = LABEL_COLUMNS[3 + list(map(type, row)).index(bool)]
+        raise TypeError(f"{column} must be a number, not a boolean")
     finite = [math.isfinite(v) for v in row]  # TypeError for a non-number
     if not all(finite):
         raise ValueError(f"{LABEL_COLUMNS[3 + finite.index(False)]} is not finite")
@@ -479,33 +474,31 @@ def read_results(path):
     }
 
 
-def evaluation_columns(stems, labels, results):
-    """(ground truths, detections, missing files) for ``metrics.evaluate``.
-
-    The ground truths are ``labels``, the objects of the label files
-    ``stems``. The detections are the ``read_results`` rows of those files,
-    also of one without objects, ordered so tied scores rank by file, in
-    order of first appearance, then by line. The other files come sorted."""
+def evaluation_columns(stems, results):
+    """(detections, missing files): the detections for ``metrics.evaluate``
+    are the ``read_results`` rows of the label files ``stems``, also of one
+    without objects, ordered so tied scores rank by file, in order of first
+    appearance, then by line. The other files come sorted."""
     first = {}  # file -> its rank by first appearance
     rank = np.array([first.setdefault(f, len(first)) for f in results["file"].tolist()], int)
     labelled = set(stems)
     kept = np.flatnonzero(np.array([f in labelled for f in first], dtype=bool)[rank])
     order = kept[np.argsort(rank[kept], kind="stable")]
     detections = {key: column[order] for key, column in results.items()}
-    return labels, detections, sorted(set(first) - labelled)
+    return detections, sorted(set(first) - labelled)
 
 
 def lift_columns(labels, calibs, mode, residuals=None):
     """Lift label records to 3D boxes: the paper's pipeline, over a KITTI table.
 
-    ``labels`` is a ``label_table`` without DontCare rows, with ``file`` and
-    ``line``. ``calibs`` maps the stem of each file that holds a record to
-    its CalibRecord, None without a calibration file, or the error that made
-    it unusable. A record's
-    dimensions are its label's, or with the ``read_residuals`` mapping
-    ``residuals`` its category's mean plus its residual; its yaw is alpha
-    plus the yaw of the ray through its rectangle's center. One
-    ``lift_batch`` call solves every translation.
+    ``labels`` is a ``read_label_columns`` table without DontCare rows,
+    with each record's ``file`` stem before its ``line`` in that file.
+    ``calibs`` maps the stem of each file that holds a record to its
+    CalibRecord, None without a calibration file, or the error that made it
+    unusable. A record's dimensions are its label's, or with the
+    ``read_residuals`` mapping ``residuals`` its category's mean plus its
+    residual; its yaw is alpha plus the yaw of the ray through its
+    rectangle's center. One ``lift_batch`` call solves every translation.
 
     Returns:
         (results, status, messages): the table of the lifted records, in

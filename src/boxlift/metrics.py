@@ -27,13 +27,15 @@ same sweep.
 
 ``pair_errors`` computes each box measure once per matched pair, all pairs
 at once as arrays; the distance bins and the overall means are both taken
-from its array. Closest points come from the batched corners. The 3D IoU
-clips the prediction's footprint by the ground truth's, in the ground
-truth's own frame, where that footprint is an axis-aligned rectangle: four
-Sutherland-Hodgman passes over all pairs, each a half-plane of one
-coordinate, so no crossing divides by a near-zero; two convex
-quadrilaterals meet in at most 8 vertices. ``viewpoint_stats`` validates
-all rotations in one call and takes the angles from the batched trace.
+from its array. Each box's rotation is built once; the closest points come
+from ``geometry.rotated_corners`` of it. The 3D IoU clips the prediction's
+footprint by the ground truth's, in the ground truth's own frame, where
+that footprint is an axis-aligned rectangle: four Sutherland-Hodgman
+passes over all pairs, each a half-plane of one coordinate, so no crossing
+divides by a near-zero; two convex quadrilaterals meet in at most 8
+vertices. ``viewpoint_stats`` takes the same rotations as two aligned
+stacks, validates them in one call and takes the angles from the batched
+trace.
 ``iou2d``, ``iou3d``, ``closest_point_distance_error`` and
 ``geodesic_distance`` are the one-pair case of the same code.
 """
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUprightBoxError
-from .geometry import VERTEX_SIGNS, Box2D, are_rotations, rotations_from_angles, wrap_angle
+from .geometry import Box2D, are_rotations, rotated_corners, rotations_from_angles, wrap_angle
 
 __all__ = [
     "orientation_similarity",
@@ -75,6 +77,7 @@ SNAP_EPS = 16 * np.finfo(float).eps
 # Same-frame (detection, ground truth) pairs whose 2D IoUs are computed at
 # once: the (n, 4) rectangle gathers stay at 64 KB.
 CHUNK_PAIRS = 2048
+DISTANCE_BIN_WIDTH = 10.0  # meters: the ground-truth distance bands of distance_binned_errors
 
 
 def orientation_similarity(delta):
@@ -297,25 +300,25 @@ def center_distance(a, b):
     return float(np.linalg.norm(a.center - b.center))
 
 
-# N boxes as arrays: centers, extents (dx, dy, dz) and angles (yaw, pitch, roll), each (N, 3)
-_Boxes = namedtuple("_Boxes", "centers dims angles")
+# N boxes as arrays: centers, extents (dx, dy, dz) and angles (yaw, pitch,
+# roll), each (N, 3), and the rotations of the angles, (N, 3, 3)
+_Boxes = namedtuple("_Boxes", "centers dims angles rotations")
 
 
 def _boxes(boxes):
     """_Boxes of a Box3D sequence."""
     n = len(boxes)
+    angles = np.array([(b.yaw, b.pitch, b.roll) for b in boxes], dtype=float).reshape(n, 3)
     return _Boxes(
         np.array([b.center for b in boxes], dtype=float).reshape(n, 3),
         np.array([(b.dims.dx, b.dims.dy, b.dims.dz) for b in boxes], dtype=float).reshape(n, 3),
-        np.array([(b.yaw, b.pitch, b.roll) for b in boxes], dtype=float).reshape(n, 3),
+        angles, rotations_from_angles(*angles.T),
     )
 
 
 def _closest_corner_distances(boxes):
     """Distance from the camera to the nearest of each box's corners, (N,)."""
-    rotations = rotations_from_angles(*boxes.angles.T)
-    local = VERTEX_SIGNS * (0.5 * boxes.dims)[:, None, :]
-    corners = local @ np.swapaxes(rotations, 1, 2) + boxes.centers[:, None, :]
+    corners = rotated_corners(boxes.dims, boxes.rotations) + boxes.centers[:, None, :]
     return np.linalg.norm(corners, axis=2).min(axis=1)
 
 
@@ -456,13 +459,13 @@ def geodesic_distance(r1, r2):
     return float(_geodesic_distances([r1], [r2])[0])
 
 
-def viewpoint_stats(rotation_pairs):
-    """Median geodesic error and fraction within pi/6 over rotation pairs."""
-    if len(rotation_pairs) == 0:
+def viewpoint_stats(first, second):
+    """Median geodesic error and fraction within pi/6 over aligned rotation stacks."""
+    if len(first) != len(second):
+        raise ValueError(f"rotation sequences differ in length: {len(first)} and {len(second)}")
+    if len(first) == 0:
         raise ValueError("viewpoint_stats requires at least one pair")
-    dists = _geodesic_distances(
-        [r1 for r1, _ in rotation_pairs], [r2 for _, r2 in rotation_pairs]
-    )
+    dists = _geodesic_distances(first, second)
     return float(np.median(dists)), float(np.mean(dists < np.pi / 6.0))
 
 
@@ -508,21 +511,21 @@ def _pair_errors(gt, pred):
     )
 
 
-def distance_binned_errors(errors, bin_width=10.0):
+def distance_binned_errors(errors):
     """Per-distance-band means of the three 3D box metrics.
 
     ``errors`` is the array of ``pair_errors``. Pairs are binned by the
-    Euclidean distance of the ground-truth box center from the camera;
-    bands are [0, w), [w, 2w), ... Empty leading bands are kept so rows
-    line up across runs; trailing empties are cut.
+    Euclidean distance of the ground-truth box center from the camera, in
+    bands of ``DISTANCE_BIN_WIDTH``: [0, w), [w, 2w), ... Empty leading
+    bands are kept so rows line up across runs; trailing empties are cut.
     """
     if len(errors) == 0:
         return []
     dists = errors[:, 0]
-    n_bins = int(dists.max() // bin_width) + 1
+    n_bins = int(dists.max() // DISTANCE_BIN_WIDTH) + 1
     rows = []
     for i in range(n_bins):
-        lo, hi = i * bin_width, (i + 1) * bin_width
+        lo, hi = i * DISTANCE_BIN_WIDTH, (i + 1) * DISTANCE_BIN_WIDTH
         members = errors[(lo <= dists) & (dists < hi)]
         if len(members) == 0:
             rows.append(DistanceBinRow(lo, hi, 0, np.nan, np.nan, np.nan))
@@ -557,7 +560,8 @@ def _kitti_boxes(columns, rows):
     centers = columns["location"][rows]
     centers[:, 1] -= 0.5 * dims[:, 0]  # the location is the bottom-center
     yaw = wrap_angle(columns["rotation_y"][rows])
-    return _Boxes(centers, dims[:, [2, 0, 1]], np.column_stack([yaw, np.zeros((len(yaw), 2))]))
+    angles = np.column_stack([yaw, np.zeros((len(yaw), 2))])
+    return _Boxes(centers, dims[:, [2, 0, 1]], angles, rotations_from_angles(*angles.T))
 
 
 def evaluate(ground_truths, detections, iou_threshold):
@@ -598,5 +602,4 @@ def evaluate(ground_truths, detections, iou_threshold):
     if not hit.any():
         return difficulties, np.zeros((0, 4)), None
     pairs = _kitti_boxes(gt, matched[hit]), _kitti_boxes(det, order[hit])
-    rotations = [rotations_from_angles(*boxes.angles.T) for boxes in pairs]
-    return difficulties, _pair_errors(*pairs), viewpoint_stats(list(zip(*rotations)))
+    return difficulties, _pair_errors(*pairs), viewpoint_stats(pairs[0].rotations, pairs[1].rotations)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroVectorError
-from .geometry import Dimensions, wrap_angle
+from .geometry import wrap_angle
 
 __all__ = [
     "BinLayout",
@@ -232,26 +232,18 @@ def loss_total_orientation(conf_part, loc_part, weight=1.0):
     return conf_part + weight * loc_part
 
 
-def _dims_array(value):
-    if isinstance(value, Dimensions):
-        return value.as_array
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError("dimensions must be a 3-vector")
-    return arr
-
-
 def loss_dims(true_dims, mean_dims, residual):
-    """Mean squared error of the dimension residual over the three axes.
+    """Mean squared error of the dimension residual; each argument is a 3-vector.
 
     Returns:
         (loss, gradient w.r.t. residual) with
         loss = mean((true - mean - residual)^2) and
         gradient = -(2/3) * (true - mean - residual).
     """
-    diff = _dims_array(true_dims) - _dims_array(mean_dims) - np.asarray(
-        residual, dtype=float
-    )
+    true_dims, mean_dims = np.asarray(true_dims, dtype=float), np.asarray(mean_dims, dtype=float)
+    if true_dims.shape != (3,) or mean_dims.shape != (3,):
+        raise ValueError("dimensions must be a 3-vector")
+    diff = true_dims - mean_dims - np.asarray(residual, dtype=float)
     return float(np.mean(diff**2)), -(2.0 / 3.0) * diff
 
 

@@ -75,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleConfigurationError, NoFeasibleConfigurationError
-from .geometry import BOTTOM_CORNERS, TOP_CORNERS, VERTEX_SIGNS, are_rotations
+from .geometry import BOTTOM_CORNERS, TOP_CORNERS, are_rotations, rotated_corners
 
 __all__ = [
     "ConstraintMode",
@@ -261,7 +261,7 @@ def _solve(k, rotations, dims, rects, family):
     rank_ok = s[:, -1] > RANK_TOLERANCE
     s = np.where(rank_ok[:, None], s, 1.0)  # keeps failed records' rows finite
     pinv = (vt.swapaxes(1, 2) / s[:, None, :]) @ left.swapaxes(1, 2)  # (N, 3, 4)
-    rotated = (VERTEX_SIGNS * (0.5 * dims)[:, None, :]) @ rotations.swapaxes(1, 2)  # (N, 8, 3)
+    rotated = rotated_corners(dims, rotations)  # (N, 8, 3)
     # -a_side . (R X_corner), flattened to (side, corner) columns.
     rhs = -(a @ rotated.swapaxes(1, 2)).reshape(n, 32)
     # K (R X + T) = K R X + K T; the third row is the depth (K's third row

@@ -225,8 +225,9 @@ def evaluate(model, features, angles):
     )
 
 
-def gradient_check(model, features, angles, step=1e-6):
+def gradient_check(model, features, angles):
     """Max relative error of analytic vs central-difference gradients."""
+    step = 1e-6
     _, grads = model.loss_and_grads(features, angles)
     worst = 0.0
     for name, param in model.parameters():

@@ -195,6 +195,22 @@ def test_lift_string_residual_delta_names_file_and_line(tmp_path, precise_datase
     ]
 
 
+@pytest.mark.parametrize("delta", [[True, 0.0, 0.0], [0.0, 0.0, False]])
+def test_lift_boolean_residual_delta_names_file_and_line(tmp_path, precise_dataset, delta):
+    # a JSON boolean is no number, although numpy would read it as 1.0 or 0.0
+    labels, calibs, corpus = precise_dataset
+    residual_path = tmp_path / "residuals.jsonl"
+    good = {"file": next(iter(corpus)), "line": 1, "delta": [0.0, 0.0, 0.0]}
+    residual_path.write_text(json.dumps(good) + "\n\n" + json.dumps({**good, "delta": delta}) + "\n")
+    argv = ["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl"),
+            "--residuals", str(residual_path)]
+    with pytest.raises(MalformedLineError) as excinfo:
+        _dispatch(build_parser().parse_args(argv))
+    assert excinfo.value.line_no == 3
+    assert str(excinfo.value).startswith(f"{residual_path} line 3: TypeError: delta must hold numbers")
+    assert main(argv) == 1
+
+
 @pytest.mark.parametrize("command", ["lift", "eval"])
 def test_short_label_line_names_label_file(tmp_path, precise_dataset, command):
     labels, calibs, corpus = precise_dataset
@@ -696,8 +712,15 @@ def test_eval_malformed_results_line_names_file_and_line(tmp_path, calib, bad_li
         ({"score": float("nan")}, "ValueError: score is not finite"),
         ({"box2d": [0.0, 0.0, 10.0]}, "ValueError: box2d, dims_hwl and location need"),
         ({"occluded": float("inf")}, "OverflowError: cannot convert float infinity"),
+        # JSON booleans, which math.isfinite would read as 1 and 0
+        ({"score": True}, "TypeError: score must be a number, not a boolean"),
+        ({"rotation_y": False}, "TypeError: rotation_y must be a number, not a boolean"),
+        ({"box2d": [True, 0, 500, 300]}, "TypeError: x_min must be a number, not a boolean"),
     ],
-    ids=["nan-rotation_y", "string-score", "nan-score", "short-box2d", "infinite-occluded"],
+    ids=[
+        "nan-rotation_y", "string-score", "nan-score", "short-box2d", "infinite-occluded",
+        "bool-score", "bool-rotation_y", "bool-box2d",
+    ],
 )
 def test_eval_bad_results_value_names_file_and_line(tmp_path, calib, override, detail):
     box = sample_scene_box(np.random.default_rng(42))

@@ -15,6 +15,7 @@ from boxlift.geometry import (
     is_rotation,
     project,
     project_box,
+    rotated_corners,
     rotation_from_angles,
     rotations_from_angles,
     wrap_angle,
@@ -67,7 +68,7 @@ def test_rotation_orthonormal_and_yaw_recovery():
     for _ in range(200):
         yaw, pitch, roll = rng.uniform(-np.pi, np.pi, size=3)
         r = rotation_from_angles(yaw, pitch, roll)
-        assert is_rotation(r, tol=1e-9)
+        assert is_rotation(r)
 
 
 def test_rotations_from_angles_stacks_rotation_from_angles():
@@ -141,6 +142,19 @@ def test_box_vertices_order():
     assert np.allclose(v[1], [-2.0, 1.0, 0.9])  # x sign alternates fastest
     assert np.allclose(v[2], [2.0, -1.0, 0.9])
     assert np.allclose(v[7], [-2.0, -1.0, -0.9])
+
+
+def test_rotated_corners_are_box3d_corners_about_the_center():
+    rng = np.random.default_rng(5)
+    boxes = [
+        Box3D(rng.uniform(-5, 5, 3), Dimensions(*rng.uniform(0.5, 5, 3)), *rng.uniform(-np.pi, np.pi, 3))
+        for _ in range(50)
+    ]
+    extents = np.array([box.dims.as_array for box in boxes])
+    corners = rotated_corners(extents, np.array([box.rotation for box in boxes]))
+    assert corners.shape == (50, 8, 3)
+    for box, box_corners in zip(boxes, corners):
+        assert np.allclose(box_corners + box.center, box.corners(), atol=1e-12)
 
 
 def test_box_vertices_sum_to_origin():

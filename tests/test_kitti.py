@@ -15,7 +15,6 @@ from boxlift.kitti import (
     RESULT_FIELDS,
     DetectionRecord,
     centers_to_locations,
-    label_table,
     lift_columns,
     parse_calib_file,
     parse_label_file,
@@ -96,16 +95,19 @@ def test_parse_line_with_score():
 
 def test_read_label_columns_layout():
     text = "\n" + REAL_LABEL_LINES[0] + " 0.5\n\n" + DONT_CARE_LINE + "\n" + REAL_LABEL_LINES[1]
-    categories, values, dont_care, line_nos = read_label_columns(text)
-    assert categories == ["Pedestrian", "DontCare", "Car"]
+    table = read_label_columns(text)
+    assert list(table) == [*RESULT_FIELDS, "line"]
+    assert table["category"].tolist() == ["Pedestrian", "DontCare", "Car"]
+    values = np.column_stack([table[key] for key in RESULT_FIELDS[1:]])
     assert values.shape == (3, len(LABEL_COLUMNS)) and values.dtype == float
+    assert [table[key].shape for key in ("box2d", "dims_hwl", "location")] == [(3, 4), (3, 3), (3, 3)]
     assert values[0].tolist() == [float(t) for t in REAL_LABEL_LINES[0].split()[1:]] + [0.5]
     assert np.isnan(values[2, 14])  # no score column
-    assert dont_care.tolist() == [False, True, False]
-    assert line_nos.tolist() == [2, 4, 5]
-    categories, values, dont_care, line_nos = read_label_columns("\n \n")
-    assert categories == [] and values.shape == (0, 15)
-    assert dont_care.shape == line_nos.shape == (0,)
+    assert table["line"].tolist() == [2, 4, 5]
+    table = read_label_columns("\n \n")
+    assert list(table) == [*RESULT_FIELDS, "line"]
+    assert {column.shape[0] for column in table.values()} == {0}
+    assert table["box2d"].shape == (0, 4)
 
 
 # --- the reader against the per-line parser it replaced ------------------------
@@ -583,10 +585,11 @@ def _label_table(texts):
     """``lift_columns``' label table of label texts without DontCare lines, by stem."""
     tables = []
     for stem in sorted(texts):
-        categories, values, dont_care, line_nos = read_label_columns(texts[stem])
-        file = np.full(len(categories), stem, dtype=object)
-        table = label_table(categories, values, file=file, line=line_nos)
-        tables.append({key: column[~dont_care] for key, column in table.items()})
+        table = read_label_columns(texts[stem])
+        table["file"] = np.full(len(table["line"]), stem, dtype=object)
+        table["line"] = table.pop("line")
+        kept = table["category"] != DONT_CARE
+        tables.append({key: column[kept] for key, column in table.items()})
     return {key: np.concatenate([table[key] for table in tables]) for key in tables[0]}
 
 

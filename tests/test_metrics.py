@@ -3,9 +3,10 @@ import pytest
 from scipy.linalg import logm
 
 from boxlift.errors import NonUprightBoxError
-from boxlift.geometry import Box2D, Box3D, Dimensions, rotation_from_angles
+from boxlift.geometry import Box2D, Box3D, Dimensions, rotation_from_angles, rotations_from_angles
 from boxlift.metrics import (
     DIFFICULTY_RULES,
+    DISTANCE_BIN_WIDTH,
     GroundTruthBox,
     ScoredDetection,
     aos,
@@ -510,25 +511,30 @@ def test_geodesic_distance_validates_inputs():
 
 
 def test_viewpoint_stats():
-    exact = [(np.eye(3), np.eye(3))] * 5
-    assert viewpoint_stats(exact) == (0.0, 1.0)
+    exact = [np.eye(3)] * 5
+    assert viewpoint_stats(exact, exact) == (0.0, 1.0)
 
-    pairs = [(np.eye(3), rotation_from_angles(d)) for d in (0.1, 0.2, 0.9)]
-    med, acc = viewpoint_stats(pairs)
+    med, acc = viewpoint_stats([np.eye(3)] * 3, [rotation_from_angles(d) for d in (0.1, 0.2, 0.9)])
     assert med == pytest.approx(0.2)
     assert acc == pytest.approx(2.0 / 3.0)
 
-    med_even, _ = viewpoint_stats(
-        [(np.eye(3), rotation_from_angles(d)) for d in (0.1, 0.3)]
-    )
+    med_even, _ = viewpoint_stats([np.eye(3)] * 2, [rotation_from_angles(d) for d in (0.1, 0.3)])
     assert med_even == pytest.approx(0.2)
 
     with pytest.raises(ValueError):
-        viewpoint_stats([])
+        viewpoint_stats([], [])
     with pytest.raises(ValueError, match="orthonormal rotation"):
-        viewpoint_stats([(np.eye(3), np.eye(3)), (np.eye(3), np.eye(2))])
+        viewpoint_stats([np.eye(3), np.eye(3)], [np.eye(3), np.eye(2)])
     with pytest.raises(ValueError, match="orthonormal rotation"):
-        viewpoint_stats([(np.eye(3), np.eye(3)), (np.eye(3), 2 * np.eye(3))])
+        viewpoint_stats([np.eye(3), np.eye(3)], [np.eye(3), 2 * np.eye(3)])
+
+
+def test_viewpoint_stats_rejects_stacks_of_different_lengths():
+    # numpy would broadcast a stack of one against the other
+    one, three = np.eye(3)[None], rotations_from_angles([0.1, 0.2, 0.9], [0.0] * 3, [0.0] * 3)
+    for first, second in ((one, three), (three, one), (three[:2], three), ([], three)):
+        with pytest.raises(ValueError, match="differ in length"):
+            viewpoint_stats(first, second)
 
 
 def test_viewpoint_stats_equals_per_pair_geodesic_distance():
@@ -538,7 +544,7 @@ def test_viewpoint_stats_equals_per_pair_geodesic_distance():
         for _ in range(101)
     ]
     dists = [geodesic_distance(r1, r2) for r1, r2 in pairs]
-    assert viewpoint_stats(pairs) == (
+    assert viewpoint_stats(*zip(*pairs)) == (
         float(np.median(dists)),
         float(np.mean(np.array(dists) < np.pi / 6.0)),
     )
@@ -705,7 +711,7 @@ def test_evaluate_equals_the_object_path():
         pairs = [(box3d(gt, g), box3d(det, d)) for d, g, _ in visits if g >= 0]
         assert np.array_equal(errors, pair_errors(pairs))
         assert (errors[:, 3] > 0).any()
-        assert viewpoint == viewpoint_stats([(g.rotation, p.rotation) for g, p in pairs])
+        assert viewpoint == viewpoint_stats([g.rotation for g, _ in pairs], [p.rotation for _, p in pairs])
 
 
 def test_evaluate_without_pairs():
@@ -763,7 +769,8 @@ def test_distance_binned_errors_layout():
     assert errors.shape == (2, 4)
     assert errors[:, 0] == pytest.approx([5.0, 25.0])
     assert errors[:, 3] == pytest.approx([1.3 / 2.3, 0.8 / 2.8])
-    rows = distance_binned_errors(errors, bin_width=10.0)
+    assert DISTANCE_BIN_WIDTH == 10.0
+    rows = distance_binned_errors(errors)
     assert [(r.bin_lo, r.bin_hi) for r in rows] == [(0, 10), (10, 20), (20, 30)]
     assert rows[0].count == 1 and rows[2].count == 1 and rows[1].count == 0
     assert rows[0].mean_center_error == pytest.approx(0.5)
