@@ -243,8 +243,8 @@ def parse_label_file(text):
     kept and flagged via ``is_dont_care``.
     """
     table = read_label_columns(text)
-    keys = ("category", "truncated", "occluded", "alpha", "box2d", "dims_hwl", "rotation_y", "score")
-    rows = zip(*(table[key].tolist() for key in (*keys, "line")), table["location"])
+    keys = "category truncated occluded alpha box2d dims_hwl rotation_y score line".split()
+    rows = zip(*(table[key].tolist() for key in keys), table["location"])
     return [
         DetectionRecord(
             category, truncated, int(occluded), alpha, Box2D(*box), *hwl, location=location,
