@@ -34,6 +34,8 @@ camera-frame translation so projection keeps the x = K (R X + T) form.
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -397,26 +399,27 @@ def write_results_jsonl(table, stream):
     stream.write("".join(map(template.__mod__, zip(*texts))))
 
 
-def _read_json_lines(path, convert):
-    """``convert(entry)`` for each non-blank line of a JSON-lines file, in order.
+def _nonblank_lines(path):
+    """(1-based physical line number, text) of each non-blank line of a file."""
+    with open(path) as handle:
+        return [(line_no, text) for line_no, text in enumerate(handle, start=1) if text.strip()]
+
+
+def _converted(path, line, convert):
+    """``convert`` of the ``json.loads`` of a (line number, text) line of a
+    JSON-lines file.
 
     Raises:
         MalformedLineError: for a line that is not JSON or that ``convert``
             rejects, naming the file and the 1-based physical line.
     """
-    converted = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                converted.append(convert(json.loads(line)))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise MalformedLineError(
-                    line_no, line.strip(),
-                    f"{path} line {line_no}: {type(exc).__name__}: {exc}",
-                ) from None
-    return converted
+    line_no, text = line
+    try:
+        return convert(json.loads(text))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedLineError(
+            line_no, text.strip(), f"{path} line {line_no}: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def _residual(entry):
@@ -429,8 +432,13 @@ def _residual(entry):
 def read_residuals(path):
     """Dimension residuals from JSON lines of {"file", "line", "delta": [3]},
     as (file, line) -> the delta as a float array. A string in a delta makes
-    its line malformed, as does a boolean; a null or NaN is read as NaN."""
-    return dict(_read_json_lines(path, _residual))
+    its line malformed, as does a boolean; a null or NaN is read as NaN.
+
+    Raises:
+        MalformedLineError: for the first line that is not JSON or that
+            ``_residual`` rejects, naming the file and the 1-based physical line.
+    """
+    return dict(_converted(path, line, _residual) for line in _nonblank_lines(path))
 
 
 def _result_row(entry):
@@ -439,11 +447,16 @@ def _result_row(entry):
     score, 1.0 when null.
 
     Raises:
-        KeyError, TypeError, ValueError: for a missing key or a bad value.
+        KeyError, TypeError, ValueError, OverflowError: for a missing key or
+            a bad value.
     """
     box, dims, location = entry["box2d"], entry["dims_hwl"], entry["location"]
     # not read here, but a line without them is no results line
-    category, _, _ = entry["category"], entry["alpha"], int(entry.get("occluded", 0))
+    category, _, occluded = entry["category"], entry["alpha"], entry.get("occluded", 0)
+    if isinstance(occluded, (str, bool)):  # int would parse a string, read a boolean as 0 or 1
+        kind = "a boolean" if isinstance(occluded, bool) else "a string"
+        raise TypeError(f"occluded must be a number, not {kind}")
+    int(occluded)  # TypeError for a non-number, OverflowError or ValueError for inf or NaN
     if (len(box), len(dims), len(location)) != (4, 3, 3):
         raise ValueError("box2d, dims_hwl and location need 4, 3 and 3 values")
     score = entry.get("score")
@@ -461,14 +474,80 @@ def _result_row(entry):
     return str(entry.get("file", "0")), row
 
 
+_RESULT_KEYS = itemgetter("box2d", "dims_hwl", "location", "rotation_y", "category", "alpha")
+_UNREAD = (None, *[math.nan] * 13)  # not finite, so suspect
+
+
+def _result_numbers(entry):
+    """(file, *numbers) of a results entry: its file and the values
+    ``_result_row`` reads or checks: the rectangle, dims_hwl, location,
+    rotation_y, the score (1.0 when null) and occluded. ``_UNREAD`` unless
+    the entry is an object with the keys and rows of 4, 3 and 3 values."""
+    try:
+        box, dims, location, yaw, _, _ = _RESULT_KEYS(entry)
+        if (len(box), len(dims), len(location)) == (4, 3, 3):
+            score, occluded = entry.get("score"), entry.get("occluded", 0)
+            score = 1.0 if score is None else score
+            return (str(entry.get("file", "0")), *box, *dims, *location, yaw, score, occluded)
+    except (KeyError, TypeError):  # no object, or a key missing
+        pass
+    return _UNREAD
+
+
+def _result_values(rows):
+    """(files, values, suspect): the ``_result_numbers`` rows of results
+    entries as a file list and an (N, 12) array in ``_result_row``'s order,
+    checked as arrays; and per entry whether ``_result_row`` might reject it
+    or read it otherwise.
+
+    A conservative filter: an entry not suspect is one ``_result_row``
+    accepts, with this file and row. Every entry is suspect when a value is
+    no JSON number or beyond float's range; otherwise an entry is suspect
+    when a value is not finite, a dimension is not positive or its
+    rectangle is degenerate.
+    """
+    n = len(rows)
+    files, *numbers = zip(*rows) if rows else [()] * 14
+    try:
+        checked = set(map(type, chain.from_iterable(numbers))) <= {int, float}
+        columns = np.array(numbers, dtype=float).reshape(13, n) if checked else None
+    except OverflowError:  # an int beyond float's range
+        columns = None
+    if columns is None:
+        return [None] * n, np.zeros((n, 12)), np.ones(n, dtype=bool)
+    suspect = ~np.isfinite(columns).all(axis=0) | (columns[4:7] <= 0).any(axis=0)
+    suspect |= (columns[:2] >= columns[2:4]).any(axis=0)
+    return list(files), columns[:12].T.copy(), suspect
+
+
 def read_results(path):
-    """The KITTI table of a results file, each line checked by ``_result_row``:
-    ``file`` ("0" where a line has none), ``box2d``, ``dims_hwl``,
-    ``location``, ``rotation_y`` and ``score`` (1.0 where null)."""
-    rows = _read_json_lines(path, _result_row)
-    values = np.array([row for _, row in rows], dtype=float).reshape(-1, 12)
+    """The KITTI table of a results file: ``file`` ("0" where a line has
+    none), ``box2d``, ``dims_hwl``, ``location``, ``rotation_y`` and
+    ``score`` (1.0 where null).
+
+    Each line is decoded by one ``json.loads`` and its values gathered; the
+    lines are checked together as arrays by a conservative filter, and
+    ``_result_row``, the one definition of a valid line, reads each line
+    the filter cannot vouch for, in file order.
+
+    Raises:
+        MalformedLineError: for the first line that is not JSON or that
+            ``_result_row`` rejects, naming the file and the physical line.
+    """
+    lines, rows = _nonblank_lines(path), []
+    for _, text in lines:
+        try:
+            entry = json.loads(text)
+        except ValueError:  # raised below, after the lines before it are checked
+            break
+        rows.append(_result_numbers(entry))
+    files, values, suspect = _result_values(rows)
+    for i in np.flatnonzero(suspect).tolist():  # decoded again, for _result_row
+        files[i], values[i] = _converted(path, lines[i], _result_row)
+    if len(rows) < len(lines):
+        _converted(path, lines[len(rows)], _result_row)  # raises the line's JSON error
     return {
-        "file": np.array([file for file, _ in rows], dtype=object), "box2d": values[:, :4],
+        "file": np.array(files, dtype=object), "box2d": values[:, :4],
         "dims_hwl": values[:, 4:7], "location": values[:, 7:10], "rotation_y": values[:, 10],
         "score": values[:, 11],
     }

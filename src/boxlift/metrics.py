@@ -16,9 +16,12 @@ Detections are paired with ground truths by one greedy matcher,
 visits detections in descending score order, ties by input order.
 ``boxlift eval`` ranks a result with a null score as 1.0, and a score of
 0.0 as itself, so it ranks last. The 2D IoUs of all same-frame pairs are
-computed as array operations, in the arithmetic of ``iou2d``, so every IoU
-is bit-identical to the single-pair one; only the greedy pick itself is a
-loop, over the pairs above the threshold. ``evaluate``, which serves
+computed in one pass as array operations: detections are grouped by frame,
+frames are packed into blocks of at most ``CHUNK_PAIRS`` padded pairs, a
+block tests only whether each pair's rectangles overlap, and the IoUs of
+the pairs that do are computed in the arithmetic of ``iou2d``, so every
+IoU is bit-identical to the single-pair one; only the greedy pick itself
+is a loop, over the pairs above the threshold. ``evaluate``, which serves
 ``boxlift eval``, takes KITTI fields as columns and computes those IoUs
 once: the pick runs over them for the overall match and once per
 difficulty of ``DIFFICULTY_RULES``, with only that difficulty's ground
@@ -74,9 +77,9 @@ UPRIGHT_TOLERANCE = 1e-9
 # Footprint vertices this close to a clipping line, relative to the largest
 # coordinate or extent of the pair, are put on it: a few rounding errors.
 SNAP_EPS = 16 * np.finfo(float).eps
-# Same-frame (detection, ground truth) pairs whose 2D IoUs are computed at
-# once: the (n, 4) rectangle gathers stay at 64 KB.
-CHUNK_PAIRS = 2048
+# Padded same-frame (detection, ground truth) pairs tested for overlap at
+# once: a block's (n,) float temporaries stay at 64 KB.
+CHUNK_PAIRS = 8192
 DISTANCE_BIN_WIDTH = 10.0  # meters: the ground-truth distance bands of distance_binned_errors
 
 
@@ -170,12 +173,36 @@ def _eleven_point(recall, values):
     return total / 11.0
 
 
+def _blocks(rows, cols):
+    """(start, stop, most rows, most columns) of the runs of consecutive
+    segments that share a block.
+
+    Segment ``s`` pairs ``rows[s]`` detections with ``cols[s]`` ground
+    truths. A block pads its segments to its largest row and column counts
+    and holds at most ``CHUNK_PAIRS`` padded pairs, or one segment.
+    """
+    blocks, start, most_rows, most_cols = [], 0, 0, 0
+    for stop, (r, c) in enumerate(zip(rows, cols)):
+        padded = (stop + 1 - start) * max(most_rows, r) * max(most_cols, c)
+        if stop > start and padded > CHUNK_PAIRS:
+            blocks.append((start, stop, most_rows, most_cols))
+            start, most_rows, most_cols = stop, 0, 0
+        most_rows, most_cols = max(most_rows, r), max(most_cols, c)
+    if rows:
+        blocks.append((start, len(rows), most_rows, most_cols))
+    return blocks
+
+
 def _scan(gt_frames, gt_rects, det_frames, det_rects, scores, iou_threshold):
     """The candidates of ``match_greedy``'s greedy pick, ``_pick``.
 
-    The IoUs of all same-frame (detection, ground truth) pairs are computed
-    as array operations, in chunks of at most ``CHUNK_PAIRS`` pairs or one
-    detection.
+    Detections are grouped by frame, in visiting order within a frame. A
+    frame whose pairs exceed ``CHUNK_PAIRS`` is split into segments of
+    detection rows, and consecutive segments are packed into blocks of at
+    most ``CHUNK_PAIRS`` pairs, padded to the block's largest detection and
+    ground-truth counts. Per block, only whether each pair's rectangles
+    overlap on both axes is computed; ``_ious`` runs on the pairs that do,
+    so every IoU keeps ``iou2d``'s arithmetic.
 
     Returns:
         (order, visit, gt, iou): the detection indices in visiting order,
@@ -187,22 +214,43 @@ def _scan(gt_frames, gt_rects, det_frames, det_rects, scores, iou_threshold):
     gt_codes = np.array([codes.setdefault(f, len(codes)) for f in gt_frames], dtype=np.intp)
     det_codes = np.array([codes.get(f, -1) for f in det_frames], dtype=np.intp)[order]
     # frame c's ground truths, by index, are by_frame[bounds[c]:bounds[c + 1]]
+    # and its visits, in visiting order, visits[starts[c]:starts[c + 1]]; the
+    # detections of a frame without ground truths make no visit here
     by_frame = np.argsort(gt_codes, kind="stable")
     bounds = np.searchsorted(gt_codes[by_frame], np.arange(len(codes) + 1))
+    visits = np.flatnonzero(det_codes >= 0)
+    visits = visits[np.argsort(det_codes[visits], kind="stable")]
+    starts = np.searchsorted(det_codes[visits], np.arange(len(codes) + 1))
 
-    visits = np.flatnonzero(det_codes >= 0)  # visits to a frame with ground truths
-    first = bounds[det_codes[visits]]
-    count = bounds[det_codes[visits] + 1] - first
-    step = max(1, CHUNK_PAIRS // max(count.max(initial=0), 1))
+    # segments of at most `step` detection rows of one frame, in frame order
+    n_gt, n_det = bounds[1:] - bounds[:-1], starts[1:] - starts[:-1]
+    step = np.maximum(1, CHUNK_PAIRS // n_gt)  # every frame has a ground truth
+    pieces = -(-n_det // step)
+    frame = np.repeat(np.arange(len(codes)), pieces)
+    first = (np.arange(len(frame)) - np.repeat(np.cumsum(pieces) - pieces, pieces)) * step[frame]
+    rows, cols = np.minimum(step[frame], n_det[frame] - first), n_gt[frame]
+    first += starts[frame]
+
+    # the sides of the rectangles in segment order, (4, n + 1), then of a
+    # padding one that overlaps none: NaN compares false
+    pad = np.full((4, 1), np.nan)
+    det_sides = np.concatenate([det_rects[order[visits]].T, pad], axis=1)
+    gt_sides = np.concatenate([gt_rects[by_frame].T, pad], axis=1)
     candidates = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-    for lo in range(0, len(visits), step):
-        span = count[lo : lo + step]
-        visit = np.repeat(visits[lo : lo + step], span)
-        offset = np.arange(len(visit)) - np.repeat(np.cumsum(span) - span, span)
-        gt = by_frame[np.repeat(first[lo : lo + step], span) + offset]
-        iou = _ious(det_rects[order[visit]], gt_rects[gt])
+    for lo, hi, most_rows, most_cols in _blocks(rows.tolist(), cols.tolist()):
+        # per segment, the columns of its detections and ground truths, padded
+        # to the block's largest counts with the padding rectangle's
+        r, c = np.arange(most_rows), np.arange(most_cols)
+        det = np.where(r < rows[lo:hi, None], first[lo:hi, None] + r, len(visits))
+        gt = np.where(c < cols[lo:hi, None], bounds[frame[lo:hi], None] + c, len(by_frame))
+        a, b = det_sides[:, det, None], gt_sides[:, gt[:, None, :]]  # (4, S, D, 1), (4, S, 1, G)
+        overlap = np.minimum(a[2], b[2]) > np.maximum(a[0], b[0])
+        overlap &= np.minimum(a[3], b[3]) > np.maximum(a[1], b[1])
+        s, i, j = np.unravel_index(np.flatnonzero(overlap), overlap.shape)
+        det, gt = det[s, i], gt[s, j]
+        iou = _ious(det_sides[:, det].T, gt_sides[:, gt].T)
         eligible = (iou >= iou_threshold) & (iou > 0.0)
-        candidates.append((visit[eligible], gt[eligible], iou[eligible]))
+        candidates.append((visits[det[eligible]], by_frame[gt[eligible]], iou[eligible]))
     visit, gt, iou = (np.concatenate(column) for column in zip(*candidates))
     ranked = np.lexsort((gt, -iou, visit))
     return order, visit[ranked], gt[ranked], iou[ranked]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from boxlift import kitti
 from boxlift.errors import MalformedLineError, MissingKeyError
 from boxlift.geometry import Box2D, Box3D, Dimensions, project_box, wrap_angle
 from boxlift.kitti import (
@@ -576,6 +577,130 @@ def test_read_results_reads_back_write_results_jsonl(tmp_path):
     for key in ("box2d", "dims_hwl", "location", "rotation_y"):
         assert table[key].tolist() == fields[key]
     assert table["score"].tolist() == [0.75, 1.0]
+
+
+def _good_entry(i):
+    """A valid results entry, varied by ``i``: int and float values, a null,
+    missing, zero or present score, and with or without file and occluded."""
+    entry = {
+        "file": f"{i % 3:06d}", "line": i + 1, "category": "Car", "truncated": 0.0,
+        "occluded": i % 3, "alpha": 0.1, "box2d": [100.0 + i, 50.5, 180 + i, 90.25],
+        "dims_hwl": [1.5, 1.6, 4], "location": [1.0, 1.65, 20.0 + i / 7],
+        "rotation_y": -0.3 + i / 1000, "score": [0.5 + i / 1000, None, 0, 1][i % 4],
+    }
+    for key, every in (("score", 5), ("occluded", 7), ("file", 11)):
+        if i % every == 0:
+            del entry[key]
+    return entry
+
+
+# The bad values of test_cli's results-line tests, then more: a whole line,
+# or the values that replace a good entry's, and the start of the message.
+HOSTILE_RESULT_LINES = [
+    ("{not json", "JSONDecodeError: "),
+    ('{"file": "000000", "box2d": [0, 0, 10, 10]}', "KeyError: "),
+    ({"dims_hwl": [-1.0, -1.0, -1.0]}, "ValueError: record has no dimensions"),
+    ({"rotation_y": math.nan}, "ValueError: rotation_y is not finite"),
+    ({"score": "high"}, "TypeError: must be real number, not str"),
+    ({"score": math.nan}, "ValueError: score is not finite"),
+    ({"box2d": [0.0, 0.0, 10.0]}, "ValueError: box2d, dims_hwl and location need"),
+    ({"occluded": math.inf}, "OverflowError: cannot convert float infinity"),
+    ({"score": True}, "TypeError: score must be a number, not a boolean"),
+    ({"rotation_y": False}, "TypeError: rotation_y must be a number, not a boolean"),
+    ({"box2d": [True, 0, 500, 300]}, "TypeError: x_min must be a number, not a boolean"),
+    # and each check of the array filter
+    ({"box2d": [10.0, 0.0, 500.0, 0.0]}, "ValueError: degenerate 2D box"),
+    ({"dims_hwl": [1.5, 0, 4.0]}, "ValueError: record has no dimensions"),
+    ({"location": [1.0, -math.inf, 20.0]}, "ValueError: y is not finite"),
+    ({"occluded": "1"}, "TypeError: occluded must be a number, not a string"),
+    ({"occluded": True}, "TypeError: occluded must be a number, not a boolean"),
+    ({"occluded": None}, "TypeError: int() argument must be"),
+    ({"occluded": math.nan}, "ValueError: cannot convert float NaN"),
+    ({"location": [1.0, None, 20.0]}, "TypeError: must be real number, not NoneType"),
+    ({"dims_hwl": [1.5, [1.6], 4.0]}, "TypeError: must be real number, not list"),
+    ({"rotation_y": 10**400}, "OverflowError: int too large to convert to float"),
+    ('[1, 2]', "TypeError: list indices must be integers"),
+]
+
+
+def _hostile_text(bad):
+    return bad if isinstance(bad, str) else json.dumps({**_good_entry(1), **bad})
+
+
+def _results_error(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(MalformedLineError) as excinfo:
+        read_results(path)
+    return excinfo.value
+
+
+@pytest.mark.parametrize("bad, detail", HOSTILE_RESULT_LINES)
+def test_read_results_names_a_bad_line_after_200_good_ones(tmp_path, bad, detail):
+    # the message is the one the bad line gives on its own, at its physical line
+    good = [json.dumps(_good_entry(i)) for i in range(200)]
+    alone = _results_error(tmp_path / "alone.jsonl", [_hostile_text(bad)])
+    path = tmp_path / "results.jsonl"
+    error = _results_error(path, good + ["", "  "] + [_hostile_text(bad)] + good[:5])
+    assert error.line_no == 203
+    assert str(error).startswith(f"{path} line 203: {detail}")
+    assert str(error).split(" line 203: ", 1)[1] == str(alone).split(" line 1: ", 1)[1]
+    assert error.token == alone.token
+
+
+def test_read_results_reports_the_first_of_two_bad_lines(tmp_path):
+    good = [json.dumps(_good_entry(i)) for i in range(200)]
+    path = tmp_path / "results.jsonl"
+    for first, detail in HOSTILE_RESULT_LINES:
+        for second, _ in HOSTILE_RESULT_LINES:
+            lines = good + ["", ""] + [_hostile_text(first), good[0], _hostile_text(second)]
+            error = _results_error(path, lines)
+            assert error.line_no == 203
+            assert str(error).startswith(f"{path} line 203: {detail}")
+
+
+def _reference_results_table(path):
+    """``read_results`` as one ``_result_row`` a line."""
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    rows = [kitti._result_row(json.loads(line)) for line in lines]
+    values = np.array([row for _, row in rows], dtype=float).reshape(-1, 12)
+    return {
+        "file": np.array([file for file, _ in rows], dtype=object), "box2d": values[:, :4],
+        "dims_hwl": values[:, 4:7], "location": values[:, 7:10], "rotation_y": values[:, 10],
+        "score": values[:, 11],
+    }
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [],
+        # a valid line the array check flags: the sides round to equal floats
+        [{"box2d": [2**54 + 1, 0, 2**54 + 2, 10]}],
+        # an occlusion beyond float, which int reads, so the array check cannot
+        [{"occluded": 10**400}],
+        # a number as file, ints, -0.0 and a fractional occlusion, checked but not read
+        [{"file": 7, "occluded": 2.7, "dims_hwl": [1, 2, 3], "rotation_y": -0.0}],
+    ],
+    ids=["plain", "rounded-sides", "huge-occluded", "odd-values"],
+)
+def test_read_results_equals_one_result_row_a_line(tmp_path, extra):
+    lines = [json.dumps(_good_entry(i)) for i in range(200)]
+    lines[50:50] = ["", " "] + [json.dumps({**_good_entry(3), **bad}) for bad in extra]
+    path = tmp_path / "results.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    table, expected = read_results(path), _reference_results_table(path)
+    assert list(table) == list(expected)
+    assert table["file"].dtype == object and table["file"].tolist() == expected["file"].tolist()
+    for key in list(table)[1:]:
+        assert table[key].dtype == expected[key].dtype and table[key].shape == expected[key].shape
+        assert table[key].tobytes() == expected[key].tobytes()
+
+
+def test_read_results_of_an_empty_file(tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text("\n\n")
+    table = read_results(path)
+    assert [table[key].shape for key in table] == [(0,), (0, 4), (0, 3), (0, 3), (0,), (0,)]
 
 
 # --- lifting ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
+from boxlift import metrics
 from boxlift.errors import NonUprightBoxError
 from boxlift.geometry import Box2D, Box3D, Dimensions, rotation_from_angles, rotations_from_angles
 from boxlift.metrics import (
@@ -627,6 +628,42 @@ def test_match_greedy_matches_reference_scan():
         # the threshold case is exercised: some matches sit exactly on it
         visits = match_greedy(gts, dets, at_threshold)
         assert any(gt >= 0 and iou == at_threshold for _, gt, iou in visits)
+
+
+def unequal_scene(rng):
+    """Frames of very unequal sizes: 1-object frames of growing detection
+    counts, then a 150-object frame, 1- and 3-object frames after it, frames
+    with only detections and frames with only ground truths."""
+    gts, dets = [], []
+    sizes = [(1, 1), (1, 2), (1, 3), (3, 1), (1, 4), (150, 200), (1, 1), (3, 5), (1, 2)]
+    for k, (n_gt, n_det) in enumerate(sizes):
+        frame = f"f{k}"
+        boxes = [square(*(10 * rng.integers(0, 60, 2))) for _ in range(n_gt)]
+        gts += [(frame, box) for box in boxes]
+        for _ in range(n_det):  # a shifted copy of one of the frame's boxes
+            box = boxes[rng.integers(n_gt)]
+            dx, dy = 10 * rng.integers(-2, 3, 2)
+            score = rng.choice([0.0, 0.5, 0.9])
+            dets.append((frame, square(box.x_min + dx, box.y_min + dy), score))
+    gts += [("only-gt", square(0, 0)), ("only-gt", square(20, 0))]
+    dets += [("only-det", square(0, 0), 1.0), ("only-det", square(10, 0), 0.5)]
+    order = rng.permutation(len(dets))
+    return gts, [dets[i] for i in order]
+
+
+@pytest.mark.parametrize("chunk_pairs", [None, 1, 7], ids=["default", "one", "seven"])
+def test_match_greedy_matches_reference_scan_on_unequal_frames(monkeypatch, chunk_pairs):
+    # the default packs the small frames into shared blocks and splits the
+    # big one; 1 makes every block one detection row; 7 packs several
+    # 1-object frames into a block padded to its largest frame
+    if chunk_pairs is not None:
+        monkeypatch.setattr(metrics, "CHUNK_PAIRS", chunk_pairs)
+    rng = np.random.default_rng(45)
+    for _ in range(4):
+        gts, dets = unequal_scene(rng)
+        for threshold in (0.0, 1.0 / 3.0, 0.5):
+            visits = match_greedy(gts, dets, threshold)
+            assert visits == reference_match_greedy(gts, dets, threshold)
 
 
 def kitti_columns(rng, frames, boxes, near=None):
