@@ -44,23 +44,51 @@ never loses the optimum it would have found. Each family is a (C, 4)
 index array, built once at import together with the columns its
 candidates gather (see BATCHES).
 
+Only the near half of a family is solved. With u_j the pixel coordinate
+of corner j and z_j its depth, side s's row a_s = k_row - s * k3 gives
+a_s . (R X_j + T) = z_j (u_j - s). On a noise-free tight rectangle every
+corner lies on the inner side of each side and in front of the camera, so z_j (u_j - s) is >= 0 for
+the left and top sides and <= 0 for the right and bottom sides, and is 0
+for the touching corner. The term a_s . T is the same for every corner, so
+the corner touching a left or top side has the least a_s . R X_j and the
+one touching a right or bottom side the largest. Box corners come in
+antipodal pairs, X_{7-j} = -X_j, so a_s . R X_{7-j} = -a_s . R X_j, and the
+touching corner is always the near member of its pair: the one with
+a_s . R X_j < 0 on a left or top side and > 0 on a right or bottom side
+(j < 4 when the value is exactly 0). On every side where a family admits
+both corners of every pair (all four in GENERAL, left and right in
+UPRIGHT), a record solves only its four near corners, in ascending order,
+so its candidates keep the family's order and its ties break as over the
+whole family. On noisy rectangles this is no proof; the tests pin that the
+choice is the whole family's, bit for bit, on noisy boxes. GENERAL and
+UPRIGHT then solve 256 candidates a record, UPRIGHT_ZERO_ROLL and
+KITTI_ZERO_PITCH_ROLL (one corner of each pair per side already) their
+256 and 64. ``enumerate_configurations`` lists the
+whole family; ``BatchLiftResult.n_configurations`` and the count in
+``"all {count} configurations infeasible"`` are the candidates solved.
+
 BATCHES
 =======
 ``lift_batch`` lifts N records in one numpy pass over N x C candidates;
 each record brings its own intrinsics, rotation, extents and rectangle.
 The per-record work is done once for the whole batch: the rotation check,
 the SVD of the 4x3 side matrix, the right-hand side of every corner on
-every side as a flat table of 32 (side, corner) entries, and the rotated
-corners' u, v and depth as contiguous (8, N) slabs. The candidates are
-then solved, checked for positive depth and ranked by reprojection in
-chunks of ``CHUNK_CANDIDATES`` candidates or one record, whichever is
-more, so the candidate arrays never exceed those of one GENERAL lift
-however large N is. A chunk gathers its right-hand sides with one
-``np.take`` of the mode's columns (corner + 8 * side, built at import
-beside the configurations) into side-major (records, side, C) arrays, so
-its translations come out as contiguous x, y and z rows and every pass
-over its (8, records, C) corner arrays reads unit-stride memory. A
-candidate is feasible when its nearest corner is in front of the camera;
+every side as a flat table of 32 (side, slot) entries, and the rotated
+corners' u and v as one contiguous (2, 8, N) slab and their depth as an
+(8, N) one. Slot j of a side holds corner j, the same for every record,
+except on a family's near sides, where each record puts its own four near
+corners, ascending, in slots 0-3. The candidates are then solved, checked
+for positive depth and ranked by reprojection in chunks of
+``CHUNK_CANDIDATES`` candidates or one record, whichever is more, so the
+candidate arrays never exceed those of 4096 candidates however large N
+is. A chunk gathers its right-hand sides with one ``np.take`` of the
+family's columns (slot + 8 * side, built at import) into side-major
+(records, side, C) arrays, so its translations come out as contiguous x,
+y and z rows and every pass over its (8, records, C) corner arrays reads
+unit-stride memory. The residual sums the four sides of one squared
+(records, side, C) array and the reprojection error the four bounds of one
+squared (bound, records, C) array, in (x_min, y_min, x_max, y_max) order.
+A candidate is feasible when its nearest corner is in front of the camera;
 rounding is monotonic, so this one sum decides exactly what the minimum
 over all eight corner depths would. Every record ends in one outcome:
 ``lifted``, or a failure code of ``FAILURES`` carrying the message the
@@ -90,15 +118,16 @@ __all__ = [
 
 RANK_TOLERANCE = 1e-10
 
-# Candidates (records x configurations) solved at once, but at least one
-# record, so a GENERAL record (4096 candidates) is one chunk. It bounds the
-# (8, records, C) work arrays and so the peak memory: 256 KB a slab, as for
-# one GENERAL record. Against 1024, 4096 read lift_records_per_s 7.7 %
-# higher on perfbench road (16 790 against 15 590 records/s, medians of 5
-# alternating 20 s pairs, seeds 121-125, 5 of 5 won) with frame times, toy
-# rate and peak_rss_mb unchanged; general, one record a chunk either way,
-# read 1692 against 1698 (seeds 101-105). 2 vCPUs, numpy 2.4, one BLAS
-# thread.
+# Candidates (records x solved candidates) solved at once, but at least one
+# record: 16 records of GENERAL, UPRIGHT or UPRIGHT_ZERO_ROLL (256
+# candidates each) a chunk, 64 of KITTI_ZERO_PITCH_ROLL. It bounds the
+# (8, records, C) work arrays and so the peak memory: 256 KB a slab, two for
+# the u and v slab. Measured when a GENERAL record solved all 4096
+# candidates: against 1024, 4096 read lift_records_per_s 7.7 % higher on
+# perfbench road (16 790 against 15 590 records/s, medians of 5 alternating
+# 20 s pairs, seeds 121-125, 5 of 5 won) with frame times, toy rate and
+# peak_rss_mb unchanged; general, one record a chunk either way, read 1692
+# against 1698 (seeds 101-105). 2 vCPUs, numpy 2.4, one BLAS thread.
 CHUNK_CANDIDATES = 4096
 
 LIFTED = "lifted"
@@ -150,7 +179,8 @@ class BatchLiftResult(NamedTuple):
     ``outcome[i]`` is ``"lifted"`` or a key of ``FAILURES``. A lifted
     record's row holds what ``lift`` returns: translation (3,), the four
     corner indices of its configuration, residual and reprojection error.
-    A failed record's row holds NaN and -1.
+    A failed record's row holds NaN and -1. ``n_configurations`` is the
+    number of candidates each record solved (see CONSTRAINT MODES).
     """
 
     translation: np.ndarray  # (N, 3)
@@ -180,22 +210,34 @@ class BatchLiftResult(NamedTuple):
 
 
 class _Family(NamedTuple):
-    """A mode's corner assignments and the right-hand-side columns they gather.
+    """A mode's corner assignments and the candidates a record solves for it.
 
-    ``columns[side]`` is ``configs[:, side] + 8 * side``: the index of each
-    candidate's right-hand side for that side in a record's flattened
-    (side, corner) table of 32.
+    ``configs`` is the whole family, in ``enumerate_configurations`` order.
+    ``near[side]`` marks a side whose corners include both members of every
+    antipodal pair (j, 7 - j); a record solves only its near member there
+    (see CONSTRAINT MODES). ``slots`` holds the solved candidates: on a near
+    side, slot j < 4 stands for the record's j-th near corner in ascending
+    order, on any other side for corner j. ``columns[side]`` is
+    ``slots[:, side] + 8 * side``, the index of each candidate's right-hand
+    side for that side in a record's flattened (side, slot) table of 32.
     """
 
     configs: np.ndarray  # (C, 4)
-    columns: np.ndarray  # (4, C)
+    near: np.ndarray  # (4,) bool
+    slots: np.ndarray  # (C', 4), C' = C / 2 ** near.sum()
+    columns: np.ndarray  # (4, C')
 
 
 def _family(configs):
     configs = np.asarray(configs, dtype=np.intp)
-    columns = (configs + 8 * np.arange(4)).T.copy()
-    configs.flags.writeable = columns.flags.writeable = False  # shared by every lift
-    return _Family(configs, columns)
+    admitted = np.zeros((4, 8), dtype=bool)
+    admitted[np.arange(4), configs] = True  # (side, corner)
+    near = (admitted == admitted[:, ::-1]).all(axis=1)  # closed under j -> 7 - j
+    slots = configs[(configs[:, near] < 4).all(axis=1)]  # slots 0-3 on near sides
+    columns = (slots + 8 * np.arange(4)).T.copy()
+    for array in (configs, near, slots, columns):
+        array.flags.writeable = False  # shared by every lift
+    return _Family(configs, near, slots, columns)
 
 
 def _configuration_array(left, right, top, bottom=None):
@@ -238,22 +280,46 @@ def enumerate_configurations(mode):
 
 # Per side, in (left, right, top, bottom) order: the intrinsics row that
 # produces its pixel coordinate (u for left and right, v for top and
-# bottom) and the rectangle column holding that coordinate.
+# bottom), the rectangle column holding that coordinate, and +1 for a side
+# touched where a_side . R X is least (left, top), -1 where it is largest.
 _SIDE_ROWS = np.array([0, 0, 1, 1])
 _SIDE_COLUMNS = np.array([0, 2, 1, 3])
+_SIDE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+_SIDES = np.arange(4)
+# A near side's slot corners by the bit mask of its far lower corners (bit
+# j set: 7 - j is near, not j): the near member of each pair (j, 7 - j),
+# ascending, then 4-7, which no candidate reads. Row 16, the identity, is
+# every other side's.
+_PAIR_BITS = 1 << np.arange(4)
+_NEAR_SLOTS = np.array(
+    [sorted(7 - j if mask >> j & 1 else j for j in range(4)) + [4, 5, 6, 7] for mask in range(16)]
+    + [list(range(8))]
+)
 # Outcome label by (rotation ok, rank ok, some candidate feasible) as 0/1
 # indices: lifted when all three hold, else the first failed check in
 # FAILURES order.
 _OUTCOMES = np.array([LIFTED, *FAILURES])[[[[1, 1], [1, 1]], [[2, 2], [3, 0]]]]
 
 
+def _slot_corners(rhs, near):
+    """The corner each (side, slot) of a record's table stands for, (N, 4, 8).
+
+    ``rhs`` (N, 4, 8) holds -a_side . R X_corner. On a ``near`` side, slots
+    0-3 hold the near member of the pairs (j, 7 - j) in ascending order: j,
+    unless the sign of ``rhs`` puts j on the far half; a value of exactly 0
+    (or NaN) keeps j. On any other side slot j is corner j.
+    """
+    far = rhs[:, :, :4] * _SIDE_SIGNS < 0
+    return _NEAR_SLOTS[np.where(near, far @ _PAIR_BITS, 16)]
+
+
 def _solve(k, rotations, dims, rects, family):
-    """Solve and rank every configuration of ``family`` for N records.
+    """Solve and rank the candidates of ``family`` for N records.
 
     The inputs are float arrays of the shapes ``lift_batch`` checks.
     """
-    configs, columns = family
-    n, c = len(rects), len(configs)
+    _, near, slots, columns = family
+    n, c = len(rects), len(slots)
     # Per record: side rows k_row - s * k3, their pseudo-inverse, the
     # rotated corners and every side's right-hand side for every corner.
     a = k[:, _SIDE_ROWS] - rects[:, _SIDE_COLUMNS, None] * k[:, None, 2]  # (N, 4, 3)
@@ -262,19 +328,27 @@ def _solve(k, rotations, dims, rects, family):
     s = np.where(rank_ok[:, None], s, 1.0)  # keeps failed records' rows finite
     pinv = (vt.swapaxes(1, 2) / s[:, None, :]) @ left.swapaxes(1, 2)  # (N, 3, 4)
     rotated = rotated_corners(dims, rotations)  # (N, 8, 3)
-    # -a_side . (R X_corner), flattened to (side, corner) columns.
-    rhs = -(a @ rotated.swapaxes(1, 2)).reshape(n, 32)
+    # -a_side . (R X_corner) as a flat (side, slot) table of 32 a record.
+    # Slot j is corner j, the same for every record, except on near sides,
+    # where each record puts its own near corners in slots 0-3.
+    rhs = -(a @ rotated.swapaxes(1, 2))  # (N, side, corner)
+    records = np.arange(n)[:, None]
+    slot_corners = None
+    if near.any():
+        slot_corners = _slot_corners(rhs, near)  # (N, side, slot)
+        rhs = rhs[records[:, :, None], _SIDES[:, None], slot_corners]
+    rhs = rhs.reshape(n, 32)
     # K (R X + T) = K R X + K T; the third row is the depth (K's third row
     # is (0, 0, 1)), the first two give u and v. The corners are held
     # corner-major and the candidates side-major, (m, side, C), so every
     # pass over the (8, m, C) corner slabs reads unit-stride memory.
-    corners_uv = rotated @ k[:, :2].swapaxes(1, 2)  # (N, 8, 2)
-    corners_u, corners_v = corners_uv.transpose(2, 1, 0).copy()  # (8, N) each
-    corners_z = rotated[:, :, 2].T.copy()
+    corners_uv = (rotated @ k[:, :2].swapaxes(1, 2)).transpose(2, 1, 0).copy()  # (2, 8, N)
+    corners_z = rotated[:, :, 2].T.copy()  # (8, N)
     # A candidate is feasible if its nearest corner is in front of the
     # camera. Rounding is monotonic, so min_j fl(z_j + t) = fl(min_j z_j + t)
     # and this equals the minimum over all eight corner depths.
     nearest_z = corners_z.min(axis=0)
+    bounds = rects.T  # (4, N): x_min, y_min, x_max, y_max
 
     translation = np.empty((n, 3))
     configuration = np.empty((n, 4), dtype=np.intp)
@@ -292,30 +366,23 @@ def _solve(k, rotations, dims, rects, family):
             d = a[chunk] @ t
             d -= b
             d *= d
-            res = d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3]
+            res = d.sum(axis=1)
             del b, d  # freed before the (8, m, C) slabs
             t_z = t[:, 2]
-            t_u, t_v = (k[chunk, :2] @ t).swapaxes(0, 1)  # (m, C) each
-            feasible = nearest_z[chunk, None] + t_z > 0
+            infeasible = ~(nearest_z[chunk, None] + t_z > 0)  # NaN is infeasible
 
-            # Re-projected corners: u, then v in the same (8, m, C) slab,
-            # and the squared mismatch of their tight rectangle, summed in
+            # Re-projected corners, u and v in one (2, 8, m, C) slab, and
+            # the squared mismatch of their tight rectangle, summed in
             # (x_min, y_min, x_max, y_max) order.
-            depth = corners_z[:, chunk, None] + t_z
-            slab = corners_u[:, chunk, None] + t_u
-            slab /= depth
-            u_min, u_max = slab.min(axis=0), slab.max(axis=0)
-            np.add(corners_v[:, chunk, None], t_v, out=slab)
-            slab /= depth
-            r = rects[chunk, None]
-            rep = (
-                (u_min - r[..., 0]) ** 2
-                + (slab.min(axis=0) - r[..., 1]) ** 2
-                + (u_max - r[..., 2]) ** 2
-                + (slab.max(axis=0) - r[..., 3]) ** 2
-            )
-            rep = np.where(feasible, rep, np.inf)
-            res = np.where(feasible, res, np.inf)
+            slab = corners_uv[:, :, chunk, None] + (k[chunk, :2] @ t).swapaxes(0, 1)[:, None]
+            slab /= corners_z[:, chunk, None] + t_z
+            mismatch = np.concatenate([slab.min(axis=1), slab.max(axis=1)])  # (4, m, C)
+            del slab
+            mismatch -= bounds[:, chunk, None]
+            mismatch *= mismatch
+            rep = mismatch.sum(axis=0)
+            rep[infeasible] = np.inf
+            res[infeasible] = np.inf
 
             # Lowest reprojection error, then lowest residual, then lowest
             # index (argmin returns the first of equal values).
@@ -323,11 +390,13 @@ def _solve(k, rotations, dims, rects, family):
             best = np.argmin(np.where(tied, res, np.inf), axis=1)
             rows = np.arange(len(best))
             translation[chunk] = t[rows, :, best]
-            configuration[chunk] = configs[best]
+            configuration[chunk] = slots[best]
             residual[chunk] = res[rows, best]
             reprojection[chunk] = rep[rows, best]
-            any_feasible[chunk] = feasible.any(axis=1)
+            any_feasible[chunk] = ~infeasible.all(axis=1)
 
+    if slot_corners is not None:
+        configuration = slot_corners[records, _SIDES, configuration]
     rotations_ok = are_rotations(rotations)
     checks = rotations_ok.astype(np.intp), rank_ok.astype(np.intp), any_feasible.astype(np.intp)
     outcome = _OUTCOMES[checks]
@@ -419,14 +488,18 @@ def solve_translation(intrinsics, rotation, dims, box2d, configuration):
 def lift(intrinsics, rotation, dims, box2d, mode=ConstraintMode.KITTI_ZERO_PITCH_ROLL):
     """Recover the translation that best explains a tight detection rectangle.
 
-    Solves every admissible configuration of ``mode``, discards infeasible
-    ones, and returns the candidate whose re-projected tight rectangle best
-    matches ``box2d``. Ties are broken by smaller least-squares residual,
-    then by enumeration order, making the choice deterministic.
+    Solves the admissible configurations of ``mode`` that can touch the
+    rectangle (on sides where the family admits both corners of an
+    antipodal pair, only the near one; see the module docstring), discards
+    infeasible ones, and returns the candidate whose re-projected tight
+    rectangle best matches ``box2d``. Ties are broken by smaller
+    least-squares residual, then by enumeration order, making the choice
+    deterministic.
 
     Raises:
         ValueError: if ``rotation`` is not a rotation matrix.
-        NoFeasibleConfigurationError: if no configuration is feasible.
+        NoFeasibleConfigurationError: if no configuration is feasible; the
+            message counts the candidates solved.
     """
     batch = _solve(*_one_record(intrinsics, rotation, dims, box2d), _configurations(mode))
     return batch.result(0)

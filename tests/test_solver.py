@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from boxlift import solver
 from boxlift.errors import (
     InfeasibleConfigurationError,
     NonPositiveDepthError,
@@ -360,13 +361,15 @@ def test_lift_batch_failures_are_per_record():
 
 
 def test_lift_batch_is_scalar_lift_bitwise_across_chunks():
-    # Three chunks in each mode (160 kitti records, 3 GENERAL and 10
-    # UPRIGHT at 4096 candidates a chunk), with a rank-deficient record
-    # inside the middle chunk.
+    # Three chunks in each mode, sized from the candidates a record solves
+    # (64 kitti and 16 GENERAL or UPRIGHT records a chunk of 4096), with a
+    # rank-deficient record inside the middle chunk.
     rng = np.random.default_rng(20)
     modes = (ConstraintMode.KITTI_ZERO_PITCH_ROLL, ConstraintMode.GENERAL, ConstraintMode.UPRIGHT)
+    probe = Box3D(np.array([0.0, 1.0, 20.0]), Dimensions(4.0, 1.5, 1.8), yaw=0.3)
     for mode in modes:
-        per_chunk = max(1, CHUNK_CANDIDATES // EXPECTED_COUNTS[mode])
+        solved = lift_batch(*batch_inputs([probe], [project_box(K, probe)]), mode).n_configurations
+        per_chunk = max(1, CHUNK_CANDIDATES // solved)
         n = 2 * per_chunk + max(1, per_chunk // 2)
         boxes = [sample_scene_box(rng, depth_range=(5.0, 60.0)) for _ in range(n)]
         if mode is not ConstraintMode.KITTI_ZERO_PITCH_ROLL:
@@ -418,3 +421,101 @@ def test_lift_batch_rejects_malformed_arrays():
         lift_batch(k, rotations, dims, rects, "kitti")
     empty = lift_batch(k[:0], rotations[:0], dims[:0], rects[:0])
     assert empty.translation.shape == (0, 3) and empty.outcome.shape == (0,)
+
+
+def whole_family(mode):
+    """``mode``'s family with every candidate solved, near corner or far."""
+    family = solver._CONFIGURATIONS[mode]
+    columns = (family.configs + 8 * np.arange(4)).T.copy()
+    return family._replace(near=np.zeros(4, dtype=bool), slots=family.configs, columns=columns)
+
+
+def assert_batches_equal(got, expected):
+    assert list(got.outcome) == list(expected.outcome)
+    for name in ("translation", "configuration", "residual", "reprojection_error"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", [ConstraintMode.GENERAL, ConstraintMode.UPRIGHT])
+def test_near_half_lifts_as_the_whole_family(mode, monkeypatch):
+    # 330 boxes, upright and tilted, anywhere in front of the camera (above
+    # and below the horizon), with 0, 1 or 2 px of rectangle noise, mixed
+    # with rank-deficient, all-infeasible and bad-rotation records.
+    rng = np.random.default_rng(22)
+    n = 330
+    boxes = []
+    for i in range(n):
+        b = sample_scene_box(rng, depth_range=(3.0, 60.0))
+        center = b.center + np.array([0.0, rng.uniform(-3.0, 1.0), 0.0])
+        pitch, roll = rng.uniform(-0.15, 0.15, size=2) if i % 2 else (0.0, 0.0)
+        boxes.append(Box3D(center, b.dims, b.yaw, pitch=pitch, roll=roll))
+    k, rotations, dims, rects = batch_inputs(boxes, [project_box(K, b) for b in boxes])
+    rects += rng.normal(0.0, 1.0, size=rects.shape) * (np.arange(n) % 3)[:, None]
+    rects[50] = (600.0, 180.0, 600.0, 180.0)  # rank-deficient
+    # all infeasible: a 16.5 m box whose rectangle spans 4 200 px
+    rects[120] = (-1877.0, -645.0, 2324.0, 2983.0)
+    dims[120] = (16.5, 4.1, 12.1)
+    rotations[120] = rotation_from_angles(-2.2, -0.2, -0.2)
+    rotations[200] = 2.0 * np.eye(3)
+    batch = lift_batch(k, rotations, dims, rects, mode)
+    assert batch.n_configurations == 256
+    assert (batch.outcome == "lifted").sum() == n - 3
+    failures = {"rank_deficient", "all_infeasible", "bad_rotation"}
+    assert set(batch.outcome[[50, 120, 200]]) == failures
+    monkeypatch.setitem(solver._CONFIGURATIONS, mode, whole_family(mode))
+    whole = lift_batch(k, rotations, dims, rects, mode)
+    assert whole.n_configurations == EXPECTED_COUNTS[mode]
+    assert_batches_equal(batch, whole)
+
+
+def test_near_half_keeps_the_lower_corner_of_a_side_value_of_zero(monkeypatch):
+    # Yaw 0, centered on the principal point at the depth of its own z
+    # extent: the far corners' a_side . R X is exactly 0 on every side.
+    k = CameraIntrinsics(fx=500.0, fy=500.0, cx=300.0, cy=200.0)
+    box = Box3D(np.array([0.0, 0.0, 4.0]), Dimensions(2.0, 1.5, 4.0), yaw=0.0)
+    rect = project_box(k, box)
+    rows = np.array([
+        k.matrix[row] - coordinate * k.matrix[2]
+        for row, coordinate in zip((0, 0, 1, 1), (rect.x_min, rect.x_max, rect.y_min, rect.y_max))
+    ])
+    side_values = rows @ box_vertices(box.dims).T  # a_side . R X_j, R = I
+    assert ((side_values == 0.0).sum(axis=1) == 4).all()
+    # Near: <= 0 on left and top, >= 0 on right and bottom; 0 keeps j < 4.
+    keep_low = np.where([[True], [False], [True], [False]], side_values <= 0, side_values >= 0)
+    expected = [sorted(j if keep_low[side, j] else 7 - j for j in range(4)) for side in range(4)]
+    corners = solver._slot_corners(-side_values[None], np.ones(4, dtype=bool))
+    assert corners[0, :, :4].tolist() == expected
+    inputs = (k.matrix[None], box.rotation[None], box.dims.as_array[None], rect.as_array[None])
+    for mode in ConstraintMode:
+        near = lift_batch(*inputs, mode)
+        assert near.outcome[0] == "lifted"
+        if mode is not ConstraintMode.KITTI_ZERO_PITCH_ROLL:  # it straddles the principal row
+            assert np.linalg.norm(near.translation[0] - box.center) < 1e-12
+        with monkeypatch.context() as patch:
+            patch.setitem(solver._CONFIGURATIONS, mode, whole_family(mode))
+            assert_batches_equal(near, lift_batch(*inputs, mode))
+
+
+def test_only_general_and_upright_solve_a_near_half():
+    # zeroroll and kitti admit one corner of each antipodal pair a side
+    # already: they solve their whole family, in enumeration order.
+    near_sides = {
+        ConstraintMode.GENERAL: [True] * 4,
+        ConstraintMode.UPRIGHT: [True, True, False, False],
+        ConstraintMode.UPRIGHT_ZERO_ROLL: [False] * 4,
+        ConstraintMode.KITTI_ZERO_PITCH_ROLL: [False] * 4,
+    }
+    box = Box3D(np.array([0.0, 1.0, 20.0]), Dimensions(4.0, 1.5, 1.8), yaw=0.3)
+    inputs = batch_inputs([box], [project_box(K, box)])
+    for mode, near in near_sides.items():
+        family = solver._CONFIGURATIONS[mode]
+        assert family.near.tolist() == near
+        solved = lift_batch(*inputs, mode).n_configurations
+        if any(near):
+            assert solved == 256 and (family.slots[:, near] < 4).all()
+        else:
+            assert solved == EXPECTED_COUNTS[mode]
+            assert np.array_equal(family.slots, family.configs)
+        order = [family.configs.tolist().index(row) for row in family.slots.tolist()]
+        assert order == sorted(order)  # enumeration order
