@@ -6,6 +6,7 @@ from boxlift.geometry import CameraIntrinsics, wrap_angle
 from boxlift.multibin import (
     BinLayout,
     MultiBinEncoding,
+    _over_bins,
     bin_targets,
     bins_covering,
     decode,
@@ -53,6 +54,9 @@ def test_layout_centers_uniform():
 def test_layout_validation():
     with pytest.raises(ValueError):
         BinLayout(0)
+    for flag in (True, np.True_):  # a bool is no bin count, though True == 1
+        with pytest.raises(ValueError, match="n_bins must be a positive integer"):
+            BinLayout(flag)
     with pytest.raises(ValueError):
         BinLayout(4, 0.9 * np.pi / 4)  # gaps between bins
     with pytest.raises(ValueError):
@@ -188,6 +192,11 @@ def test_loss_conf_validation():
         loss_conf(np.array([np.inf, 0.0]), 0)
     with pytest.raises(ValueError):
         loss_conf(np.zeros(3), 5)
+    for target in (1.5, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="target bins must be integers"):
+            loss_conf(np.zeros(3), target)
+    with pytest.raises(ValueError, match="target bins must be integers"):
+        loss_conf(np.zeros((2, 4)), np.array([0.0, 3.0]))  # integral, but floats
 
 
 def test_loss_loc_perfect_prediction():
@@ -274,7 +283,7 @@ def test_loss_loc_rejects_non_finite_inputs():
         loss_loc(layout, batch_raw, np.zeros(5))
 
 
-@pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 7, 8, 9, 16])
 def test_batched_losses_equal_per_row_calls(n_bins):
     layout = BinLayout(n_bins)
     rng = np.random.default_rng(40 + n_bins)
@@ -295,6 +304,83 @@ def test_batched_losses_equal_per_row_calls(n_bins):
 
     from_targets = loss_loc(layout, raw, bin_targets(layout, theta))
     assert np.array_equal(from_targets[0], loc) and np.array_equal(from_targets[1], loc_grad)
+
+
+def reference_bin_targets(layout, theta):
+    """``bin_targets`` as row-major expressions with a trailing bin axis."""
+    offsets = wrap_angle(np.expand_dims(theta, -1) - layout.centers)
+    dist = np.abs(offsets)
+    pairs = np.stack([np.cos(offsets), np.sin(offsets)], axis=-1)
+    return np.argmin(dist, axis=-1), dist <= layout.coverage_half_width, pairs
+
+
+def reference_loss_conf(logits, target_bin):
+    """``loss_conf``'s arithmetic as row-wise reductions over the last axis."""
+    target = np.expand_dims(target_bin, -1)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    loss = log_norm - np.take_along_axis(shifted, target, axis=-1)[..., 0]
+    grad = np.exp(shifted - log_norm[..., None]) - (np.arange(logits.shape[-1]) == target)
+    return loss, grad
+
+
+def reference_loss_loc(raw, covering, pairs):
+    """``loss_loc``'s arithmetic with einsums and broadcasts over the trailing pair axis."""
+    norms = np.sqrt(np.einsum("...i,...i->...", raw, raw))
+    unit = raw / norms[..., None]
+    n_cov = covering.sum(axis=-1)
+    dots = np.einsum("...i,...i->...", pairs, unit)
+    loss = -(dots * covering).sum(axis=-1) / n_cov
+    grad = (
+        -covering[..., None].astype(float)
+        * (pairs - dots[..., None] * unit)
+        / (n_cov[..., None, None] * norms[..., None])
+    )
+    return loss, grad
+
+
+@pytest.mark.parametrize("n_bins", range(1, 17))
+def test_losses_equal_row_wise_reference_bit_for_bit(n_bins):
+    # numpy adds 8 or more elements of a row pairwise, so 8-16 bins check that order
+    layout = BinLayout(n_bins)
+    rng = np.random.default_rng(70 + n_bins)
+    batch = 2000
+    theta = np.concatenate([rng.uniform(-np.pi, np.pi, batch - n_bins - 1),
+                            layout.centers, [np.pi]])  # exact centers: one covering bin
+    target_bin, covering, pairs = reference_bin_targets(layout, theta)
+    targets = bin_targets(layout, theta)
+    assert np.array_equal(targets.target_bin, target_bin)
+    assert np.array_equal(targets.covering, covering) and np.array_equal(targets.pairs, pairs)
+
+    out = rng.normal(0, 3, size=(batch, 3 * n_bins))  # a toy head's outputs
+    forms = {
+        "strided views": (out[:, :n_bins], out[:, n_bins:].reshape(batch, n_bins, 2)),
+        "contiguous": (out[:, :n_bins].copy(), out[:, n_bins:].reshape(batch, n_bins, 2).copy()),
+    }
+    for form, (logits, raw) in forms.items():
+        want_conf = reference_loss_conf(logits, target_bin)
+        want_loc = reference_loss_loc(raw, covering, pairs)
+        for got, want in ((loss_conf(logits, targets.target_bin), want_conf),
+                          (loss_loc(layout, raw, targets), want_loc),
+                          (loss_loc(layout, raw, theta), want_loc)):
+            assert np.array_equal(got[0], want[0]), form
+            assert np.array_equal(got[1], want[1]), form
+
+    logits, raw = forms["contiguous"]
+    for i in range(0, batch, 97):  # single samples
+        conf, conf_grad = loss_conf(logits[i], target_bin[i])
+        loc, loc_grad = loss_loc(layout, raw[i], theta[i])
+        want_conf, want_conf_grad = reference_loss_conf(logits[i], target_bin[i])
+        want_loc, want_loc_grad = reference_loss_loc(raw[i], covering[i], pairs[i])
+        assert conf == want_conf and np.array_equal(conf_grad, want_conf_grad)
+        assert loc == want_loc and np.array_equal(loc_grad, want_loc_grad)
+
+
+@pytest.mark.parametrize("n_bins", [1, 2, 7, 8, 9, 15, 16, 17, 24, 31, 128, 129, 200, 300])
+def test_over_bins_adds_in_numpys_row_order(n_bins):
+    values = np.exp(np.random.default_rng(n_bins).normal(0, 3, size=(500, n_bins)))
+    assert np.array_equal(_over_bins(np.add, np.ascontiguousarray(values.T)), values.sum(axis=-1))
+    assert np.array_equal(_over_bins(np.maximum, values.T), values.max(axis=-1))
 
 
 def test_scalar_and_single_row_return_types():

@@ -38,7 +38,10 @@ def test_zero_learning_rate_leaves_parameters_at_init(small_data):
         assert np.array_equal(p1, p2)
 
 
-@pytest.mark.parametrize("kind,bins", [("multibin", 2), ("multibin", 4), ("l2_scalar", 1)])
+@pytest.mark.parametrize(
+    "kind,bins",
+    [("multibin", 2), ("multibin", 4), ("multibin", 8), ("multibin", 9), ("l2_scalar", 1)],
+)
 def test_gradient_check_at_initialization(kind, bins):
     features, angles = make_dataset(8, 0.05, seed=11)
     model, _ = train(
