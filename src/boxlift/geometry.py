@@ -66,9 +66,9 @@ TOP_CORNERS = (2, 3, 6, 7)
 # Corner sign patterns in vertex order, (8, 3): x sign fastest, 0 = +.
 VERTEX_SIGNS = 1.0 - 2.0 * np.array([[i % 2, (i // 2) % 2, (i // 4) % 2] for i in range(8)])
 VERTEX_SIGNS.flags.writeable = False
-_EYE = np.eye(3)
 ROTATION_TOLERANCE = 1e-9  # are_rotations' absolute tolerance, on det R and on R^T R
-_GRAM_TOLERANCE = ROTATION_TOLERANCE + 1e-5 * _EYE  # plus np.allclose's 1e-5 relative to I
+_ROTATION_TARGET = np.append(np.eye(3), 1.0)
+_ROTATION_TOLERANCES = np.append(ROTATION_TOLERANCE + 1e-5 * np.eye(3), ROTATION_TOLERANCE)
 
 
 def wrap_angle(theta):
@@ -229,11 +229,15 @@ def are_rotations(matrices):
     ``ROTATION_TOLERANCE`` plus 1e-5 relative to the identity's entries) and
     the determinant must be within it of 1. Returns an (N,) bool array.
     """
-    matrices = np.asarray(matrices, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        gram = np.swapaxes(matrices, 1, 2) @ matrices
-        orthonormal = (np.abs(gram - _EYE) <= _GRAM_TOLERANCE).all(axis=(1, 2))
-        return orthonormal & (np.abs(np.linalg.det(matrices) - 1.0) <= ROTATION_TOLERANCE)
+        return _are_rotations(np.asarray(matrices, dtype=float))
+
+
+def _are_rotations(matrices):
+    """``are_rotations`` of a float array, under the caller's ``np.errstate``."""
+    gram = (matrices.swapaxes(1, 2) @ matrices).reshape(-1, 9)
+    deviation = np.concatenate([gram, np.linalg.det(matrices)[:, None]], axis=1) - _ROTATION_TARGET
+    return (np.abs(deviation) <= _ROTATION_TOLERANCES).all(axis=1)
 
 
 def is_rotation(matrix):

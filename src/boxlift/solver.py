@@ -9,9 +9,25 @@ for a side with pixel coordinate s and assigned corner X,
 
 where k_row is the intrinsics row producing that coordinate (first row for
 the vertical sides x_min/x_max, second for the horizontal sides
-y_min/y_max) and k3 the third row. The 4x3 system is solved by SVD; the
-coefficient matrix depends only on the intrinsics and the rectangle, so all
-candidate corner assignments share one factorization.
+y_min/y_max) and k3 the third row. The 4x3 system is solved by least
+squares in closed form, one linear map shared by every corner assignment.
+
+SIDE SOLVE
+==========
+K's third row is (0, 0, 1), so a_l - a_r = (0, 0, w) and a_t - a_b =
+(0, 0, h) for the rectangle's width w and height h. Each pair's sum and
+difference over sqrt(2) is an orthogonal transform, which keeps the
+minimiser, and the sum rows are met exactly for any t_z. With E = w^2 + h^2
+and right-hand sides b_l, b_r, b_t, b_b:
+
+    t_z = (w (b_l - b_r) + h (b_t - b_b)) / E
+    (K T)_u = (b_l + b_r) / 2 + x_mid t_z,  (K T)_v = (b_t + b_b) / 2 + y_mid t_z
+    residual = g^2 E / 2,  g = (h (b_l - b_r) - w (b_t - b_b)) / E
+
+A record's (4, 4) side map takes a candidate's b's to ((K T)_u, (K T)_v,
+t_z, g), all the ranking needs; each winner's t_y and t_x are then
+back-substituted through the upper triangular K. Only a collapsed
+rectangle, sqrt(E / 2) <= ``RANK_TOLERANCE``, is rank-deficient.
 
 CONSTRAINT MODES
 ================
@@ -69,31 +85,24 @@ whole family; ``BatchLiftResult.n_configurations`` and the count in
 
 BATCHES
 =======
-``lift_batch`` lifts N records in one numpy pass over N x C candidates;
-each record brings its own intrinsics, rotation, extents and rectangle.
-The per-record work is done once for the whole batch: the rotation check,
-the SVD of the 4x3 side matrix, the right-hand side of every corner on
-every side as a flat table of 32 (side, slot) entries, and the rotated
-corners' u and v as one contiguous (2, 8, N) slab and their depth as an
-(8, N) one. Slot j of a side holds corner j, the same for every record,
-except on a family's near sides, where each record puts its own four near
-corners, ascending, in slots 0-3. The candidates are then solved, checked
-for positive depth and ranked by reprojection in chunks of
-``CHUNK_CANDIDATES`` candidates or one record, whichever is more, so the
-candidate arrays never exceed those of 4096 candidates however large N
-is. A chunk gathers its right-hand sides with one ``np.take`` of the
-family's columns (slot + 8 * side, built at import) into side-major
-(records, side, C) arrays, so its translations come out as contiguous x,
-y and z rows and every pass over its (8, records, C) corner arrays reads
-unit-stride memory. The residual sums the four sides of one squared
-(records, side, C) array and the reprojection error the four bounds of one
-squared (bound, records, C) array, in (x_min, y_min, x_max, y_max) order.
-A candidate is feasible when its nearest corner is in front of the camera;
-rounding is monotonic, so this one sum decides exactly what the minimum
-over all eight corner depths would. Every record ends in one outcome:
-``lifted``, or a failure code of ``FAILURES`` carrying the message the
-scalar ``lift`` raises. ``lift`` and ``solve_translation`` are the N = 1
-case of the same code.
+``lift_batch`` lifts N records in one numpy pass; each record brings its
+own intrinsics, rotation, extents and rectangle. Once per record: the
+rotation check, the side map, K R X of the corners as one (3, 8, N) array
+(u, v, depth) and from it the right-hand side s z - (K R X)_row of every
+corner on every side, a table of 32 (side, slot) entries. Slot j is corner
+j, except on a family's near sides, where each record puts its four near
+corners, ascending, in slots 0-3. Candidates are solved and ranked in
+chunks of ``CHUNK_CANDIDATES`` candidates or one record, whichever is
+more: one ``np.take`` of the family's columns (slot + 8 * side, built at
+import) gathers side-major (records, side, C) right-hand sides, one product
+with the side maps gives (K T)_u, (K T)_v, t_z and g as contiguous rows,
+and the reprojection error sums one squared (bound, records, C) array in
+(x_min, y_min, x_max, y_max) order. A candidate is feasible when t_z >
+-min_j z_j: exactly fl(min_j z_j + t_z) > 0, which, rounding being
+monotonic, decides what all eight corner depths would. Every record ends in
+one outcome: ``lifted``, or a failure code of ``FAILURES`` carrying the
+message the scalar ``lift`` raises; ``lift`` and ``solve_translation`` are
+the N = 1 case of the same code.
 """
 
 import enum
@@ -103,7 +112,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleConfigurationError, NoFeasibleConfigurationError
-from .geometry import BOTTOM_CORNERS, TOP_CORNERS, are_rotations, rotated_corners
+from .geometry import BOTTOM_CORNERS, TOP_CORNERS, _are_rotations, rotated_corners
 
 __all__ = [
     "ConstraintMode",
@@ -286,6 +295,14 @@ _SIDE_ROWS = np.array([0, 0, 1, 1])
 _SIDE_COLUMNS = np.array([0, 2, 1, 3])
 _SIDE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
 _SIDES = np.arange(4)
+# rect @ _RECT_FACTORS + _RECT_ONES is (x_mid, y_mid, 1, 1, w, h, -w, -h);
+# side map row r (see SIDE SOLVE) is its entry r times its entries
+# _MAP_COLUMNS[r], over E, plus _MAP_OFFSETS[r].
+_MID, _SIZE = np.array([[1, 0, 1, 0], [0, 1, 0, 1]]) / 2, np.array([[-1, 0, 1, 0], [0, -1, 0, 1]])
+_RECT_FACTORS = np.vstack([_MID, np.zeros((2, 4)), _SIZE, -_SIZE]).T
+_RECT_ONES = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+_MAP_COLUMNS = np.array([[4, 6, 5, 7]] * 3 + [[5, 7, 6, 4]])
+_MAP_OFFSETS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0] * 4, [0] * 4]) / 2
 # A near side's slot corners by the bit mask of its far lower corners (bit
 # j set: 7 - j is near, not j): the near member of each pair (j, 7 - j),
 # ascending, then 4-7, which no candidate reads. Row 16, the identity, is
@@ -320,94 +337,71 @@ def _solve(k, rotations, dims, rects, family):
     """
     _, near, slots, columns = family
     n, c = len(rects), len(slots)
-    # Per record: side rows k_row - s * k3, their pseudo-inverse, the
-    # rotated corners and every side's right-hand side for every corner.
-    a = k[:, _SIDE_ROWS] - rects[:, _SIDE_COLUMNS, None] * k[:, None, 2]  # (N, 4, 3)
-    left, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank_ok = s[:, -1] > RANK_TOLERANCE
-    s = np.where(rank_ok[:, None], s, 1.0)  # keeps failed records' rows finite
-    pinv = (vt.swapaxes(1, 2) / s[:, None, :]) @ left.swapaxes(1, 2)  # (N, 3, 4)
-    rotated = rotated_corners(dims, rotations)  # (N, 8, 3)
-    # -a_side . (R X_corner) as a flat (side, slot) table of 32 a record.
-    # Slot j is corner j, the same for every record, except on near sides,
-    # where each record puts its own near corners in slots 0-3.
-    rhs = -(a @ rotated.swapaxes(1, 2))  # (N, side, corner)
-    records = np.arange(n)[:, None]
-    slot_corners = None
-    if near.any():
-        slot_corners = _slot_corners(rhs, near)  # (N, side, slot)
-        rhs = rhs[records[:, :, None], _SIDES[:, None], slot_corners]
-    rhs = rhs.reshape(n, 32)
-    # K (R X + T) = K R X + K T; the third row is the depth (K's third row
-    # is (0, 0, 1)), the first two give u and v. The corners are held
-    # corner-major and the candidates side-major, (m, side, C), so every
-    # pass over the (8, m, C) corner slabs reads unit-stride memory.
-    corners_uv = (rotated @ k[:, :2].swapaxes(1, 2)).transpose(2, 1, 0).copy()  # (2, 8, N)
-    corners_z = rotated[:, :, 2].T.copy()  # (8, N)
-    # A candidate is feasible if its nearest corner is in front of the
-    # camera. Rounding is monotonic, so min_j fl(z_j + t) = fl(min_j z_j + t)
-    # and this equals the minimum over all eight corner depths.
-    nearest_z = corners_z.min(axis=0)
-    bounds = rects.T  # (4, N): x_min, y_min, x_max, y_max
-
-    translation = np.empty((n, 3))
-    configuration = np.empty((n, 4), dtype=np.intp)
-    residual = np.empty(n)
-    reprojection = np.empty(n)
-    any_feasible = np.empty(n, dtype=bool)
-    step = max(1, CHUNK_CANDIDATES // max(c, 1))
-    # Records that already failed go through the same arithmetic on
-    # meaningless rows, which are overwritten below.
+    records = np.arange(n)
+    # Failed records go through the same arithmetic on meaningless rows,
+    # which are overwritten below.
     with np.errstate(all="ignore"):
+        rotations_ok = _are_rotations(rotations)
+        # K R X as contiguous (u/v/depth, corner, record) planes.
+        projected = (rotated_corners(dims, rotations) @ k.swapaxes(1, 2)).transpose(2, 1, 0).copy()
+        corners_uv, corners_z = projected[:2], projected[2]
+        rhs = (rects.T[_SIDE_COLUMNS, None] * corners_z - projected[_SIDE_ROWS]).transpose(2, 0, 1)
+        slot_corners = None
+        if near.any():
+            slot_corners = _slot_corners(rhs, near)  # (N, side, slot)
+            rhs = rhs[records[:, None, None], _SIDES[:, None], slot_corners]
+        rhs = rhs.reshape(n, 32)
+        factors = rects @ _RECT_FACTORS + _RECT_ONES
+        spread = (factors[:, 4:6] ** 2).sum(axis=1)  # E
+        rank_ok = spread > 2.0 * RANK_TOLERANCE**2  # singular value sqrt(E / 2) > tolerance
+        side_map = factors[:, :4, None] * (factors[:, _MAP_COLUMNS] / spread[:, None, None])
+        side_map += _MAP_OFFSETS  # (N, 4, 4)
+        behind = -corners_z.min(axis=0)  # feasible: t_z > behind
+        won = np.empty((n, 5))  # winner's (K T)_u, (K T)_v, t_z, g^2, reprojection error
+        best = np.empty(n, dtype=np.intp)
+        step = max(1, CHUNK_CANDIDATES // max(c, 1))
         for lo in range(0, n, step):
             chunk = slice(lo, lo + step)
-            b = np.take(rhs[chunk], columns, axis=1)  # (m, 4, C)
-            t = pinv[chunk] @ b  # (m, 3, C)
-            d = a[chunk] @ t
-            d -= b
-            d *= d
-            res = d.sum(axis=1)
-            del b, d  # freed before the (8, m, C) slabs
-            t_z = t[:, 2]
-            infeasible = ~(nearest_z[chunk, None] + t_z > 0)  # NaN is infeasible
-
-            # Re-projected corners, u and v in one (2, 8, m, C) slab, and
-            # the squared mismatch of their tight rectangle, summed in
-            # (x_min, y_min, x_max, y_max) order.
-            slab = corners_uv[:, :, chunk, None] + (k[chunk, :2] @ t).swapaxes(0, 1)[:, None]
+            solved = side_map[chunk] @ np.take(rhs[chunk], columns, axis=1)  # (m, 4, C)
+            t_z, gap_sq = solved[:, 2], solved[:, 3]
+            gap_sq *= gap_sq
+            # Re-projected u and v in one (2, 8, m, C) slab; their tight rectangle's mismatch.
+            slab = corners_uv[:, :, chunk, None] + solved[:, :2].swapaxes(0, 1)[:, None]
             slab /= corners_z[:, chunk, None] + t_z
-            mismatch = np.concatenate([slab.min(axis=1), slab.max(axis=1)])  # (4, m, C)
+            mismatch = np.empty((4,) + t_z.shape)
+            slab.min(axis=1, out=mismatch[:2])
+            slab.max(axis=1, out=mismatch[2:])
             del slab
-            mismatch -= bounds[:, chunk, None]
+            mismatch -= rects.T[:, chunk, None]  # x_min, y_min, x_max, y_max
             mismatch *= mismatch
             rep = mismatch.sum(axis=0)
-            rep[infeasible] = np.inf
-            res[infeasible] = np.inf
-
-            # Lowest reprojection error, then lowest residual, then lowest
-            # index (argmin returns the first of equal values).
+            rep[~(t_z > behind[chunk, None])] = np.inf  # NaN is infeasible
+            # Lowest reprojection error, then residual (g^2 E / 2), then index (argmin takes
+            # the first). With no feasible candidate all tie, and the record fails below.
             tied = rep == rep.min(axis=1, keepdims=True)
-            best = np.argmin(np.where(tied, res, np.inf), axis=1)
-            rows = np.arange(len(best))
-            translation[chunk] = t[rows, :, best]
-            configuration[chunk] = slots[best]
-            residual[chunk] = res[rows, best]
-            reprojection[chunk] = rep[rows, best]
-            any_feasible[chunk] = ~infeasible.all(axis=1)
+            pick = np.argmin(np.where(tied, gap_sq, np.inf), axis=1)
+            rows = np.arange(len(pick))
+            won[chunk, :4] = solved[rows, :, pick]
+            won[chunk, 4] = rep[rows, pick]
+            best[chunk] = pick
 
-    if slot_corners is not None:
-        configuration = slot_corners[records, _SIDES, configuration]
-    rotations_ok = are_rotations(rotations)
-    checks = rotations_ok.astype(np.intp), rank_ok.astype(np.intp), any_feasible.astype(np.intp)
-    outcome = _OUTCOMES[checks]
-    ok = rotations_ok & rank_ok & any_feasible
-    if not ok.all():
-        failed = ~ok
-        translation[failed] = np.nan
-        configuration[failed] = -1
-        residual[failed] = np.nan
-        reprojection[failed] = np.nan
-    return BatchLiftResult(translation, configuration, residual, reprojection, outcome, c)
+        feasible = won[:, 2] > behind
+        ok = rotations_ok & rank_ok & feasible
+        configuration = slots[best]
+        if slot_corners is not None:
+            configuration = slot_corners[records[:, None], _SIDES, configuration]
+        if ok.all():
+            outcome = _OUTCOMES[1:, 1:, 1].repeat(n)  # all lifted
+        else:  # a failed record's row holds NaN and -1
+            outcome = _OUTCOMES[tuple(np.array([rotations_ok, rank_ok, feasible], dtype=np.intp))]
+            won[~ok] = np.nan
+            configuration[~ok] = -1
+        # The winner's translation, by back-substitution through K.
+        k_u, k_v, t_z, gap_sq, reprojection = won.T
+        t_y = (k_v - k[:, 1, 2] * t_z) / k[:, 1, 1]
+        t_x = (k_u - k[:, 0, 1] * t_y - k[:, 0, 2] * t_z) / k[:, 0, 0]
+        translation = np.stack([t_x, t_y, t_z], axis=1)
+    return BatchLiftResult(translation, configuration, gap_sq * spread / 2, reprojection, outcome, c)
 
 
 def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZERO_PITCH_ROLL):
@@ -425,9 +419,9 @@ def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZER
         ``lift`` returns or raises for record i.
 
     Raises:
-        ValueError: if the shapes disagree, ``mode`` is unknown, an
-            intrinsics, dims or rects entry is not finite, or an intrinsics
-            matrix's third row is not (0, 0, 1).
+        ValueError: if the shapes disagree, ``mode`` is unknown, an entry is
+            not finite, an extent or focal length is not positive, or an
+            intrinsics matrix is not upper triangular with third row (0, 0, 1).
     """
     k = np.asarray(intrinsics, dtype=float)
     rotations = np.asarray(rotations, dtype=float)
@@ -442,8 +436,10 @@ def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZER
         )
     if not (np.isfinite(k).all() and np.isfinite(dims).all() and np.isfinite(rects).all()):
         raise ValueError("intrinsics, dims and rects must be finite")
-    if not (k[:, 2] == (0.0, 0.0, 1.0)).all():
-        raise ValueError("intrinsics must have (0, 0, 1) as their third row")
+    if not ((k[:, 2] == (0.0, 0.0, 1.0)).all() and (k[:, 1, 0] == 0.0).all()):
+        raise ValueError("intrinsics must be upper triangular with (0, 0, 1) as their third row")
+    if not ((k[:, (0, 1), (0, 1)] > 0.0).all() and (dims > 0.0).all()):
+        raise ValueError("focal lengths and extents must be positive")
     return _solve(k, rotations, dims, rects, _configurations(mode))
 
 
@@ -465,7 +461,7 @@ def solve_translation(intrinsics, rotation, dims, box2d, configuration):
     Raises:
         ValueError: if ``rotation`` is not a rotation matrix.
         InfeasibleConfigurationError: if the system is rank-deficient
-            (smallest singular value <= 1e-10) or the recovered translation
+            (a collapsed rectangle, see SIDE SOLVE) or the recovered translation
             places any box corner at or behind the camera.
     """
     # The configuration twice: numpy multiplies a single candidate through

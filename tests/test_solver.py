@@ -19,6 +19,7 @@ from boxlift.geometry import (
     box_vertices,
     project,
     project_box,
+    rotated_corners,
     rotation_from_angles,
 )
 from boxlift.solver import (
@@ -419,6 +420,20 @@ def test_lift_batch_rejects_malformed_arrays():
         lift_batch(k, rotations, dims, np.full((1, 4), np.nan))
     with pytest.raises(ValueError, match="unknown constraint mode"):
         lift_batch(k, rotations, dims, rects, "kitti")
+    # Extents and focal lengths must be positive and K upper triangular, as
+    # Dimensions, CameraIntrinsics and CalibRecord require: negated extents
+    # would be lifted at the wrong place, a negative fx mirrored.
+    with pytest.raises(ValueError, match="extents must be positive"):
+        lift_batch(k, rotations, -dims, rects)
+    for row in (0, 1):
+        negative = k.copy()
+        negative[:, row, row] *= -1.0
+        with pytest.raises(ValueError, match="focal lengths"):
+            lift_batch(negative, rotations, dims, rects)
+    lower = k.copy()
+    lower[:, 1, 0] = 35.0
+    with pytest.raises(ValueError, match="upper triangular"):
+        lift_batch(lower, rotations, dims, rects)
     empty = lift_batch(k[:0], rotations[:0], dims[:0], rects[:0])
     assert empty.translation.shape == (0, 3) and empty.outcome.shape == (0,)
 
@@ -519,3 +534,123 @@ def test_only_general_and_upright_solve_a_near_half():
             assert np.array_equal(family.slots, family.configs)
         order = [family.configs.tolist().index(row) for row in family.slots.tolist()]
         assert order == sorted(order)  # enumeration order
+
+
+def svd_reference(k, rotations, dims, rects, mode):
+    """The SVD pseudo-inverse kernel the closed-form side solve replaced.
+
+    Ranks the same candidates (the near half of ``mode``'s family) in one
+    pass: t = pinv(A) b with A the (N, 4, 3) side matrix, the residual
+    |A t - b|^2, then feasibility and the reprojection error in the old
+    kernel's arithmetic. Returns (outcome, configuration, translation,
+    residual), the last three of each record's winner; rank_deficient
+    when A's smallest singular value is <= 1e-10.
+    """
+    family = solver._CONFIGURATIONS[mode]
+    n = len(rects)
+    a = k[:, [0, 0, 1, 1]] - rects[:, [0, 2, 1, 3], None] * k[:, None, 2]  # (N, 4, 3)
+    left, s, vt = np.linalg.svd(a, full_matrices=False)
+    rank_ok = s[:, -1] > solver.RANK_TOLERANCE
+    s = np.where(rank_ok[:, None], s, 1.0)
+    pinv = (vt.swapaxes(1, 2) / s[:, None, :]) @ left.swapaxes(1, 2)  # (N, 3, 4)
+    rotated = rotated_corners(dims, rotations)  # (N, 8, 3)
+    rhs = -(a @ rotated.swapaxes(1, 2))  # (N, side, corner)
+    slot_corners = solver._slot_corners(rhs, family.near)
+    rhs = np.take_along_axis(rhs, slot_corners, axis=2).reshape(n, 32)
+    b = np.take(rhs, family.columns, axis=1)  # (N, 4, C)
+    t = pinv @ b  # (N, 3, C)
+    residual = ((a @ t - b) ** 2).sum(axis=1)
+    corners_uv = (rotated @ k[:, :2].swapaxes(1, 2)).transpose(2, 1, 0)  # (2, 8, N)
+    corners_z = rotated[:, :, 2].T  # (8, N)
+    with np.errstate(all="ignore"):  # infeasible candidates, discarded below
+        slab = corners_uv[:, :, :, None] + (k[:, :2] @ t).swapaxes(0, 1)[:, None]
+        slab /= corners_z[:, :, None] + t[:, 2]
+        mismatch = np.concatenate([slab.min(axis=1), slab.max(axis=1)]) - rects.T[:, :, None]
+        reprojection = (mismatch**2).sum(axis=0)
+    infeasible = ~(corners_z.min(axis=0)[:, None] + t[:, 2] > 0)
+    reprojection[infeasible] = np.inf
+    residual[infeasible] = np.inf
+    tied = reprojection == reprojection.min(axis=1, keepdims=True)
+    best = np.argmin(np.where(tied, residual, np.inf), axis=1)
+    rows = np.arange(n)
+    configuration = np.take_along_axis(slot_corners, family.slots[best][:, :, None], axis=2)[..., 0]
+    outcome = np.where(infeasible.all(axis=1), "all_infeasible", "lifted")
+    outcome = np.where(rank_ok, outcome, "rank_deficient")
+    return outcome, configuration, t[rows, :, best], residual[rows, best]
+
+
+def reference_scene(rng, n, mode):
+    """``n`` boxes in front of the camera, above and below the horizon,
+    tilted in every other record unless ``mode`` needs zero pitch and roll."""
+    boxes = []
+    for i in range(n):
+        b = sample_scene_box(rng, depth_range=(3.0, 70.0))
+        if mode is ConstraintMode.KITTI_ZERO_PITCH_ROLL:
+            boxes.append(b)
+            continue
+        center = b.center + np.array([0.0, rng.uniform(-3.0, 1.0), 0.0])
+        tilt = rng.uniform(-0.15, 0.15, size=2)
+        if i % 2 == 0 or mode is ConstraintMode.UPRIGHT_ZERO_ROLL:
+            tilt = (0.0, 0.0)
+        boxes.append(Box3D(center, b.dims, b.yaw, *tilt))
+    return boxes
+
+
+@pytest.mark.parametrize("mode", list(ConstraintMode))
+def test_side_solve_ranks_as_the_svd_kernel(mode):
+    # Noisy rectangles over two and a half chunks: the same configuration
+    # for every record, translations within 1e-12 m per 50 m of depth and
+    # residuals within 1e-9 px^2 of the SVD pseudo-inverse kernel's.
+    rng = np.random.default_rng(23)
+    solved = 64 if mode is ConstraintMode.KITTI_ZERO_PITCH_ROLL else 256
+    per_chunk = max(1, CHUNK_CANDIDATES // solved)
+    n = 2 * per_chunk + per_chunk // 2
+    boxes = reference_scene(rng, n, mode)
+    k, rotations, dims, rects = batch_inputs(boxes, [project_box(K, b) for b in boxes])
+    rects += rng.normal(0.0, 1.5, size=rects.shape)
+    batch = lift_batch(k, rotations, dims, rects, mode)
+    outcome, configuration, translation, residual = svd_reference(k, rotations, dims, rects, mode)
+    assert list(batch.outcome) == list(outcome)
+    lifted = outcome == "lifted"
+    assert lifted.sum() > 0.9 * n
+    assert np.array_equal(batch.configuration[lifted], configuration[lifted])
+    depth = np.array([b.center[2] for b in boxes])[lifted]
+    error = np.abs(batch.translation[lifted] - translation[lifted]).max(axis=1)
+    assert (error <= 1e-12 * depth / 50.0).all(), error.max()
+    assert np.abs(batch.residual[lifted] - residual[lifted]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("mode", list(ConstraintMode))
+def test_side_solve_recovers_noise_free_boxes(mode):
+    rng = np.random.default_rng(24)
+    boxes = reference_scene(rng, 60, mode)
+    if mode is ConstraintMode.KITTI_ZERO_PITCH_ROLL:  # road boxes, below the horizon
+        boxes = [sample_scene_box(rng, depth_range=(3.0, 70.0)) for _ in range(60)]
+    batch = lift_batch(*batch_inputs(boxes, [project_box(K, b) for b in boxes]), mode)
+    assert list(batch.outcome) == ["lifted"] * len(boxes)
+    centers = np.array([b.center for b in boxes])
+    assert np.abs(batch.translation - centers).max() < 1e-9
+
+
+@pytest.mark.parametrize("mode", list(ConstraintMode))
+def test_rank_rule_fails_only_a_collapsed_rectangle(mode):
+    # A zero-width or zero-height rectangle still fixes t_z through its
+    # other side pair: the outcome and the translation are the SVD
+    # kernel's. (Its coinciding sides make swapped assignments tie, which
+    # only rounding orders in the SVD kernel, so the labels may differ.) A
+    # rectangle collapsed in both directions is rank-deficient.
+    box = Box3D(np.array([0.5, 1.0, 20.0]), Dimensions(4.0, 1.5, 1.8), yaw=0.3)
+    rect = project_box(K, box).as_array
+    rects = np.array([
+        [rect[0], rect[1], rect[0], rect[3]],  # w = 0
+        [rect[0], rect[1], rect[2], rect[1]],  # h = 0
+        [rect[0], rect[1], rect[0] + 1e-11, rect[1] + 1e-11],  # sqrt(E / 2) = 1e-11
+        rect,
+    ])
+    inputs = batch_inputs([box] * 4, [degenerate_rect(*row) for row in rects])
+    batch = lift_batch(*inputs, mode)
+    outcome, _, translation, _ = svd_reference(*inputs, mode)
+    assert list(batch.outcome) == list(outcome)
+    assert batch.outcome[2] == "rank_deficient" and batch.outcome[3] == "lifted"
+    lifted = outcome == "lifted"
+    assert np.allclose(batch.translation[lifted], translation[lifted], rtol=0.0, atol=1e-9)
