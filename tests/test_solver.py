@@ -580,8 +580,9 @@ def svd_reference(k, rotations, dims, rects, mode):
 
 
 def reference_scene(rng, n, mode):
-    """``n`` boxes in front of the camera, above and below the horizon,
-    tilted in every other record unless ``mode`` needs zero pitch and roll."""
+    """``n`` boxes in front of the camera: road boxes for ``kitti``, else
+    above and below the horizon, every other one tilted unless ``mode``
+    needs zero pitch and roll."""
     boxes = []
     for i in range(n):
         b = sample_scene_box(rng, depth_range=(3.0, 70.0))
@@ -624,8 +625,6 @@ def test_side_solve_ranks_as_the_svd_kernel(mode):
 def test_side_solve_recovers_noise_free_boxes(mode):
     rng = np.random.default_rng(24)
     boxes = reference_scene(rng, 60, mode)
-    if mode is ConstraintMode.KITTI_ZERO_PITCH_ROLL:  # road boxes, below the horizon
-        boxes = [sample_scene_box(rng, depth_range=(3.0, 70.0)) for _ in range(60)]
     batch = lift_batch(*batch_inputs(boxes, [project_box(K, b) for b in boxes]), mode)
     assert list(batch.outcome) == ["lifted"] * len(boxes)
     centers = np.array([b.center for b in boxes])
