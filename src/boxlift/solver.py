@@ -46,14 +46,16 @@ indices per the ordering in :mod:`boxlift.geometry`; y points down, so
   lies below the camera horizon (the road scenario). The top side is then
   touched by the deepest top corner and the bottom side by the shallowest
   bottom corner, which is its antipode (index 7 - top). Tying the bottom
-  corner to the top choice leaves 4 * 4 * 4 = 64 configurations. The
-  family provably contains the true assignment only when the rectangle
-  lies wholly below the principal row (y_min > c_y) or wholly above it. A
-  rectangle that straddles that row belongs to a box whose top plane is
-  above the camera: its top and bottom sides are touched by the two
-  corners of the nearest vertical edge (bottom = top - 2). This family
-  misses that assignment, and such a record is lifted wrong without
-  failing.
+  corner to the top choice leaves 4 * 4 * 4 = 64 configurations. That
+  holds when the rectangle lies wholly below the principal row (y_min >=
+  c_y) or wholly above it (y_max <= c_y). A rectangle that straddles the
+  row (y_min < c_y < y_max) belongs to a box whose top plane is above the
+  camera and whose bottom plane is below it: its top and bottom sides are
+  touched by the two corners of the nearest vertical edge, so such a
+  record ties its bottom corner to the top one's edge instead (bottom =
+  top - 2). It still solves 64 candidates, the straddle family, and
+  reports bottom = top - 2; ``enumerate_configurations`` lists the
+  antipodal family only.
 
 Each mode's family is a subset of the previous one, so relaxing the mode
 never loses the optimum it would have found. Each family is a (C, 4)
@@ -91,9 +93,11 @@ rotation check, the side map, K R X of the corners as one (3, 8, N) array
 (u, v, depth) and from it the right-hand side s z - (K R X)_row of every
 corner on every side, a table of 32 (side, slot) entries. Slot j is corner
 j, except on a family's near sides, where each record puts its four near
-corners, ascending, in slots 0-3. Candidates are solved and ranked in
-chunks of ``CHUNK_CANDIDATES`` candidates or one record, whichever is
-more: one ``np.take`` of the family's columns (slot + 8 * side, built at
+corners, ascending, in slots 0-3, and on the bottom side of a straddling
+KITTI_ZERO_PITCH_ROLL record, where slot j is corner 5 - j (mod 8), so
+the family's bottom slot 7 - top reads corner top - 2. Candidates are
+solved and ranked in chunks of ``CHUNK_CANDIDATES`` candidates or one
+record, whichever is more: one ``np.take`` of the family's columns (slot + 8 * side, built at
 import) gathers side-major (records, side, C) right-hand sides, one product
 with the side maps gives (K T)_u, (K T)_v, t_z and g as contiguous rows,
 and the reprojection error sums one squared (bound, records, C) array in
@@ -229,15 +233,19 @@ class _Family(NamedTuple):
     order, on any other side for corner j. ``columns[side]`` is
     ``slots[:, side] + 8 * side``, the index of each candidate's right-hand
     side for that side in a record's flattened (side, slot) table of 32.
+    ``tied`` marks a family whose bottom corner is the top corner's
+    antipode; a record that straddles the principal row reads its bottom
+    slots through the straddle row of ``_NEAR_SLOTS`` instead.
     """
 
     configs: np.ndarray  # (C, 4)
     near: np.ndarray  # (4,) bool
     slots: np.ndarray  # (C', 4), C' = C / 2 ** near.sum()
     columns: np.ndarray  # (4, C')
+    tied: bool
 
 
-def _family(configs):
+def _family(configs, tied=False):
     configs = np.asarray(configs, dtype=np.intp)
     admitted = np.zeros((4, 8), dtype=bool)
     admitted[np.arange(4), configs] = True  # (side, corner)
@@ -246,7 +254,7 @@ def _family(configs):
     columns = (slots + 8 * np.arange(4)).T.copy()
     for array in (configs, near, slots, columns):
         array.flags.writeable = False  # shared by every lift
-    return _Family(configs, near, slots, columns)
+    return _Family(configs, near, slots, columns, tied)
 
 
 def _configuration_array(left, right, top, bottom=None):
@@ -259,7 +267,7 @@ def _configuration_array(left, right, top, bottom=None):
     rows = np.stack(np.meshgrid(*sides, indexing="ij"), axis=-1).reshape(-1, len(sides))
     if bottom is None:
         rows = np.column_stack([rows, 7 - rows[:, 2]])
-    return _family(rows)
+    return _family(rows, tied=bottom is None)
 
 
 _CONFIGURATIONS = {
@@ -306,11 +314,12 @@ _MAP_OFFSETS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0] * 4, [0] * 4]) / 2
 # A near side's slot corners by the bit mask of its far lower corners (bit
 # j set: 7 - j is near, not j): the near member of each pair (j, 7 - j),
 # ascending, then 4-7, which no candidate reads. Row 16, the identity, is
-# every other side's.
+# every other side's; row 17, corner 5 - j (mod 8), a straddling record's
+# bottom side in a tied family: slot 7 - top is corner top - 2.
 _PAIR_BITS = 1 << np.arange(4)
 _NEAR_SLOTS = np.array(
     [sorted(7 - j if mask >> j & 1 else j for j in range(4)) + [4, 5, 6, 7] for mask in range(16)]
-    + [list(range(8))]
+    + [list(range(8)), [(5 - j) % 8 for j in range(8)]]
 )
 # Outcome label by (rotation ok, rank ok, some candidate feasible) as 0/1
 # indices: lifted when all three hold, else the first failed check in
@@ -318,16 +327,18 @@ _NEAR_SLOTS = np.array(
 _OUTCOMES = np.array([LIFTED, *FAILURES])[[[[1, 1], [1, 1]], [[2, 2], [3, 0]]]]
 
 
-def _slot_corners(rhs, near):
+def _slot_corners(rhs, near, straddle):
     """The corner each (side, slot) of a record's table stands for, (N, 4, 8).
 
     ``rhs`` (N, 4, 8) holds -a_side . R X_corner. On a ``near`` side, slots
     0-3 hold the near member of the pairs (j, 7 - j) in ascending order: j,
     unless the sign of ``rhs`` puts j on the far half; a value of exactly 0
-    (or NaN) keeps j. On any other side slot j is corner j.
+    (or NaN) keeps j. On the bottom side of a ``straddle`` (N,) record slot
+    j is corner 5 - j (mod 8). On any other side slot j is corner j.
     """
-    far = rhs[:, :, :4] * _SIDE_SIGNS < 0
-    return _NEAR_SLOTS[np.where(near, far @ _PAIR_BITS, 16)]
+    rows = np.where(near, (rhs[:, :, :4] * _SIDE_SIGNS < 0) @ _PAIR_BITS, 16)
+    rows[straddle, 3] = 17
+    return _NEAR_SLOTS[rows]
 
 
 def _solve(k, rotations, dims, rects, family):
@@ -335,7 +346,7 @@ def _solve(k, rotations, dims, rects, family):
 
     The inputs are float arrays of the shapes ``lift_batch`` checks.
     """
-    _, near, slots, columns = family
+    _, near, slots, columns, tied = family
     n, c = len(rects), len(slots)
     records = np.arange(n)
     # Failed records go through the same arithmetic on meaningless rows,
@@ -346,9 +357,11 @@ def _solve(k, rotations, dims, rects, family):
         projected = (rotated_corners(dims, rotations) @ k.swapaxes(1, 2)).transpose(2, 1, 0).copy()
         corners_uv, corners_z = projected[:2], projected[2]
         rhs = (rects.T[_SIDE_COLUMNS, None] * corners_z - projected[_SIDE_ROWS]).transpose(2, 0, 1)
+        c_y = k[:, 1, 2]
+        straddle = tied & (rects[:, 1] < c_y) & (c_y < rects[:, 3])
         slot_corners = None
-        if near.any():
-            slot_corners = _slot_corners(rhs, near)  # (N, side, slot)
+        if near.any() or straddle.any():
+            slot_corners = _slot_corners(rhs, near, straddle)  # (N, side, slot)
             rhs = rhs[records[:, None, None], _SIDES[:, None], slot_corners]
         rhs = rhs.reshape(n, 32)
         factors = rects @ _RECT_FACTORS + _RECT_ONES
@@ -420,8 +433,9 @@ def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZER
 
     Raises:
         ValueError: if the shapes disagree, ``mode`` is unknown, an entry is
-            not finite, an extent or focal length is not positive, or an
-            intrinsics matrix is not upper triangular with third row (0, 0, 1).
+            not finite, an extent or focal length is not positive, an
+            intrinsics matrix is not upper triangular with third row (0, 0, 1),
+            or a rectangle is inverted (x_min > x_max or y_min > y_max).
     """
     k = np.asarray(intrinsics, dtype=float)
     rotations = np.asarray(rotations, dtype=float)
@@ -440,6 +454,8 @@ def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZER
         raise ValueError("intrinsics must be upper triangular with (0, 0, 1) as their third row")
     if not ((k[:, (0, 1), (0, 1)] > 0.0).all() and (dims > 0.0).all()):
         raise ValueError("focal lengths and extents must be positive")
+    if not (rects[:, :2] <= rects[:, 2:]).all():
+        raise ValueError("rects must have x_min <= x_max and y_min <= y_max")
     return _solve(k, rotations, dims, rects, _configurations(mode))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boxlift import cli
-from boxlift.cli import _dispatch, _parse_flat_toml, build_config, build_parser, main
+from boxlift.cli import RunConfig, _dispatch, build_config, build_parser, main
 from boxlift.errors import MalformedLineError, NoFeasibleConfigurationError
 from boxlift.geometry import Box2D, Box3D, Dimensions, rotation_from_angles
 from boxlift.kitti import (
@@ -389,13 +389,13 @@ def test_lift_mixed_failures_counts_warnings_and_exit_code(tmp_path, calib, capl
         "Car 0.00 0 0.00 600.0 180.0 600.0000000000001 180.00000000000003 "
         "1.50 1.60 4.00 0.00 1.65 20.00 0.00"
     )
-    # the sliver of test_solver's test_lift_no_feasible_configuration
+    # a sliver that straddles the principal row: lifted through the straddle family
     sliver = "Car 0.00 0 -0.26 1114.13 7.11 1115.43 385.44 0.84 4.75 2.16 1.00 1.65 10.00 0.35"
     corpus = {
         "000000": [first[0], " ".join(no_dims), rank_deficient, first[1], sliver],
         "000001": good_lines(2),  # its calibration is missing
         "000002": good_lines(1),  # its calibration is unusable
-        "000003": good_lines(2),
+        "000003": [*good_lines(1), rank_deficient],
     }
     labels, calibs = write_dataset(
         tmp_path, {stem: "\n".join(lines) + "\n" for stem, lines in corpus.items()}
@@ -415,12 +415,13 @@ def test_lift_mixed_failures_counts_warnings_and_exit_code(tmp_path, calib, capl
         ("WARNING", "000000 line 2 not lifted: record has no dimensions"),
         ("WARNING", "000000 line 3 not lifted: "
                     "side equations are rank-deficient (degenerate rectangle)"),
-        ("WARNING", "000000 line 5 not lifted: all 64 configurations infeasible"),
+        ("WARNING", "000003 line 2 not lifted: "
+                    "side equations are rank-deficient (degenerate rectangle)"),
         ("ERROR", "more than half of the records failed (6/10)"),
     ]
     entries = [json.loads(line) for line in out.read_text().splitlines()]
     assert [(e["file"], e["line"]) for e in entries] == [
-        ("000000", 1), ("000000", 4), ("000003", 1), ("000003", 2),
+        ("000000", 1), ("000000", 4), ("000000", 5), ("000003", 1),
     ]
 
 
@@ -976,19 +977,22 @@ def test_config_file_round(tmp_path):
     assert json.loads(buffer.getvalue())["n_bins"] == 4
 
     bad = tmp_path / "bad.toml"
-    # a multi-line array is TOML, but config files are read as flat TOML on every Python
-    for text in ("unknown_key = 3\n", "bins_sweep = [\n  1,\n  2,\n]\n"):
-        bad.write_text(text)
-        assert main(["encode", "--theta", "1.0", "--config", str(bad)]) == 1
+    bad.write_text("unknown_key = 3\n")
+    assert main(["encode", "--theta", "1.0", "--config", str(bad)]) == 1
+    # a multi-line array is TOML
+    multi_line = tmp_path / "multi_line.toml"
+    multi_line.write_text("bins_sweep = [\n  1,\n  2,\n]\n")
+    args = build_parser().parse_args(["toy", "--out", "toy.csv", "--config", str(multi_line)])
+    assert build_config(args).bins_sweep == (1, 2)
 
 
 _ENCODE = ["encode", "--theta", "1.0"]
 
 
 @pytest.mark.parametrize("argv,text,message", [
-    (_ENCODE, "bins = 4\nmode = kitti\n", "{path} line 2: mode: could not convert string to float: 'kitti'"),
-    (_ENCODE, "bins_sweep = [\n  1,\n]\n", "{path} line 1: bins_sweep: could not convert string to float: '['"),
-    (_ENCODE, "\n[run]\n", "{path} line 2: config tables are not supported: [run]"),
+    (_ENCODE, "bins = 4\nmode = kitti\n", "{path}: Invalid value (at line 2, column 8)"),
+    (_ENCODE, "bins_sweep = [\n  1,\n  2.0,\n]\n", "{path}: bins_sweep must be a list of int, got [1, 2.0]"),
+    (_ENCODE, "\n[run]\n", "{path}: unknown config keys: ['run']"),
     (["toy", "--out", "toy.csv"], "epochs = 2.5\n", "{path}: epochs must be int, got 2.5"),
     (_ENCODE, 'bins_sweep = "1,2"\n', "{path}: bins_sweep must be a list of int, got '1,2'"),
     (_ENCODE, "bins_sweep = [1, 2.0]\n", "{path}: bins_sweep must be a list of int, got [1, 2.0]"),
@@ -1033,10 +1037,9 @@ def test_alpha_is_no_option(tmp_path):
         build_config(build_parser().parse_args(["encode", "--theta", "1.0", "--config", str(config)]))
 
 
-def test_flat_toml_fallback_reads_the_config_schema_like_tomllib():
-    tomllib = pytest.importorskip("tomllib")
-    text = """
 # every key of the config schema, in the forms a config file may use
+_SCHEMA = """
+# a comment line
 mode = "kitti"
 bins = 4  # a trailing comment
 overlap = 1.25
@@ -1051,8 +1054,38 @@ n_train = 5_000
 n_test = 2000
 bins_sweep = [1, 2, 4, 8]
 """
-    variants = [text, text.replace('"kitti"', "'kitti'"), "bins_sweep = [ 1,2, ]\n", "bins_sweep = []\n"]
-    # a "#" inside a quoted string is no comment; integers in every TOML base
-    variants += ['mode = "a#b"  # a comment\n', "mode = 'a#b'\n", "seed = 0x10\n", "seed = 1_000\n"]
-    for variant in variants:
-        assert _parse_flat_toml(variant, "run.toml") == tomllib.loads(variant)
+_SCHEMA_CONFIG = RunConfig(
+    mode="kitti", bins=4, overlap=1.25, w=0.25, iou_thresh=0.5, seed=-3, sigma=0.05,
+    epochs=10, lr=0.01, hidden=32, n_train=5000, n_test=2000, bins_sweep=(1, 2, 4, 8),
+)
+
+
+@pytest.mark.parametrize("text,expected", [
+    (_SCHEMA, _SCHEMA_CONFIG),
+    (_SCHEMA.replace('"kitti"', "'kitti'"), _SCHEMA_CONFIG),
+    ("bins_sweep = [ 1,2, ]\n", RunConfig(bins_sweep=(1, 2))),
+    ("bins_sweep = []\n", RunConfig(bins_sweep=())),
+    # integers in every TOML base
+    ("seed = 0x10\n", RunConfig(seed=16)),
+    ("seed = 1_000\n", RunConfig(seed=1000)),
+    # a "#" inside a quoted string is no comment
+    ('mode = "a#b"  # a comment\n', "mode must be one of ['general', 'kitti', 'upright', 'zeroroll']"),
+    ("mode = 'a#b'\n", "mode must be one of ['general', 'kitti', 'upright', 'zeroroll']"),
+])
+def test_config_file_reads_every_schema_form(tmp_path, text, expected):
+    config = tmp_path / "run.toml"
+    config.write_text(text)
+    args = build_parser().parse_args(["toy", "--out", "toy.csv", "--config", str(config)])
+    if isinstance(expected, RunConfig):
+        assert build_config(args) == expected
+        return
+    with pytest.raises(ValueError) as caught:
+        build_config(args)
+    assert str(caught.value) == expected
+
+
+def test_bad_bins_sweep_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["toy", "--out", "toy.csv", "--bins-sweep", "1,x"])
+    assert excinfo.value.code == 2
+    assert "argument --bins-sweep: invalid int_list value: '1,x'" in capsys.readouterr().err

@@ -727,10 +727,14 @@ def test_lift_columns_gives_each_record_one_status_in_input_order(calib):
     no_dims = car_line().split()
     no_dims[8:11] = ["-1", "-1", "-1"]
     no_dims = " ".join(no_dims)
-    # the sliver of test_solver's test_lift_no_feasible_configuration
+    # a sliver that straddles the principal row: lifted through the straddle family
     sliver = "Car 0.00 0 -0.26 1114.13 7.11 1115.43 385.44 0.84 4.75 2.16 1.00 1.65 10.00 0.35"
+    rank_deficient = (  # a rectangle one float wide and high
+        "Car 0.00 0 0.00 600.0 180.0 600.0000000000001 180.00000000000003 "
+        "1.50 1.60 4.00 0.00 1.65 20.00 0.00"
+    )
     texts = {
-        "000000": [car_line(), no_dims, sliver, car_line()],
+        "000000": [car_line(), no_dims, sliver, rank_deficient, car_line()],
         "000001": [car_line(), no_dims],  # no calibration
         "000002": [car_line()],  # an unusable calibration
         "000003": [car_line()],
@@ -741,18 +745,19 @@ def test_lift_columns_gives_each_record_one_status_in_input_order(calib):
         labels, calibs, ConstraintMode.KITTI_ZERO_PITCH_ROLL
     )
     assert status.tolist() == [
-        "lifted", "missing_dims", "all_infeasible", "lifted",
+        "lifted", "missing_dims", "lifted", "rank_deficient", "lifted",
         "missing_calib", "missing_calib", "bad_calib", "lifted",
     ]
     assert messages.tolist() == [
-        None, "record has no dimensions", "all 64 configurations infeasible", None,
+        None, "record has no dimensions", None,
+        "side equations are rank-deficient (degenerate rectangle)", None,
         "no calibration file", "no calibration file", "P2[2][2] must be 1", None,
     ]
     # the results table holds the lifted records only, in input order
     assert list(zip(results["file"], results["line"].tolist())) == [
-        ("000000", 1), ("000000", 4), ("000003", 1),
+        ("000000", 1), ("000000", 3), ("000000", 5), ("000003", 1),
     ]
-    assert {len(column) for column in results.values()} == {3}
+    assert {len(column) for column in results.values()} == {4}
     assert list(results)[-4:] == ["theta_ray", "configuration", "residual", "reprojection_error"]
 
 

@@ -32,7 +32,7 @@ from boxlift.solver import (
     solve_translation,
 )
 
-from conftest import sample_scene_box
+from conftest import CAMERA_HEIGHT, sample_scene_box
 
 K = CameraIntrinsics(fx=721.5377, fy=721.5377, cx=609.5593, cy=172.854)
 
@@ -235,14 +235,19 @@ def test_lift_error_grows_with_rectangle_noise():
     assert medians[0] < medians[1] < medians[2]
 
 
+# A tilted 16.5 m box whose rectangle spans 4 200 px: every corner
+# assignment, in every mode, puts part of the box behind the camera.
+INFEASIBLE = (
+    rotation_from_angles(-2.2, -0.2, -0.2),
+    Dimensions(16.5, 4.1, 12.1),
+    Box2D(-1877.0, -645.0, 2324.0, 2983.0),
+)
+
+
 def test_lift_no_feasible_configuration():
-    # a sliver of a rectangle paired with a flat, wide box: every corner
-    # assignment puts part of the box behind the camera
-    rect = Box2D(1114.13, 7.11, 1115.43, 385.44)
-    dims = Dimensions(2.16, 0.84, 4.75)
-    rotation = rotation_from_angles(0.3476)
-    with pytest.raises(NoFeasibleConfigurationError):
-        lift(K, rotation, dims, rect, ConstraintMode.KITTI_ZERO_PITCH_ROLL)
+    for mode in ConstraintMode:
+        with pytest.raises(NoFeasibleConfigurationError, match="configurations infeasible"):
+            lift(K, *INFEASIBLE, mode)
 
 
 def reference_lift(box, rect, mode):
@@ -322,9 +327,7 @@ def test_lift_batch_failures_are_per_record():
         (box.rotation, box.dims, project_box(K, box)),
         (box.rotation, box.dims, degenerate_rect(600.0, 180.0, 600.0, 180.0)),
         (valid[1].rotation, valid[1].dims, project_box(K, valid[1])),
-        # the sliver of test_lift_no_feasible_configuration
-        (rotation_from_angles(0.3476), Dimensions(2.16, 0.84, 4.75),
-         Box2D(1114.13, 7.11, 1115.43, 385.44)),
+        INFEASIBLE,
         (np.eye(3) * 2.0, box.dims, project_box(K, box)),
         (valid[2].rotation, valid[2].dims, project_box(K, valid[2])),
     ]
@@ -434,6 +437,11 @@ def test_lift_batch_rejects_malformed_arrays():
     lower[:, 1, 0] = 35.0
     with pytest.raises(ValueError, match="upper triangular"):
         lift_batch(lower, rotations, dims, rects)
+    # An inverted rectangle, which Box2D rejects, would be lifted: with x_min
+    # and x_max swapped at the true translation, y_min and y_max elsewhere.
+    for swap in ([2, 1, 0, 3], [0, 3, 2, 1]):
+        with pytest.raises(ValueError, match="x_min <= x_max and y_min <= y_max"):
+            lift_batch(k, rotations, dims, rects[:, swap])
     empty = lift_batch(k[:0], rotations[:0], dims[:0], rects[:0])
     assert empty.translation.shape == (0, 3) and empty.outcome.shape == (0,)
 
@@ -468,10 +476,7 @@ def test_near_half_lifts_as_the_whole_family(mode, monkeypatch):
     k, rotations, dims, rects = batch_inputs(boxes, [project_box(K, b) for b in boxes])
     rects += rng.normal(0.0, 1.0, size=rects.shape) * (np.arange(n) % 3)[:, None]
     rects[50] = (600.0, 180.0, 600.0, 180.0)  # rank-deficient
-    # all infeasible: a 16.5 m box whose rectangle spans 4 200 px
-    rects[120] = (-1877.0, -645.0, 2324.0, 2983.0)
-    dims[120] = (16.5, 4.1, 12.1)
-    rotations[120] = rotation_from_angles(-2.2, -0.2, -0.2)
+    rotations[120], dims[120], rects[120] = INFEASIBLE[0], INFEASIBLE[1].as_array, INFEASIBLE[2].as_array
     rotations[200] = 2.0 * np.eye(3)
     batch = lift_batch(k, rotations, dims, rects, mode)
     assert batch.n_configurations == 256
@@ -499,14 +504,13 @@ def test_near_half_keeps_the_lower_corner_of_a_side_value_of_zero(monkeypatch):
     # Near: <= 0 on left and top, >= 0 on right and bottom; 0 keeps j < 4.
     keep_low = np.where([[True], [False], [True], [False]], side_values <= 0, side_values >= 0)
     expected = [sorted(j if keep_low[side, j] else 7 - j for j in range(4)) for side in range(4)]
-    corners = solver._slot_corners(-side_values[None], np.ones(4, dtype=bool))
+    corners = solver._slot_corners(-side_values[None], np.ones(4, dtype=bool), np.zeros(1, dtype=bool))
     assert corners[0, :, :4].tolist() == expected
     inputs = (k.matrix[None], box.rotation[None], box.dims.as_array[None], rect.as_array[None])
     for mode in ConstraintMode:
         near = lift_batch(*inputs, mode)
         assert near.outcome[0] == "lifted"
-        if mode is not ConstraintMode.KITTI_ZERO_PITCH_ROLL:  # it straddles the principal row
-            assert np.linalg.norm(near.translation[0] - box.center) < 1e-12
+        assert np.linalg.norm(near.translation[0] - box.center) < 1e-12
         with monkeypatch.context() as patch:
             patch.setitem(solver._CONFIGURATIONS, mode, whole_family(mode))
             assert_batches_equal(near, lift_batch(*inputs, mode))
@@ -555,7 +559,8 @@ def svd_reference(k, rotations, dims, rects, mode):
     pinv = (vt.swapaxes(1, 2) / s[:, None, :]) @ left.swapaxes(1, 2)  # (N, 3, 4)
     rotated = rotated_corners(dims, rotations)  # (N, 8, 3)
     rhs = -(a @ rotated.swapaxes(1, 2))  # (N, side, corner)
-    slot_corners = solver._slot_corners(rhs, family.near)
+    straddle = family.tied & (rects[:, 1] < k[:, 1, 2]) & (k[:, 1, 2] < rects[:, 3])
+    slot_corners = solver._slot_corners(rhs, family.near, straddle)
     rhs = np.take_along_axis(rhs, slot_corners, axis=2).reshape(n, 32)
     b = np.take(rhs, family.columns, axis=1)  # (N, 4, C)
     t = pinv @ b  # (N, 3, C)
@@ -653,3 +658,70 @@ def test_rank_rule_fails_only_a_collapsed_rectangle(mode):
     assert batch.outcome[2] == "rank_deficient" and batch.outcome[3] == "lifted"
     lifted = outcome == "lifted"
     assert np.allclose(batch.translation[lifted], translation[lifted], rtol=0.0, atol=1e-9)
+
+
+def straddling_box(rng, top=None):
+    """A yaw-only box on the road, 1.7-3.5 m tall and 5-40 m away, taller
+    than the camera is high: its rectangle straddles the principal row.
+    With ``top``, its top face is at that height above the camera instead."""
+    dims = Dimensions(rng.uniform(0.5, 5.0), rng.uniform(1.7, 3.5), rng.uniform(0.5, 2.5))
+    if top is not None:
+        dims = Dimensions(dims.dx, CAMERA_HEIGHT + top, dims.dz)
+    tz = rng.uniform(5.0, 40.0)
+    center = np.array([rng.uniform(-0.22, 0.22) * tz, CAMERA_HEIGHT - 0.5 * dims.dy, tz])
+    return Box3D(center, dims, yaw=rng.uniform(-np.pi, np.pi))
+
+
+def test_straddling_boxes_lift_exactly_in_every_mode():
+    rng = np.random.default_rng(27)
+    boxes = [straddling_box(rng) for _ in range(400)]
+    rects = [project_box(K, b) for b in boxes]
+    assert all(r.y_min < K.cy < r.y_max for r in rects)
+    centers = np.array([b.center for b in boxes])
+    for mode in ConstraintMode:
+        batch = lift_batch(*batch_inputs(boxes, rects), mode)
+        assert list(batch.outcome) == ["lifted"] * len(boxes)
+        assert np.abs(batch.translation - centers).max() < 1e-9, mode
+    # kitti solves its 64 candidates, the straddle family: bottom = top - 2
+    assert batch.n_configurations == EXPECTED_COUNTS[mode]
+    _, _, top, bottom = batch.configuration.T
+    assert (bottom == top - 2).all()
+
+
+def test_lift_batch_mixing_straddling_and_road_boxes_is_scalar_lift_bitwise():
+    # two and a half kitti chunks, every other box straddling, 1 px of noise
+    rng = np.random.default_rng(28)
+    per_chunk = CHUNK_CANDIDATES // EXPECTED_COUNTS[ConstraintMode.KITTI_ZERO_PITCH_ROLL]
+    n = 2 * per_chunk + per_chunk // 2
+    boxes = [straddling_box(rng) if i % 2 else sample_scene_box(rng) for i in range(n)]
+    rects = [Box2D(*(project_box(K, b).as_array + rng.normal(0.0, 1.0, size=4))) for b in boxes]
+    straddles = [r.y_min < K.cy < r.y_max for r in rects]
+    assert n // 3 < sum(straddles) < 2 * n // 3
+    batch = lift_batch(*batch_inputs(boxes, rects))
+    for i, (box, rect) in enumerate(zip(boxes, rects)):
+        single = lift(K, box.rotation, box.dims, rect)
+        result = batch.result(i)
+        assert result.configuration == single.configuration
+        assert (result.configuration.bottom == result.configuration.top - 2) == straddles[i]
+        assert np.array_equal(result.translation, single.translation)
+        assert result.residual == single.residual
+        assert result.reprojection_error == single.reprojection_error
+
+
+def test_top_face_at_camera_height_lifts_exactly():
+    # The rectangle's top side is then the principal row: either family
+    # holds the true assignment, whichever side rounding puts y_min. A top
+    # face 1 mm above the camera straddles the row, 1 mm below does not.
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        for top in (0.0, 1e-3, -1e-3):
+            box = straddling_box(rng, top=top)
+            rect = project_box(K, box).as_array
+            y_mins = [rect[1]]
+            if top == 0.0:
+                y_mins += [np.nextafter(K.cy, -np.inf), K.cy, np.nextafter(K.cy, np.inf)]
+            for y_min in y_mins:
+                rect[1] = y_min
+                for mode in ConstraintMode:
+                    result = lift(K, box.rotation, box.dims, degenerate_rect(*rect), mode)
+                    assert np.linalg.norm(result.translation - box.center) < 1e-9, (top, y_min, mode)
