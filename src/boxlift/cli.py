@@ -213,7 +213,11 @@ def cmd_eval(args):
     detections, missing = kitti.evaluation_columns(stems, results)
     if missing:
         print(f"skipped {len(missing)} frames without ground truth: {missing}")
-    difficulties, errors, viewpoint = evaluate(truths, detections, config.iou_thresh)
+    try:
+        difficulties, errors, viewpoint = evaluate(truths, detections, config.iou_thresh)
+    except MalformedLineError as exc:  # a matched ground truth without dimensions
+        path = Path(args.gt_dir) / f"{exc.token}.txt"  # the error's token is its frame
+        raise MalformedLineError(exc.line_no, exc.token, f"{path} {exc}") from None
 
     difficulty_rows = []
     summary = {"difficulties": {}, "missing_frames": missing}

@@ -66,6 +66,9 @@ __all__ = [
 
 DONT_CARE = "DontCare"
 _ANGLE_SLACK = 1e-6  # tolerate formatting jitter at +-pi
+# A location coordinate or extent beyond it, in meters, is no road object's;
+# it also bounds the 10 m bands of metrics.distance_binned_errors.
+MAX_METERS = 1e4
 # Names of the numeric label columns, in file order after the category.
 LABEL_COLUMNS = (
     "truncated", "occluded", "alpha", "x_min", "y_min", "x_max", "y_max",
@@ -152,7 +155,7 @@ def _parse_float(token, line_no):
 
 # The checks of a label line, in the order they are reported: the first
 # failing check of the first bad line is the error.
-_CHECKS = ("columns", "token", "finite", "rectangle", "angle")
+_CHECKS = ("columns", "token", "finite", "rectangle", "angle", "meters")
 _NAN_TOKENS = ["nan"] * 16  # pads a line to 16 tokens
 
 
@@ -173,7 +176,9 @@ def read_label_columns(text):
         MalformedLineError: for the first bad line: a column count other
             than 15 or 16, an unparseable token, a non-finite number (only
             the occlusion on a DontCare line), a degenerate rectangle, or
-            alpha or rotation_y outside [-pi, pi] on a line not DontCare.
+            alpha or rotation_y outside [-pi, pi], or an extent or location
+            coordinate beyond ``MAX_METERS`` in magnitude, on a line not
+            DontCare.
     """
     categories, line_nos, counts, rows = [], [], [], []
     parsed = True  # False: the last line read holds a token that is no number
@@ -205,6 +210,7 @@ def read_label_columns(text):
     passed[:, 2] = np.where(dont_care, finite[:, 1], finite.all(axis=1))
     passed[:, 3] = finite[:, 3:7].all(axis=1) & (box[:, :2] < box[:, 2:]).all(axis=1)
     passed[:, 4] = dont_care | (np.abs(values[:, 2:14:11]) <= np.pi + _ANGLE_SLACK).all(axis=1)
+    passed[:, 5] = dont_care | (np.abs(values[:, 7:13]) <= MAX_METERS).all(axis=1)
     if not passed.all():
         row = int(np.argmin(passed.all(axis=1)))
         line_no = line_nos[row]
@@ -230,10 +236,13 @@ def _raise_label_error(check, line_no, tokens, values):
         token, message = tokens[column + 1], f"{LABEL_COLUMNS[column]} is not finite"
     elif check == "rectangle":
         token, message = " ".join(tokens[4:8]), "degenerate 2D box"
-    else:
+    elif check == "angle":
         name = "alpha" if abs(values[2]) > np.pi + _ANGLE_SLACK else "rotation_y"
         angle = values[LABEL_COLUMNS.index(name)].item()
         token, message = f"{name}={angle}", f"{name} out of [-pi, pi]"
+    else:
+        column = 7 + int(np.argmax(np.abs(values[7:13]) > MAX_METERS))
+        token, message = tokens[column + 1], f"{LABEL_COLUMNS[column]} beyond {MAX_METERS:.0f} m"
     raise MalformedLineError(line_no, token, f"line {line_no}: {message}")
 
 

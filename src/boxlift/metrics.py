@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUprightBoxError
+from .errors import MalformedLineError, NonUprightBoxError
 from .geometry import Box2D, are_rotations, rotated_corners, rotations_from_angles, wrap_angle
 
 __all__ = [
@@ -602,9 +602,11 @@ DIFFICULTY_RULES = {
 def _kitti_boxes(columns, rows):
     """_Boxes of some rows of ``evaluate``'s columns, the yaw wrapped as by Box3D."""
     dims = columns["dims_hwl"][rows]
-    if (dims <= 0).any():
-        frame = columns["file"][rows[(dims <= 0).any(axis=1).argmax()]]
-        raise ValueError(f"a record of frame {frame} has no dimensions")
+    if (dims <= 0).any():  # the token is the frame, for a caller that knows its file
+        row = rows[(dims <= 0).any(axis=1).argmax()]
+        frame, line = columns["file"][row], int(columns["line"][row]) if "line" in columns else None
+        where = "" if line is None else f"line {line}: "  # a KITTI table may hold no lines
+        raise MalformedLineError(line, frame, f"{where}a record of frame {frame} has no dimensions")
     centers = columns["location"][rows]
     centers[:, 1] -= 0.5 * dims[:, 0]  # the location is the bottom-center
     yaw = wrap_angle(columns["rotation_y"][rows])
@@ -629,7 +631,8 @@ def evaluate(ground_truths, detections, iou_threshold):
         their rotations, None without pairs.
 
     Raises:
-        ValueError: if a matched box has no dimensions.
+        MalformedLineError: if a matched box has no dimensions; it names the
+            box's frame, and its line when the table has a ``line`` column.
     """
     gt, det = ground_truths, detections
     order, *candidates = _scan(

@@ -89,24 +89,26 @@ BATCHES
 =======
 ``lift_batch`` lifts N records in one numpy pass; each record brings its
 own intrinsics, rotation, extents and rectangle. Once per record: the
-rotation check, the side map, K R X of the corners as one (3, 8, N) array
-(u, v, depth) and from it the right-hand side s z - (K R X)_row of every
-corner on every side, a table of 32 (side, slot) entries. Slot j is corner
-j, except on a family's near sides, where each record puts its four near
-corners, ascending, in slots 0-3, and on the bottom side of a straddling
-KITTI_ZERO_PITCH_ROLL record, where slot j is corner 5 - j (mod 8), so
-the family's bottom slot 7 - top reads corner top - 2. Candidates are
-solved and ranked in chunks of ``CHUNK_CANDIDATES`` candidates or one
-record, whichever is more: one ``np.take`` of the family's columns (slot + 8 * side, built at
-import) gathers side-major (records, side, C) right-hand sides, one product
-with the side maps gives (K T)_u, (K T)_v, t_z and g as contiguous rows,
-and the reprojection error sums one squared (bound, records, C) array in
-(x_min, y_min, x_max, y_max) order. A candidate is feasible when t_z >
--min_j z_j: exactly fl(min_j z_j + t_z) > 0, which, rounding being
-monotonic, decides what all eight corner depths would. Every record ends in
-one outcome: ``lifted``, or a failure code of ``FAILURES`` carrying the
-message the scalar ``lift`` raises; ``lift`` and ``solve_translation`` are
-the N = 1 case of the same code.
+rotation check, the side map, K R X of the corners and from it the depth
+bound and the right-hand side s z - (K R X)_row of every corner on every
+side, a table of 32 (side, slot) entries. Slot j is corner j, except on a
+family's near sides, where each record puts its four near corners,
+ascending, in slots 0-3, and on the bottom side of a straddling
+KITTI_ZERO_PITCH_ROLL record, where slot j is corner 5 - j (mod 8), so the
+family's bottom slot 7 - top reads corner top - 2. Candidates are solved in
+chunks of ``CHUNK_CANDIDATES`` candidates or one record, whichever is more,
+by the same numpy calls whatever a chunk holds: one ``take`` of the family's
+columns (slot + 8 * side, built at import) gathers (records, side, C)
+right-hand sides, one product with the side maps gives (K T)_u, (K T)_v, t_z
+and g, one (3, 8, records * C) slab of each record's corners, repeated once
+a candidate, re-projects them, one squared (bound, records, C) array sums
+the reprojection error in (x_min, y_min, x_max, y_max) order, and one
+``argmin`` of the key error + 1j g^2 ranks them. A candidate is feasible
+when t_z > -min_j z_j: exactly fl(min_j z_j + t_z) > 0, which, rounding
+being monotonic, decides what all eight corner depths would. Only winners
+are back-substituted. Every record ends in one outcome: ``lifted``, or a
+failure code of ``FAILURES`` carrying the message the scalar ``lift``
+raises; ``lift`` and ``solve_translation`` are the N = 1 case of the same code.
 """
 
 import enum
@@ -134,8 +136,8 @@ RANK_TOLERANCE = 1e-10
 # Candidates (records x solved candidates) solved at once, but at least one
 # record: 16 records of GENERAL, UPRIGHT or UPRIGHT_ZERO_ROLL (256
 # candidates each) a chunk, 64 of KITTI_ZERO_PITCH_ROLL. It bounds the
-# (8, records, C) work arrays and so the peak memory: 256 KB a slab, two for
-# the u and v slab. Measured when a GENERAL record solved all 4096
+# (8, records * C) work arrays and so the peak memory: 256 KB a plane, three
+# for the u, v and depth slab. Measured when a GENERAL record solved all 4096
 # candidates: against 1024, 4096 read lift_records_per_s 7.7 % higher on
 # perfbench road (16 790 against 15 590 records/s, medians of 5 alternating
 # 20 s pairs, seeds 121-125, 5 of 5 won) with frame times, toy rate and
@@ -210,7 +212,7 @@ class BatchLiftResult(NamedTuple):
             ValueError, NoFeasibleConfigurationError: the failure ``lift``
                 raises for this record, with the same message.
         """
-        outcome = str(self.outcome[i])
+        outcome = self.outcome.item(i)
         if outcome != LIFTED:
             error, message = FAILURES[outcome]
             raise error(message.format(count=self.n_configurations))
@@ -333,88 +335,86 @@ def _slot_corners(rhs, near, straddle):
     ``rhs`` (N, 4, 8) holds -a_side . R X_corner. On a ``near`` side, slots
     0-3 hold the near member of the pairs (j, 7 - j) in ascending order: j,
     unless the sign of ``rhs`` puts j on the far half; a value of exactly 0
-    (or NaN) keeps j. On the bottom side of a ``straddle`` (N,) record slot
-    j is corner 5 - j (mod 8). On any other side slot j is corner j.
+    (or NaN) keeps j. On the bottom side of a record that ``straddle`` (an
+    (N,) mask, or False) marks, slot j is corner 5 - j (mod 8). On any other
+    side slot j is corner j.
     """
     rows = np.where(near, (rhs[:, :, :4] * _SIDE_SIGNS < 0) @ _PAIR_BITS, 16)
-    rows[straddle, 3] = 17
+    rows[:, 3] = np.where(straddle, 17, rows[:, 3])
     return _NEAR_SLOTS[rows]
 
 
+@np.errstate(all="ignore")
 def _solve(k, rotations, dims, rects, family):
     """Solve and rank the candidates of ``family`` for N records.
 
     The inputs are float arrays of the shapes ``lift_batch`` checks.
     """
-    _, near, slots, columns, tied = family
+    configs, near, slots, columns, tied = family
     n, c = len(rects), len(slots)
-    records = np.arange(n)
-    # Failed records go through the same arithmetic on meaningless rows,
-    # which are overwritten below.
-    with np.errstate(all="ignore"):
-        rotations_ok = _are_rotations(rotations)
-        # K R X as contiguous (u/v/depth, corner, record) planes.
-        projected = (rotated_corners(dims, rotations) @ k.swapaxes(1, 2)).transpose(2, 1, 0).copy()
-        corners_uv, corners_z = projected[:2], projected[2]
-        rhs = (rects.T[_SIDE_COLUMNS, None] * corners_z - projected[_SIDE_ROWS]).transpose(2, 0, 1)
-        c_y = k[:, 1, 2]
-        straddle = tied & (rects[:, 1] < c_y) & (c_y < rects[:, 3])
-        slot_corners = None
-        if near.any() or straddle.any():
-            slot_corners = _slot_corners(rhs, near, straddle)  # (N, side, slot)
-            rhs = rhs[records[:, None, None], _SIDES[:, None], slot_corners]
-        rhs = rhs.reshape(n, 32)
-        factors = rects @ _RECT_FACTORS + _RECT_ONES
-        spread = (factors[:, 4:6] ** 2).sum(axis=1)  # E
-        rank_ok = spread > 2.0 * RANK_TOLERANCE**2  # singular value sqrt(E / 2) > tolerance
-        side_map = factors[:, :4, None] * (factors[:, _MAP_COLUMNS] / spread[:, None, None])
-        side_map += _MAP_OFFSETS  # (N, 4, 4)
-        behind = -corners_z.min(axis=0)  # feasible: t_z > behind
-        won = np.empty((n, 5))  # winner's (K T)_u, (K T)_v, t_z, g^2, reprojection error
-        best = np.empty(n, dtype=np.intp)
-        step = max(1, CHUNK_CANDIDATES // max(c, 1))
-        for lo in range(0, n, step):
-            chunk = slice(lo, lo + step)
-            solved = side_map[chunk] @ np.take(rhs[chunk], columns, axis=1)  # (m, 4, C)
-            t_z, gap_sq = solved[:, 2], solved[:, 3]
-            gap_sq *= gap_sq
-            # Re-projected u and v in one (2, 8, m, C) slab; their tight rectangle's mismatch.
-            slab = corners_uv[:, :, chunk, None] + solved[:, :2].swapaxes(0, 1)[:, None]
-            slab /= corners_z[:, chunk, None] + t_z
-            mismatch = np.empty((4,) + t_z.shape)
-            slab.min(axis=1, out=mismatch[:2])
-            slab.max(axis=1, out=mismatch[2:])
-            del slab
-            mismatch -= rects.T[:, chunk, None]  # x_min, y_min, x_max, y_max
-            mismatch *= mismatch
-            rep = mismatch.sum(axis=0)
-            rep[~(t_z > behind[chunk, None])] = np.inf  # NaN is infeasible
-            # Lowest reprojection error, then residual (g^2 E / 2), then index (argmin takes
-            # the first). With no feasible candidate all tie, and the record fails below.
-            tied = rep == rep.min(axis=1, keepdims=True)
-            pick = np.argmin(np.where(tied, gap_sq, np.inf), axis=1)
-            rows = np.arange(len(pick))
-            won[chunk, :4] = solved[rows, :, pick]
-            won[chunk, 4] = rep[rows, pick]
-            best[chunk] = pick
+    # Failed records go through the same arithmetic on meaningless rows, which
+    # are overwritten below; errstate keeps that arithmetic's warnings quiet.
+    rotations_ok = _are_rotations(rotations)
+    corners = rotated_corners(dims, rotations) @ k.swapaxes(1, 2)  # (N, corner, u/v/depth)
+    rhs = rects[:, _SIDE_COLUMNS, None] * corners[:, None, :, 2]
+    rhs -= corners[:, :, _SIDE_ROWS].swapaxes(1, 2)
+    projected = corners.T.copy()  # contiguous (u/v/depth, corner, N) planes
+    c_y = k[:, 1, 2]
+    straddle = tied and (rects[:, 1] < c_y) & (c_y < rects[:, 3])
+    slot_corners = None
+    if c < len(configs) or np.count_nonzero(straddle):  # a near half, or a straddling record
+        slot_corners = _slot_corners(rhs, near, straddle)  # (N, side, slot)
+        rhs = rhs[np.arange(n)[:, None, None], _SIDES[:, None], slot_corners]
+    rhs = rhs.reshape(n, 32)
+    factors = rects @ _RECT_FACTORS + _RECT_ONES
+    spread = (factors[:, 4:6] ** 2).sum(axis=1)  # E
+    rank_ok = spread > 2.0 * RANK_TOLERANCE**2  # singular value sqrt(E / 2) > tolerance
+    side_map = factors[:, :4, None] * (factors[:, _MAP_COLUMNS] / spread[:, None, None])
+    side_map += _MAP_OFFSETS  # (N, 4, 4)
+    behind = projected[2].max(axis=0)  # -min_j z_j, as z_{7-j} = -z_j; feasible: t_z > behind
+    # Each record's winner: (K T)_u, (K T)_v and t_z, then its translation; its key; its index.
+    won, ranked, best = np.empty((n, 3)), np.empty(n, dtype=complex), np.empty(n, dtype=np.intp)
+    step = max(1, CHUNK_CANDIDATES // c)
+    for lo in range(0, n, step):
+        chunk = slice(lo, lo + step)
+        solved = side_map[chunk] @ rhs[chunk].take(columns, axis=1)  # (m, 4, C)
+        # A (3, 8, m C) slab, each record's corners once a candidate: u + (K T)_u,
+        # v + (K T)_v and depth + t_z; then the re-projected box's tight rectangle.
+        slab = projected[:, :, chunk].repeat(c, axis=2)
+        slab += solved.swapaxes(0, 1)[:3].reshape(3, 1, -1)
+        uv = slab[:2]
+        uv /= slab[2]
+        mismatch = np.empty((4, len(solved), c))
+        np.minimum.reduce(uv, axis=1, out=mismatch[:2].reshape(2, -1))
+        np.maximum.reduce(uv, axis=1, out=mismatch[2:].reshape(2, -1))
+        del slab, uv  # freed before the next chunk's slab takes its place
+        mismatch -= rects.T[:, chunk, None]  # x_min, y_min, x_max, y_max
+        mismatch *= mismatch
+        # The key error + 1j g^2: complex numbers order lexicographically, so argmin takes the
+        # lowest error, then residual, then index. With none feasible the record fails below.
+        key = np.empty((len(solved), c), dtype=complex)
+        np.add.reduce(mismatch, out=key.real)
+        np.putmask(key.real, ~(solved[:, 2] > behind[chunk, None]), np.inf)  # NaN is infeasible
+        np.square(solved[:, 3], out=key.imag)
+        pick = key.argmin(axis=1)
+        rows = np.arange(len(pick))
+        won[chunk], ranked[chunk], best[chunk] = solved[rows, :3, pick], key[rows, pick], pick
 
-        feasible = won[:, 2] > behind
-        ok = rotations_ok & rank_ok & feasible
-        configuration = slots[best]
-        if slot_corners is not None:
-            configuration = slot_corners[records[:, None], _SIDES, configuration]
-        if ok.all():
-            outcome = _OUTCOMES[1:, 1:, 1].repeat(n)  # all lifted
-        else:  # a failed record's row holds NaN and -1
-            outcome = _OUTCOMES[tuple(np.array([rotations_ok, rank_ok, feasible], dtype=np.intp))]
-            won[~ok] = np.nan
-            configuration[~ok] = -1
-        # The winner's translation, by back-substitution through K.
-        k_u, k_v, t_z, gap_sq, reprojection = won.T
-        t_y = (k_v - k[:, 1, 2] * t_z) / k[:, 1, 1]
-        t_x = (k_u - k[:, 0, 1] * t_y - k[:, 0, 2] * t_z) / k[:, 0, 0]
-        translation = np.stack([t_x, t_y, t_z], axis=1)
-    return BatchLiftResult(translation, configuration, gap_sq * spread / 2, reprojection, outcome, c)
+    k_u, k_v, t_z = won.T  # views of the winners' rows
+    feasible = t_z > behind
+    ok = rotations_ok & rank_ok & feasible
+    configuration = slots.take(best, axis=0)
+    if slot_corners is not None:
+        configuration = slot_corners[np.arange(n)[:, None], _SIDES, configuration]
+    if np.count_nonzero(ok) == n:
+        outcome = _OUTCOMES[1:, 1:, 1].repeat(n)  # all lifted
+    else:  # a failed record's row holds NaN and -1
+        outcome = _OUTCOMES[tuple(np.array([rotations_ok, rank_ok, feasible], dtype=np.intp))]
+        won[~ok], ranked[~ok], configuration[~ok] = np.nan, complex(np.nan, np.nan), -1
+    np.divide(k_v - c_y * t_z, k[:, 1, 1], out=k_v)  # t_y, back-substituted through K
+    np.divide(k_u - k[:, 0, 1] * k_v - k[:, 0, 2] * t_z, k[:, 0, 0], out=k_u)  # t_x
+    residual = ranked.imag * spread / 2
+    return BatchLiftResult(won, configuration, residual, ranked.real, outcome, c)
 
 
 def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZERO_PITCH_ROLL):

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -762,6 +763,55 @@ def test_eval_ground_truth_without_dimensions_fails_only_when_matched(tmp_path, 
         handle.write(json.dumps(_result_entry(records[1], score=0.8)) + "\n")
     assert main(["eval", str(labels), str(results), "--out", str(out_dir)]) == 1
     assert "no dimensions" in caplog.records[-1].getMessage()
+
+
+def test_eval_names_the_file_and_line_of_a_matched_ground_truth_without_dimensions(
+    tmp_path, calib, caplog
+):
+    rng = np.random.default_rng(43)
+    box = sample_scene_box(rng, depth_range=(10.0, 18.0))
+    line = record_line("Car", box, calib, precision=9)
+    tokens = line.split()
+    tokens[8:11] = ["0", "1.6", "4.0"]  # no height
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "000000.txt").write_text(DONT_CARE_LINE + "\n" + " ".join(tokens) + "\n")
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps(_result_entry(parse_label_file(line)[0], score=0.9)) + "\n")
+    assert main(["eval", str(labels), str(results), "--out", str(tmp_path / "eval")]) == 1
+    message = caplog.records[-1].getMessage()
+    assert message.startswith(f"{labels / '000000.txt'} line 2: ")
+    assert message.endswith("a record of frame 000000 has no dimensions")
+
+
+def test_eval_rejects_a_ground_truth_beyond_max_meters_in_time(tmp_path, calib, caplog):
+    # A height of 99999999999 m puts the box center 5e10 m away: binning the
+    # pairs by 10 m bands would build 5e9 rows. The label reader stops at it.
+    rng = np.random.default_rng(46)
+    boxes = [sample_scene_box(rng, depth_range=(10.0, 18.0)) for _ in range(2)]
+    lines = [record_line("Car", box, calib, precision=9) for box in boxes]
+    records = parse_label_file("\n".join(lines))
+    tokens = lines[1].split()
+    tokens[8] = "99999999999"
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "000000.txt").write_text(lines[0] + "\n" + " ".join(tokens) + "\n")
+    results = tmp_path / "results.jsonl"
+    results.write_text("".join(json.dumps(_result_entry(r, score=0.9)) + "\n" for r in records))
+
+    def expire(signum, frame):
+        raise TimeoutError("eval took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        code = main(["eval", str(labels), str(results), "--out", str(tmp_path / "eval")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    message = caplog.records[-1].getMessage()
+    assert message == f"{labels / '000000.txt'} line 2: height beyond 10000 m"
 
 
 def test_eval_ranks_score_ties_by_frame_then_line(tmp_path, precise_dataset):

@@ -13,6 +13,7 @@ from boxlift.geometry import Box2D, Box3D, Dimensions, project_box, wrap_angle
 from boxlift.kitti import (
     DONT_CARE,
     LABEL_COLUMNS,
+    MAX_METERS,
     RESULT_FIELDS,
     DetectionRecord,
     centers_to_locations,
@@ -158,6 +159,12 @@ def _reference_line(line, line_no):
                 raise MalformedLineError(
                     line_no, f"{name}={angle}", f"line {line_no}: {name} out of [-pi, pi]"
                 )
+        for column in range(7, 13):  # the extents and the location
+            if abs(values[column]) > MAX_METERS:
+                raise MalformedLineError(
+                    line_no, tokens[column + 1],
+                    f"line {line_no}: {LABEL_COLUMNS[column]} beyond 10000 m",
+                )
     return record
 
 
@@ -235,6 +242,9 @@ HOSTILE_LINES = {
     "alpha-past-the-slack": _with_token(CAR, 3, "-3.1416"),
     "alpha-below-minus-pi": _with_token(CAR, 3, "-7.58"),
     "rotation_y-above-pi": _with_token(CAR, 14, "4.00"),
+    "height-beyond-max-meters": _with_token(CAR, 8, "99999999999"),
+    "z-beyond-max-meters": _with_token(CAR, 13, "10000.01"),
+    "x-beyond-max-meters": _with_token(_with_token(CAR, 11, "-2e4"), 10, "1e5"),
 }
 
 
@@ -252,6 +262,15 @@ def test_hostile_line_raises_the_reference_error(case, before):
     assert expected[1] == before + 1
     assert _error(read_label_columns, text) == expected
     assert _error(parse_label_file, text) == expected
+
+
+def test_values_at_max_meters_are_read():
+    # DontCare lines hold -1000 placeholders; MAX_METERS itself is in range
+    text = _with_token(_with_token(CAR, 11, "-10000"), 8, "1e4")
+    (record,), (reference,) = parse_label_file(text), reference_parse_label_file(text)
+    assert (record.height, record.location[0]) == (reference.height, reference.location[0])
+    assert (record.height, record.location[0]) == (MAX_METERS, -MAX_METERS)
+    assert parse_label_file(_with_token(DONT_CARE_LINE, 11, "-20000"))[0].is_dont_care
 
 
 def test_angles_within_the_slack_of_pi_are_read():

@@ -708,6 +708,40 @@ def test_lift_batch_mixing_straddling_and_road_boxes_is_scalar_lift_bitwise():
         assert result.reprojection_error == single.reprojection_error
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", list(ConstraintMode), ids=lambda mode: mode.value)
+def test_kernel_raises_no_runtime_warning(mode):
+    # Each failure outcome and a straddling box, through the scalar lift and
+    # lift_batch with RuntimeWarning as an error: the 0/0 side map of a
+    # collapsed rectangle, the NaN of a rotation and the candidates behind
+    # the camera all stay inside the kernel's errstate.
+    rng = np.random.default_rng(48)
+    box, tall = sample_scene_box(rng), straddling_box(rng)
+    nan_rotation = box.rotation.copy()
+    nan_rotation[1, 2] = np.nan
+    records = [
+        ("lifted", (box.rotation, box.dims, project_box(K, box))),
+        ("lifted", (tall.rotation, tall.dims, project_box(K, tall))),
+        ("bad_rotation", (np.eye(3) * 2.0, box.dims, project_box(K, box))),
+        ("bad_rotation", (nan_rotation, box.dims, project_box(K, box))),
+        ("rank_deficient", (box.rotation, box.dims, degenerate_rect(600.0, 180.0, 600.0, 180.0))),
+        ("all_infeasible", INFEASIBLE),
+    ]
+    rotations, dims, rects = zip(*(inputs for _, inputs in records))
+    assert rects[1].y_min < K.cy < rects[1].y_max
+    batch = lift_batch(
+        np.repeat(K.matrix[None], len(records), axis=0), np.array(rotations),
+        np.array([d.as_array for d in dims]), np.array([r.as_array for r in rects]), mode,
+    )
+    assert list(batch.outcome) == [outcome for outcome, _ in records]
+    for outcome, (rotation, dims, rect) in records:
+        if outcome == "lifted":
+            assert np.isfinite(lift(K, rotation, dims, rect, mode).translation).all()
+        else:
+            with pytest.raises((ValueError, NoFeasibleConfigurationError)):
+                lift(K, rotation, dims, rect, mode)
+
+
 def test_top_face_at_camera_height_lifts_exactly():
     # The rectangle's top side is then the principal row: either family
     # holds the true assignment, whichever side rounding puts y_min. A top
