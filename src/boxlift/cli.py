@@ -24,7 +24,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -145,15 +145,13 @@ def _read_label_dir(directory):
     name order, and the ``kitti.read_label_columns`` table of their records
     without DontCare rows, with each one's ``file`` stem before its ``line``."""
     paths = sorted(Path(directory).glob("*.txt"))
-    lines = [path.read_text().splitlines() for path in paths]
+    lines = [kitti.physical_lines(path.read_text()) for path in paths]
     starts = np.cumsum([0] + [len(file_lines) for file_lines in lines])
     try:  # one call for every file: the array checks cost mostly per call
         table = kitti.read_label_columns("\n".join(chain.from_iterable(lines)))
     except MalformedLineError as exc:  # name the file and its own line
         file = int(np.searchsorted(starts, exc.line_no)) - 1
-        line_no = exc.line_no - int(starts[file])
-        message = str(exc).replace(f"line {exc.line_no}:", f"{paths[file]} line {line_no}:", 1)
-        raise MalformedLineError(line_no, exc.token, message) from None
+        raise exc.at(paths[file], exc.line_no - int(starts[file])) from None
     stems = [path.stem for path in paths]
     file = np.searchsorted(starts, table["line"]) - 1
     table["file"] = np.array(stems, dtype=object)[file]
@@ -169,7 +167,10 @@ def _read_calib(path):
         return None
     try:
         return kitti.parse_calib_file(path.read_text())
-    except (MalformedLineError, MissingKeyError, ValueError) as exc:
+    except MalformedLineError as exc:  # it names its line
+        logger.error("%s", exc.at(path))
+        return exc.at(path)
+    except (MissingKeyError, ValueError) as exc:
         logger.error("calib %s unusable: %s", path, exc)
         return exc
 
@@ -216,33 +217,19 @@ def cmd_eval(args):
     try:
         difficulties, errors, viewpoint = evaluate(truths, detections, config.iou_thresh)
     except MalformedLineError as exc:  # a matched ground truth without dimensions
-        path = Path(args.gt_dir) / f"{exc.token}.txt"  # the error's token is its frame
-        raise MalformedLineError(exc.line_no, exc.token, f"{path} {exc}") from None
+        raise exc.at(Path(args.gt_dir) / f"{exc.token}.txt") from None  # the token is its frame
 
-    difficulty_rows = []
-    summary = {"difficulties": {}, "missing_frames": missing}
+    difficulty_rows, summary = [], {"difficulties": {}, "missing_frames": missing}
     for difficulty, (result, n_gt) in difficulties.items():
         score = orientation_score(result.aos, result.ap) if result.ap > 0 else 0.0
-        difficulty_rows.append(
-            [difficulty, f"{result.ap:.6f}", f"{result.aos:.6f}", f"{score:.6f}"]
-        )
-        summary["difficulties"][difficulty] = {
-            "ap": result.ap,
-            "aos": result.aos,
-            "os": score,
-            "n_gt": n_gt,
+        entry = summary["difficulties"][difficulty] = {
+            "ap": result.ap, "aos": result.aos, "os": score, "n_gt": n_gt,
         }
+        difficulty_rows.append([difficulty] + [f"{entry[key]:.6f}" for key in ("ap", "aos", "os")])
 
     bin_rows = [
-        [
-            f"{row.bin_lo:.0f}",
-            f"{row.bin_hi:.0f}",
-            row.count,
-            f"{row.mean_center_error:.6f}",
-            f"{row.mean_closest_point_error:.6f}",
-            f"{row.mean_iou3d:.6f}",
-        ]
-        for row in distance_binned_errors(errors)
+        [f"{lo:.0f}", f"{hi:.0f}", count, *(f"{mean:.6f}" for mean in means)]
+        for lo, hi, count, *means in map(astuple, distance_binned_errors(errors))
     ]
     if viewpoint:
         med_err, acc = viewpoint
@@ -272,16 +259,9 @@ def cmd_eval(args):
 def cmd_toy(args):
     config = build_config(args)
     rows, histories = bin_study(
-        bin_counts=config.bins_sweep,
-        n_train=config.n_train,
-        n_test=config.n_test,
-        noise_sigma=config.sigma,
-        epochs=config.epochs,
-        learning_rate=config.lr,
-        hidden=config.hidden,
-        overlap=config.overlap,
-        loc_weight=config.w,
-        seed=config.seed,
+        bin_counts=config.bins_sweep, n_train=config.n_train, n_test=config.n_test,
+        noise_sigma=config.sigma, epochs=config.epochs, learning_rate=config.lr,
+        hidden=config.hidden, overlap=config.overlap, loc_weight=config.w, seed=config.seed,
     )
     out = Path(args.out)
     _write_csv(

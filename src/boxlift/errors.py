@@ -26,17 +26,29 @@ class NonUprightBoxError(ValueError):
 
 
 class MalformedLineError(ValueError):
-    """A label or calibration line could not be parsed.
+    """A line of an input file could not be parsed.
+
+    The one writer of a location: its text is ``{path} line {N}: {reason}``,
+    without the path while the reader does not know it, or the line if unknown.
 
     Attributes:
-        line_no: 1-based line number of the offending line.
+        line_no: 1-based physical line, as Python's file object counts them.
         token: The offending token or a short description of the defect.
+        reason: What is wrong with the line.
+        path: The file, or None.
     """
 
-    def __init__(self, line_no, token, message=None):
-        self.line_no = line_no
-        self.token = token
-        super().__init__(message or f"line {line_no}: bad token {token!r}")
+    def __init__(self, line_no, token, reason=None, path=None):
+        self.line_no, self.token, self.path = line_no, token, path
+        self.reason = reason or f"bad token {token!r}"
+        where = "" if line_no is None else f"line {line_no}"
+        if path is not None:
+            where = f"{path} {where}".rstrip()
+        super().__init__(f"{where}: {self.reason}" if where else self.reason)
+
+    def at(self, path, line_no=None):
+        """This error in file ``path``, at its ``line_no`` there when given."""
+        return MalformedLineError(line_no or self.line_no, self.token, self.reason, path)
 
 
 class MissingKeyError(KeyError):

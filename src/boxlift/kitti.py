@@ -15,6 +15,7 @@ callers can exclude the regions from matching.
 ``read_label_columns`` is the one label parser. It splits and converts
 each line once, checks the whole file as array operations, and returns
 the file's KITTI table; ``parse_label_file`` is its view as DetectionRecords.
+Every reader splits its text with ``physical_lines``, the file object's rule.
 
 In memory a set of records is a KITTI table: a dict of numpy columns, one
 row per record, keyed by the results-format names: the keys of
@@ -48,6 +49,7 @@ from .solver import FAILURES, LIFTED, lift_batch
 __all__ = [
     "DetectionRecord",
     "CalibRecord",
+    "physical_lines",
     "read_label_columns",
     "parse_label_file",
     "parse_calib_file",
@@ -146,6 +148,16 @@ class CalibRecord:
         return np.linalg.solve(self.p2[:, :3], self.p2[:, 3])
 
 
+def physical_lines(text):
+    """The physical lines of ``text``, without their ends, as Python's file
+    object reads them: "\\n", "\\r\\n" and "\\r" end a line (``str.splitlines``
+    would also break at "\\f", "\\x85", "\\u2028" and others)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # the end of the last line, or an empty text
+        lines.pop()
+    return lines
+
+
 def _parse_float(token, line_no):
     try:
         return float(token)
@@ -182,7 +194,8 @@ def read_label_columns(text):
     """
     categories, line_nos, counts, rows = [], [], [], []
     parsed = True  # False: the last line read holds a token that is no number
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = physical_lines(text)
+    for line_no, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
             continue
@@ -213,9 +226,8 @@ def read_label_columns(text):
     passed[:, 5] = dont_care | (np.abs(values[:, 7:13]) <= MAX_METERS).all(axis=1)
     if not passed.all():
         row = int(np.argmin(passed.all(axis=1)))
-        line_no = line_nos[row]
-        tokens = text.splitlines()[line_no - 1].split()
-        _raise_label_error(_CHECKS[int(np.argmin(passed[row]))], line_no, tokens, values[row])
+        check, line_no = _CHECKS[int(np.argmin(passed[row]))], line_nos[row]
+        _raise_label_error(check, line_no, lines[line_no - 1].split(), values[row])
     return {
         "category": np.array(categories, dtype=object), "truncated": values[:, 0],
         "occluded": np.trunc(values[:, 1]), "alpha": values[:, 2], "box2d": values[:, 3:7],
@@ -243,7 +255,7 @@ def _raise_label_error(check, line_no, tokens, values):
     else:
         column = 7 + int(np.argmax(np.abs(values[7:13]) > MAX_METERS))
         token, message = tokens[column + 1], f"{LABEL_COLUMNS[column]} beyond {MAX_METERS:.0f} m"
-    raise MalformedLineError(line_no, token, f"line {line_no}: {message}")
+    raise MalformedLineError(line_no, token, message)
 
 
 def parse_label_file(text):
@@ -270,23 +282,22 @@ def parse_calib_file(text):
 
     Raises:
         MissingKeyError: if no P2 line is present.
-        MalformedLineError: if the P2 line does not hold 12 finite numbers.
+        MalformedLineError: if the P2 line is not 12 finite numbers that CalibRecord accepts.
     """
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(physical_lines(text), start=1):
         if not line.startswith("P2:"):
             continue
         tokens = line.split()[1:]
         if len(tokens) != 12:
-            raise MalformedLineError(
-                line_no, line.strip(), f"line {line_no}: P2 needs 12 values"
-            )
+            raise MalformedLineError(line_no, line.strip(), "P2 needs 12 values")
         values = [_parse_float(t, line_no) for t in tokens]
         for token, value in zip(tokens, values):
             if not math.isfinite(value):
-                raise MalformedLineError(
-                    line_no, token, f"line {line_no}: P2 value {token} is not finite"
-                )
-        return CalibRecord(p2=np.array(values).reshape(3, 4))
+                raise MalformedLineError(line_no, token, f"P2 value {token} is not finite")
+        try:
+            return CalibRecord(p2=np.array(values).reshape(3, 4))
+        except ValueError as exc:  # a defect of the matrix, on its line
+            raise MalformedLineError(line_no, line.strip(), str(exc)) from None
     raise MissingKeyError("P2")
 
 
@@ -305,19 +316,17 @@ def write_results(records):
     appended last. Records are written in the order given.
     """
     records = list(records)
-    lines = result_lines(
-        {
-            "category": np.array([r.category for r in records], dtype=object),
-            "truncated": [r.truncated for r in records],
-            "occluded": np.array([r.occluded for r in records], dtype=object),
-            "alpha": [r.alpha for r in records],
-            "box2d": [r.box2d.as_array for r in records],
-            "dims_hwl": [(r.height, r.width, r.length) for r in records],
-            "location": [r.location for r in records],
-            "rotation_y": [r.rotation_y for r in records],
-            "score": [r.score for r in records],
-        }
-    )
+    lines = result_lines({
+        "category": np.array([r.category for r in records], dtype=object),
+        "truncated": [r.truncated for r in records],
+        "occluded": np.array([r.occluded for r in records], dtype=object),
+        "alpha": [r.alpha for r in records],
+        "box2d": [r.box2d.as_array for r in records],
+        "dims_hwl": [(r.height, r.width, r.length) for r in records],
+        "location": [r.location for r in records],
+        "rotation_y": [r.rotation_y for r in records],
+        "score": [r.score for r in records],
+    })
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -411,7 +420,8 @@ def write_results_jsonl(table, stream):
 def _nonblank_lines(path):
     """(1-based physical line number, text) of each non-blank line of a file."""
     with open(path) as handle:
-        return [(line_no, text) for line_no, text in enumerate(handle, start=1) if text.strip()]
+        lines = physical_lines(handle.read())
+    return [(line_no, text) for line_no, text in enumerate(lines, start=1) if text.strip()]
 
 
 def _converted(path, line, convert):
@@ -426,9 +436,8 @@ def _converted(path, line, convert):
     try:
         return convert(json.loads(text))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedLineError(
-            line_no, text.strip(), f"{path} line {line_no}: {type(exc).__name__}: {exc}"
-        ) from None
+        reason = f"{type(exc).__name__}: {exc}"
+        raise MalformedLineError(line_no, text.strip(), reason, path) from None
 
 
 def _residual(entry):

@@ -605,8 +605,7 @@ def _kitti_boxes(columns, rows):
     if (dims <= 0).any():  # the token is the frame, for a caller that knows its file
         row = rows[(dims <= 0).any(axis=1).argmax()]
         frame, line = columns["file"][row], int(columns["line"][row]) if "line" in columns else None
-        where = "" if line is None else f"line {line}: "  # a KITTI table may hold no lines
-        raise MalformedLineError(line, frame, f"{where}a record of frame {frame} has no dimensions")
+        raise MalformedLineError(line, frame, f"a record of frame {frame} has no dimensions")
     centers = columns["location"][rows]
     centers[:, 1] -= 0.5 * dims[:, 0]  # the location is the bottom-center
     yaw = wrap_angle(columns["rotation_y"][rows])

@@ -1,5 +1,7 @@
 import json
 import signal
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,7 +414,7 @@ def test_lift_mixed_failures_counts_warnings_and_exit_code(tmp_path, calib, capl
     # calibrations are read and logged first, then each failed record in input order
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
         ("ERROR", "missing calib file for 000001"),
-        ("ERROR", f"calib {calibs / '000002.txt'} unusable: P2[2][2] must be 1"),
+        ("ERROR", f"{calibs / '000002.txt'} line 1: P2[2][2] must be 1"),
         ("WARNING", "000000 line 2 not lifted: record has no dimensions"),
         ("WARNING", "000000 line 3 not lifted: "
                     "side equations are rank-deficient (degenerate rectangle)"),
@@ -436,7 +438,7 @@ def test_lift_names_a_non_finite_calib_value(tmp_path, calib, caplog):
 
     assert main(["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl")]) == 1
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("ERROR", f"calib {calibs / '000000.txt'} unusable: line 2: P2 value nan is not finite"),
+        ("ERROR", f"{calibs / '000000.txt'} line 2: P2 value nan is not finite"),
         ("ERROR", "more than half of the records failed (3/3)"),
     ]
 
@@ -449,10 +451,67 @@ def test_lift_rejects_a_calib_that_is_not_upper_triangular(tmp_path, calib, capl
 
     assert main(["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl")]) == 1
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("ERROR", f"calib {calibs / '000000.txt'} unusable: "
-                  "P2[1][0], P2[2][0] and P2[2][1] must be 0"),
+        ("ERROR", f"{calibs / '000000.txt'} line 1: P2[1][0], P2[2][0] and P2[2][1] must be 0"),
         ("ERROR", "more than half of the records failed (3/3)"),
     ]
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_label_lines_are_the_physical_lines_of_the_file_object(tmp_path, calib, caplog, char):
+    # line 1 ends in a character that str.splitlines breaks at and a file object does not
+    rng = np.random.default_rng(47)
+    lines = [record_line("Car", sample_scene_box(rng), calib) for _ in range(3)]
+    lines[0] += char
+    labels, calibs = write_dataset(tmp_path, {"000000": "\n".join(lines) + "\n"})
+    results = tmp_path / "results.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(results)]) == 0
+    assert [json.loads(line)["line"] for line in results.read_text().splitlines()] == [1, 2, 3]
+
+    path = labels / "000000.txt"
+    path.write_text("\n".join(lines) + " 0.5 0.5\n")  # line 3 has 17 columns
+    with open(path) as handle:
+        assert [len(line.split()) for line in handle.readlines()] == [15, 15, 17]
+    for argv in (
+        ["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl")],
+        ["eval", str(labels), str(results), "--out", str(tmp_path / "eval")],
+    ):
+        caplog.clear()
+        assert main(argv) == 1
+        assert caplog.records[-1].getMessage() == f"{path} line 3: expected 15 or 16 columns, got 17"
+
+
+def test_crlf_and_cr_copies_of_a_corpus_give_the_outputs_of_the_lf_copy(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+
+    corpus = gen.make_corpus(3, 6, (8, 12), (5.0, 50.0))
+    lifted = None
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        root = tmp_path / name
+        (root / "labels").mkdir(parents=True)
+        (root / "calib").mkdir()
+        files = {root / "results.jsonl": lifted}
+        for frame in corpus.frames:
+            files[root / "labels" / f"{frame.stem}.txt"] = frame.label_text
+            files[root / "calib" / f"{frame.stem}.txt"] = frame.calib_text
+        for path, text in files.items():
+            if text is not None:
+                path.write_text(text.replace("\n", end), newline="")
+        argv = ["lift", str(root / "labels"), str(root / "calib"), "--out", str(root / "lifted.jsonl")]
+        assert main(argv + ["--kitti-out", str(root / "kitti")]) == 0
+        if lifted is None:  # the LF copy's results, read by every copy's eval
+            lifted = (root / "lifted.jsonl").read_text()
+            (root / "results.jsonl").write_text(lifted)
+        argv = ["eval", str(root / "labels"), str(root / "results.jsonl"), "--out", str(root / "eval")]
+        assert main(argv) == 0
+
+    assert (tmp_path / "crlf" / "results.jsonl").read_bytes().count(b"\r\n") == lifted.count("\n")
+    outputs = sorted(p.relative_to(tmp_path / "lf") for p in (tmp_path / "lf").rglob("*") if p.is_file())
+    outputs = [p for p in outputs if p.parts[0] in ("lifted.jsonl", "kitti", "eval")]
+    assert len(outputs) == 1 + 6 + 3
+    for copy in ("crlf", "cr"):
+        for output in outputs:
+            assert (tmp_path / copy / output).read_bytes() == (tmp_path / "lf" / output).read_bytes(), output
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,7 @@ from boxlift.kitti import (
     LABEL_COLUMNS,
     MAX_METERS,
     RESULT_FIELDS,
+    CalibRecord,
     DetectionRecord,
     centers_to_locations,
     lift_columns,
@@ -128,8 +129,7 @@ def _reference_line(line, line_no):
     tokens = line.split()
     if len(tokens) not in (15, 16):
         raise MalformedLineError(
-            line_no, tokens[-1] if tokens else "",
-            f"line {line_no}: expected 15 or 16 columns, got {len(tokens)}",
+            line_no, tokens[-1] if tokens else "", f"expected 15 or 16 columns, got {len(tokens)}"
         )
     category = tokens[0]
     values = [_reference_float(t, line_no) for t in tokens[1:]]
@@ -138,15 +138,12 @@ def _reference_line(line, line_no):
         column = next((i for i in required if not math.isfinite(values[i])), None)
         if column is not None:
             raise MalformedLineError(
-                line_no, tokens[column + 1],
-                f"line {line_no}: {LABEL_COLUMNS[column]} is not finite",
+                line_no, tokens[column + 1], f"{LABEL_COLUMNS[column]} is not finite"
             )
     try:
         box2d = Box2D(values[3], values[4], values[5], values[6])
     except ValueError:
-        raise MalformedLineError(
-            line_no, " ".join(tokens[4:8]), f"line {line_no}: degenerate 2D box"
-        ) from None
+        raise MalformedLineError(line_no, " ".join(tokens[4:8]), "degenerate 2D box") from None
     record = DetectionRecord(
         category=category, truncated=values[0], occluded=int(values[1]), alpha=values[2],
         box2d=box2d, height=values[7], width=values[8], length=values[9],
@@ -156,14 +153,11 @@ def _reference_line(line, line_no):
     if not record.is_dont_care:
         for name, angle in (("alpha", record.alpha), ("rotation_y", record.rotation_y)):
             if abs(angle) > np.pi + _ANGLE_SLACK:
-                raise MalformedLineError(
-                    line_no, f"{name}={angle}", f"line {line_no}: {name} out of [-pi, pi]"
-                )
+                raise MalformedLineError(line_no, f"{name}={angle}", f"{name} out of [-pi, pi]")
         for column in range(7, 13):  # the extents and the location
             if abs(values[column]) > MAX_METERS:
                 raise MalformedLineError(
-                    line_no, tokens[column + 1],
-                    f"line {line_no}: {LABEL_COLUMNS[column]} beyond 10000 m",
+                    line_no, tokens[column + 1], f"{LABEL_COLUMNS[column]} beyond 10000 m"
                 )
     return record
 
@@ -342,6 +336,92 @@ def test_parse_calib_rejects_p2_that_is_not_upper_triangular(index):
     values[index] = "0.001"
     with pytest.raises(ValueError, match=r"P2\[1\]\[0\], P2\[2\]\[0\] and P2\[2\]\[1\] must be 0"):
         parse_calib_file("P2: " + " ".join(values) + "\n")
+
+
+@pytest.mark.parametrize("index, token, reason", [
+    (10, "2", "P2[2][2] must be 1"),
+    (0, "0", "focal lengths in P2 must be positive"),
+    (5, "-1", "focal lengths in P2 must be positive"),
+    (4, "0.001", "P2[1][0], P2[2][0] and P2[2][1] must be 0"),
+    (8, "-1", "P2[1][0], P2[2][0] and P2[2][1] must be 0"),
+    (9, "1e11", "P2[1][0], P2[2][0] and P2[2][1] must be 0"),
+])
+def test_parse_calib_names_the_p2_line_of_a_matrix_calib_record_rejects(index, token, reason):
+    values = "700 0 600 0 0 700 170 0 0 0 1 0".split()
+    values[index] = token
+    p2 = "P2: " + " ".join(values)
+    with pytest.raises(MalformedLineError) as info:
+        parse_calib_file("P0: 1 0 0 0 0 1 0 0 0 0 1 0\n" + p2 + "\n")
+    assert (str(info.value), info.value.line_no, info.value.token) == (f"line 2: {reason}", 2, p2)
+    # built directly, the record keeps its plain ValueError
+    with pytest.raises(ValueError) as direct:
+        CalibRecord(np.array(values, dtype=float).reshape(3, 4))
+    assert type(direct.value) is ValueError and str(direct.value) == reason
+
+
+def test_malformed_line_error_renders_every_location():
+    error = MalformedLineError(3, "1.7l", "height is not finite")
+    assert str(error) == "line 3: height is not finite"
+    assert str(MalformedLineError(3, "1.7l")) == "line 3: bad token '1.7l'"
+    assert str(MalformedLineError(None, "000001", "no dimensions")) == "no dimensions"
+    assert str(MalformedLineError(None, "000001", "no dimensions", "a.txt")) == "a.txt: no dimensions"
+    located = error.at(Path("labels") / "000001.txt", 7)
+    assert str(located) == f"{Path('labels') / '000001.txt'} line 7: height is not finite"
+    assert (located.line_no, located.token, located.reason) == (7, "1.7l", "height is not finite")
+    assert str(error.at("calib.txt")) == "calib.txt line 3: height is not finite"
+
+
+# --- physical lines: the file object's rule --------------------------------------
+
+# the line breaks of str.splitlines that a file object does not break at
+SPLITLINES_ONLY_BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+def _file_lines(tmp_path, text):
+    """The lines of ``text`` written to a file as is, as ``open().readlines()``
+    gives them, without their ends."""
+    path = tmp_path / "lines.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as handle:
+        return [line.rstrip("\n") for line in handle.readlines()]
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "a", "a\n", "a\n\n", "\n\na", "a\r\nb\rc\nd", "a\r\r\nb\n\r", "a\rb\r",
+    *(f"a{char}b\nc{char}\n" for char in SPLITLINES_ONLY_BREAKS),
+])
+def test_physical_lines_are_those_of_the_file_object(tmp_path, text):
+    assert kitti.physical_lines(text) == _file_lines(tmp_path, text)
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY_BREAKS)
+def test_label_errors_name_the_physical_line_of_the_file_object(tmp_path, char):
+    # line 1 ends in a character str.splitlines breaks at; line 3 has 17 columns
+    text = f"{REAL_LABEL_LINES[0]}{char}\n{REAL_LABEL_LINES[1]}\n{REAL_LABEL_LINES[1]} 0.5 0.5\n"
+    bad = next(n for n, line in enumerate(_file_lines(tmp_path, text), 1) if len(line.split()) == 17)
+    with pytest.raises(MalformedLineError) as excinfo:
+        read_label_columns(text)
+    assert (excinfo.value.line_no, bad) == (3, 3)
+    assert str(excinfo.value) == "line 3: expected 15 or 16 columns, got 17"
+    good = text.rsplit(" 0.5 0.5", 1)[0]
+    assert [r.line_no for r in parse_label_file(good)] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY_BREAKS)
+def test_calib_errors_name_the_physical_line_of_the_file_object(char):
+    text = f"P0: 1 0 0 0 0 1 0 0 0 0 1 0{char}\nP2: 1 0 0 0 0 1 0 0 0 0 nan 0\n"
+    with pytest.raises(MalformedLineError, match="^line 2: P2 value nan is not finite$"):
+        parse_calib_file(text)
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028"])  # the two JSON strings may hold raw
+def test_results_errors_name_the_physical_line_of_the_file_object(tmp_path, char):
+    path = tmp_path / "results.jsonl"
+    good = json.dumps({**_good_entry(1), "category": f"Car{char}"}, ensure_ascii=False)
+    path.write_text(f"{good}\n{{not json\n", encoding="utf-8")
+    with pytest.raises(MalformedLineError) as excinfo:
+        read_results(path)
+    assert str(excinfo.value).startswith(f"{path} line 2: JSONDecodeError: ")
 
 
 # --- record geometry -----------------------------------------------------------
