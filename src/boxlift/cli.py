@@ -94,7 +94,7 @@ class RunConfig:
 
 def load_config_file(path):
     """Read a TOML or JSON config file into a dict; a decoding error names the path and line."""
-    text = Path(path).read_text()
+    text = kitti.read_text(path)
     try:
         if str(path).endswith(".json"):
             return json.loads(text)
@@ -145,7 +145,7 @@ def _read_label_dir(directory):
     name order, and the ``kitti.read_label_columns`` table of their records
     without DontCare rows, with each one's ``file`` stem before its ``line``."""
     paths = sorted(Path(directory).glob("*.txt"))
-    lines = [kitti.physical_lines(path.read_text()) for path in paths]
+    lines = [kitti.physical_lines(kitti.read_text(path)) for path in paths]
     starts = np.cumsum([0] + [len(file_lines) for file_lines in lines])
     try:  # one call for every file: the array checks cost mostly per call
         table = kitti.read_label_columns("\n".join(chain.from_iterable(lines)))
@@ -163,16 +163,16 @@ def _read_label_dir(directory):
 def _read_calib(path):
     """The CalibRecord of a calibration file, None without one, or the error (logged)."""
     if not path.exists():
-        logger.error("missing calib file for %s", path.stem)
+        logger.error("missing calib file %s", path)
         return None
     try:
-        return kitti.parse_calib_file(path.read_text())
+        return kitti.parse_calib_file(kitti.read_text(path))
     except MalformedLineError as exc:  # it names its line
-        logger.error("%s", exc.at(path))
-        return exc.at(path)
-    except (MissingKeyError, ValueError) as exc:
-        logger.error("calib %s unusable: %s", path, exc)
-        return exc
+        error = exc.at(path)
+    except MissingKeyError as exc:
+        error = MalformedLineError(None, exc.key, f"no {exc.key} line", path)
+    logger.error("%s", error)
+    return error
 
 
 def cmd_lift(args):

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "DetectionRecord",
     "CalibRecord",
     "physical_lines",
+    "read_text",
     "read_label_columns",
     "parse_label_file",
     "parse_calib_file",
@@ -156,6 +158,23 @@ def physical_lines(text):
     if not lines[-1]:  # the end of the last line, or an empty text
         lines.pop()
     return lines
+
+
+def read_text(path):
+    """The text of a UTF-8 file, read and decoded once.
+
+    Raises:
+        MalformedLineError: if the file is not UTF-8, naming the file and
+            the physical line of its first bad byte.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        bad = data[exc.start:exc.end]
+        line_no = len(physical_lines(data[:exc.start].decode() + "."))
+        reason = f"not UTF-8: {exc.reason} {bad!r}"
+        raise MalformedLineError(line_no, repr(bad), reason, path) from None
 
 
 def _parse_float(token, line_no):
@@ -419,8 +438,7 @@ def write_results_jsonl(table, stream):
 
 def _nonblank_lines(path):
     """(1-based physical line number, text) of each non-blank line of a file."""
-    with open(path) as handle:
-        lines = physical_lines(handle.read())
+    lines = physical_lines(read_text(path))
     return [(line_no, text) for line_no, text in enumerate(lines, start=1) if text.strip()]
 
 

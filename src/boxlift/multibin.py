@@ -18,14 +18,14 @@ gives (B,) losses, one sample a float; gradients are shaped like the input.
 ``bin_targets`` is the angle-only part that ``encode``, ``bins_covering``
 and ``loss_loc`` share.
 
-The two losses work bin-major: each copies its batch to (n, B) order, so
-that a bin is one contiguous column of B values, and does the (cos, sin)
-arithmetic on separate cos and sin planes. They reduce over bins with
-``_over_bins``, one ufunc call per column. Numpy reduces a short last axis
-one row at a time: on (5000, 8) logits ``max(axis=-1)`` took 411 us and
-``exp`` 48 us (numpy 2.4.6 on a 2-vCPU Xeon). ``_over_bins`` adds in
-numpy's pairwise order, so the losses and gradients are bit for bit those
-of the row-wise expressions.
+The two losses work bin-major on the (n, B) transpose of their batch, a bin
+being one column of B values, with separate cos and sin planes; ``toy``
+stores its head feature-major, so its columns are contiguous, and gradients
+come back in the input's layout. ``_over_bins`` reduces over bins, one ufunc
+call per column: numpy reduces a short last axis one row at a time (on
+(5000, 8) logits ``max(axis=-1)`` took 411 us, ``exp`` 48 us; numpy 2.4.6,
+2-vCPU Xeon). It adds in numpy's pairwise order, so losses and gradients are
+bit for bit those of the row-wise expressions, in any layout.
 """
 
 from collections import namedtuple
@@ -211,8 +211,7 @@ def loss_conf(logits, target_bin):
     """
     logits = np.asarray(logits, dtype=float)
     target_bin = np.asarray(target_bin)
-    # bin-major: row j of ``cols`` is bin j's column, contiguous
-    cols = np.ascontiguousarray(logits.T)
+    cols = logits.T  # bin-major: row j is bin j's column
     if not np.all(np.isfinite(cols)):
         raise ValueError("logits must be finite")
     if logits.ndim not in (1, 2) or target_bin.shape != logits.shape[:-1]:
@@ -225,7 +224,7 @@ def loss_conf(logits, target_bin):
     shifted = cols - _over_bins(np.maximum, cols)
     log_norm = np.log(_over_bins(np.add, np.exp(shifted)))
     loss = log_norm - np.take_along_axis(shifted, target_bin[None], axis=0)[0]
-    grad = np.empty(logits.shape)
+    grad = np.empty_like(logits)  # in the input's layout
     one_hot = np.equal.outer(np.arange(len(cols)), target_bin)
     np.subtract(np.exp(shifted - log_norm), one_hot, out=grad.T)
     return (float(loss) if logits.ndim == 1 else loss), grad
@@ -255,8 +254,8 @@ def loss_loc(layout, raw_pairs, theta):
     if raw.ndim not in (2, 3) or raw.shape[-2:] != (layout.n_bins, 2):
         n = layout.n_bins
         raise ValueError(f"raw_pairs must have shape ({n}, 2) or (B, {n}, 2)")
-    # bin-major (cos, sin) planes: row j of each is bin j's column, contiguous
-    raw_cos, raw_sin = planes = np.ascontiguousarray(raw.T)
+    # bin-major (cos, sin) planes: row j of each is bin j's column
+    raw_cos, raw_sin = planes = raw.T
     if not np.all(np.isfinite(planes)):
         raise ValueError("raw pairs must be finite")
     _, covering, pairs = theta if isinstance(theta, BinTargets) else bin_targets(layout, theta)
@@ -274,7 +273,7 @@ def loss_loc(layout, raw_pairs, theta):
     loss = -_over_bins(np.add, dots * cover) / n_cov
     # d/d raw of (k . raw/|raw|) = (k - (k.u) u) / |raw|
     minus_cover, scale = -cover, n_cov * norms
-    grad, step = np.empty(raw.shape), np.empty(dots.shape)
+    grad, step = np.empty_like(raw), np.empty(dots.shape)  # grad in the input's layout
     for out, pair, unit in zip(grad.T, (pair_cos, pair_sin), (unit_cos, unit_sin)):
         np.subtract(pair, np.multiply(dots, unit, out=step), out=step)
         np.divide(np.multiply(minus_cover, step, out=step), scale, out=out)

@@ -17,13 +17,13 @@ per run) and predicts through ``multibin.decode``; this module only
 backpropagates through the two layers. ``gradient_check`` verifies every
 parameter tensor against central finite differences.
 
-Each ``train`` run allocates its (n, ·) work arrays (hidden activations,
-head outputs, their gradients and the backprop through tanh) once, and every
-epoch writes into them. An epoch that allocated and freed them let the heap
-hand their pages back to the system and fault them in again, 1 300-1 600
-minor faults an epoch at 4 bins on 5 000 samples. The arrays die with the
-run; called without them, ``forward`` and ``loss_and_grads`` allocate their
-own.
+Each ``train`` run allocates its work arrays (hidden activations, head
+outputs, their gradients and the backprop through tanh) once, feature-major
+(·, n): each logit and each cos or sin output is a contiguous row of n
+samples, which the losses read without a copy and whose gradients they
+return in that layout, and each bias gradient is a contiguous row sum. One
+allocation per epoch faulted their pages in again, 1 300-1 600 minor faults
+an epoch at 4 bins on 5 000 samples. ``forward`` returns (n, ·) views.
 """
 
 from dataclasses import dataclass
@@ -87,26 +87,26 @@ class ToyModel:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
     def _work_arrays(self, n):
-        """Fresh ``(hidden, out, d_out, d_hidden, d_pre)`` arrays for a batch of n samples.
+        """Fresh feature-major ``(hidden, out, d_out, d_hidden, d_pre)`` arrays for n samples.
 
-        They are C-contiguous views of one block. Freed at the end of a run,
-        one block raises glibc's dynamic trim threshold to twice its size, so
-        later runs' per-epoch loss temporaries stay in the heap too.
+        They are C-contiguous (width, n) views of one block. Freed at the end
+        of a run, one block raises glibc's dynamic trim threshold to twice its
+        size, so later runs' per-epoch loss temporaries stay in the heap too.
         """
         width, out_dim = self.w2.shape
         widths = (width, out_dim, out_dim, width, width)
         parts = np.split(np.empty(n * sum(widths)), n * np.cumsum(widths[:-1]))
-        return tuple(part.reshape(n, w) for part, w in zip(parts, widths))
+        return tuple(part.reshape(w, n) for part, w in zip(parts, widths))
 
     def forward(self, features, work=None):
-        """Hidden activations and head outputs, written into ``work``'s first two arrays."""
+        """(B, H) hidden activations and (B, out) head outputs, views of ``work``'s first two."""
         hidden, out = (self._work_arrays(len(features)) if work is None else work)[:2]
-        np.matmul(features, self.w1, out=hidden)
-        hidden += self.b1
+        np.matmul(self.w1.T, features.T, out=hidden)
+        hidden += self.b1[:, None]
         np.tanh(hidden, out=hidden)
-        np.matmul(hidden, self.w2, out=out)
-        out += self.b2
-        return hidden, out
+        np.matmul(self.w2.T, hidden, out=out)
+        out += self.b2[:, None]
+        return hidden.T, out.T
 
     def predict(self, features):
         """Decoded angle per sample."""
@@ -121,40 +121,41 @@ class ToyModel:
         """Mean loss over the batch and gradients for every parameter.
 
         A multibin model also accepts the angles' ``bin_targets``, as ``train`` passes.
-        ``work`` holds the (n, ·) arrays the pass writes (``train`` allocates them
+        ``work`` holds the (·, n) arrays the pass writes (``train`` allocates them
         once); without it they are allocated for this call. The gradients never
-        alias them.
+        alias them. The bias gradients sum each row in numpy's pairwise order.
         """
         if work is None:
             work = self._work_arrays(len(features))
-        hidden, out = self.forward(features, work)
-        _, _, d_out, d_hidden, d_pre = work
+        hidden, out = self.forward(features, work)  # (B, ·) views
+        _, _, d_out, d_hidden, d_pre = work  # (·, B)
         batch = len(out)
 
         if self.kind == L2_SCALAR:
             diff = out[:, 0] - angles
             with np.errstate(over="ignore"):  # divergence is reported, not a warning
                 loss = float(np.mean(diff**2))
-            d_out[:, 0] = 2.0 * diff / batch  # the only column
+            np.divide(2.0 * diff, batch, out=d_out[0])  # the only row
         else:
             n, w = self.layout.n_bins, self.loc_weight
             targets = angles if isinstance(angles, BinTargets) else bin_targets(self.layout, angles)
+            # bin-major views: each logit row and each cos or sin row is contiguous
             conf, d_logits = loss_conf(out[:, :n], targets.target_bin)
             loc, d_raw = loss_loc(self.layout, out[:, n:].reshape(batch, n, 2), targets)
             loss = float(np.mean(loss_total_orientation(conf, loc, w)))
-            d_out[:, :n] = d_logits
-            np.multiply(w, d_raw.reshape(batch, 2 * n), out=d_out[:, n:])
-            d_out /= batch
+            np.divide(d_logits.T, batch, out=d_out[:n])
+            np.multiply(w, d_raw.reshape(batch, 2 * n).T, out=d_out[n:])
+            d_out[n:] /= batch
 
-        d_w2 = hidden.T @ d_out
-        d_b2 = d_out.sum(axis=0)
-        np.matmul(d_out, self.w2.T, out=d_hidden)
+        d_w2 = hidden.T @ d_out.T
+        d_b2 = d_out.sum(axis=1)
+        np.matmul(self.w2, d_out, out=d_hidden)
         # d_hidden * (1 - hidden**2), in place: the products commute exactly
-        np.multiply(hidden, hidden, out=d_pre)
+        np.multiply(hidden.T, hidden.T, out=d_pre)
         np.subtract(1.0, d_pre, out=d_pre)
         d_pre *= d_hidden
-        d_w1 = features.T @ d_pre
-        d_b1 = d_pre.sum(axis=0)
+        d_w1 = features.T @ d_pre.T
+        d_b1 = d_pre.sum(axis=1)
         return loss, {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 

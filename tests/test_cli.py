@@ -413,7 +413,7 @@ def test_lift_mixed_failures_counts_warnings_and_exit_code(tmp_path, calib, capl
     assert capsys.readouterr().out == f"lifted 4/10 records -> {out}\n"
     # calibrations are read and logged first, then each failed record in input order
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("ERROR", "missing calib file for 000001"),
+        ("ERROR", f"missing calib file {calibs / '000001.txt'}"),
         ("ERROR", f"{calibs / '000002.txt'} line 1: P2[2][2] must be 1"),
         ("WARNING", "000000 line 2 not lifted: record has no dimensions"),
         ("WARNING", "000000 line 3 not lifted: "
@@ -453,6 +453,46 @@ def test_lift_rejects_a_calib_that_is_not_upper_triangular(tmp_path, calib, capl
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
         ("ERROR", f"{calibs / '000000.txt'} line 1: P2[1][0], P2[2][0] and P2[2][1] must be 0"),
         ("ERROR", "more than half of the records failed (3/3)"),
+    ]
+
+
+def test_lift_names_a_calib_without_p2(tmp_path, calib, caplog):
+    rng = np.random.default_rng(27)
+    lines = [record_line("Car", sample_scene_box(rng), calib) for _ in range(3)]
+    labels, calibs = write_dataset(tmp_path, {"000000": "\n".join(lines) + "\n"})
+    (calibs / "000000.txt").write_text("P0: 1 0 0 0 0 1 0 0 0 0 1 0\n")
+
+    assert main(["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl")]) == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("ERROR", f"{calibs / '000000.txt'}: no P2 line"),
+        ("ERROR", "more than half of the records failed (3/3)"),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["labels", "calib", "results"])
+def test_a_file_that_is_not_utf8_is_named_with_the_line_of_its_bad_byte(
+    tmp_path, precise_dataset, caplog, kind
+):
+    labels, calibs, _ = precise_dataset
+    results = tmp_path / "results.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(results)]) == 0
+    path = {
+        "labels": sorted(labels.glob("*.txt"))[1],
+        "calib": sorted(calibs.glob("*.txt"))[1],
+        "results": results,
+    }[kind]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:5] + b"\xff" + lines[2][5:]
+    # lines 1 and 2 end in "\r" and "\r\n", so the bad byte is on physical line 3
+    path.write_bytes(lines[0] + b"\r" + lines[1] + b"\r\n" + b"\n".join(lines[2:]))
+    argv = {
+        "results": ["eval", str(labels), str(results), "--out", str(tmp_path / "eval")],
+    }.get(kind, ["lift", str(labels), str(calibs), "--out", str(tmp_path / "again.jsonl")])
+    caplog.clear()
+    # a bad calibration fails its file's records only; the other two files still lift
+    assert main(argv) == (0 if kind == "calib" else 1)
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        f"{path} line 3: not UTF-8: invalid start byte b'\\xff'"
     ]
 
 
@@ -625,7 +665,7 @@ def test_lift_reads_no_calibration_for_a_file_with_nothing_to_lift(tmp_path, cal
     assert main(argv) == 1
     assert capsys.readouterr().out == f"lifted 0/0 records -> {out}\nlifted 0/1 records -> {out}\n"
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("ERROR", "missing calib file for 000002"),
+        ("ERROR", f"missing calib file {calibs / '000002.txt'}"),
         ("ERROR", "more than half of the records failed (1/1)"),
     ]
 
@@ -1108,14 +1148,16 @@ _ENCODE = ["encode", "--theta", "1.0"]
     (_ENCODE, "bins = true\n", "{path}: bins must be int, got True"),
     (_ENCODE, 'overlap = "1.5"\n', "{path}: overlap must be float, got '1.5'"),
     (_ENCODE, "mode = 1\n", "{path}: mode must be str, got 1"),
+    # "\udcff" is written as the byte 0xff
+    (_ENCODE, "bins = 4\n# caf\udcff\n", "{path} line 2: not UTF-8: invalid start byte b'\\xff'"),
 ], ids=[
     "unquoted-string", "multi-line-array", "table", "float-for-int", "string-for-list",
-    "float-in-list", "bool-for-int", "string-for-float", "int-for-string",
+    "float-in-list", "bool-for-int", "string-for-float", "int-for-string", "not-utf8",
 ])
 def test_config_file_errors_name_the_file_line_and_key(tmp_path, monkeypatch, caplog, argv, text, message):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.toml"
-    config.write_text(text)
+    config.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(argv + ["--config", str(config)]) == 1
     assert [r.getMessage() for r in caplog.records] == [message.format(path=config)]
 

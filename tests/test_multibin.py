@@ -283,6 +283,27 @@ def test_loss_loc_rejects_non_finite_inputs():
         loss_loc(layout, batch_raw, np.zeros(5))
 
 
+@pytest.mark.parametrize("n_bins", [2, 4, 8, 9])
+def test_losses_do_not_depend_on_memory_layout(n_bins):
+    # a head stored feature-major, (3n, B), as the toy model keeps it: its
+    # logit rows and interleaved (cos, sin) rows seen as (B, n) and (B, n, 2)
+    layout = BinLayout(n_bins)
+    rng = np.random.default_rng(60 + n_bins)
+    batch = 301
+    head = rng.normal(0, 2, size=(3 * n_bins, batch))
+    logits, raw = head[:n_bins].T, head[n_bins:].T.reshape(batch, n_bins, 2)
+    assert np.shares_memory(raw, head)
+    target = rng.integers(n_bins, size=batch)
+    theta = rng.uniform(-np.pi, np.pi, size=batch)
+
+    for view, loss in ((logits, lambda x: loss_conf(x, target)),
+                       (raw, lambda x: loss_loc(layout, x, theta))):
+        value, grad = loss(view)
+        copy_value, copy_grad = loss(np.ascontiguousarray(view))
+        assert np.array_equal(value, copy_value) and np.array_equal(grad, copy_grad)
+        assert grad.strides == view.strides  # the gradient in the input's layout
+
+
 @pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 7, 8, 9, 16])
 def test_batched_losses_equal_per_row_calls(n_bins):
     layout = BinLayout(n_bins)

@@ -79,6 +79,42 @@ def test_precomputed_targets_give_the_same_loss_and_gradients(small_data):
     assert all(np.array_equal(grads[name], again_grads[name]) for name in grads)
 
 
+@pytest.mark.parametrize("bins", [1, 2, 4, 8, 9])
+def test_loss_and_grads_match_a_row_major_reference(bins):
+    features, angles = make_dataset(300, 0.05, seed=17)
+    kind = "l2_scalar" if bins == 1 else "multibin"
+    model, _ = train((features, angles), kind=kind, n_bins=bins, epochs=3, seed=8)
+    batch, n, w = len(features), bins, model.loc_weight
+
+    # forward, the two losses and backprop, all on (B, ·) arrays
+    hidden = np.tanh(features @ model.w1 + model.b1)
+    out = hidden @ model.w2 + model.b2
+    if kind == "l2_scalar":
+        diff = out[:, 0] - angles
+        loss = np.mean(diff**2)
+        d_out = 2.0 * diff[:, None] / batch
+    else:
+        conf, d_logits = loss_conf(out[:, :n].copy(), bin_targets(model.layout, angles).target_bin)
+        loc, d_raw = loss_loc(model.layout, out[:, n:].reshape(batch, n, 2).copy(), angles)
+        loss = np.mean(conf + w * loc)
+        d_out = np.concatenate([d_logits, w * d_raw.reshape(batch, 2 * n)], axis=1) / batch
+    d_pre = (d_out @ model.w2.T) * (1.0 - hidden**2)
+    expected = {"w1": features.T @ d_pre, "b1": d_pre.sum(axis=0),
+                "w2": hidden.T @ d_out, "b2": d_out.sum(axis=0)}
+
+    model_hidden, model_out = model.forward(features)
+    assert model_hidden.shape == (batch, 32) and model_out.shape == out.shape
+    np.testing.assert_allclose(model_hidden, hidden, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(model_out, out, rtol=1e-12, atol=1e-12 * np.abs(out).max())
+    # views of feature-major arrays: each head output is one contiguous row
+    assert model_hidden.T.flags.c_contiguous and model_out.T.flags.c_contiguous
+    model_loss, grads = model.loss_and_grads(features, angles)
+    assert model_loss == pytest.approx(loss, rel=1e-12)
+    for name, grad in grads.items():
+        scale = np.abs(expected[name]).max()
+        np.testing.assert_allclose(grad, expected[name], rtol=1e-12, atol=1e-12 * scale)
+
+
 @pytest.mark.parametrize("kind,bins", [("l2_scalar", 1), ("multibin", 2), ("multibin", 8)])
 def test_work_arrays_change_no_bit_of_loss_or_gradients(small_data, kind, bins):
     features, angles = small_data
