@@ -8,8 +8,9 @@ Subcommands:
     decode  Invert an encoding printed by ``encode``.
 
 The commands parse arguments, read files, call the library and write its
-output. ``lift`` reads the label directory and each file's calibration,
-runs ``kitti.lift_columns`` and logs each record that failed. ``eval``
+output. ``lift`` reads the label directory and, in one
+``kitti.read_calib_table``, the calibration of each file that holds a
+record, runs ``kitti.lift_columns`` and logs each record that failed. ``eval``
 reads the results with ``kitti.read_results`` and the labels, and makes one
 ``metrics.evaluate`` call. ``main`` runs ``cmd_<command>`` as bound at call time.
 
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kitti
-from .errors import MalformedLineError, MissingKeyError
+from .errors import MalformedLineError
 from .metrics import (
     distance_binned_errors,
     evaluate,
@@ -140,11 +141,23 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _child_paths(directory, names):
+    """``str(Path(directory) / name)`` of each file name, one Path in all."""
+    prefix = str(Path(directory) / "_")[:-1]
+    return [prefix + name for name in names]
+
+
 def _read_label_dir(directory):
-    """(stems, table): the stems of the ``*.txt`` files in ``directory``, in
-    name order, and the ``kitti.read_label_columns`` table of their records
-    without DontCare rows, with each one's ``file`` stem before its ``line``."""
-    paths = sorted(Path(directory).glob("*.txt"))
+    """(stems, table): the stems of the ``*.txt`` entries of ``directory``, as
+    ``Path.glob`` finds them (dotfiles and directories too, none without the
+    directory), in name order, and the ``kitti.read_label_columns`` table of
+    their records without DontCare rows, with each one's ``file`` stem before
+    its ``line``."""
+    try:
+        names = sorted(name for name in os.listdir(Path(directory)) if name.endswith(".txt"))
+    except OSError:
+        names = []
+    paths = _child_paths(directory, names)
     lines = [kitti.physical_lines(kitti.read_text(path)) for path in paths]
     starts = np.cumsum([0] + [len(file_lines) for file_lines in lines])
     try:  # one call for every file: the array checks cost mostly per call
@@ -152,7 +165,7 @@ def _read_label_dir(directory):
     except MalformedLineError as exc:  # name the file and its own line
         file = int(np.searchsorted(starts, exc.line_no)) - 1
         raise exc.at(paths[file], exc.line_no - int(starts[file])) from None
-    stems = [path.stem for path in paths]
+    stems = [name[:-4] or name for name in names]  # Path.stem: ".txt" is its own stem
     file = np.searchsorted(starts, table["line"]) - 1
     table["file"] = np.array(stems, dtype=object)[file]
     table["line"] = table.pop("line") - starts[file]  # after "file", as results lines order them
@@ -160,29 +173,20 @@ def _read_label_dir(directory):
     return stems, {key: column[kept] for key, column in table.items()}
 
 
-def _read_calib(path):
-    """The CalibRecord of a calibration file, None without one, or the error (logged)."""
-    if not path.exists():
-        logger.error("missing calib file %s", path)
-        return None
-    try:
-        return kitti.parse_calib_file(kitti.read_text(path))
-    except MalformedLineError as exc:  # it names its line
-        error = exc.at(path)
-    except MissingKeyError as exc:
-        error = MalformedLineError(None, exc.key, f"no {exc.key} line", path)
-    logger.error("%s", error)
-    return error
-
-
 def cmd_lift(args):
     config = build_config(args)
     residuals = kitti.read_residuals(args.residuals) if args.residuals else None
     _, labels = _read_label_dir(args.labels_dir)
-    calibs = {  # only the files that hold a record to lift, in file order
-        stem: _read_calib(Path(args.calib_dir) / f"{stem}.txt")
-        for stem in dict.fromkeys(labels["file"].tolist())
-    }
+    stems = dict.fromkeys(labels["file"].tolist())  # the files that hold a record to lift
+    paths = _child_paths(args.calib_dir, [f"{stem}.txt" for stem in stems])
+    calibs = kitti.read_calib_table(paths)
+    for path, error in zip(paths, calibs[2]):  # each unusable calibration, once, in file order
+        if isinstance(error, FileNotFoundError):
+            logger.error("missing calib file %s", path)
+        elif isinstance(error, OSError):  # unreadable, as a label file would be
+            raise error
+        elif error is not None:
+            logger.error("%s", error)
     results, status, messages = kitti.lift_columns(labels, calibs, config.constraint_mode, residuals)
     if residuals is not None:  # the records of a category without mean extents
         for category in dict.fromkeys(labels["category"][status == "missing_dims"].tolist()):

@@ -30,21 +30,25 @@ matrix of the left color camera) is required here. Its left 3x3 block is
 the intrinsics matrix K and its fourth column encodes the camera's offset
 from the reference camera; that offset is exposed as an additive
 camera-frame translation so projection keeps the x = K (R X + T) form.
+``read_calib_table`` is the one calibration parser. It reads every file
+once, converts all P2 lines in one array and checks them as array
+operations, and returns per file K, the offset from one stacked solve and
+the file's error; ``parse_calib_file`` is its one-file view, a CalibRecord.
 """
 
+import errno
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import MalformedLineError, MissingKeyError
 from .geometry import Box2D, CameraIntrinsics, Dimensions, rotations_from_angles
-from .multibin import local_to_global, ray_angle
+from .multibin import local_to_global
 from .solver import FAILURES, LIFTED, lift_batch
 
 __all__ = [
@@ -55,6 +59,7 @@ __all__ = [
     "read_label_columns",
     "parse_label_file",
     "parse_calib_file",
+    "read_calib_table",
     "write_results",
     "centers_to_locations",
     "LABEL_COLUMNS",
@@ -116,6 +121,20 @@ class DetectionRecord:
         return Dimensions(dx=self.length, dy=self.height, dz=self.width)
 
 
+# CalibRecord's checks of a P2, and finiteness, as bounds low <= value <= high on
+# its flat values; (1, 12), as numpy compares same-dimensional arrays faster. Near 1,
+# x - 1.0 is exact (Sterbenz's lemma), so abs(x - 1.0) <= 1e-6 holds exactly
+# between P2[2][2]'s bounds.
+_P2_LOW = np.full((1, 12), -np.finfo(float).max)
+_P2_HIGH = np.full((1, 12), np.finfo(float).max)
+_P2_LOW[0, [0, 5]] = np.nextafter(0.0, 1.0)
+_P2_LOW[0, [4, 8, 9]] = _P2_HIGH[0, [4, 8, 9]] = 0.0
+_P2_LOW[0, 10] = 1.0 - math.floor(1e-6 * 2**53) * 2**-53
+_P2_HIGH[0, 10] = 1.0 + math.floor(1e-6 * 2**52) * 2**-52
+# The errnos of a path that is not there: Path.exists is False.
+_ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
 @dataclass(frozen=True)
 class CalibRecord:
     """Projection matrix P2 with derived intrinsics and camera offset."""
@@ -126,11 +145,12 @@ class CalibRecord:
         p2 = np.asarray(self.p2, dtype=float)
         if p2.shape != (3, 4):
             raise ValueError("P2 must be 3x4")
-        if abs(p2[2, 2] - 1.0) > 1e-6:
+        (fx, _, _, _), (k10, fy, _, _), (k20, k21, k22, _) = p2.tolist()
+        if abs(k22 - 1.0) > 1e-6:
             raise ValueError("P2[2][2] must be 1")
-        if p2[0, 0] <= 0 or p2[1, 1] <= 0:
+        if fx <= 0 or fy <= 0:
             raise ValueError("focal lengths in P2 must be positive")
-        if p2[1, 0] != 0 or p2[2, 0] != 0 or p2[2, 1] != 0:  # K is upper triangular
+        if k10 != 0 or k20 != 0 or k21 != 0:  # K is upper triangular
             raise ValueError("P2[1][0], P2[2][0] and P2[2][1] must be 0")
         object.__setattr__(self, "p2", p2)
 
@@ -154,20 +174,23 @@ def physical_lines(text):
     """The physical lines of ``text``, without their ends, as Python's file
     object reads them: "\\n", "\\r\\n" and "\\r" end a line (``str.splitlines``
     would also break at "\\f", "\\x85", "\\u2028" and others)."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if not lines[-1]:  # the end of the last line, or an empty text
         lines.pop()
     return lines
 
 
 def read_text(path):
-    """The text of a UTF-8 file, read and decoded once.
+    """The text of a UTF-8 file, read with one plain ``open`` and decoded once.
 
     Raises:
         MalformedLineError: if the file is not UTF-8, naming the file and
             the physical line of its first bad byte.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
@@ -296,28 +319,93 @@ def parse_label_file(text):
     ]
 
 
+def _p2_values(line_no, line):
+    """The 12 values of a P2 line; MalformedLineError for another count or a bad token."""
+    tokens = line.split()[1:]
+    if len(tokens) != 12:
+        raise MalformedLineError(line_no, line.strip(), "P2 needs 12 values")
+    try:
+        return list(map(float, tokens))
+    except ValueError:  # again, token by token, to name the first bad one
+        return [_parse_float(token, line_no) for token in tokens]
+
+
+def _p2_table(texts):
+    """(p2, errors): per calibration text its P2 values, a row of one (F, 12)
+    array checked as array operations, and None or the path-less
+    MalformedLineError of its first failing check (line None: no P2 line)."""
+    errors, lines, values = [None] * len(texts), [None] * len(texts), []
+    for i, text in enumerate(texts):
+        try:
+            for line_no, line in enumerate(physical_lines(text), start=1):
+                if line.startswith("P2:"):
+                    values += _p2_values(line_no, line)
+                    lines[i] = line_no, line
+                    break
+            else:
+                raise MalformedLineError(None, "P2", "no P2 line")
+        except MalformedLineError as exc:
+            errors[i] = exc
+            values += [math.nan] * 12
+    values = np.array(values).reshape(-1, 12)
+    above, below = values >= _P2_LOW, values <= _P2_HIGH
+    if np.count_nonzero(above) + np.count_nonzero(below) < 2 * values.size:
+        for i in np.flatnonzero(~(above & below).all(axis=1)).tolist():
+            if errors[i] is None:
+                errors[i] = _p2_error(*lines[i], values[i])
+    return values, errors
+
+
+def _p2_error(line_no, line, values):
+    """The MalformedLineError of a P2 line whose values fail a check: its
+    first value that is not finite, else the reason CalibRecord rejects it."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        token = line.split()[1 + int(np.argmin(finite))]
+        return MalformedLineError(line_no, token, f"P2 value {token} is not finite")
+    try:
+        CalibRecord(values.reshape(3, 4))
+    except ValueError as exc:  # a defect of the matrix, on its line
+        return MalformedLineError(line_no, line.strip(), str(exc))
+
+
 def parse_calib_file(text):
-    """Extract the P2 projection matrix from KITTI calibration text.
+    """The CalibRecord of KITTI calibration text: the one-file view of
+    ``read_calib_table``, whose checks it makes.
 
     Raises:
         MissingKeyError: if no P2 line is present.
         MalformedLineError: if the P2 line is not 12 finite numbers that CalibRecord accepts.
     """
-    for line_no, line in enumerate(physical_lines(text), start=1):
-        if not line.startswith("P2:"):
-            continue
-        tokens = line.split()[1:]
-        if len(tokens) != 12:
-            raise MalformedLineError(line_no, line.strip(), "P2 needs 12 values")
-        values = [_parse_float(t, line_no) for t in tokens]
-        for token, value in zip(tokens, values):
-            if not math.isfinite(value):
-                raise MalformedLineError(line_no, token, f"P2 value {token} is not finite")
+    p2, (error,) = _p2_table([text])
+    if error is not None:
+        raise MissingKeyError("P2") if error.line_no is None else error
+    return CalibRecord(p2.reshape(3, 4))
+
+
+def read_calib_table(paths):
+    """(ks, offsets, errors) of the calibration files ``paths``, each read
+    once: per file K, as ``CalibRecord.intrinsics.matrix`` builds it, and the
+    camera offset, as ``CalibRecord.translation_offset`` solves it (zeros if
+    unusable); and None, or a FileNotFoundError if the file is not there (as
+    for ``Path.exists``), the OSError of its read, or its MalformedLineError."""
+    texts, errors = [""] * len(paths), [None] * len(paths)
+    for i, path in enumerate(paths):
         try:
-            return CalibRecord(p2=np.array(values).reshape(3, 4))
-        except ValueError as exc:  # a defect of the matrix, on its line
-            raise MalformedLineError(line_no, line.strip(), str(exc)) from None
-    raise MissingKeyError("P2")
+            texts[i] = read_text(path)
+        except OSError as exc:
+            missing = exc.errno in _ABSENT
+            errors[i] = FileNotFoundError(exc.errno, exc.strerror, exc.filename) if missing else exc
+        except MalformedLineError as exc:  # not UTF-8
+            errors[i] = exc
+    p2, found = _p2_table(texts)
+    errors = [error or (bad and bad.at(path)) for path, error, bad in zip(paths, errors, found)]
+    usable = np.array([error is None for error in errors], dtype=bool)
+    p2 = p2.reshape(-1, 3, 4)[usable]
+    ks, offsets = np.zeros((len(errors), 3, 3)), np.zeros((len(errors), 3))
+    ks[usable, 0], ks[usable, 1, 1:], ks[usable, 2, 2] = p2[:, 0, :3], p2[:, 1, 1:3], 1.0
+    offsets[usable] = np.linalg.solve(p2[..., :3], p2[..., 3:])[..., 0]  # a stack of LAPACK solves
+    return ks, offsets, errors
 
 
 def centers_to_locations(centers, heights):
@@ -411,29 +499,33 @@ def write_results_jsonl(table, stream):
     Writes, for each entry of ``result_entries(table)``, exactly
     ``json.dumps(entry) + "\\n"``, but builds no entry: each column, and each
     component column of a row column, is encoded by one ``json.dumps`` call
-    (see ``_json_texts``), and the texts fill one line template built from
-    the keys.
+    (see ``_json_texts``), and each line interleaves the constant pieces of
+    one line layout, built from the keys, with its texts.
 
     Raises:
         TypeError: for a value ``json.dumps`` cannot encode.
         ValueError: for a row of ``box2d``, ``dims_hwl``, ``location`` or
             ``configuration`` without 4, 3, 3 or 4 values.
     """
-    formats, texts = [], []
+    pieces, texts, piece = [], [], "{"  # piece: the constant text before the next value
     for key in _line_keys(table):
-        name = json.dumps(key).replace("%", "%%")
+        piece += f"{json.dumps(key)}: "
         width = _ROW_WIDTHS.get(key)
         column = np.asarray(table[key])
         if width is None:
-            formats.append(f"{name}: %s")
+            pieces.append(piece)
             texts.append(_json_texts(column.tolist()))
+            piece = ", "
         elif column.size != len(column) * width:
             raise ValueError(f"rows of {width} values expected")
         else:
-            formats.append(f"{name}: [{', '.join(['%s'] * width)}]")
+            pieces += [piece + "["] + [", "] * (width - 1)
             texts += map(_json_texts, column.reshape(-1, width).T.tolist())
-    template = "{" + ", ".join(formats) + "}\n"
-    stream.write("".join(map(template.__mod__, zip(*texts))))
+            piece = "], "
+    n = len(texts[0])
+    columns = chain.from_iterable(zip(map(repeat, pieces, repeat(n)), texts))
+    lines = zip(*columns, repeat(piece[:-2] + "}\n", n))  # one tuple of texts a line
+    stream.write("".join(chain.from_iterable(lines)))
 
 
 def _nonblank_lines(path):
@@ -608,8 +700,10 @@ def lift_columns(labels, calibs, mode, residuals=None):
 
     ``labels`` is a ``read_label_columns`` table without DontCare rows,
     with each record's ``file`` stem before its ``line`` in that file.
-    ``calibs`` maps the stem of each file that holds a record to its
-    CalibRecord, None without a calibration file, or the error that made it
+    ``calibs`` is the ``read_calib_table`` of the files that hold a record,
+    one entry a file in order of first appearance in ``labels``: a record
+    takes its file's K, offset and error by the file's index. A file whose
+    error is a FileNotFoundError has no calibration; any other error made it
     unusable. A record's dimensions are its label's, or with the
     ``read_residuals`` mapping ``residuals`` its category's mean plus its
     residual; its yaw is alpha plus the yaw of the ray through its
@@ -625,24 +719,23 @@ def lift_columns(labels, calibs, mode, residuals=None):
     """
     files, categories, box = labels["file"], labels["category"], labels["box2d"]
     n = len(files)
-    status, messages = np.full(n, LIFTED, dtype=object), np.full(n, None, dtype=object)
+    # per record: its file's index in calibs, its camera and its ray angle
+    starts = np.flatnonzero(np.r_[n > 0, files[1:] != files[:-1]])  # where files change
+    first = {}  # stem -> index, in order of first appearance
+    index = [first.setdefault(stem, len(first)) for stem in files[starts].tolist()]
+    file = np.repeat(np.array(index, dtype=np.intp), np.diff(np.r_[starts, n]))
+    ks, offsets, errors = calibs
+    ks, offsets = ks[file], offsets[file]
+    rays = np.arctan2(0.5 * (box[:, 0] + box[:, 2]) - ks[:, 0, 2], ks[:, 0, 0])  # ray_angle
+    status, messages = np.array([  # a file without calibration, or with an unusable one, fails
+        (LIFTED, None) if error is None else ("missing_calib", "no calibration file")
+        if isinstance(error, FileNotFoundError) else ("bad_calib", str(error))
+        for error in errors
+    ], dtype=object).reshape(-1, 2)[file].T.copy()
 
     def fail(mask, code, message):  # the records of mask that have not failed yet
         mask = mask & (status == LIFTED)
         status[mask], messages[mask] = code, message
-
-    # per record: its camera, from its file's calibration, and its ray angle
-    ks, offsets, rays = np.zeros((n, 3, 3)), np.zeros((n, 3)), np.zeros(n)
-    starts = np.flatnonzero(np.r_[n > 0, files[1:] != files[:-1]]).tolist()  # where files change
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        calib = calibs[files[lo]]
-        if isinstance(calib, CalibRecord):
-            intrinsics = calib.intrinsics
-            ks[lo:hi], offsets[lo:hi] = intrinsics.matrix, calib.translation_offset
-            rays[lo:hi] = ray_angle(intrinsics, 0.5 * (box[lo:hi, 0] + box[lo:hi, 2]))
-        else:  # no calibration file, or the error that made it unusable
-            status[lo:hi] = "missing_calib" if calib is None else "bad_calib"
-            messages[lo:hi] = "no calibration file" if calib is None else str(calib)
 
     extents = labels["dims_hwl"][:, [2, 0, 1]]  # KITTI (l, h, w) are the solver's (dx, dy, dz)
     sized = (extents > 0).all(axis=1)

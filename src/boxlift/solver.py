@@ -464,7 +464,12 @@ def _one_record(intrinsics, rotation, dims, box2d):
     rotation = np.asarray(rotation, dtype=float)
     if rotation.shape != (3, 3):
         raise ValueError(FAILURES["bad_rotation"][1])
-    return intrinsics.matrix[None], rotation[None], dims.as_array[None], box2d.as_array[None]
+    k, d, b = intrinsics, dims, box2d
+    values = np.array([  # K as intrinsics.matrix builds it, the extents and the rectangle
+        k.fx, k.skew, k.cx, 0.0, k.fy, k.cy, 0.0, 0.0, 1.0,
+        d.dx, d.dy, d.dz, b.x_min, b.y_min, b.x_max, b.y_max,
+    ])
+    return values[:9].reshape(1, 3, 3), rotation[None], values[None, 9:12], values[None, 12:]
 
 
 def solve_translation(intrinsics, rotation, dims, box2d, configuration):

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxlift import cli
+from boxlift import cli, kitti
 from boxlift.cli import RunConfig, _dispatch, build_config, build_parser, main
-from boxlift.errors import MalformedLineError, NoFeasibleConfigurationError
+from boxlift.errors import MalformedLineError, MissingKeyError, NoFeasibleConfigurationError
 from boxlift.geometry import Box2D, Box3D, Dimensions, rotation_from_angles
 from boxlift.kitti import (
     DetectionRecord,
@@ -469,6 +469,101 @@ def test_lift_names_a_calib_without_p2(tmp_path, calib, caplog):
     ]
 
 
+def _p2_with(index, token):
+    """CALIB_TEXT with P2's value at flat ``index`` (on line 3) replaced by ``token``."""
+    lines = CALIB_TEXT.split("\n")
+    values = lines[2].split()
+    values[1 + index] = token
+    lines[2] = " ".join(values)
+    return "\n".join(lines)
+
+
+# A hostile calibration of 000001: its content (None: no file; "dir": a
+# directory) and the ERROR it logs, formatted with its path.
+HOSTILE_CALIBS = {
+    "missing": (None, "missing calib file {path}"),
+    "no-p2": (CALIB_TEXT.replace("P2:", "P2a:"), "{path}: no P2 line"),
+    "11-values": (CALIB_TEXT.replace(" 2.745884000000e-03", ""), "{path} line 3: P2 needs 12 values"),
+    "bad-token": (_p2_with(3, "4.4x"), "{path} line 3: bad token '4.4x'"),
+    "nan": (_p2_with(7, "nan"), "{path} line 3: P2 value nan is not finite"),
+    "p2-2-2": (_p2_with(10, "1.01"), "{path} line 3: P2[2][2] must be 1"),
+    "focal": (_p2_with(5, "-0"), "{path} line 3: focal lengths in P2 must be positive"),
+    "lower": (_p2_with(9, "1e-9"), "{path} line 3: P2[1][0], P2[2][0] and P2[2][1] must be 0"),
+    "not-utf8": (
+        CALIB_TEXT.encode().replace(b"P3:", b"P3:\xff"),
+        "{path} line 4: not UTF-8: invalid start byte b'\\xff'",
+    ),
+    "crlf": (CALIB_TEXT.replace("\n", "\r\n"), None),
+    "directory": ("dir", "[Errno 21] Is a directory: '{path}'"),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_CALIBS))
+def test_lift_reports_a_hostile_calibration_once_and_lifts_the_other_files(
+    tmp_path, calib, caplog, capsys, case
+):
+    content, error = HOSTILE_CALIBS[case]
+    labels, calibs = write_dataset(tmp_path, synth_corpus(calib, n_files=3, per_file=4, seed=29))
+    clean = tmp_path / "clean.jsonl"
+    assert main(["lift", str(labels), str(calibs), "--out", str(clean)]) == 0
+    path = calibs / "000001.txt"
+    path.unlink()
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    caplog.clear()
+    capsys.readouterr()
+
+    out = tmp_path / "r.jsonl"
+    code = main(["lift", str(labels), str(calibs), "--out", str(out)])
+    logged = [(r.levelname, r.getMessage()) for r in caplog.records]
+    expected_log = [] if error is None else [("ERROR", error.format(path=path))]
+    if content == "dir":  # unreadable, as a label file would be: the run stops before writing
+        assert (code, logged, out.exists()) == (1, expected_log, False)
+    else:
+        kept = [
+            line for line in clean.read_text().splitlines(keepends=True)
+            if error is None or json.loads(line)["file"] != "000001"
+        ]
+        assert (code, logged) == (0, expected_log)
+        assert capsys.readouterr().out == f"lifted {len(kept)}/12 records -> {out}\n"
+        assert out.read_text() == "".join(kept)
+
+    # per record: the failed file's records carry its status and the logged error
+    _, table = cli._read_label_dir(labels)
+    paths = [str(calibs / f"{stem}.txt") for stem in ("000000", "000001", "000002")]
+    calib_table = kitti.read_calib_table(paths)
+    _, status, messages = kitti.lift_columns(table, calib_table, ConstraintMode.KITTI_ZERO_PITCH_ROLL)
+    own = table["file"] == "000001"
+    assert set(status[~own]) == {"lifted"} and set(messages[~own]) == {None}
+    if error is None:
+        assert set(status[own]) == {"lifted"}
+    elif content is None:
+        assert set(zip(status[own], messages[own])) == {("missing_calib", "no calibration file")}
+    else:
+        assert set(zip(status[own], messages[own])) == {("bad_calib", error.format(path=path))}
+
+    # parse_calib_file is the table's one-file view
+    if isinstance(content, str) and content != "dir":
+        try:
+            view = kitti.parse_calib_file(content)
+        except (MalformedLineError, MissingKeyError) as exc:
+            view = exc
+        table_error = calib_table[2][1]
+        if isinstance(view, kitti.CalibRecord):
+            assert table_error is None
+            assert np.array_equal(calib_table[0][1], view.intrinsics.matrix)
+            assert np.array_equal(calib_table[1][1], view.translation_offset)
+        elif isinstance(view, MissingKeyError):
+            assert str(table_error) == f"{path}: no P2 line"
+        else:
+            located = view.at(path)
+            assert (str(located), located.line_no, located.token) == (
+                str(table_error), table_error.line_no, table_error.token,
+            )
+
+
 @pytest.mark.parametrize("kind", ["labels", "calib", "results"])
 def test_a_file_that_is_not_utf8_is_named_with_the_line_of_its_bad_byte(
     tmp_path, precise_dataset, caplog, kind
@@ -635,6 +730,26 @@ def test_lift_empty_directory(tmp_path):
     out = tmp_path / "results.jsonl"
     assert main(["lift", str(labels), str(calibs), "--out", str(out)]) == 0
     assert out.read_text() == ""
+
+
+def test_label_dir_reads_the_files_path_glob_finds_in_its_order(tmp_path, calib):
+    names = [".txt", "..txt", ".hidden.txt", "a b.txt", "Z.txt", "b.txt", "UPPER.TXT", "c.txt.bak"]
+    corpus = synth_corpus(calib, n_files=len(names), per_file=1, seed=41)
+    labels, _ = write_dataset(tmp_path, dict(zip(names, corpus.values())))
+    for name in names:
+        (labels / f"{name}.txt").rename(labels / name)
+    (labels / "link.txt").symlink_to(labels / "b.txt")
+    found = sorted(labels.glob("*.txt"))
+    stems, table = cli._read_label_dir(labels)
+    assert stems == table["file"].tolist() == [path.stem for path in found]
+    assert len(found) == 7
+
+    (labels / "sub.txt").mkdir()  # glob finds a directory too, and reading it fails
+    with pytest.raises(IsADirectoryError) as error:
+        cli._read_label_dir(labels)
+    assert str(error.value) == f"[Errno 21] Is a directory: '{labels / 'sub.txt'}'"
+    for missing in (tmp_path / "nothing", labels / "b.txt"):  # no directory: no files
+        assert cli._read_label_dir(missing)[0] == [] == sorted(missing.glob("*.txt"))
 
 
 def test_lift_missing_calib_fails_records(tmp_path, calib):

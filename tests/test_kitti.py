@@ -359,6 +359,45 @@ def test_parse_calib_names_the_p2_line_of_a_matrix_calib_record_rejects(index, t
     assert type(direct.value) is ValueError and str(direct.value) == reason
 
 
+@pytest.mark.parametrize("index, value", [
+    (10, 1.000001), (10, float(np.nextafter(1.000001, 2.0))),  # P2[2][2] at 1 + 1e-6
+    (10, 0.9999990000000001), (10, float(np.nextafter(0.9999990000000001, 0.0))),  # at 1 - 1e-6
+    (0, 5e-324), (5, 0.0), (5, -0.0), (4, -0.0), (8, 5e-324), (9, -5e-324),
+])
+def test_calib_table_bounds_make_calib_records_checks(index, value):
+    values = "700 0 600 0 0 700 170 0 0 0 1 0".split()
+    values[index] = repr(value)
+    try:
+        CalibRecord(np.array(values, dtype=float).reshape(3, 4))
+        direct = None
+    except ValueError as exc:
+        direct = str(exc)
+    try:  # its CalibRecord never raises: the table rejects what the record would
+        parse_calib_file("P2: " + " ".join(values) + "\n")
+        parsed = None
+    except MalformedLineError as exc:
+        parsed = exc.reason
+    assert parsed == direct
+
+
+def test_calib_table_offsets_are_the_per_file_solves_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(40)
+    p2 = np.zeros((200, 3, 4))
+    p2[:, 0, 0], p2[:, 1, 1] = rng.uniform(300.0, 1500.0, (2, 200))
+    p2[:, 0, 1] = rng.normal(0.0, 5.0, 200)  # skew
+    p2[:, 0, 2], p2[:, 1, 2] = rng.uniform(100.0, 900.0, (2, 200))
+    p2[:, 2, 2] = 1.0 + rng.uniform(-9e-7, 9e-7, 200)  # solved with, but K's is 1
+    p2[:, :, 3] = rng.normal(0.0, 50.0, (200, 3)) * [1.0, 1.0, 1e-3]
+    paths = [str(tmp_path / f"{i:06d}.txt") for i in range(200)]
+    for path, matrix in zip(paths, p2):
+        Path(path).write_text("P2: " + " ".join(map(repr, matrix.ravel().tolist())) + "\n")
+    ks, offsets, errors = kitti.read_calib_table(paths)
+    assert errors == [None] * 200
+    for k, offset, matrix in zip(ks, offsets, p2):
+        assert np.array_equal(offset, np.linalg.solve(matrix[:, :3], matrix[:, 3]))
+        assert np.array_equal(k, CalibRecord(matrix).intrinsics.matrix)
+
+
 def test_malformed_line_error_renders_every_location():
     error = MalformedLineError(3, "1.7l", "height is not finite")
     assert str(error) == "line 3: height is not finite"
@@ -839,7 +878,11 @@ def test_lift_columns_gives_each_record_one_status_in_input_order(calib):
         "000003": [car_line()],
     }
     labels = _label_table({stem: "\n".join(lines) for stem, lines in texts.items()})
-    calibs = {"000000": calib, "000001": None, "000002": ValueError("P2[2][2] must be 1"), "000003": calib}
+    k, offset, no_k, no_offset = calib.intrinsics.matrix, calib.translation_offset, np.zeros((3, 3)), np.zeros(3)
+    calibs = (  # the read_calib_table of the four files
+        np.stack([k, no_k, no_k, k]), np.stack([offset, no_offset, no_offset, offset]),
+        [None, FileNotFoundError("000001.txt"), ValueError("P2[2][2] must be 1"), None],
+    )
     results, status, messages = lift_columns(
         labels, calibs, ConstraintMode.KITTI_ZERO_PITCH_ROLL
     )
@@ -885,7 +928,8 @@ def test_lift_columns_residual_means_leave_out_other_records(calib):
     labels = _label_table({"000000": "\n".join(lines)})
     residuals = {("000000", n): np.zeros(3) for n in range(1, len(lines) + 1)}
     results, status, messages = lift_columns(
-        labels, {"000000": calib}, ConstraintMode.KITTI_ZERO_PITCH_ROLL, residuals
+        labels, (calib.intrinsics.matrix[None], calib.translation_offset[None], [None]),
+        ConstraintMode.KITTI_ZERO_PITCH_ROLL, residuals,
     )
     assert status.tolist() == ["lifted"] * 4 + ["missing_dims"]
     assert messages[4] == "no dimension residual or category mean available"

@@ -115,6 +115,20 @@ def test_loss_and_grads_match_a_row_major_reference(bins):
         np.testing.assert_allclose(grad, expected[name], rtol=1e-12, atol=1e-12 * scale)
 
 
+def test_single_bin_backprop_is_the_outer_product_bit_for_bit(small_data):
+    features, angles = small_data
+    model, _ = train(small_data, kind="l2_scalar", epochs=5, seed=4)
+    work = model._work_arrays(len(features))
+    _, grads = model.loss_and_grads(features, angles, work)
+    hidden, _, d_out, d_hidden, _ = work
+    # each entry a single product w2[i] * d_out[j], whatever numpy's matmul would pick
+    expected = np.outer(model.w2[:, 0], d_out[0])
+    assert np.array_equal(d_hidden, expected)
+    d_pre = (1.0 - hidden * hidden) * expected
+    assert np.array_equal(grads["w1"], features.T @ d_pre.T)
+    assert np.array_equal(grads["b1"], d_pre.sum(axis=1))
+
+
 @pytest.mark.parametrize("kind,bins", [("l2_scalar", 1), ("multibin", 2), ("multibin", 8)])
 def test_work_arrays_change_no_bit_of_loss_or_gradients(small_data, kind, bins):
     features, angles = small_data
