@@ -209,7 +209,20 @@ def rotation_from_angles(yaw, pitch=0.0, roll=0.0):
 
 
 def rotations_from_angles(yaw, pitch, roll):
-    """``rotation_from_angles`` of (N,) angle arrays, stacked as (N, 3, 3)."""
+    """``rotation_from_angles`` of (N,) angle arrays, stacked as (N, 3, 3).
+
+    When every pitch and roll is zero and every yaw finite, the yaw matrices
+    are built directly, with ``+ 0.0`` as in ``rotation_from_angles``: the
+    product's bits, without the product.
+    """
+    if not (np.count_nonzero(pitch) or np.count_nonzero(roll)) and np.isfinite(yaw).all():
+        cos, sin = np.cos(yaw).reshape(-1), np.sin(yaw).reshape(-1)
+        entries = np.zeros((9, len(cos)))  # the nine entries in row-major order
+        np.add(cos, 0.0, out=entries[0])
+        entries[8], entries[4] = entries[0], 1.0
+        np.add(sin, 0.0, out=entries[2])
+        np.subtract(0.0, sin, out=entries[6])  # -sin + 0.0
+        return entries.T.reshape(-1, 3, 3)
     (cy, cp, cr), (sy, sp, sr) = np.cos([yaw, pitch, roll]), np.sin([yaw, pitch, roll])
     zero, one = np.zeros_like(cy), np.ones_like(cy)
 

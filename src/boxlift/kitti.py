@@ -766,8 +766,8 @@ def lift_columns(labels, calibs, mode, residuals=None):
     batch = lift_batch(ks[rows], rotations, dims[rows], box[rows], mode)
     outcome = np.full(n, LIFTED, dtype=object)
     outcome[rows] = batch.outcome
-    for code, (_, message) in FAILURES.items():
-        fail(outcome == code, code, message.format(count=batch.n_configurations))
+    for code in FAILURES:
+        fail(outcome == code, code, batch.message(code))
     # The solver works in the projection frame K (R X + T'); subtract the
     # calibration's camera offset to express the center in the label frame.
     centers = np.zeros((n, 3))

@@ -399,7 +399,9 @@ def _clip(poly, count, axis, sign, bound, snap):
     level = sign * poly[..., axis]
     level = np.where(np.abs(level - bound) <= snap, bound, level)
     poly[..., axis] = sign * level
-    prev, prev_level = np.roll(poly, 1, axis=1), np.roll(level, 1, axis=1)
+    # each vertex's predecessor, cyclically (np.roll by 1, without its overhead)
+    prev = np.concatenate([poly[:, -1:], poly[:, :-1]], axis=1)
+    prev_level = np.concatenate([level[:, -1:], level[:, :-1]], axis=1)
     inside, prev_inside = level <= bound, prev_level <= bound
     used = np.arange(poly.shape[1]) < count[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -449,7 +451,8 @@ def _footprint_overlaps(a, b):
         for sign in (1.0, -1.0):
             poly, count = _clip(poly, count, axis, sign, half, snap)
     x, z = np.moveaxis(poly - poly[:, :1], 2, 0)  # about a vertex: collinear is exactly 0
-    cross = x * np.roll(z, -1, axis=1) - z * np.roll(x, -1, axis=1)
+    x_next, z_next = (np.concatenate([v[:, 1:], v[:, :1]], axis=1) for v in (x, z))
+    cross = x * z_next - z * x_next
     return 0.5 * np.abs(cross.sum(axis=1))
 
 

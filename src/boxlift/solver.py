@@ -65,25 +65,48 @@ candidates gather (see BATCHES).
 Only the near half of a family is solved. With u_j the pixel coordinate
 of corner j and z_j its depth, side s's row a_s = k_row - s * k3 gives
 a_s . (R X_j + T) = z_j (u_j - s). On a noise-free tight rectangle every
-corner lies on the inner side of each side and in front of the camera, so z_j (u_j - s) is >= 0 for
-the left and top sides and <= 0 for the right and bottom sides, and is 0
-for the touching corner. The term a_s . T is the same for every corner, so
-the corner touching a left or top side has the least a_s . R X_j and the
-one touching a right or bottom side the largest. Box corners come in
-antipodal pairs, X_{7-j} = -X_j, so a_s . R X_{7-j} = -a_s . R X_j, and the
-touching corner is always the near member of its pair: the one with
-a_s . R X_j < 0 on a left or top side and > 0 on a right or bottom side
-(j < 4 when the value is exactly 0). On every side where a family admits
-both corners of every pair (all four in GENERAL, left and right in
-UPRIGHT), a record solves only its four near corners, in ascending order,
-so its candidates keep the family's order and its ties break as over the
-whole family. On noisy rectangles this is no proof; the tests pin that the
-choice is the whole family's, bit for bit, on noisy boxes. GENERAL and
-UPRIGHT then solve 256 candidates a record, UPRIGHT_ZERO_ROLL and
-KITTI_ZERO_PITCH_ROLL (one corner of each pair per side already) their
-256 and 64. ``enumerate_configurations`` lists the
-whole family; ``BatchLiftResult.n_configurations`` and the count in
-``"all {count} configurations infeasible"`` are the candidates solved.
+corner lies on the inner side of each side and in front of the camera, so
+z_j (u_j - s) is >= 0 for the left and top sides and <= 0 for the right
+and bottom sides, and is 0 for the touching corner. The term a_s . T is
+the same for every corner, so the corner touching a left or top side has
+the least a_s . R X_j of all eight corners and the one touching a right or
+bottom side the largest. Whichever pair of admitted corners (j, j') the
+touching corner belongs to, it is then the pair's near member: the one
+with the smaller a_s . R X on a left or top side and the larger on a right
+or bottom side, the lower corner j < j' on a tie. Two pairings are used:
+
+- Antipodes (j, 7 - j), j < 4, on every side that admits all eight
+  corners (all four in GENERAL, left and right in UPRIGHT). Box corners
+  are antipodal, X_{7-j} = -X_j, so a_s . R X_{7-j} = -a_s . R X_j: the
+  near member is j unless a_s . R X_j is > 0 on a left or top side or
+  < 0 on a right or bottom side, and a value of exactly 0 keeps j.
+- The bottom face's horizontal diagonals (0, 5) and (1, 4), that is
+  (j, j ^ 5), on the left and right sides of UPRIGHT_ZERO_ROLL and
+  KITTI_ZERO_PITCH_ROLL, which admit the bottom corners {0, 1, 4, 5}. Only
+  a batch of more than one record pairs them (see BATCHES).
+
+The top and bottom sides of those two modes stay whole. Their diagonals
+(2, 7) and (3, 6) obey the same argument on a tight rectangle, but when
+the top face is at camera height every top corner's a_top . R X is the
+same, and keeping the lower corner of that tie loses the true assignment;
+the tied bottom corner cannot break it, as deciding the top and bottom
+pair on both sides' summed evidence changes the choice on tilted records.
+
+A record solves only its near corners of each paired side, in ascending
+order, so its candidates keep the family's order and its ties break as
+over the whole family. On noisy rectangles this is no proof; the tests pin
+that the choice is the whole family's, bit for bit, on noisy, tilted and
+straddling boxes wherever the whole family's winner is a near corner. It
+can be a far corner only where no box of the family fits the rectangle
+tightly: a thin box tilted out of a zero-roll family's model, a rectangle
+clipped at the image border, a random rectangle. One record solves 256,
+256, 256 and 64 candidates in GENERAL, UPRIGHT, UPRIGHT_ZERO_ROLL and
+KITTI_ZERO_PITCH_ROLL, a batch 256, 256, 64 and 16 a record.
+``enumerate_configurations`` lists the whole family;
+``BatchLiftResult.n_configurations`` counts the candidates a call solved
+for each record, and the count in ``"all {count} configurations
+infeasible"`` those that ``lift`` solves, so that a record's message does
+not depend on the records that share its call.
 
 BATCHES
 =======
@@ -92,10 +115,19 @@ own intrinsics, rotation, extents and rectangle. Once per record: the
 rotation check, the side map, K R X of the corners and from it the depth
 bound and the right-hand side s z - (K R X)_row of every corner on every
 side, a table of 32 (side, slot) entries. Slot j is corner j, except on a
-family's near sides, where each record puts its four near corners,
-ascending, in slots 0-3, and on the bottom side of a straddling
-KITTI_ZERO_PITCH_ROLL record, where slot j is corner 5 - j (mod 8), so the
-family's bottom slot 7 - top reads corner top - 2. Candidates are solved in
+family's paired sides, where each record puts its near corners, ascending,
+in slots 0-3 (antipodes) or 0-1 (diagonals), and on the bottom side of a
+straddling KITTI_ZERO_PITCH_ROLL record, where slot j is corner 5 - j (mod
+8), so the family's bottom slot 7 - top reads corner top - 2.
+
+Each mode has a family for one record and one for a batch, chosen by the
+record count alone; they differ in UPRIGHT_ZERO_ROLL and
+KITTI_ZERO_PITCH_ROLL, whose batches pair the diagonals. Pairing saves 48
+candidates a KITTI_ZERO_PITCH_ROLL record (192 in UPRIGHT_ZERO_ROLL), at
+about 90 ns each, but costs a fixed few microseconds a call for the
+records' slot tables: a one-record call, as ``lift`` and a frame-by-frame
+caller make, is faster with the whole family, a call of two records or
+more with the pairs. Candidates are solved in
 chunks of ``CHUNK_CANDIDATES`` candidates or one record, whichever is more,
 by the same numpy calls whatever a chunk holds: one ``take`` of the family's
 columns (slot + 8 * side, built at import) gathers (records, side, C)
@@ -134,8 +166,9 @@ __all__ = [
 RANK_TOLERANCE = 1e-10
 
 # Candidates (records x solved candidates) solved at once, but at least one
-# record: 16 records of GENERAL, UPRIGHT or UPRIGHT_ZERO_ROLL (256
-# candidates each) a chunk, 64 of KITTI_ZERO_PITCH_ROLL. It bounds the
+# record: 16 records of GENERAL or UPRIGHT (256 candidates each) a chunk,
+# and in a batch 64 of UPRIGHT_ZERO_ROLL (64 each) and 256 of
+# KITTI_ZERO_PITCH_ROLL (16 each). It bounds the
 # (8, records * C) work arrays and so the peak memory: 256 KB a plane, three
 # for the u, v and depth slab. Measured when a GENERAL record solved all 4096
 # candidates: against 1024, 4096 read lift_records_per_s 7.7 % higher on
@@ -195,7 +228,10 @@ class BatchLiftResult(NamedTuple):
     record's row holds what ``lift`` returns: translation (3,), the four
     corner indices of its configuration, residual and reprojection error.
     A failed record's row holds NaN and -1. ``n_configurations`` is the
-    number of candidates each record solved (see CONSTRAINT MODES).
+    number of candidates each record solved in this call, which in
+    ``zeroroll`` and ``kitti`` is fewer for a batch than for one record.
+    ``n_lift_configurations`` is the number ``lift`` solves for one record,
+    the count that a failure's message gives (see CONSTRAINT MODES).
     """
 
     translation: np.ndarray  # (N, 3)
@@ -204,6 +240,12 @@ class BatchLiftResult(NamedTuple):
     reprojection_error: np.ndarray  # (N,)
     outcome: np.ndarray  # (N,) str
     n_configurations: int
+    n_lift_configurations: int
+
+    def message(self, outcome):
+        """The message of failure ``outcome`` (a key of ``FAILURES``) for a
+        record of this batch, as ``lift`` raises it."""
+        return FAILURES[outcome][1].format(count=self.n_lift_configurations)
 
     def result(self, i):
         """Record ``i`` as the scalar ``lift`` returns it.
@@ -214,8 +256,7 @@ class BatchLiftResult(NamedTuple):
         """
         outcome = self.outcome.item(i)
         if outcome != LIFTED:
-            error, message = FAILURES[outcome]
-            raise error(message.format(count=self.n_configurations))
+            raise FAILURES[outcome][0](self.message(outcome))
         return LiftResult(
             translation=self.translation[i],
             configuration=Configuration(*self.configuration[i].tolist()),
@@ -224,43 +265,112 @@ class BatchLiftResult(NamedTuple):
         )
 
 
+# Per side, in (left, right, top, bottom) order: the intrinsics row that
+# produces its pixel coordinate (u for left and right, v for top and
+# bottom), the rectangle column holding that coordinate, and +1 for a side
+# touched where a_side . R X is least (left, top), -1 where it is largest.
+_SIDE_ROWS = np.array([0, 0, 1, 1])
+_SIDE_COLUMNS = np.array([0, 2, 1, 3])
+_SIDE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+_SIDES = np.arange(4)
+# rect @ _RECT_FACTORS + _RECT_ONES is (x_mid, y_mid, 1, 1, w, h, -w, -h);
+# side map row r (see SIDE SOLVE) is its entry r times its entries
+# _MAP_COLUMNS[r], over E, plus _MAP_OFFSETS[r].
+_MID, _SIZE = np.array([[1, 0, 1, 0], [0, 1, 0, 1]]) / 2, np.array([[-1, 0, 1, 0], [0, -1, 0, 1]])
+_RECT_FACTORS = np.vstack([_MID, np.zeros((2, 4)), _SIZE, -_SIZE]).T
+_RECT_ONES = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+_MAP_COLUMNS = np.array([[4, 6, 5, 7]] * 3 + [[5, 7, 6, 4]])
+_MAP_OFFSETS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0] * 4, [0] * 4]) / 2
+# Corner j < count pairs with corner j ^ flip: the antipodes (j, 7 - j) pair
+# all eight corners, the bottom face's diagonals (0, 5) and (1, 4) the bottom
+# corners. One record pairs a side by antipodes only; a batch of records also
+# pairs the vertical sides by diagonals where a family admits only bottom
+# corners there (see CONSTRAINT MODES and BATCHES).
+_PAIRINGS = {7: 4, 5: 2}
+_ONE_RECORD, _BATCH = ((7,),) * 4, ((7, 5), (7, 5), (7,), (7,))
+_PAIR_BITS = 1 << np.arange(4)
+
+
+def _near_row(flip, mask):
+    """A paired side's slot corners when bit j of ``mask`` marks j ^ flip as
+    the near member of pair j: the near members, ascending, then the other
+    corners, which no candidate reads."""
+    near = sorted(j ^ flip if mask >> j & 1 else j for j in range(_PAIRINGS[flip]))
+    return near + [j for j in range(8) if j not in near]
+
+
+# Slot corners by table row: rows 0-15 pair antipodes and 16-19 diagonals,
+# by the side's mask; row 20, the identity, is every unpaired side's; row 21,
+# corner 5 - j (mod 8), a straddling record's bottom side in a tied family:
+# slot 7 - top is corner top - 2.
+_NEAR_SLOTS = np.array(
+    [_near_row(flip, mask) for flip in (7, 5) for mask in range(1 << _PAIRINGS[flip])]
+    + [list(range(8)), [(5 - j) % 8 for j in range(8)]]
+)
+_FLIP_ROWS, _STRADDLE_ROW = {7: 0, 5: 16, 0: 20}, 21  # a flip's first row
+# Outcome label by (rotation ok, rank ok, some candidate feasible) as 0/1
+# indices: lifted when all three hold, else the first failed check in
+# FAILURES order.
+_OUTCOMES = np.array([LIFTED, *FAILURES])[[[[1, 1], [1, 1]], [[2, 2], [3, 0]]]]
+
+
 class _Family(NamedTuple):
     """A mode's corner assignments and the candidates a record solves for it.
 
     ``configs`` is the whole family, in ``enumerate_configurations`` order.
-    ``near[side]`` marks a side whose corners include both members of every
-    antipodal pair (j, 7 - j); a record solves only its near member there
-    (see CONSTRAINT MODES). ``slots`` holds the solved candidates: on a near
-    side, slot j < 4 stands for the record's j-th near corner in ascending
-    order, on any other side for corner j. ``columns[side]`` is
-    ``slots[:, side] + 8 * side``, the index of each candidate's right-hand
-    side for that side in a record's flattened (side, slot) table of 32.
-    ``tied`` marks a family whose bottom corner is the top corner's
-    antipode; a record that straddles the principal row reads its bottom
-    slots through the straddle row of ``_NEAR_SLOTS`` instead.
+    ``flips[side]`` is the pairing a side is solved by (see CONSTRAINT
+    MODES): 7 on a side that admits every antipodal pair (j, 7 - j), 5 on
+    one that admits the bottom face's diagonals (0, 5) and (1, 4), 0 on a
+    side solved whole. A record solves only the near member of each pair
+    (j, j ^ flip), j < ``_PAIRINGS[flip]``. ``pairs[side, j]`` is the index
+    of corner j's partner in a record's flattened (side, corner) table of
+    32, or of corner j itself where j pairs with nothing, and ``rows[side]``
+    the first row of ``_NEAR_SLOTS`` for the side's flip. ``slots`` holds
+    the solved candidates: on a paired side, slot j stands for the record's
+    j-th near corner in ascending order, on any other side for corner j.
+    ``columns[side]`` is ``slots[:, side] + 8 * side``, the index of each
+    candidate's right-hand side for that side in the record's table. ``tied``
+    marks a family whose bottom corner is the top corner's antipode; a record
+    that straddles the principal row reads its bottom slots through the
+    straddle row of ``_NEAR_SLOTS`` instead.
     """
 
     configs: np.ndarray  # (C, 4)
-    near: np.ndarray  # (4,) bool
-    slots: np.ndarray  # (C', 4), C' = C / 2 ** near.sum()
+    flips: np.ndarray  # (4,)
+    pairs: np.ndarray  # (4, 4)
+    rows: np.ndarray  # (4,)
+    slots: np.ndarray  # (C', 4), C' = C / 2 ** (number of paired sides)
     columns: np.ndarray  # (4, C')
     tied: bool
 
 
-def _family(configs, tied=False):
+def _family(configs, tied=False, pairings=_ONE_RECORD):
+    """The ``_Family`` of ``configs``: each side is paired by the first flip
+    of ``pairings[side]`` whose pairs are exactly the side's admitted
+    corners, else solved whole."""
     configs = np.asarray(configs, dtype=np.intp)
-    admitted = np.zeros((4, 8), dtype=bool)
-    admitted[np.arange(4), configs] = True  # (side, corner)
-    near = (admitted == admitted[:, ::-1]).all(axis=1)  # closed under j -> 7 - j
-    slots = configs[(configs[:, near] < 4).all(axis=1)]  # slots 0-3 on near sides
-    columns = (slots + 8 * np.arange(4)).T.copy()
-    for array in (configs, near, slots, columns):
+    flips = np.zeros(4, dtype=np.intp)
+    for side, offered in enumerate(pairings):
+        admitted = set(configs[:, side].tolist())
+        for flip in offered:
+            lower = range(_PAIRINGS[flip])
+            if admitted == {*lower, *(j ^ flip for j in lower)}:
+                flips[side] = flip
+                break
+    count = np.array([_PAIRINGS.get(flip, 0) for flip in flips])
+    low = np.arange(4)
+    pairs = np.where(low < count[:, None], low ^ flips[:, None], low) + 8 * _SIDES[:, None]
+    rows = np.array([_FLIP_ROWS[flip] for flip in flips])
+    slots = configs[(configs < np.where(count > 0, count, 8)).all(axis=1)]  # lower members
+    columns = (slots + 8 * _SIDES).T.copy()
+    for array in (configs, flips, pairs, rows, slots, columns):
         array.flags.writeable = False  # shared by every lift
-    return _Family(configs, near, slots, columns, tied)
+    return _Family(configs, flips, pairs, rows, slots, columns, tied)
 
 
 def _configuration_array(left, right, top, bottom=None):
-    """The family of every (left, right, top, bottom) combination, left slowest.
+    """The family of every (left, right, top, bottom) combination, left slowest,
+    as one record solves it and as a batch of records does.
 
     Without ``bottom`` the bottom corner is the top corner's antipode,
     7 - top.
@@ -269,7 +379,7 @@ def _configuration_array(left, right, top, bottom=None):
     rows = np.stack(np.meshgrid(*sides, indexing="ij"), axis=-1).reshape(-1, len(sides))
     if bottom is None:
         rows = np.column_stack([rows, 7 - rows[:, 2]])
-    return _family(rows, tied=bottom is None)
+    return tuple(_family(rows, bottom is None, pairings) for pairings in (_ONE_RECORD, _BATCH))
 
 
 _CONFIGURATIONS = {
@@ -294,64 +404,41 @@ def _configurations(mode):
 
 def enumerate_configurations(mode):
     """All admissible corner-to-side assignments for ``mode``, in a fixed order."""
-    return [Configuration(*row) for row in _configurations(mode).configs.tolist()]
+    return [Configuration(*row) for row in _configurations(mode)[0].configs.tolist()]
 
 
-# Per side, in (left, right, top, bottom) order: the intrinsics row that
-# produces its pixel coordinate (u for left and right, v for top and
-# bottom), the rectangle column holding that coordinate, and +1 for a side
-# touched where a_side . R X is least (left, top), -1 where it is largest.
-_SIDE_ROWS = np.array([0, 0, 1, 1])
-_SIDE_COLUMNS = np.array([0, 2, 1, 3])
-_SIDE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-_SIDES = np.arange(4)
-# rect @ _RECT_FACTORS + _RECT_ONES is (x_mid, y_mid, 1, 1, w, h, -w, -h);
-# side map row r (see SIDE SOLVE) is its entry r times its entries
-# _MAP_COLUMNS[r], over E, plus _MAP_OFFSETS[r].
-_MID, _SIZE = np.array([[1, 0, 1, 0], [0, 1, 0, 1]]) / 2, np.array([[-1, 0, 1, 0], [0, -1, 0, 1]])
-_RECT_FACTORS = np.vstack([_MID, np.zeros((2, 4)), _SIZE, -_SIZE]).T
-_RECT_ONES = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-_MAP_COLUMNS = np.array([[4, 6, 5, 7]] * 3 + [[5, 7, 6, 4]])
-_MAP_OFFSETS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0] * 4, [0] * 4]) / 2
-# A near side's slot corners by the bit mask of its far lower corners (bit
-# j set: 7 - j is near, not j): the near member of each pair (j, 7 - j),
-# ascending, then 4-7, which no candidate reads. Row 16, the identity, is
-# every other side's; row 17, corner 5 - j (mod 8), a straddling record's
-# bottom side in a tied family: slot 7 - top is corner top - 2.
-_PAIR_BITS = 1 << np.arange(4)
-_NEAR_SLOTS = np.array(
-    [sorted(7 - j if mask >> j & 1 else j for j in range(4)) + [4, 5, 6, 7] for mask in range(16)]
-    + [list(range(8)), [(5 - j) % 8 for j in range(8)]]
-)
-# Outcome label by (rotation ok, rank ok, some candidate feasible) as 0/1
-# indices: lifted when all three hold, else the first failed check in
-# FAILURES order.
-_OUTCOMES = np.array([LIFTED, *FAILURES])[[[[1, 1], [1, 1]], [[2, 2], [3, 0]]]]
-
-
-def _slot_corners(rhs, near, straddle):
+def _slot_corners(rhs, family, straddle):
     """The corner each (side, slot) of a record's table stands for, (N, 4, 8).
 
-    ``rhs`` (N, 4, 8) holds -a_side . R X_corner. On a ``near`` side, slots
-    0-3 hold the near member of the pairs (j, 7 - j) in ascending order: j,
-    unless the sign of ``rhs`` puts j on the far half; a value of exactly 0
-    (or NaN) keeps j. On the bottom side of a record that ``straddle`` (an
-    (N,) mask, or False) marks, slot j is corner 5 - j (mod 8). On any other
-    side slot j is corner j.
+    ``rhs`` (N, 4, 8) holds -a_side . R X_corner. On a side that ``family``
+    pairs, slots 0, 1, ... hold the near member of each pair (j, j ^ flip)
+    in ascending order: the one with the greater ``rhs * _SIDE_SIGNS``, j on
+    a tie (or NaN). On the bottom side of a record that ``straddle`` (an (N,)
+    mask, or False) marks, slot j is corner 5 - j (mod 8). On any other side
+    slot j is corner j.
     """
-    rows = np.where(near, (rhs[:, :, :4] * _SIDE_SIGNS < 0) @ _PAIR_BITS, 16)
-    rows[:, 3] = np.where(straddle, 17, rows[:, 3])
+    if len(family.slots) < len(family.configs):  # some side is paired
+        signed = rhs * _SIDE_SIGNS
+        far = signed.reshape(len(rhs), 32).take(family.pairs, axis=1) > signed[:, :, :4]
+        rows = far @ _PAIR_BITS + family.rows  # (N, side)
+    else:
+        rows = np.repeat(family.rows[None], len(rhs), axis=0)
+    if family.tied:  # only a tied family has straddling records
+        rows[:, 3] = np.where(straddle, _STRADDLE_ROW, rows[:, 3])
     return _NEAR_SLOTS[rows]
 
 
 @np.errstate(all="ignore")
-def _solve(k, rotations, dims, rects, family):
-    """Solve and rank the candidates of ``family`` for N records.
+def _solve(k, rotations, dims, rects, families):
+    """Solve and rank the candidates of a family for N records.
 
-    The inputs are float arrays of the shapes ``lift_batch`` checks.
+    The inputs are float arrays of the shapes ``lift_batch`` checks;
+    ``families`` is the family as one record solves it and as a batch does.
     """
-    configs, near, slots, columns, tied = family
-    n, c = len(rects), len(slots)
+    n = len(rects)
+    family = families[n > 1]  # a batch pairs more sides (see BATCHES)
+    configs, _, _, _, slots, columns, tied = family
+    c = len(slots)
     # Failed records go through the same arithmetic on meaningless rows, which
     # are overwritten below; errstate keeps that arithmetic's warnings quiet.
     rotations_ok = _are_rotations(rotations)
@@ -363,7 +450,7 @@ def _solve(k, rotations, dims, rects, family):
     straddle = tied and (rects[:, 1] < c_y) & (c_y < rects[:, 3])
     slot_corners = None
     if c < len(configs) or np.count_nonzero(straddle):  # a near half, or a straddling record
-        slot_corners = _slot_corners(rhs, near, straddle)  # (N, side, slot)
+        slot_corners = _slot_corners(rhs, family, straddle)  # (N, side, slot)
         rhs = rhs[np.arange(n)[:, None, None], _SIDES[:, None], slot_corners]
     rhs = rhs.reshape(n, 32)
     factors = rects @ _RECT_FACTORS + _RECT_ONES
@@ -414,7 +501,9 @@ def _solve(k, rotations, dims, rects, family):
     np.divide(k_v - c_y * t_z, k[:, 1, 1], out=k_v)  # t_y, back-substituted through K
     np.divide(k_u - k[:, 0, 1] * k_v - k[:, 0, 2] * t_z, k[:, 0, 0], out=k_u)  # t_x
     residual = ranked.imag * spread / 2
-    return BatchLiftResult(won, configuration, residual, ranked.real, outcome, c)
+    return BatchLiftResult(
+        won, configuration, residual, ranked.real, outcome, c, len(families[0].slots)
+    )
 
 
 def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZERO_PITCH_ROLL):
@@ -490,7 +579,7 @@ def solve_translation(intrinsics, rotation, dims, box2d, configuration):
     # matrix products ``lift`` ranks, so one candidate would not reproduce
     # its translation bit for bit.
     family = _family([tuple(configuration)] * 2)
-    batch = _solve(*_one_record(intrinsics, rotation, dims, box2d), family)
+    batch = _solve(*_one_record(intrinsics, rotation, dims, box2d), (family, family))
     if batch.outcome[0] == "all_infeasible":
         raise InfeasibleConfigurationError(
             "recovered translation places the box at or behind the camera"

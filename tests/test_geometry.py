@@ -85,15 +85,39 @@ def test_rotations_from_angles_stacks_rotation_from_angles():
     assert rotations_from_angles([], [], []).shape == (0, 3, 3)
 
 
+def elementary_product(yaw, pitch, roll):
+    """R_yaw @ R_pitch @ R_roll of (N,) angle arrays, one factor stack at a time."""
+    (cy, cp, cr), (sy, sp, sr) = np.cos([yaw, pitch, roll]), np.sin([yaw, pitch, roll])
+    zero, one = np.zeros_like(cy), np.ones_like(cy)
+
+    def stack(*entries):
+        return np.stack(entries, axis=-1).reshape(-1, 3, 3)
+
+    r_yaw = stack(cy, zero, sy, zero, one, zero, -sy, zero, cy)
+    r_pitch = stack(cp, -sp, zero, sp, cp, zero, zero, zero, one)
+    r_roll = stack(one, zero, zero, zero, cr, -sr, zero, sr, cr)
+    return r_yaw @ r_pitch @ r_roll
+
+
 def test_yaw_only_rotation_is_bit_identical_to_the_product():
     specials = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 3 * np.pi]
     yaws = np.concatenate([specials, np.random.default_rng(3).uniform(-4.0, 4.0, 100_000)])
+    product = elementary_product(yaws, 0 * yaws, 0 * yaws)
+    # zero pitch and roll, +0.0 or -0.0, build the yaw matrices directly
+    for zeros in (0 * yaws, -0 * yaws, np.zeros(len(yaws), dtype=int)):
+        assert rotations_from_angles(yaws, zeros, -zeros).tobytes() == product.tobytes()
     direct = np.array([rotation_from_angles(yaw) for yaw in yaws.tolist()])
-    assert direct.tobytes() == rotations_from_angles(yaws, 0 * yaws, 0 * yaws).tobytes()
-    # a 0-d array yaw takes the product of the three factors
-    product = np.array([rotation_from_angles(np.array(yaw)) for yaw in yaws[:2000]])
-    assert direct[:2000].tobytes() == product.tobytes()
+    assert direct.tobytes() == product.tobytes()
+    stacked = np.array([rotation_from_angles(np.array(yaw)) for yaw in yaws[:2000]])  # 0-d yaws
+    assert stacked.tobytes() == product[:2000].tobytes()
     assert not np.signbit(direct[:2]).any()  # yaw = -0.0 gives +0.0 entries, as the product does
+    # a NaN yaw, and a nonzero or NaN pitch or roll, take the product
+    for yaw, pitch, roll in ((np.nan, 0.0, 0.0), (0.3, 1e-300, 0.0), (0.3, 0.0, np.nan)):
+        angles = np.array([[0.5, 0.0, 0.0], [yaw, pitch, roll]]).T
+        got, expected = rotations_from_angles(*angles), elementary_product(*angles)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.signbit(got).tolist() == np.signbit(expected).tolist()
+    assert np.isnan(rotations_from_angles([np.nan], [0.0], [0.0])[0, 0, 1])  # 0 * NaN
 
 
 def test_are_rotations_follows_its_documented_rule():

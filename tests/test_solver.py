@@ -42,6 +42,14 @@ EXPECTED_COUNTS = {
     ConstraintMode.UPRIGHT_ZERO_ROLL: 256,
     ConstraintMode.KITTI_ZERO_PITCH_ROLL: 64,
 }
+# Candidates a record solves alone (lift, a one-record lift_batch) and in a
+# batch of two records or more.
+SOLVED = {
+    ConstraintMode.GENERAL: (256, 256),
+    ConstraintMode.UPRIGHT: (256, 256),
+    ConstraintMode.UPRIGHT_ZERO_ROLL: (256, 64),
+    ConstraintMode.KITTI_ZERO_PITCH_ROLL: (64, 16),
+}
 
 
 def degenerate_rect(x_min, y_min, x_max, y_max):
@@ -365,14 +373,18 @@ def test_lift_batch_failures_are_per_record():
 
 
 def test_lift_batch_is_scalar_lift_bitwise_across_chunks():
-    # Three chunks in each mode, sized from the candidates a record solves
-    # (64 kitti and 16 GENERAL or UPRIGHT records a chunk of 4096), with a
-    # rank-deficient record inside the middle chunk.
+    # Three chunks in each mode, sized from the candidates a record of a
+    # batch solves (256 kitti, 16 GENERAL or UPRIGHT and 64 zeroroll records
+    # a chunk of 4096), with a rank-deficient record inside the middle chunk.
     rng = np.random.default_rng(20)
-    modes = (ConstraintMode.KITTI_ZERO_PITCH_ROLL, ConstraintMode.GENERAL, ConstraintMode.UPRIGHT)
+    modes = (
+        ConstraintMode.KITTI_ZERO_PITCH_ROLL, ConstraintMode.GENERAL, ConstraintMode.UPRIGHT,
+        ConstraintMode.UPRIGHT_ZERO_ROLL,
+    )
     probe = Box3D(np.array([0.0, 1.0, 20.0]), Dimensions(4.0, 1.5, 1.8), yaw=0.3)
     for mode in modes:
-        solved = lift_batch(*batch_inputs([probe], [project_box(K, probe)]), mode).n_configurations
+        two = batch_inputs([probe] * 2, [project_box(K, probe)] * 2)
+        solved = lift_batch(*two, mode).n_configurations
         per_chunk = max(1, CHUNK_CANDIDATES // solved)
         n = 2 * per_chunk + max(1, per_chunk // 2)
         boxes = [sample_scene_box(rng, depth_range=(5.0, 60.0)) for _ in range(n)]
@@ -448,9 +460,8 @@ def test_lift_batch_rejects_malformed_arrays():
 
 def whole_family(mode):
     """``mode``'s family with every candidate solved, near corner or far."""
-    family = solver._CONFIGURATIONS[mode]
-    columns = (family.configs + 8 * np.arange(4)).T.copy()
-    return family._replace(near=np.zeros(4, dtype=bool), slots=family.configs, columns=columns)
+    family = solver._CONFIGURATIONS[mode][0]
+    return solver._family(family.configs, family.tied, pairings=((),) * 4)
 
 
 def assert_batches_equal(got, expected):
@@ -460,38 +471,135 @@ def assert_batches_equal(got, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-@pytest.mark.parametrize("mode", [ConstraintMode.GENERAL, ConstraintMode.UPRIGHT])
-def test_near_half_lifts_as_the_whole_family(mode, monkeypatch):
-    # 330 boxes, upright and tilted, anywhere in front of the camera (above
-    # and below the horizon), with 0, 1 or 2 px of rectangle noise, mixed
-    # with rank-deficient, all-infeasible and bad-rotation records.
-    rng = np.random.default_rng(22)
-    n = 330
+def hostile_records(rng, n):
+    """``n`` records anywhere in front of the camera, as (K, R, dims, rects)
+    arrays: upright and tilted (pitch and roll up to 0.4 rad), above, below
+    and straddling the principal row, with 0, 1 or 2 px of rectangle noise,
+    and a rank-deficient, an all-infeasible and a bad-rotation record."""
     boxes = []
     for i in range(n):
-        b = sample_scene_box(rng, depth_range=(3.0, 60.0))
-        center = b.center + np.array([0.0, rng.uniform(-3.0, 1.0), 0.0])
-        pitch, roll = rng.uniform(-0.15, 0.15, size=2) if i % 2 else (0.0, 0.0)
+        b = straddling_box(rng) if i % 5 == 4 else sample_scene_box(rng, depth_range=(3.0, 60.0))
+        center = b.center + np.array([0.0, rng.uniform(-3.0, 1.0) if i % 5 < 3 else 0.0, 0.0])
+        pitch, roll = rng.uniform(-0.4, 0.4, size=2) if i % 2 else (0.0, 0.0)
         boxes.append(Box3D(center, b.dims, b.yaw, pitch=pitch, roll=roll))
     k, rotations, dims, rects = batch_inputs(boxes, [project_box(K, b) for b in boxes])
     rects += rng.normal(0.0, 1.0, size=rects.shape) * (np.arange(n) % 3)[:, None]
     rects[50] = (600.0, 180.0, 600.0, 180.0)  # rank-deficient
     rotations[120], dims[120], rects[120] = INFEASIBLE[0], INFEASIBLE[1].as_array, INFEASIBLE[2].as_array
     rotations[200] = 2.0 * np.eye(3)
+    return k, rotations, dims, rects
+
+
+def takes_a_far_corner(inputs, configuration, flips):
+    """Per record: ``configuration`` takes the far member of a pair (j,
+    j ^ flip) on a side that ``flips`` pairs, the one with the greater
+    a_side . R X on a left or top side and the lesser on a right or bottom
+    side, or the higher corner of a tie. False for a failed record."""
+    k, rotations, dims, rects = inputs
+    rows = k[:, [0, 0, 1, 1]] - rects[:, [0, 2, 1, 3], None] * k[:, None, 2]  # (N, side, 3)
+    values = rows @ rotated_corners(dims, rotations).swapaxes(1, 2)  # (N, side, corner)
+    records = np.arange(len(rects))
+    far = np.zeros(len(rects), dtype=bool)
+    for side, flip in enumerate(flips):
+        if flip:
+            own = configuration[:, side]
+            mine, other = values[records, side, own], values[records, side, own ^ flip]
+            beaten = other < mine if side in (0, 2) else other > mine
+            far |= beaten | ((other == mine) & (own ^ flip < own))
+    return far & (configuration >= 0).all(axis=1)
+
+
+def batch_rows(batch, rows):
+    """The rows ``rows`` (an index, a list or a mask) of ``batch``, as a batch."""
+    rows = np.atleast_1d(rows)
+    return batch._replace(**{
+        name: getattr(batch, name)[rows]
+        for name in ("translation", "configuration", "residual", "reprojection_error", "outcome")
+    })
+
+
+def assert_near_half_as_whole(near, whole, inputs, flips):
+    """``near`` and ``whole`` agree bit for bit on every record whose
+    ``whole`` winner is the near member of each pair that ``flips`` pairs.
+    On the others no box of the family fits the rectangle, and the near half
+    cannot rank better than the whole family. Returns their mask."""
+    far = takes_a_far_corner(inputs, whole.configuration, flips)
+    assert_batches_equal(batch_rows(near, ~far), batch_rows(whole, ~far))
+    assert (whole.reprojection_error[far] > 1.0).all()
+    assert (near.reprojection_error[far] >= whole.reprojection_error[far]).all()
+    return far
+
+
+@pytest.mark.parametrize("mode", list(ConstraintMode))
+def test_near_half_lifts_as_the_whole_family(mode, monkeypatch):
+    # 330 records of every kind, in one batch: the near corners of each
+    # paired side rank as the whole family, bit for bit, wherever the whole
+    # family's winner is a near corner. That is every record but one tilted,
+    # straddling zeroroll record, whose whole-family error is 1 002 px^2.
+    rng = np.random.default_rng(22)
+    n = 330
+    inputs = k, rotations, dims, rects = hostile_records(rng, n)
+    straddles = (rects[:, 1] < K.cy) & (K.cy < rects[:, 3])
+    above = rects[:, 3] < K.cy
+    assert straddles.sum() > n // 10 and above.sum() > n // 10
     batch = lift_batch(k, rotations, dims, rects, mode)
-    assert batch.n_configurations == 256
+    assert batch.n_configurations == SOLVED[mode][1]
     assert (batch.outcome == "lifted").sum() == n - 3
     failures = {"rank_deficient", "all_infeasible", "bad_rotation"}
     assert set(batch.outcome[[50, 120, 200]]) == failures
-    monkeypatch.setitem(solver._CONFIGURATIONS, mode, whole_family(mode))
+    flips = solver._CONFIGURATIONS[mode][1].flips
+    whole = whole_family(mode)
+    monkeypatch.setitem(solver._CONFIGURATIONS, mode, (whole, whole))
     whole = lift_batch(k, rotations, dims, rects, mode)
     assert whole.n_configurations == EXPECTED_COUNTS[mode]
-    assert_batches_equal(batch, whole)
+    far = assert_near_half_as_whole(batch, whole, inputs, flips)
+    assert far.sum() == (mode is ConstraintMode.UPRIGHT_ZERO_ROLL)
+
+
+@pytest.mark.parametrize("mode", list(ConstraintMode), ids=lambda mode: mode.value)
+def test_a_record_lifts_the_same_alone_and_in_a_batch(mode):
+    # One record alone solves the one-record family, two or more the batch
+    # family: the same rows and the same failure messages, which lift raises
+    # too.
+    rng = np.random.default_rng(30)
+    n = 240
+    inputs = hostile_records(rng, n)
+    batch = lift_batch(*inputs, mode)
+    assert (batch.n_configurations, batch.n_lift_configurations) == (SOLVED[mode][1], SOLVED[mode][0])
+    singles = [lift_batch(*(array[i : i + 1] for array in inputs), mode) for i in range(n)]
+    assert {(one.n_configurations, one.n_lift_configurations) for one in singles} == {(SOLVED[mode][0],) * 2}
+    alone = singles[0]._replace(**{
+        name: np.concatenate([getattr(one, name) for one in singles])
+        for name in ("translation", "configuration", "residual", "reprojection_error", "outcome")
+    })
+    assert_batches_equal(batch, alone)
+    for i, one in enumerate(singles):
+        record = [array[i] for array in inputs]
+        pair = lift_batch(*(np.stack([array, array]) for array in record), mode)
+        assert pair.n_configurations == SOLVED[mode][1]
+        assert_batches_equal(pair, batch_rows(batch, [i, i]))
+        k, rotation, dims, rect = record
+        intrinsics = CameraIntrinsics(fx=k[0, 0], fy=k[1, 1], cx=k[0, 2], cy=k[1, 2], skew=k[0, 1])
+        try:
+            single = lift(intrinsics, rotation, Dimensions(*dims), degenerate_rect(*rect), mode)
+        except (ValueError, NoFeasibleConfigurationError) as exc:
+            for result, index in ((one, 0), (pair, 1), (batch, i)):
+                with pytest.raises(type(exc)) as caught:
+                    result.result(index)
+                assert str(caught.value) == str(exc)
+            continue
+        result = one.result(0)
+        assert result.configuration == single.configuration
+        assert np.array_equal(result.translation, single.translation)
+        assert result.residual == single.residual
+        assert result.reprojection_error == single.reprojection_error
 
 
 def test_near_half_keeps_the_lower_corner_of_a_side_value_of_zero(monkeypatch):
     # Yaw 0, centered on the principal point at the depth of its own z
-    # extent: the far corners' a_side . R X is exactly 0 on every side.
+    # extent: the far corners' a_side . R X is exactly 0 on every side, and
+    # on each vertical side one diagonal pair, (1, 4) on the left and (0, 5)
+    # on the right, ties at 0.
     k = CameraIntrinsics(fx=500.0, fy=500.0, cx=300.0, cy=200.0)
     box = Box3D(np.array([0.0, 0.0, 4.0]), Dimensions(2.0, 1.5, 4.0), yaw=0.0)
     rect = project_box(k, box)
@@ -501,57 +609,78 @@ def test_near_half_keeps_the_lower_corner_of_a_side_value_of_zero(monkeypatch):
     ])
     side_values = rows @ box_vertices(box.dims).T  # a_side . R X_j, R = I
     assert ((side_values == 0.0).sum(axis=1) == 4).all()
-    # Near: <= 0 on left and top, >= 0 on right and bottom; 0 keeps j < 4.
-    keep_low = np.where([[True], [False], [True], [False]], side_values <= 0, side_values >= 0)
-    expected = [sorted(j if keep_low[side, j] else 7 - j for j in range(4)) for side in range(4)]
-    corners = solver._slot_corners(-side_values[None], np.ones(4, dtype=bool), np.zeros(1, dtype=bool))
-    assert corners[0, :, :4].tolist() == expected
+    assert side_values[0, 1] == side_values[0, 4] == side_values[1, 0] == side_values[1, 5] == 0.0
+    # Near: the lesser value on left and top, the greater on right and
+    # bottom; a tie keeps the lower corner j.
+    least = np.array([[True], [False], [True], [False]])
+
+    def near(side, j, partner):
+        a, b = side_values[side, j], side_values[side, partner]
+        return partner if (b < a if least[side, 0] else b > a) else j
+
+    antipodes = [sorted(near(side, j, 7 - j) for j in range(4)) for side in range(4)]
+    diagonals = [sorted(near(side, j, j ^ 5) for j in range(2)) for side in range(2)]
+    assert diagonals == [[1, 5], [0, 4]]
+    for mode, n in ((ConstraintMode.GENERAL, 1), (ConstraintMode.KITTI_ZERO_PITCH_ROLL, 2)):
+        family = solver._CONFIGURATIONS[mode][n > 1]
+        corners = solver._slot_corners(-side_values[None], family, np.zeros(1, dtype=bool))[0]
+        if mode is ConstraintMode.GENERAL:
+            assert corners[:, :4].tolist() == antipodes
+        else:
+            assert corners[:2, :2].tolist() == diagonals
+            assert corners[2:].tolist() == [list(range(8))] * 2
     inputs = (k.matrix[None], box.rotation[None], box.dims.as_array[None], rect.as_array[None])
     for mode in ConstraintMode:
-        near = lift_batch(*inputs, mode)
-        assert near.outcome[0] == "lifted"
-        assert np.linalg.norm(near.translation[0] - box.center) < 1e-12
-        with monkeypatch.context() as patch:
-            patch.setitem(solver._CONFIGURATIONS, mode, whole_family(mode))
-            assert_batches_equal(near, lift_batch(*inputs, mode))
+        for n in (1, 2):
+            batch = [np.repeat(array, n, axis=0) for array in inputs]
+            near_half = lift_batch(*batch, mode)
+            assert near_half.n_configurations == SOLVED[mode][n > 1]
+            assert (near_half.outcome == "lifted").all()
+            assert np.abs(near_half.translation - box.center).max() < 1e-12
+            with monkeypatch.context() as patch:
+                whole = whole_family(mode)
+                patch.setitem(solver._CONFIGURATIONS, mode, (whole, whole))
+                assert_batches_equal(near_half, lift_batch(*batch, mode))
 
 
-def test_only_general_and_upright_solve_a_near_half():
-    # zeroroll and kitti admit one corner of each antipodal pair a side
-    # already: they solve their whole family, in enumeration order.
-    near_sides = {
-        ConstraintMode.GENERAL: [True] * 4,
-        ConstraintMode.UPRIGHT: [True, True, False, False],
-        ConstraintMode.UPRIGHT_ZERO_ROLL: [False] * 4,
-        ConstraintMode.KITTI_ZERO_PITCH_ROLL: [False] * 4,
+def test_paired_sides_by_mode():
+    # The flip each (left, right, top, bottom) side pairs its corners by, alone
+    # and in a batch: 7 the antipodes (j, 7 - j), 5 the bottom face's diagonals
+    # (j, j ^ 5), 0 none (the side is solved whole).
+    flips = {
+        ConstraintMode.GENERAL: ([7, 7, 7, 7], [7, 7, 7, 7]),
+        ConstraintMode.UPRIGHT: ([7, 7, 0, 0], [7, 7, 0, 0]),
+        ConstraintMode.UPRIGHT_ZERO_ROLL: ([0, 0, 0, 0], [5, 5, 0, 0]),
+        ConstraintMode.KITTI_ZERO_PITCH_ROLL: ([0, 0, 0, 0], [5, 5, 0, 0]),
     }
     box = Box3D(np.array([0.0, 1.0, 20.0]), Dimensions(4.0, 1.5, 1.8), yaw=0.3)
-    inputs = batch_inputs([box], [project_box(K, box)])
-    for mode, near in near_sides.items():
-        family = solver._CONFIGURATIONS[mode]
-        assert family.near.tolist() == near
-        solved = lift_batch(*inputs, mode).n_configurations
-        if any(near):
-            assert solved == 256 and (family.slots[:, near] < 4).all()
-        else:
-            assert solved == EXPECTED_COUNTS[mode]
-            assert np.array_equal(family.slots, family.configs)
-        order = [family.configs.tolist().index(row) for row in family.slots.tolist()]
-        assert order == sorted(order)  # enumeration order
+    for mode, expected in flips.items():
+        for n, family, sides in zip((1, 2), solver._CONFIGURATIONS[mode], expected):
+            assert family.flips.tolist() == sides
+            assert np.array_equal(family.configs, solver._CONFIGURATIONS[mode][0].configs)
+            batch = lift_batch(*batch_inputs([box] * n, [project_box(K, box)] * n), mode)
+            assert batch.n_configurations == len(family.slots) == SOLVED[mode][n > 1]
+            for side, flip in enumerate(sides):
+                # a paired side solves the lower member of each pair, j < j ^ flip
+                admitted = set(family.configs[:, side].tolist())
+                lower = {j for j in admitted if j < j ^ flip} if flip else admitted
+                assert set(family.slots[:, side].tolist()) == lower
+            order = [family.configs.tolist().index(row) for row in family.slots.tolist()]
+            assert order == sorted(order)  # enumeration order
 
 
 def svd_reference(k, rotations, dims, rects, mode):
     """The SVD pseudo-inverse kernel the closed-form side solve replaced.
 
-    Ranks the same candidates (the near half of ``mode``'s family) in one
-    pass: t = pinv(A) b with A the (N, 4, 3) side matrix, the residual
+    Ranks the same candidates (the near half of ``mode``'s family, as a
+    batch of ``len(rects)`` records solves it) in one pass: t = pinv(A) b with A the (N, 4, 3) side matrix, the residual
     |A t - b|^2, then feasibility and the reprojection error in the old
     kernel's arithmetic. Returns (outcome, configuration, translation,
     residual), the last three of each record's winner; rank_deficient
     when A's smallest singular value is <= 1e-10.
     """
-    family = solver._CONFIGURATIONS[mode]
     n = len(rects)
+    family = solver._CONFIGURATIONS[mode][n > 1]
     a = k[:, [0, 0, 1, 1]] - rects[:, [0, 2, 1, 3], None] * k[:, None, 2]  # (N, 4, 3)
     left, s, vt = np.linalg.svd(a, full_matrices=False)
     rank_ok = s[:, -1] > solver.RANK_TOLERANCE
@@ -560,7 +689,7 @@ def svd_reference(k, rotations, dims, rects, mode):
     rotated = rotated_corners(dims, rotations)  # (N, 8, 3)
     rhs = -(a @ rotated.swapaxes(1, 2))  # (N, side, corner)
     straddle = family.tied & (rects[:, 1] < k[:, 1, 2]) & (k[:, 1, 2] < rects[:, 3])
-    slot_corners = solver._slot_corners(rhs, family.near, straddle)
+    slot_corners = solver._slot_corners(rhs, family, straddle)
     rhs = np.take_along_axis(rhs, slot_corners, axis=2).reshape(n, 32)
     b = np.take(rhs, family.columns, axis=1)  # (N, 4, C)
     t = pinv @ b  # (N, 3, C)
@@ -608,8 +737,7 @@ def test_side_solve_ranks_as_the_svd_kernel(mode):
     # for every record, translations within 1e-12 m per 50 m of depth and
     # residuals within 1e-9 px^2 of the SVD pseudo-inverse kernel's.
     rng = np.random.default_rng(23)
-    solved = 64 if mode is ConstraintMode.KITTI_ZERO_PITCH_ROLL else 256
-    per_chunk = max(1, CHUNK_CANDIDATES // solved)
+    per_chunk = max(1, CHUNK_CANDIDATES // SOLVED[mode][1])
     n = 2 * per_chunk + per_chunk // 2
     boxes = reference_scene(rng, n, mode)
     k, rotations, dims, rects = batch_inputs(boxes, [project_box(K, b) for b in boxes])
@@ -682,8 +810,9 @@ def test_straddling_boxes_lift_exactly_in_every_mode():
         batch = lift_batch(*batch_inputs(boxes, rects), mode)
         assert list(batch.outcome) == ["lifted"] * len(boxes)
         assert np.abs(batch.translation - centers).max() < 1e-9, mode
-    # kitti solves its 64 candidates, the straddle family: bottom = top - 2
-    assert batch.n_configurations == EXPECTED_COUNTS[mode]
+    # a kitti batch solves 16 candidates a record, of the straddle family:
+    # bottom = top - 2
+    assert batch.n_configurations == SOLVED[mode][1]
     _, _, top, bottom = batch.configuration.T
     assert (bottom == top - 2).all()
 
@@ -691,7 +820,9 @@ def test_straddling_boxes_lift_exactly_in_every_mode():
 def test_lift_batch_mixing_straddling_and_road_boxes_is_scalar_lift_bitwise():
     # two and a half kitti chunks, every other box straddling, 1 px of noise
     rng = np.random.default_rng(28)
-    per_chunk = CHUNK_CANDIDATES // EXPECTED_COUNTS[ConstraintMode.KITTI_ZERO_PITCH_ROLL]
+    probe = straddling_box(np.random.default_rng(0))
+    two = batch_inputs([probe] * 2, [project_box(K, probe)] * 2)
+    per_chunk = CHUNK_CANDIDATES // lift_batch(*two).n_configurations
     n = 2 * per_chunk + per_chunk // 2
     boxes = [straddling_box(rng) if i % 2 else sample_scene_box(rng) for i in range(n)]
     rects = [Box2D(*(project_box(K, b).as_array + rng.normal(0.0, 1.0, size=4))) for b in boxes]
