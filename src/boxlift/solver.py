@@ -53,7 +53,7 @@ indices per the ordering in :mod:`boxlift.geometry`; y points down, so
   camera and whose bottom plane is below it: its top and bottom sides are
   touched by the two corners of the nearest vertical edge, so such a
   record ties its bottom corner to the top one's edge instead (bottom =
-  top - 2). It still solves 64 candidates, the straddle family, and
+  top - 2). Its straddle family has as many configurations, and it
   reports bottom = top - 2; ``enumerate_configurations`` lists the
   antipodal family only.
 
@@ -82,8 +82,7 @@ or bottom side, the lower corner j < j' on a tie. Two pairings are used:
   < 0 on a right or bottom side, and a value of exactly 0 keeps j.
 - The bottom face's horizontal diagonals (0, 5) and (1, 4), that is
   (j, j ^ 5), on the left and right sides of UPRIGHT_ZERO_ROLL and
-  KITTI_ZERO_PITCH_ROLL, which admit the bottom corners {0, 1, 4, 5}. Only
-  a batch of more than one record pairs them (see BATCHES).
+  KITTI_ZERO_PITCH_ROLL, which admit the bottom corners {0, 1, 4, 5}.
 
 The top and bottom sides of those two modes stay whole. Their diagonals
 (2, 7) and (3, 6) obey the same argument on a tight rectangle, but when
@@ -99,14 +98,13 @@ that the choice is the whole family's, bit for bit, on noisy, tilted and
 straddling boxes wherever the whole family's winner is a near corner. It
 can be a far corner only where no box of the family fits the rectangle
 tightly: a thin box tilted out of a zero-roll family's model, a rectangle
-clipped at the image border, a random rectangle. One record solves 256,
-256, 256 and 64 candidates in GENERAL, UPRIGHT, UPRIGHT_ZERO_ROLL and
-KITTI_ZERO_PITCH_ROLL, a batch 256, 256, 64 and 16 a record.
-``enumerate_configurations`` lists the whole family;
-``BatchLiftResult.n_configurations`` counts the candidates a call solved
-for each record, and the count in ``"all {count} configurations
-infeasible"`` those that ``lift`` solves, so that a record's message does
-not depend on the records that share its call.
+clipped at the image border, a random rectangle. A record solves 256, 256,
+64 and 16 candidates in GENERAL, UPRIGHT, UPRIGHT_ZERO_ROLL and
+KITTI_ZERO_PITCH_ROLL, alone or in a batch of any size, so its lift does
+not depend on the records that share its call. ``enumerate_configurations``
+lists the whole family; ``BatchLiftResult.n_configurations`` and the
+count in ``"all {count} configurations infeasible"`` count the candidates
+a record solved.
 
 BATCHES
 =======
@@ -118,17 +116,12 @@ side, a table of 32 (side, slot) entries. Slot j is corner j, except on a
 family's paired sides, where each record puts its near corners, ascending,
 in slots 0-3 (antipodes) or 0-1 (diagonals), and on the bottom side of a
 straddling KITTI_ZERO_PITCH_ROLL record, where slot j is corner 5 - j (mod
-8), so the family's bottom slot 7 - top reads corner top - 2.
-
-Each mode has a family for one record and one for a batch, chosen by the
-record count alone; they differ in UPRIGHT_ZERO_ROLL and
-KITTI_ZERO_PITCH_ROLL, whose batches pair the diagonals. Pairing saves 48
-candidates a KITTI_ZERO_PITCH_ROLL record (192 in UPRIGHT_ZERO_ROLL), at
-about 90 ns each, but costs a fixed few microseconds a call for the
-records' slot tables: a one-record call, as ``lift`` and a frame-by-frame
-caller make, is faster with the whole family, a call of two records or
-more with the pairs. Candidates are solved in
-chunks of ``CHUNK_CANDIDATES`` candidates or one record, whichever is more,
+8), so the family's bottom slot 7 - top reads corner top - 2. Each family
+builds, once at import, the slot order of every state a side can be in
+(which member of each pair is near, and whether it is a straddling bottom
+side), so a record's slots cost one comparison of its table's pairs and
+one gather whatever its mode. Candidates are solved in chunks of
+``CHUNK_CANDIDATES`` candidates or one record, whichever is more,
 by the same numpy calls whatever a chunk holds: one ``take`` of the family's
 columns (slot + 8 * side, built at import) gathers (records, side, C)
 right-hand sides, one product with the side maps gives (K T)_u, (K T)_v, t_z
@@ -167,10 +160,9 @@ RANK_TOLERANCE = 1e-10
 
 # Candidates (records x solved candidates) solved at once, but at least one
 # record: 16 records of GENERAL or UPRIGHT (256 candidates each) a chunk,
-# and in a batch 64 of UPRIGHT_ZERO_ROLL (64 each) and 256 of
-# KITTI_ZERO_PITCH_ROLL (16 each). It bounds the
-# (8, records * C) work arrays and so the peak memory: 256 KB a plane, three
-# for the u, v and depth slab. Measured when a GENERAL record solved all 4096
+# 64 of UPRIGHT_ZERO_ROLL (64 each) and 256 of KITTI_ZERO_PITCH_ROLL (16
+# each). It bounds the (8, records * C) work arrays and so the peak
+# memory: 256 KB a plane, three for the u, v and depth slab. Measured when a GENERAL record solved all 4096
 # candidates: against 1024, 4096 read lift_records_per_s 7.7 % higher on
 # perfbench road (16 790 against 15 590 records/s, medians of 5 alternating
 # 20 s pairs, seeds 121-125, 5 of 5 won) with frame times, toy rate and
@@ -228,10 +220,8 @@ class BatchLiftResult(NamedTuple):
     record's row holds what ``lift`` returns: translation (3,), the four
     corner indices of its configuration, residual and reprojection error.
     A failed record's row holds NaN and -1. ``n_configurations`` is the
-    number of candidates each record solved in this call, which in
-    ``zeroroll`` and ``kitti`` is fewer for a batch than for one record.
-    ``n_lift_configurations`` is the number ``lift`` solves for one record,
-    the count that a failure's message gives (see CONSTRAINT MODES).
+    number of candidates each record solved, the count that a failure's
+    message gives (see CONSTRAINT MODES).
     """
 
     translation: np.ndarray  # (N, 3)
@@ -240,12 +230,11 @@ class BatchLiftResult(NamedTuple):
     reprojection_error: np.ndarray  # (N,)
     outcome: np.ndarray  # (N,) str
     n_configurations: int
-    n_lift_configurations: int
 
     def message(self, outcome):
         """The message of failure ``outcome`` (a key of ``FAILURES``) for a
         record of this batch, as ``lift`` raises it."""
-        return FAILURES[outcome][1].format(count=self.n_lift_configurations)
+        return FAILURES[outcome][1].format(count=self.n_configurations)
 
     def result(self, i):
         """Record ``i`` as the scalar ``lift`` returns it.
@@ -283,31 +272,13 @@ _MAP_COLUMNS = np.array([[4, 6, 5, 7]] * 3 + [[5, 7, 6, 4]])
 _MAP_OFFSETS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0] * 4, [0] * 4]) / 2
 # Corner j < count pairs with corner j ^ flip: the antipodes (j, 7 - j) pair
 # all eight corners, the bottom face's diagonals (0, 5) and (1, 4) the bottom
-# corners. One record pairs a side by antipodes only; a batch of records also
-# pairs the vertical sides by diagonals where a family admits only bottom
-# corners there (see CONSTRAINT MODES and BATCHES).
+# corners (see CONSTRAINT MODES).
 _PAIRINGS = {7: 4, 5: 2}
-_ONE_RECORD, _BATCH = ((7,),) * 4, ((7, 5), (7, 5), (7,), (7,))
-_PAIR_BITS = 1 << np.arange(4)
-
-
-def _near_row(flip, mask):
-    """A paired side's slot corners when bit j of ``mask`` marks j ^ flip as
-    the near member of pair j: the near members, ascending, then the other
-    corners, which no candidate reads."""
-    near = sorted(j ^ flip if mask >> j & 1 else j for j in range(_PAIRINGS[flip]))
-    return near + [j for j in range(8) if j not in near]
-
-
-# Slot corners by table row: rows 0-15 pair antipodes and 16-19 diagonals,
-# by the side's mask; row 20, the identity, is every unpaired side's; row 21,
-# corner 5 - j (mod 8), a straddling record's bottom side in a tied family:
-# slot 7 - top is corner top - 2.
-_NEAR_SLOTS = np.array(
-    [_near_row(flip, mask) for flip in (7, 5) for mask in range(1 << _PAIRINGS[flip])]
-    + [list(range(8)), [(5 - j) % 8 for j in range(8)]]
-)
-_FLIP_ROWS, _STRADDLE_ROW = {7: 0, 5: 16, 0: 20}, 21  # a flip's first row
+_PAIRED = ((7, 5), (7, 5), (7,), (7,))  # the flips each side is offered
+# A record side's state, its row in a family's slot tables: 32 * side, plus
+# bit j where pair j's near member is the partner, plus 16 on a straddling
+# bottom side.
+_PAIR_BITS, _STRADDLE_BIT, _STATE_ROWS = 1 << np.arange(4), 16, 32 * _SIDES
 # Outcome label by (rotation ok, rank ok, some candidate feasible) as 0/1
 # indices: lifted when all three hold, else the first failed check in
 # FAILURES order.
@@ -322,29 +293,33 @@ class _Family(NamedTuple):
     MODES): 7 on a side that admits every antipodal pair (j, 7 - j), 5 on
     one that admits the bottom face's diagonals (0, 5) and (1, 4), 0 on a
     side solved whole. A record solves only the near member of each pair
-    (j, j ^ flip), j < ``_PAIRINGS[flip]``. ``pairs[side, j]`` is the index
-    of corner j's partner in a record's flattened (side, corner) table of
-    32, or of corner j itself where j pairs with nothing, and ``rows[side]``
-    the first row of ``_NEAR_SLOTS`` for the side's flip. ``slots`` holds
-    the solved candidates: on a paired side, slot j stands for the record's
-    j-th near corner in ascending order, on any other side for corner j.
-    ``columns[side]`` is ``slots[:, side] + 8 * side``, the index of each
-    candidate's right-hand side for that side in the record's table. ``tied``
-    marks a family whose bottom corner is the top corner's antipode; a record
-    that straddles the principal row reads its bottom slots through the
-    straddle row of ``_NEAR_SLOTS`` instead.
+    (j, j ^ flip), j < ``_PAIRINGS[flip]``. ``pairs[:, side, j]`` index a
+    record's flattened (side, corner) table of 32: pair j's near member is
+    its partner j ^ flip where ``table[pairs[0]] > table[pairs[1]]``, and
+    where j pairs with nothing both name corner j. A record side's state is
+    32 * side, plus bit j where pair j's near member is the partner, plus 16
+    on the bottom side of a straddling record of a ``tied`` family, whose
+    bottom corner is the top corner's antipode. Row ``state`` of
+    ``corners`` holds the corner each slot stands for, and of ``flat`` its
+    index in the record's table: on a paired side the near members,
+    ascending, then the other corners, on a straddling bottom side corner
+    5 - slot (mod 8), else corner ``slot``. ``slots`` holds the solved
+    candidates, and ``columns[side]`` is ``slots[:, side] + 8 * side``,
+    the index of each candidate's right-hand side in the record's table
+    in slot order.
     """
 
     configs: np.ndarray  # (C, 4)
     flips: np.ndarray  # (4,)
-    pairs: np.ndarray  # (4, 4)
-    rows: np.ndarray  # (4,)
+    pairs: np.ndarray  # (2, 4, 4)
+    corners: np.ndarray  # (4 * 32, 8)
+    flat: np.ndarray  # (4 * 32, 8)
     slots: np.ndarray  # (C', 4), C' = C / 2 ** (number of paired sides)
     columns: np.ndarray  # (4, C')
     tied: bool
 
 
-def _family(configs, tied=False, pairings=_ONE_RECORD):
+def _family(configs, tied=False, pairings=_PAIRED):
     """The ``_Family`` of ``configs``: each side is paired by the first flip
     of ``pairings[side]`` whose pairs are exactly the side's admitted
     corners, else solved whole."""
@@ -358,19 +333,29 @@ def _family(configs, tied=False, pairings=_ONE_RECORD):
                 flips[side] = flip
                 break
     count = np.array([_PAIRINGS.get(flip, 0) for flip in flips])
-    low = np.arange(4)
-    pairs = np.where(low < count[:, None], low ^ flips[:, None], low) + 8 * _SIDES[:, None]
-    rows = np.array([_FLIP_ROWS[flip] for flip in flips])
-    slots = configs[(configs < np.where(count > 0, count, 8)).all(axis=1)]  # lower members
+    low, corner, bits = np.arange(4), np.arange(8), np.arange(32)[:, None]
+    own = low + 8 * _SIDES[:, None]
+    partner = np.where(low < count[:, None], own ^ flips[:, None], own)
+    # the partner is near where its -a . R X is the greater on a left or top side
+    pairs = np.where(_SIDE_SIGNS > 0, [partner, own], [own, partner])
+    # A corner of pair p is near when it is p and bit p is clear, or p's partner
+    # and bit p is set; sorting near corners before the others gives the slots.
+    pair = np.minimum(corner, corner ^ flips[:, None, None])
+    near = (pair < count[:, None, None]) & ((corner != pair) == (bits >> pair & 1))
+    corners = np.argsort(np.where(near, corner, corner + 8), axis=2)
+    if tied:
+        corners[3, _STRADDLE_BIT:] = (5 - corner) % 8
+    flat = (corners + 8 * _SIDES[:, None, None]).reshape(128, 8)
+    corners = corners.reshape(128, 8)
+    slots = configs[(configs < np.where(count > 0, count, 8)).all(axis=1)]
     columns = (slots + 8 * _SIDES).T.copy()
-    for array in (configs, flips, pairs, rows, slots, columns):
+    for array in (configs, flips, pairs, corners, flat, slots, columns):
         array.flags.writeable = False  # shared by every lift
-    return _Family(configs, flips, pairs, rows, slots, columns, tied)
+    return _Family(configs, flips, pairs, corners, flat, slots, columns, tied)
 
 
 def _configuration_array(left, right, top, bottom=None):
-    """The family of every (left, right, top, bottom) combination, left slowest,
-    as one record solves it and as a batch of records does.
+    """The family of every (left, right, top, bottom) combination, left slowest.
 
     Without ``bottom`` the bottom corner is the top corner's antipode,
     7 - top.
@@ -379,7 +364,7 @@ def _configuration_array(left, right, top, bottom=None):
     rows = np.stack(np.meshgrid(*sides, indexing="ij"), axis=-1).reshape(-1, len(sides))
     if bottom is None:
         rows = np.column_stack([rows, 7 - rows[:, 2]])
-    return tuple(_family(rows, bottom is None, pairings) for pairings in (_ONE_RECORD, _BATCH))
+    return _family(rows, bottom is None)
 
 
 _CONFIGURATIONS = {
@@ -404,40 +389,34 @@ def _configurations(mode):
 
 def enumerate_configurations(mode):
     """All admissible corner-to-side assignments for ``mode``, in a fixed order."""
-    return [Configuration(*row) for row in _configurations(mode)[0].configs.tolist()]
+    return [Configuration(*row) for row in _configurations(mode).configs.tolist()]
 
 
-def _slot_corners(rhs, family, straddle):
-    """The corner each (side, slot) of a record's table stands for, (N, 4, 8).
+def _slot_states(rhs, family, straddle):
+    """Each record side's state, its row in ``family``'s slot tables, (N, 4).
 
-    ``rhs`` (N, 4, 8) holds -a_side . R X_corner. On a side that ``family``
-    pairs, slots 0, 1, ... hold the near member of each pair (j, j ^ flip)
-    in ascending order: the one with the greater ``rhs * _SIDE_SIGNS``, j on
-    a tie (or NaN). On the bottom side of a record that ``straddle`` (an (N,)
-    mask, or False) marks, slot j is corner 5 - j (mod 8). On any other side
-    slot j is corner j.
+    ``rhs`` (N, 32) holds -a_side . R X_corner at 8 * side + corner. Bit j
+    is set where the near member of pair j is its partner j ^ flip, the one
+    with the greater ``rhs`` on a left or top side and the lesser on a right
+    or bottom side (j on a tie, or NaN); bit 4 on the bottom side of a
+    record that ``straddle`` (an (N,) mask, or False) marks.
     """
-    if len(family.slots) < len(family.configs):  # some side is paired
-        signed = rhs * _SIDE_SIGNS
-        far = signed.reshape(len(rhs), 32).take(family.pairs, axis=1) > signed[:, :, :4]
-        rows = far @ _PAIR_BITS + family.rows  # (N, side)
-    else:
-        rows = np.repeat(family.rows[None], len(rhs), axis=0)
-    if family.tied:  # only a tied family has straddling records
-        rows[:, 3] = np.where(straddle, _STRADDLE_ROW, rows[:, 3])
-    return _NEAR_SLOTS[rows]
+    taken = rhs.take(family.pairs, axis=1)  # (N, 2, side, pair)
+    states = (taken[:, 0] > taken[:, 1]) @ _PAIR_BITS
+    states += _STATE_ROWS
+    if np.count_nonzero(straddle):  # only a tied family has straddling records
+        states[:, 3] += _STRADDLE_BIT * straddle
+    return states
 
 
 @np.errstate(all="ignore")
-def _solve(k, rotations, dims, rects, families):
-    """Solve and rank the candidates of a family for N records.
+def _solve(k, rotations, dims, rects, family):
+    """Solve and rank the candidates of ``family`` for N records.
 
-    The inputs are float arrays of the shapes ``lift_batch`` checks;
-    ``families`` is the family as one record solves it and as a batch does.
+    The inputs are float arrays of the shapes ``lift_batch`` checks.
     """
     n = len(rects)
-    family = families[n > 1]  # a batch pairs more sides (see BATCHES)
-    configs, _, _, _, slots, columns, tied = family
+    _, _, _, _, flat, slots, columns, tied = family
     c = len(slots)
     # Failed records go through the same arithmetic on meaningless rows, which
     # are overwritten below; errstate keeps that arithmetic's warnings quiet.
@@ -445,14 +424,12 @@ def _solve(k, rotations, dims, rects, families):
     corners = rotated_corners(dims, rotations) @ k.swapaxes(1, 2)  # (N, corner, u/v/depth)
     rhs = rects[:, _SIDE_COLUMNS, None] * corners[:, None, :, 2]
     rhs -= corners[:, :, _SIDE_ROWS].swapaxes(1, 2)
+    rhs = rhs.reshape(n, 32)
     projected = corners.T.copy()  # contiguous (u/v/depth, corner, N) planes
     c_y = k[:, 1, 2]
-    straddle = tied and (rects[:, 1] < c_y) & (c_y < rects[:, 3])
-    slot_corners = None
-    if c < len(configs) or np.count_nonzero(straddle):  # a near half, or a straddling record
-        slot_corners = _slot_corners(rhs, family, straddle)  # (N, side, slot)
-        rhs = rhs[np.arange(n)[:, None, None], _SIDES[:, None], slot_corners]
-    rhs = rhs.reshape(n, 32)
+    states = _slot_states(rhs, family, tied and (rects[:, 1] < c_y) & (c_y < rects[:, 3]))
+    records = np.arange(n)
+    rhs = rhs[records[:, None], flat.take(states, axis=0).reshape(n, 32)]  # in slot order
     factors = rects @ _RECT_FACTORS + _RECT_ONES
     spread = (factors[:, 4:6] ** 2).sum(axis=1)  # E
     rank_ok = spread > 2.0 * RANK_TOLERANCE**2  # singular value sqrt(E / 2) > tolerance
@@ -484,15 +461,13 @@ def _solve(k, rotations, dims, rects, families):
         np.putmask(key.real, ~(solved[:, 2] > behind[chunk, None]), np.inf)  # NaN is infeasible
         np.square(solved[:, 3], out=key.imag)
         pick = key.argmin(axis=1)
-        rows = np.arange(len(pick))
+        rows = records[: len(pick)]
         won[chunk], ranked[chunk], best[chunk] = solved[rows, :3, pick], key[rows, pick], pick
 
-    k_u, k_v, t_z = won.T  # views of the winners' rows
+    k_u, k_v, t_z = won[:, 0], won[:, 1], won[:, 2]  # views of the winners' columns
     feasible = t_z > behind
     ok = rotations_ok & rank_ok & feasible
-    configuration = slots.take(best, axis=0)
-    if slot_corners is not None:
-        configuration = slot_corners[np.arange(n)[:, None], _SIDES, configuration]
+    configuration = family.corners[states, slots.take(best, axis=0)]
     if np.count_nonzero(ok) == n:
         outcome = _OUTCOMES[1:, 1:, 1].repeat(n)  # all lifted
     else:  # a failed record's row holds NaN and -1
@@ -501,9 +476,7 @@ def _solve(k, rotations, dims, rects, families):
     np.divide(k_v - c_y * t_z, k[:, 1, 1], out=k_v)  # t_y, back-substituted through K
     np.divide(k_u - k[:, 0, 1] * k_v - k[:, 0, 2] * t_z, k[:, 0, 0], out=k_u)  # t_x
     residual = ranked.imag * spread / 2
-    return BatchLiftResult(
-        won, configuration, residual, ranked.real, outcome, c, len(families[0].slots)
-    )
+    return BatchLiftResult(won, configuration, residual, ranked.real, outcome, c)
 
 
 def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZERO_PITCH_ROLL):
@@ -579,7 +552,7 @@ def solve_translation(intrinsics, rotation, dims, box2d, configuration):
     # matrix products ``lift`` ranks, so one candidate would not reproduce
     # its translation bit for bit.
     family = _family([tuple(configuration)] * 2)
-    batch = _solve(*_one_record(intrinsics, rotation, dims, box2d), (family, family))
+    batch = _solve(*_one_record(intrinsics, rotation, dims, box2d), family)
     if batch.outcome[0] == "all_infeasible":
         raise InfeasibleConfigurationError(
             "recovered translation places the box at or behind the camera"
@@ -595,8 +568,8 @@ def lift(intrinsics, rotation, dims, box2d, mode=ConstraintMode.KITTI_ZERO_PITCH
     """Recover the translation that best explains a tight detection rectangle.
 
     Solves the admissible configurations of ``mode`` that can touch the
-    rectangle (on sides where the family admits both corners of an
-    antipodal pair, only the near one; see the module docstring), discards
+    rectangle (of each antipodal or diagonal pair of corners a side admits,
+    only the near one; see the module docstring), discards
     infeasible ones, and returns the candidate whose re-projected tight
     rectangle best matches ``box2d``. Ties are broken by smaller
     least-squares residual, then by enumeration order, making the choice

@@ -42,13 +42,13 @@ EXPECTED_COUNTS = {
     ConstraintMode.UPRIGHT_ZERO_ROLL: 256,
     ConstraintMode.KITTI_ZERO_PITCH_ROLL: 64,
 }
-# Candidates a record solves alone (lift, a one-record lift_batch) and in a
-# batch of two records or more.
+# Candidates a record solves, alone (lift, a one-record lift_batch) or in a
+# batch.
 SOLVED = {
-    ConstraintMode.GENERAL: (256, 256),
-    ConstraintMode.UPRIGHT: (256, 256),
-    ConstraintMode.UPRIGHT_ZERO_ROLL: (256, 64),
-    ConstraintMode.KITTI_ZERO_PITCH_ROLL: (64, 16),
+    ConstraintMode.GENERAL: 256,
+    ConstraintMode.UPRIGHT: 256,
+    ConstraintMode.UPRIGHT_ZERO_ROLL: 64,
+    ConstraintMode.KITTI_ZERO_PITCH_ROLL: 16,
 }
 
 
@@ -253,9 +253,19 @@ INFEASIBLE = (
 
 
 def test_lift_no_feasible_configuration():
+    # The message counts the candidates a record solved, the same alone and
+    # in a batch: 16 in kitti.
     for mode in ConstraintMode:
-        with pytest.raises(NoFeasibleConfigurationError, match="configurations infeasible"):
+        message = f"all {SOLVED[mode]} configurations infeasible"
+        with pytest.raises(NoFeasibleConfigurationError, match=f"^{message}$"):
             lift(K, *INFEASIBLE, mode)
+        record = (K.matrix, INFEASIBLE[0], INFEASIBLE[1].as_array, INFEASIBLE[2].as_array)
+        for n in (1, 3):
+            batch = lift_batch(*(np.repeat(array[None], n, axis=0) for array in record), mode)
+            assert list(batch.outcome) == ["all_infeasible"] * n
+            assert batch.message("all_infeasible") == message
+            with pytest.raises(NoFeasibleConfigurationError, match=f"^{message}$"):
+                batch.result(n - 1)
 
 
 def reference_lift(box, rect, mode):
@@ -373,9 +383,9 @@ def test_lift_batch_failures_are_per_record():
 
 
 def test_lift_batch_is_scalar_lift_bitwise_across_chunks():
-    # Three chunks in each mode, sized from the candidates a record of a
-    # batch solves (256 kitti, 16 GENERAL or UPRIGHT and 64 zeroroll records
-    # a chunk of 4096), with a rank-deficient record inside the middle chunk.
+    # Three chunks in each mode, sized from the candidates a record solves
+    # (256 kitti, 16 GENERAL or UPRIGHT and 64 zeroroll records a chunk of
+    # 4096), with a rank-deficient record inside the middle chunk.
     rng = np.random.default_rng(20)
     modes = (
         ConstraintMode.KITTI_ZERO_PITCH_ROLL, ConstraintMode.GENERAL, ConstraintMode.UPRIGHT,
@@ -460,7 +470,7 @@ def test_lift_batch_rejects_malformed_arrays():
 
 def whole_family(mode):
     """``mode``'s family with every candidate solved, near corner or far."""
-    family = solver._CONFIGURATIONS[mode][0]
+    family = solver._CONFIGURATIONS[mode]
     return solver._family(family.configs, family.tied, pairings=((),) * 4)
 
 
@@ -543,31 +553,45 @@ def test_near_half_lifts_as_the_whole_family(mode, monkeypatch):
     above = rects[:, 3] < K.cy
     assert straddles.sum() > n // 10 and above.sum() > n // 10
     batch = lift_batch(k, rotations, dims, rects, mode)
-    assert batch.n_configurations == SOLVED[mode][1]
+    assert batch.n_configurations == SOLVED[mode]
     assert (batch.outcome == "lifted").sum() == n - 3
     failures = {"rank_deficient", "all_infeasible", "bad_rotation"}
     assert set(batch.outcome[[50, 120, 200]]) == failures
-    flips = solver._CONFIGURATIONS[mode][1].flips
+    flips = solver._CONFIGURATIONS[mode].flips
     whole = whole_family(mode)
-    monkeypatch.setitem(solver._CONFIGURATIONS, mode, (whole, whole))
+    monkeypatch.setitem(solver._CONFIGURATIONS, mode, whole)
     whole = lift_batch(k, rotations, dims, rects, mode)
     assert whole.n_configurations == EXPECTED_COUNTS[mode]
     far = assert_near_half_as_whole(batch, whole, inputs, flips)
     assert far.sum() == (mode is ConstraintMode.UPRIGHT_ZERO_ROLL)
 
 
+def random_records(rng, n):
+    """``n`` upright records at a uniform yaw, as (K, R, dims, rects) arrays,
+    whose rectangles no box need fit: centers within 400 px of the principal
+    point, half-sizes 2-150 px, extents 0.3-5 m."""
+    center = rng.uniform(-400.0, 400.0, size=(n, 2)) + (K.cx, K.cy)
+    half = rng.uniform(2.0, 150.0, size=(n, 2))
+    dims = rng.uniform(0.3, 5.0, size=(n, 3))
+    rotations = np.stack([rotation_from_angles(yaw) for yaw in rng.uniform(-np.pi, np.pi, size=n)])
+    rects = np.hstack([center - half, center + half])
+    return np.repeat(K.matrix[None], n, axis=0), rotations, dims, rects
+
+
 @pytest.mark.parametrize("mode", list(ConstraintMode), ids=lambda mode: mode.value)
 def test_a_record_lifts_the_same_alone_and_in_a_batch(mode):
-    # One record alone solves the one-record family, two or more the batch
-    # family: the same rows and the same failure messages, which lift raises
-    # too.
-    rng = np.random.default_rng(30)
-    n = 240
-    inputs = hostile_records(rng, n)
+    # A record solves the same candidates alone and in a batch: the same
+    # rows and the same failure messages, which lift raises too, with no
+    # record excluded. The random rectangles fit no box, and on a few of
+    # them the whole family's winner is a far corner.
+    inputs = [np.concatenate(arrays) for arrays in zip(
+        hostile_records(np.random.default_rng(30), 240), random_records(np.random.default_rng(31), 1000)
+    )]
+    n = len(inputs[3])
     batch = lift_batch(*inputs, mode)
-    assert (batch.n_configurations, batch.n_lift_configurations) == (SOLVED[mode][1], SOLVED[mode][0])
+    assert batch.n_configurations == SOLVED[mode]
     singles = [lift_batch(*(array[i : i + 1] for array in inputs), mode) for i in range(n)]
-    assert {(one.n_configurations, one.n_lift_configurations) for one in singles} == {(SOLVED[mode][0],) * 2}
+    assert {one.n_configurations for one in singles} == {SOLVED[mode]}
     alone = singles[0]._replace(**{
         name: np.concatenate([getattr(one, name) for one in singles])
         for name in ("translation", "configuration", "residual", "reprojection_error", "outcome")
@@ -576,7 +600,6 @@ def test_a_record_lifts_the_same_alone_and_in_a_batch(mode):
     for i, one in enumerate(singles):
         record = [array[i] for array in inputs]
         pair = lift_batch(*(np.stack([array, array]) for array in record), mode)
-        assert pair.n_configurations == SOLVED[mode][1]
         assert_batches_equal(pair, batch_rows(batch, [i, i]))
         k, rotation, dims, rect = record
         intrinsics = CameraIntrinsics(fx=k[0, 0], fy=k[1, 1], cx=k[0, 2], cy=k[1, 2], skew=k[0, 1])
@@ -621,9 +644,10 @@ def test_near_half_keeps_the_lower_corner_of_a_side_value_of_zero(monkeypatch):
     antipodes = [sorted(near(side, j, 7 - j) for j in range(4)) for side in range(4)]
     diagonals = [sorted(near(side, j, j ^ 5) for j in range(2)) for side in range(2)]
     assert diagonals == [[1, 5], [0, 4]]
-    for mode, n in ((ConstraintMode.GENERAL, 1), (ConstraintMode.KITTI_ZERO_PITCH_ROLL, 2)):
-        family = solver._CONFIGURATIONS[mode][n > 1]
-        corners = solver._slot_corners(-side_values[None], family, np.zeros(1, dtype=bool))[0]
+    for mode in (ConstraintMode.GENERAL, ConstraintMode.KITTI_ZERO_PITCH_ROLL):
+        family = solver._CONFIGURATIONS[mode]
+        states = solver._slot_states(-side_values.reshape(1, 32), family, np.zeros(1, dtype=bool))
+        corners = family.corners[states[0]]
         if mode is ConstraintMode.GENERAL:
             assert corners[:, :4].tolist() == antipodes
         else:
@@ -634,12 +658,11 @@ def test_near_half_keeps_the_lower_corner_of_a_side_value_of_zero(monkeypatch):
         for n in (1, 2):
             batch = [np.repeat(array, n, axis=0) for array in inputs]
             near_half = lift_batch(*batch, mode)
-            assert near_half.n_configurations == SOLVED[mode][n > 1]
+            assert near_half.n_configurations == SOLVED[mode]
             assert (near_half.outcome == "lifted").all()
             assert np.abs(near_half.translation - box.center).max() < 1e-12
             with monkeypatch.context() as patch:
-                whole = whole_family(mode)
-                patch.setitem(solver._CONFIGURATIONS, mode, (whole, whole))
+                patch.setitem(solver._CONFIGURATIONS, mode, whole_family(mode))
                 assert_batches_equal(near_half, lift_batch(*batch, mode))
 
 
@@ -648,39 +671,39 @@ def test_paired_sides_by_mode():
     # and in a batch: 7 the antipodes (j, 7 - j), 5 the bottom face's diagonals
     # (j, j ^ 5), 0 none (the side is solved whole).
     flips = {
-        ConstraintMode.GENERAL: ([7, 7, 7, 7], [7, 7, 7, 7]),
-        ConstraintMode.UPRIGHT: ([7, 7, 0, 0], [7, 7, 0, 0]),
-        ConstraintMode.UPRIGHT_ZERO_ROLL: ([0, 0, 0, 0], [5, 5, 0, 0]),
-        ConstraintMode.KITTI_ZERO_PITCH_ROLL: ([0, 0, 0, 0], [5, 5, 0, 0]),
+        ConstraintMode.GENERAL: [7, 7, 7, 7],
+        ConstraintMode.UPRIGHT: [7, 7, 0, 0],
+        ConstraintMode.UPRIGHT_ZERO_ROLL: [5, 5, 0, 0],
+        ConstraintMode.KITTI_ZERO_PITCH_ROLL: [5, 5, 0, 0],
     }
     box = Box3D(np.array([0.0, 1.0, 20.0]), Dimensions(4.0, 1.5, 1.8), yaw=0.3)
-    for mode, expected in flips.items():
-        for n, family, sides in zip((1, 2), solver._CONFIGURATIONS[mode], expected):
-            assert family.flips.tolist() == sides
-            assert np.array_equal(family.configs, solver._CONFIGURATIONS[mode][0].configs)
+    for mode, sides in flips.items():
+        family = solver._CONFIGURATIONS[mode]
+        assert family.flips.tolist() == sides
+        for n in (1, 2):
             batch = lift_batch(*batch_inputs([box] * n, [project_box(K, box)] * n), mode)
-            assert batch.n_configurations == len(family.slots) == SOLVED[mode][n > 1]
-            for side, flip in enumerate(sides):
-                # a paired side solves the lower member of each pair, j < j ^ flip
-                admitted = set(family.configs[:, side].tolist())
-                lower = {j for j in admitted if j < j ^ flip} if flip else admitted
-                assert set(family.slots[:, side].tolist()) == lower
-            order = [family.configs.tolist().index(row) for row in family.slots.tolist()]
-            assert order == sorted(order)  # enumeration order
+            assert batch.n_configurations == len(family.slots) == SOLVED[mode]
+        for side, flip in enumerate(sides):
+            # a paired side solves the lower member of each pair, j < j ^ flip
+            admitted = set(family.configs[:, side].tolist())
+            lower = {j for j in admitted if j < j ^ flip} if flip else admitted
+            assert set(family.slots[:, side].tolist()) == lower
+        order = [family.configs.tolist().index(row) for row in family.slots.tolist()]
+        assert order == sorted(order)  # enumeration order
 
 
 def svd_reference(k, rotations, dims, rects, mode):
     """The SVD pseudo-inverse kernel the closed-form side solve replaced.
 
-    Ranks the same candidates (the near half of ``mode``'s family, as a
-    batch of ``len(rects)`` records solves it) in one pass: t = pinv(A) b with A the (N, 4, 3) side matrix, the residual
+    Ranks the same candidates (the near half of ``mode``'s family) in one
+    pass: t = pinv(A) b with A the (N, 4, 3) side matrix, the residual
     |A t - b|^2, then feasibility and the reprojection error in the old
     kernel's arithmetic. Returns (outcome, configuration, translation,
     residual), the last three of each record's winner; rank_deficient
     when A's smallest singular value is <= 1e-10.
     """
     n = len(rects)
-    family = solver._CONFIGURATIONS[mode][n > 1]
+    family = solver._CONFIGURATIONS[mode]
     a = k[:, [0, 0, 1, 1]] - rects[:, [0, 2, 1, 3], None] * k[:, None, 2]  # (N, 4, 3)
     left, s, vt = np.linalg.svd(a, full_matrices=False)
     rank_ok = s[:, -1] > solver.RANK_TOLERANCE
@@ -689,7 +712,7 @@ def svd_reference(k, rotations, dims, rects, mode):
     rotated = rotated_corners(dims, rotations)  # (N, 8, 3)
     rhs = -(a @ rotated.swapaxes(1, 2))  # (N, side, corner)
     straddle = family.tied & (rects[:, 1] < k[:, 1, 2]) & (k[:, 1, 2] < rects[:, 3])
-    slot_corners = solver._slot_corners(rhs, family, straddle)
+    slot_corners = family.corners[solver._slot_states(rhs.reshape(n, 32), family, straddle)]
     rhs = np.take_along_axis(rhs, slot_corners, axis=2).reshape(n, 32)
     b = np.take(rhs, family.columns, axis=1)  # (N, 4, C)
     t = pinv @ b  # (N, 3, C)
@@ -737,7 +760,7 @@ def test_side_solve_ranks_as_the_svd_kernel(mode):
     # for every record, translations within 1e-12 m per 50 m of depth and
     # residuals within 1e-9 px^2 of the SVD pseudo-inverse kernel's.
     rng = np.random.default_rng(23)
-    per_chunk = max(1, CHUNK_CANDIDATES // SOLVED[mode][1])
+    per_chunk = max(1, CHUNK_CANDIDATES // SOLVED[mode])
     n = 2 * per_chunk + per_chunk // 2
     boxes = reference_scene(rng, n, mode)
     k, rotations, dims, rects = batch_inputs(boxes, [project_box(K, b) for b in boxes])
@@ -810,9 +833,9 @@ def test_straddling_boxes_lift_exactly_in_every_mode():
         batch = lift_batch(*batch_inputs(boxes, rects), mode)
         assert list(batch.outcome) == ["lifted"] * len(boxes)
         assert np.abs(batch.translation - centers).max() < 1e-9, mode
-    # a kitti batch solves 16 candidates a record, of the straddle family:
+    # kitti solves 16 candidates a record, of the straddle family:
     # bottom = top - 2
-    assert batch.n_configurations == SOLVED[mode][1]
+    assert batch.n_configurations == SOLVED[mode]
     _, _, top, bottom = batch.configuration.T
     assert (bottom == top - 2).all()
 
