@@ -23,6 +23,7 @@ import csv
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import astuple, dataclass, fields, replace
@@ -260,8 +261,23 @@ def cmd_eval(args):
     return 0
 
 
+def _check_toy_settings(config):
+    """Reject the settings only ``toy`` reads, that RunConfig lets pass,
+    before it trains or writes a file."""
+    for bad, message in (
+        (not config.bins_sweep, "bins_sweep must name at least one bin count"),
+        (not 0.0 <= config.sigma < math.inf, "sigma must be finite and >= 0"),
+        (not math.isfinite(config.lr), "lr must be finite"),
+        (not math.isfinite(config.w), "w must be finite"),
+        (config.seed < 0, "seed must be >= 0"),
+    ):
+        if bad:
+            raise ValueError(message)
+
+
 def cmd_toy(args):
     config = build_config(args)
+    _check_toy_settings(config)
     rows, histories = bin_study(
         bin_counts=config.bins_sweep, n_train=config.n_train, n_test=config.n_test,
         noise_sigma=config.sigma, epochs=config.epochs, learning_rate=config.lr,

@@ -30,10 +30,14 @@ matrix of the left color camera) is required here. Its left 3x3 block is
 the intrinsics matrix K and its fourth column encodes the camera's offset
 from the reference camera; that offset is exposed as an additive
 camera-frame translation so projection keeps the x = K (R X + T) form.
-``read_calib_table`` is the one calibration parser. It reads every file
-once, converts all P2 lines in one array and checks them as array
-operations, and returns per file K, the offset from one stacked solve and
-the file's error; ``parse_calib_file`` is its one-file view, a CalibRecord.
+``_p2_fault`` holds the rules of a usable P2, in the order they are
+reported: every value finite, P2[2][2] within 1e-6 of 1, positive focal
+lengths and a zero lower triangle of K. CalibRecord checks them, as does
+``_read_p2`` where it reads a text's P2 line; its MalformedLineError names
+the line, and the token of a value that is not finite. ``read_calib_table``
+reads every file once through ``_read_p2`` and returns per file K, the
+offset from one stacked solve and the file's error; ``parse_calib_file``
+is ``_read_p2`` on one text, as a CalibRecord.
 """
 
 import errno
@@ -121,16 +125,6 @@ class DetectionRecord:
         return Dimensions(dx=self.length, dy=self.height, dz=self.width)
 
 
-# CalibRecord's checks of a P2, and finiteness, as bounds low <= value <= high on
-# its flat values; (1, 12), as numpy compares same-dimensional arrays faster. Near 1,
-# x - 1.0 is exact (Sterbenz's lemma), so abs(x - 1.0) <= 1e-6 holds exactly
-# between P2[2][2]'s bounds.
-_P2_LOW = np.full((1, 12), -np.finfo(float).max)
-_P2_HIGH = np.full((1, 12), np.finfo(float).max)
-_P2_LOW[0, [0, 5]] = np.nextafter(0.0, 1.0)
-_P2_LOW[0, [4, 8, 9]] = _P2_HIGH[0, [4, 8, 9]] = 0.0
-_P2_LOW[0, 10] = 1.0 - math.floor(1e-6 * 2**53) * 2**-53
-_P2_HIGH[0, 10] = 1.0 + math.floor(1e-6 * 2**52) * 2**-52
 # The errnos of a path that is not there: Path.exists is False.
 _ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
@@ -145,13 +139,9 @@ class CalibRecord:
         p2 = np.asarray(self.p2, dtype=float)
         if p2.shape != (3, 4):
             raise ValueError("P2 must be 3x4")
-        (fx, _, _, _), (k10, fy, _, _), (k20, k21, k22, _) = p2.tolist()
-        if abs(k22 - 1.0) > 1e-6:
-            raise ValueError("P2[2][2] must be 1")
-        if fx <= 0 or fy <= 0:
-            raise ValueError("focal lengths in P2 must be positive")
-        if k10 != 0 or k20 != 0 or k21 != 0:  # K is upper triangular
-            raise ValueError("P2[1][0], P2[2][0] and P2[2][1] must be 0")
+        fault = _p2_fault(p2.ravel().tolist())
+        if fault is not None:
+            raise ValueError(fault[1])
         object.__setattr__(self, "p2", p2)
 
     @property
@@ -319,68 +309,66 @@ def parse_label_file(text):
     ]
 
 
-def _p2_values(line_no, line):
-    """The 12 values of a P2 line; MalformedLineError for another count or a bad token."""
+def _p2_fault(values, tokens=None):
+    """None, or (token, reason) for the first rule that the 12 row-major
+    values of a P2 break, in this order: every value finite (token: the
+    first that is not, as ``tokens`` spells it), P2[2][2] within 1e-6 of 1,
+    positive focal lengths, a zero lower triangle (token None: the matrix)."""
+    if not all(map(math.isfinite, values)):
+        i = [math.isfinite(v) for v in values].index(False)
+        token = repr(values[i]) if tokens is None else tokens[i]
+        return token, f"P2 value {token} is not finite"
+    fx, _, _, _, k10, fy, _, _, k20, k21, k22, _ = values
+    if abs(k22 - 1.0) > 1e-6:
+        return None, "P2[2][2] must be 1"
+    if fx <= 0 or fy <= 0:
+        return None, "focal lengths in P2 must be positive"
+    if k10 != 0 or k20 != 0 or k21 != 0:  # K is upper triangular
+        return None, "P2[1][0], P2[2][0] and P2[2][1] must be 0"
+    return None
+
+
+def _read_p2(text):
+    """The 12 row-major values of the P2 line of calibration text.
+
+    Raises:
+        MalformedLineError: without a path: line None if no line starts with
+            "P2:"; else naming the P2 line, for a count other than 12, a bad
+            token or a value or matrix that ``_p2_fault`` rejects.
+    """
+    for line_no, line in enumerate(physical_lines(text), start=1):
+        if line.startswith("P2:"):
+            break
+    else:
+        raise MalformedLineError(None, "P2", "no P2 line")
     tokens = line.split()[1:]
     if len(tokens) != 12:
         raise MalformedLineError(line_no, line.strip(), "P2 needs 12 values")
     try:
-        return list(map(float, tokens))
+        values = list(map(float, tokens))
     except ValueError:  # again, token by token, to name the first bad one
-        return [_parse_float(token, line_no) for token in tokens]
-
-
-def _p2_table(texts):
-    """(p2, errors): per calibration text its P2 values, a row of one (F, 12)
-    array checked as array operations, and None or the path-less
-    MalformedLineError of its first failing check (line None: no P2 line)."""
-    errors, lines, values = [None] * len(texts), [None] * len(texts), []
-    for i, text in enumerate(texts):
-        try:
-            for line_no, line in enumerate(physical_lines(text), start=1):
-                if line.startswith("P2:"):
-                    values += _p2_values(line_no, line)
-                    lines[i] = line_no, line
-                    break
-            else:
-                raise MalformedLineError(None, "P2", "no P2 line")
-        except MalformedLineError as exc:
-            errors[i] = exc
-            values += [math.nan] * 12
-    values = np.array(values).reshape(-1, 12)
-    above, below = values >= _P2_LOW, values <= _P2_HIGH
-    if np.count_nonzero(above) + np.count_nonzero(below) < 2 * values.size:
-        for i in np.flatnonzero(~(above & below).all(axis=1)).tolist():
-            if errors[i] is None:
-                errors[i] = _p2_error(*lines[i], values[i])
-    return values, errors
-
-
-def _p2_error(line_no, line, values):
-    """The MalformedLineError of a P2 line whose values fail a check: its
-    first value that is not finite, else the reason CalibRecord rejects it."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        token = line.split()[1 + int(np.argmin(finite))]
-        return MalformedLineError(line_no, token, f"P2 value {token} is not finite")
-    try:
-        CalibRecord(values.reshape(3, 4))
-    except ValueError as exc:  # a defect of the matrix, on its line
-        return MalformedLineError(line_no, line.strip(), str(exc))
+        values = [_parse_float(token, line_no) for token in tokens]
+    fault = _p2_fault(values, tokens)
+    if fault is not None:
+        token, reason = fault
+        raise MalformedLineError(line_no, token or line.strip(), reason)
+    return values
 
 
 def parse_calib_file(text):
-    """The CalibRecord of KITTI calibration text: the one-file view of
-    ``read_calib_table``, whose checks it makes.
+    """The CalibRecord of the P2 line of KITTI calibration text.
 
     Raises:
         MissingKeyError: if no P2 line is present.
         MalformedLineError: if the P2 line is not 12 finite numbers that CalibRecord accepts.
     """
-    p2, (error,) = _p2_table([text])
-    if error is not None:
-        raise MissingKeyError("P2") if error.line_no is None else error
-    return CalibRecord(p2.reshape(3, 4))
+    try:
+        values = _read_p2(text)
+    except MalformedLineError as exc:
+        if exc.line_no is None:
+            raise MissingKeyError("P2") from None
+        raise
+    return CalibRecord(np.reshape(values, (3, 4)))
 
 
 def read_calib_table(paths):
@@ -389,19 +377,17 @@ def read_calib_table(paths):
     camera offset, as ``CalibRecord.translation_offset`` solves it (zeros if
     unusable); and None, or a FileNotFoundError if the file is not there (as
     for ``Path.exists``), the OSError of its read, or its MalformedLineError."""
-    texts, errors = [""] * len(paths), [None] * len(paths)
+    values, errors = [], [None] * len(paths)
     for i, path in enumerate(paths):
         try:
-            texts[i] = read_text(path)
+            values += _read_p2(read_text(path))
         except OSError as exc:
             missing = exc.errno in _ABSENT
             errors[i] = FileNotFoundError(exc.errno, exc.strerror, exc.filename) if missing else exc
-        except MalformedLineError as exc:  # not UTF-8
-            errors[i] = exc
-    p2, found = _p2_table(texts)
-    errors = [error or (bad and bad.at(path)) for path, error, bad in zip(paths, errors, found)]
+        except MalformedLineError as exc:  # not UTF-8 (located already), or a bad P2 line
+            errors[i] = exc.at(path)
     usable = np.array([error is None for error in errors], dtype=bool)
-    p2 = p2.reshape(-1, 3, 4)[usable]
+    p2 = np.reshape(values, (-1, 3, 4))
     ks, offsets = np.zeros((len(errors), 3, 3)), np.zeros((len(errors), 3))
     ks[usable, 0], ks[usable, 1, 1:], ks[usable, 2, 2] = p2[:, 0, :3], p2[:, 1, 1:3], 1.0
     offsets[usable] = np.linalg.solve(p2[..., :3], p2[..., 3:])[..., 0]  # a stack of LAPACK solves
@@ -551,10 +537,11 @@ def _converted(path, line, convert):
 
 
 def _residual(entry):
-    delta = entry["delta"]
+    key, delta = (entry["file"], entry["line"]), entry["delta"]
+    hash(key)  # TypeError for a list or an object: no key
     if any(isinstance(v, (str, bool)) for v in np.asarray(delta, dtype=object).flat):
         raise TypeError(f"delta must hold numbers, not strings or booleans: {delta!r}")
-    return (entry["file"], entry["line"]), np.asarray(delta, dtype=float)
+    return key, np.asarray(delta, dtype=float)
 
 
 def read_residuals(path):
@@ -563,10 +550,18 @@ def read_residuals(path):
     its line malformed, as does a boolean; a null or NaN is read as NaN.
 
     Raises:
-        MalformedLineError: for the first line that is not JSON or that
-            ``_residual`` rejects, naming the file and the 1-based physical line.
+        MalformedLineError: for the first line that is not JSON, that
+            ``_residual`` rejects or whose (file, line) key an earlier line
+            holds, naming the file and the 1-based physical line.
     """
-    return dict(_converted(path, line, _residual) for line in _nonblank_lines(path))
+    residuals, first = {}, {}  # key -> delta, and key -> the line that gave it
+    for line_no, text in _nonblank_lines(path):
+        key, delta = _converted(path, (line_no, text), _residual)
+        if key in first:
+            reason = f"duplicate key {key!r}, first on line {first[key]}"
+            raise MalformedLineError(line_no, text.strip(), reason, path)
+        residuals[key], first[key] = delta, line_no
+    return residuals
 
 
 def _result_row(entry):

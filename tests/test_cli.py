@@ -169,6 +169,35 @@ def test_lift_malformed_residuals_line_names_file_and_line(tmp_path, precise_dat
                  "--residuals", str(residual_path)]) == 1
 
 
+def test_lift_duplicate_residual_key_names_file_and_line(tmp_path, precise_dataset, caplog):
+    labels, calibs, corpus = precise_dataset
+    residual_path = tmp_path / "residuals.jsonl"
+    good = {"file": next(iter(corpus)), "line": 1, "delta": [0.0, 0.0, 0.0]}
+    other = {**good, "line": 2}
+    again = {**good, "line": 1.0, "delta": [0.1, 0.0, 0.0]}  # 1.0 == 1: the same key
+    residual_path.write_text("".join(json.dumps(e) + "\n\n" for e in (good, other, again)))
+    with pytest.raises(MalformedLineError) as excinfo:
+        kitti.read_residuals(residual_path)
+    key = (good["file"], 1.0)
+    assert (excinfo.value.line_no, excinfo.value.token) == (5, json.dumps(again))
+    assert str(excinfo.value) == f"{residual_path} line 5: duplicate key {key!r}, first on line 1"
+    assert main(["lift", str(labels), str(calibs), "--out", str(tmp_path / "r.jsonl"),
+                 "--residuals", str(residual_path)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [str(excinfo.value)]
+
+
+@pytest.mark.parametrize("entry", [
+    {"file": ["000000"], "line": 1, "delta": [0.0, 0.0, 0.0]},
+    {"file": "000000", "line": {"n": 1}, "delta": [0.0, 0.0, 0.0]},
+])
+def test_unhashable_residual_key_names_file_and_line(tmp_path, entry):
+    residual_path = tmp_path / "residuals.jsonl"
+    residual_path.write_text("\n" + json.dumps(entry) + "\n")
+    with pytest.raises(MalformedLineError, match="TypeError: unhashable type") as excinfo:
+        kitti.read_residuals(residual_path)
+    assert str(excinfo.value).startswith(f"{residual_path} line 2: ")
+
+
 @pytest.mark.parametrize("delta", [[0.0, "0.2", 0.0], "1e3", [["0", "0", "0"]]])
 def test_lift_string_residual_delta_names_file_and_line(tmp_path, precise_dataset, caplog, delta):
     # a string is no number, also where float() would read it
@@ -1348,6 +1377,33 @@ def test_config_file_reads_every_schema_form(tmp_path, text, expected):
     with pytest.raises(ValueError) as caught:
         build_config(args)
     assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--sigma", "-1"], "sigma must be finite and >= 0"),
+    (["--sigma", "inf"], "sigma must be finite and >= 0"),
+    (["--sigma", "nan"], "sigma must be finite and >= 0"),
+    (["--lr", "inf"], "lr must be finite"),
+    (["--lr", "nan"], "lr must be finite"),
+    (["--w", "inf"], "w must be finite"),
+    (["--w", "nan"], "w must be finite"),
+    (["--seed", "-1"], "seed must be >= 0"),
+], ids=["sigma-negative", "sigma-inf", "sigma-nan", "lr-inf", "lr-nan", "w-inf", "w-nan", "seed-negative"])
+def test_toy_rejects_a_setting_numpy_would_fail_on_before_training(tmp_path, caplog, flags, message):
+    out = tmp_path / "toy.csv"
+    argv = ["toy", "--bins-sweep", "1", "--epochs", "1", "--n-train", "8", "--n-test", "8"]
+    assert main(argv + flags + ["--out", str(out)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [message]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_toy_rejects_an_empty_bins_sweep_before_writing(tmp_path, caplog):
+    config = tmp_path / "run.toml"
+    config.write_text("bins_sweep = []\n")
+    out = tmp_path / "toy.csv"
+    assert main(["toy", "--out", str(out), "--config", str(config)]) == 1
+    assert [r.getMessage() for r in caplog.records] == ["bins_sweep must name at least one bin count"]
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_bad_bins_sweep_is_usage_error(capsys):

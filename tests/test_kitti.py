@@ -359,6 +359,16 @@ def test_parse_calib_names_the_p2_line_of_a_matrix_calib_record_rejects(index, t
     assert type(direct.value) is ValueError and str(direct.value) == reason
 
 
+@pytest.mark.parametrize("index", range(12))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_calib_record_rejects_a_non_finite_entry(index, value):
+    values = np.array([700, 0, 600, 0, 0, 700, 170, 0, 0, 0, 1, 0], dtype=float)
+    values[index] = value
+    with pytest.raises(ValueError) as direct:
+        CalibRecord(values.reshape(3, 4))
+    assert type(direct.value) is ValueError and str(direct.value) == f"P2 value {value!r} is not finite"
+
+
 @pytest.mark.parametrize("index, value", [
     (10, 1.000001), (10, float(np.nextafter(1.000001, 2.0))),  # P2[2][2] at 1 + 1e-6
     (10, 0.9999990000000001), (10, float(np.nextafter(0.9999990000000001, 0.0))),  # at 1 - 1e-6
