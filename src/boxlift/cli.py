@@ -15,7 +15,8 @@ reads the results with ``kitti.read_results`` and the labels, and makes one
 ``metrics.evaluate`` call. ``main`` runs ``cmd_<command>`` as bound at call time.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Set BOXLIFT_LOG to
-a logging level name (DEBUG, INFO, ...) for verbosity.
+a logging level name in any case (DEBUG, INFO, ...) for verbosity; any other
+value is a usage error, reported on one stderr line before anything runs.
 """
 
 import argparse
@@ -406,10 +407,12 @@ def _dispatch(args):
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=os.environ.get("BOXLIFT_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    value, levels = os.environ.get("BOXLIFT_LOG", "WARNING"), logging.getLevelNamesMapping()
+    if value.upper() not in levels:  # a usage error, as argparse reports a bad flag
+        print(f"boxlift: error: BOXLIFT_LOG={value!r} is not a level name; "
+              f"use one of {', '.join(levels)}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=value.upper(), format="%(levelname)s %(name)s: %(message)s")
     args = _parser().parse_args(argv)
     try:
         return _dispatch(args)

@@ -547,18 +547,25 @@ def _residual(entry):
 def read_residuals(path):
     """Dimension residuals from JSON lines of {"file", "line", "delta": [3]},
     as (file, line) -> the delta as a float array. A string in a delta makes
-    its line malformed, as does a boolean; a null or NaN is read as NaN.
+    its line malformed, as does a boolean; a null or NaN is read as NaN. A
+    ``line`` that is not a JSON integer (a boolean, a float such as 2.0, a
+    string) makes its line malformed too.
 
     Raises:
         MalformedLineError: for the first line that is not JSON, that
-            ``_residual`` rejects or whose (file, line) key an earlier line
-            holds, naming the file and the 1-based physical line.
+            ``_residual`` rejects, whose (file, line) key an earlier line
+            holds or whose ``line`` is no integer, naming the file and the
+            1-based physical line.
     """
     residuals, first = {}, {}  # key -> delta, and key -> the line that gave it
     for line_no, text in _nonblank_lines(path):
         key, delta = _converted(path, (line_no, text), _residual)
         if key in first:
             reason = f"duplicate key {key!r}, first on line {first[key]}"
+            raise MalformedLineError(line_no, text.strip(), reason, path)
+        # as a key, true would be line 1 and 2.0 line 2; one equal to an earlier key is its duplicate
+        if type(key[1]) is not int:
+            reason = f"line must be an integer, not {type(key[1]).__name__}: {key[1]!r}"
             raise MalformedLineError(line_no, text.strip(), reason, path)
         residuals[key], first[key] = delta, line_no
     return residuals

@@ -261,22 +261,27 @@ def loss_loc(layout, raw_pairs, theta):
     _, covering, pairs = theta if isinstance(theta, BinTargets) else bin_targets(layout, theta)
     if covering.shape != raw.shape[:-1]:
         raise ValueError("theta must hold one angle per row of raw_pairs")
-    norms = np.sqrt(raw_cos * raw_cos + raw_sin * raw_sin)
+    # each (n, B) temporary is written in place once its value is spent
+    norms = raw_cos * raw_cos
+    norms += raw_sin * raw_sin
+    np.sqrt(norms, out=norms)
     if np.any(norms < 1e-12):
         raise ZeroVectorError("raw (cos, sin) pair too small to normalize")
 
     unit_cos, unit_sin = raw_cos / norms, raw_sin / norms
     pair_cos, pair_sin = np.ascontiguousarray(pairs.T)
-    cover = np.ascontiguousarray(covering.T, dtype=float)
+    cover = np.array(covering.T, dtype=float, order="C")  # a copy, negated below
     n_cov = _over_bins(np.add, cover)
-    dots = pair_cos * unit_cos + pair_sin * unit_sin
-    loss = -_over_bins(np.add, dots * cover) / n_cov
+    dots, spare = pair_cos * unit_cos, pair_sin * unit_sin
+    dots += spare
+    loss = -_over_bins(np.add, np.multiply(dots, cover, out=spare)) / n_cov
     # d/d raw of (k . raw/|raw|) = (k - (k.u) u) / |raw|
-    minus_cover, scale = -cover, n_cov * norms
-    grad, step = np.empty_like(raw), np.empty(dots.shape)  # grad in the input's layout
+    scale = np.multiply(n_cov, norms, out=norms)  # before the negation: one bin's n_cov is cover[0]
+    np.negative(cover, out=cover)
+    grad = np.empty_like(raw)  # in the input's layout
     for out, pair, unit in zip(grad.T, (pair_cos, pair_sin), (unit_cos, unit_sin)):
-        np.subtract(pair, np.multiply(dots, unit, out=step), out=step)
-        np.divide(np.multiply(minus_cover, step, out=step), scale, out=out)
+        step = np.subtract(pair, np.multiply(dots, unit, out=unit), out=unit)
+        np.divide(np.multiply(cover, step, out=step), scale, out=out)
     return (float(loss) if raw.ndim == 2 else loss), grad
 
 

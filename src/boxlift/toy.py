@@ -17,13 +17,16 @@ per run) and predicts through ``multibin.decode``; this module only
 backpropagates through the two layers. ``gradient_check`` verifies every
 parameter tensor against central finite differences.
 
-Each ``train`` run allocates its work arrays (hidden activations, head
-outputs, their gradients and the backprop through tanh) once, feature-major
-(·, n): each logit and each cos or sin output is a contiguous row of n
-samples, which the losses read without a copy and whose gradients they
-return in that layout, and each bias gradient is a contiguous row sum. One
-allocation per epoch faulted their pages in again, 1 300-1 600 minor faults
-an epoch at 4 bins on 5 000 samples. ``forward`` returns (n, ·) views.
+Each ``train`` run allocates its three work arrays once, feature-major
+(·, n): ``hidden`` (the tanh activations), ``out`` (the head outputs) and
+``d_hidden``. Each logit and each cos or sin output is a contiguous row of
+n samples, which the losses read without a copy and whose gradients they
+return in that layout, and each bias gradient is a contiguous row sum. The
+other two gradients reuse a buffer once its value is spent: the head's
+gradient ``d_out`` is written into ``out`` after the losses have read it,
+and the gradient through tanh ``d_pre`` into ``hidden`` after ``d_w2`` has.
+One allocation per epoch faulted their pages in again, 1 300-1 600 minor
+faults an epoch at 4 bins on 5 000 samples. ``forward`` returns (n, ·) views.
 """
 
 from dataclasses import dataclass
@@ -87,14 +90,16 @@ class ToyModel:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
     def _work_arrays(self, n):
-        """Fresh feature-major ``(hidden, out, d_out, d_hidden, d_pre)`` arrays for n samples.
+        """Fresh feature-major ``(hidden, out, d_hidden)`` arrays for n samples.
 
-        They are C-contiguous (width, n) views of one block. Freed at the end
-        of a run, one block raises glibc's dynamic trim threshold to twice its
-        size, so later runs' per-epoch loss temporaries stay in the heap too.
+        They are C-contiguous (width, n) views of one block. ``loss_and_grads``
+        writes ``d_out`` into ``out`` and ``d_pre`` into ``hidden``, so after it
+        they hold those gradients. Freed at the end of a run, one block raises
+        glibc's dynamic trim threshold to twice its size, so later runs'
+        per-epoch loss temporaries stay in the heap too.
         """
         width, out_dim = self.w2.shape
-        widths = (width, out_dim, out_dim, width, width)
+        widths = (width, out_dim, width)
         parts = np.split(np.empty(n * sum(widths)), n * np.cumsum(widths[:-1]))
         return tuple(part.reshape(w, n) for part, w in zip(parts, widths))
 
@@ -121,14 +126,17 @@ class ToyModel:
         """Mean loss over the batch and gradients for every parameter.
 
         A multibin model also accepts the angles' ``bin_targets``, as ``train`` passes.
-        ``work`` holds the (·, n) arrays the pass writes (``train`` allocates them
-        once); without it they are allocated for this call. The gradients never
-        alias them. The bias gradients sum each row in numpy's pairwise order.
+        ``work`` holds the three (·, n) arrays of ``_work_arrays`` (``train``
+        allocates them once); without it they are allocated for this call. The
+        pass writes ``hidden`` and ``out``, then ``d_out`` into ``out`` once the
+        losses have read it, ``d_hidden``, and ``d_pre`` into ``hidden`` once
+        ``d_w2`` has read it. The gradients never alias the work arrays. The bias
+        gradients sum each row in numpy's pairwise order.
         """
         if work is None:
             work = self._work_arrays(len(features))
         hidden, out = self.forward(features, work)  # (B, ·) views
-        _, _, d_out, d_hidden, d_pre = work  # (·, B)
+        d_out, d_hidden = work[1:]  # (·, B); d_out is out's buffer
         batch = len(out)
 
         if self.kind == L2_SCALAR:
@@ -153,8 +161,9 @@ class ToyModel:
             np.multiply(self.w2, d_out, out=d_hidden)
         else:
             np.matmul(self.w2, d_out, out=d_hidden)
-        # d_hidden * (1 - hidden**2), in place: the products commute exactly
-        np.multiply(hidden.T, hidden.T, out=d_pre)
+        # d_hidden * (1 - hidden**2), in hidden's buffer: the products commute exactly
+        d_pre = hidden.T
+        np.multiply(d_pre, d_pre, out=d_pre)
         np.subtract(1.0, d_pre, out=d_pre)
         d_pre *= d_hidden
         d_w1 = features.T @ d_pre.T

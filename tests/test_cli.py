@@ -243,6 +243,18 @@ def test_lift_boolean_residual_delta_names_file_and_line(tmp_path, precise_datas
     assert main(argv) == 1
 
 
+@pytest.mark.parametrize("line", [True, 2.0])
+def test_residual_line_that_is_no_integer_names_file_and_line(tmp_path, line):
+    # as dict keys, true equals 1 and 2.0 equals 2: either would answer a label line
+    residual_path = tmp_path / "residuals.jsonl"
+    entry = {"file": "000000", "line": line, "delta": [0.0, 0.0, 0.0]}
+    residual_path.write_text("\n" + json.dumps(entry) + "\n")
+    with pytest.raises(MalformedLineError) as excinfo:
+        kitti.read_residuals(residual_path)
+    kind = type(line).__name__
+    assert str(excinfo.value) == f"{residual_path} line 2: line must be an integer, not {kind}: {line!r}"
+
+
 @pytest.mark.parametrize("command", ["lift", "eval"])
 def test_short_label_line_names_label_file(tmp_path, precise_dataset, command):
     labels, calibs, corpus = precise_dataset
@@ -689,6 +701,17 @@ def test_subcommands_take_only_the_config_flags_they_read(tmp_path, monkeypatch,
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["VERBOSE", "bogus", ""])
+def test_unknown_log_level_is_a_usage_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BOXLIFT_LOG", value)
+    assert main(["toy", "--epochs", "1", "--bins-sweep", "1", "--out", "study.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []  # nothing ran
+    assert err == (f"boxlift: error: BOXLIFT_LOG={value!r} is not a level name; "
+                   "use one of CRITICAL, FATAL, ERROR, WARN, WARNING, INFO, DEBUG, NOTSET\n")
 
 
 def test_lift_warns_on_category_without_dimensions(tmp_path, precise_dataset, caplog):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,9 +119,10 @@ def test_loss_and_grads_match_a_row_major_reference(bins):
 def test_single_bin_backprop_is_the_outer_product_bit_for_bit(small_data):
     features, angles = small_data
     model, _ = train(small_data, kind="l2_scalar", epochs=5, seed=4)
+    hidden = model.forward(features)[0].T  # the call below writes d_pre over work's hidden
     work = model._work_arrays(len(features))
     _, grads = model.loss_and_grads(features, angles, work)
-    hidden, _, d_out, d_hidden, _ = work
+    _, d_out, d_hidden = work
     # each entry a single product w2[i] * d_out[j], whatever numpy's matmul would pick
     expected = np.outer(model.w2[:, 0], d_out[0])
     assert np.array_equal(d_hidden, expected)
@@ -176,6 +178,23 @@ def test_extra_epochs_add_almost_no_page_faults():
 
     faults(5), faults(5)  # warm-up: the heap grows to hold a run's arrays
     assert faults(25) - faults(5) < 400
+
+
+def test_eight_bin_training_working_set_stays_small():
+    # Three (·, n) work arrays and loss_loc's in-place temporaries peak at
+    # 6.93 MiB here; five work arrays and a fresh array per loss_loc
+    # temporary peaked at 9.67 MiB (numpy 2.4.6). The bound leaves about
+    # 1 MiB for numpy's own small buffers.
+    data = make_dataset(5000, 0.05, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train(data, kind="multibin", n_bins=8, epochs=3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.0 * 2**20
 
 
 def test_zero_localization_weight_rejected(small_data):
