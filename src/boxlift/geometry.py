@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonPositiveDepthError
 
@@ -65,7 +66,8 @@ TOP_CORNERS = (2, 3, 6, 7)
 
 # Corner sign patterns in vertex order, (8, 3): x sign fastest, 0 = +.
 VERTEX_SIGNS = 1.0 - 2.0 * np.array([[i % 2, (i // 2) % 2, (i // 4) % 2] for i in range(8)])
-VERTEX_SIGNS.flags.writeable = False
+_HALF_SIGNS = 0.5 * VERTEX_SIGNS  # (0.5 s) e is s (0.5 e) exactly: a sign and a power of two
+VERTEX_SIGNS.flags.writeable = _HALF_SIGNS.flags.writeable = False
 ROTATION_TOLERANCE = 1e-9  # are_rotations' absolute tolerance, on det R and on R^T R
 _ROTATION_TARGET = np.append(np.eye(3), 1.0)
 _ROTATION_TOLERANCES = np.append(ROTATION_TOLERANCE + 1e-5 * np.eye(3), ROTATION_TOLERANCE)
@@ -73,7 +75,8 @@ _ROTATION_TOLERANCES = np.append(ROTATION_TOLERANCE + 1e-5 * np.eye(3), ROTATION
 
 def wrap_angle(theta):
     """Wrap an angle (scalar or array) to the interval (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(theta), 2.0 * np.pi)
+    flipped = np.pi - theta if isinstance(theta, float) else np.subtract(np.pi, theta)
+    return np.pi - np.mod(flipped, 2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,9 @@ class Dimensions:
     dz: float
 
     def __post_init__(self):
-        arr = (self.dx, self.dy, self.dz)
-        if not all(math.isfinite(d) and d > 0 for d in arr):
+        dx, dy, dz = arr = (self.dx, self.dy, self.dz)
+        isfinite = math.isfinite
+        if not (isfinite(dx) and dx > 0 and isfinite(dy) and dy > 0 and isfinite(dz) and dz > 0):
             raise ValueError(f"dimensions must be positive and finite, got {tuple(map(float, arr))}")
 
     @property
@@ -201,10 +205,8 @@ def rotation_from_angles(yaw, pitch=0.0, roll=0.0):
     -0.0 entries into the product's +0.0, so the result is bit-identical.
     """
     if isinstance(yaw, (int, float)) and math.isfinite(yaw) and pitch == 0 and roll == 0:
-        cy, sy = np.cos(yaw), np.sin(yaw)
-        return np.array(
-            [[cy + 0.0, 0.0, sy + 0.0], [0.0, 1.0, 0.0], [-sy + 0.0, 0.0, cy + 0.0]]
-        )
+        cy, sy = np.cos(yaw) + 0.0, np.sin(yaw)
+        return np.array((cy, 0.0, sy + 0.0, 0.0, 1.0, 0.0, -sy + 0.0, 0.0, cy)).reshape(3, 3)
     return rotations_from_angles(yaw, pitch, roll)[0]
 
 
@@ -242,15 +244,20 @@ def are_rotations(matrices):
     ``ROTATION_TOLERANCE`` plus 1e-5 relative to the identity's entries) and
     the determinant must be within it of 1. Returns an (N,) bool array.
     """
+    matrices = np.asarray(matrices, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        return _are_rotations(np.asarray(matrices, dtype=float))
+        return _rotation_checks(matrices, np.empty((len(matrices), 10), dtype=bool)).all(axis=1)
 
 
-def _are_rotations(matrices):
-    """``are_rotations`` of a float array, under the caller's ``np.errstate``."""
-    gram = (matrices.swapaxes(1, 2) @ matrices).reshape(-1, 9)
-    deviation = np.concatenate([gram, np.linalg.det(matrices)[:, None]], axis=1) - _ROTATION_TARGET
-    return (np.abs(deviation) <= _ROTATION_TOLERANCES).all(axis=1)
+def _rotation_checks(matrices, out):
+    """Per matrix of a float (N, 3, 3) stack, under the caller's ``np.errstate``:
+    whether each entry of R^T R, row-major, then det R is within its tolerance
+    of the identity's entry and of 1, written into the (N, 10) bools ``out``."""
+    values = np.empty(out.shape)
+    np.matmul(matrices.swapaxes(1, 2), matrices, out=values[:, :9].reshape(len(out), 3, 3))
+    # np.linalg.det's own gufunc, without the wrapper's checks of a float (N, 3, 3) stack
+    _umath_linalg.det(matrices, out=values[:, 9])
+    return np.less_equal(np.abs(values - _ROTATION_TARGET), _ROTATION_TOLERANCES, out=out)
 
 
 def is_rotation(matrix):
@@ -271,7 +278,7 @@ def box_vertices(dims):
 def rotated_corners(extents, rotations):
     """Corners of N boxes about their centers, (N, 8, 3): ``box_vertices`` of
     each row of ``extents`` (N, 3), turned by that box's rotation (N, 3, 3)."""
-    return (VERTEX_SIGNS * (0.5 * extents)[:, None, :]) @ rotations.swapaxes(1, 2)
+    return (_HALF_SIGNS * extents[:, None, :]) @ rotations.swapaxes(1, 2)
 
 
 def project(intrinsics, rotation, translation, points):

@@ -43,7 +43,7 @@ is ``_read_p2`` on one text, as a CalibRecord.
 import errno
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Optional
@@ -295,18 +295,32 @@ def parse_label_file(text):
 
     The records view of ``read_label_columns``, whose MalformedLineError it
     raises. Unknown categories are preserved verbatim; DontCare records are
-    kept and flagged via ``is_dont_care``.
+    kept and flagged via ``is_dont_care``. The reader's array checks have
+    vouched for every rectangle, and each location is a float row of its
+    table, so no Box2D or DetectionRecord runs its own checks again.
     """
     table = read_label_columns(text)
-    keys = "category truncated occluded alpha box2d dims_hwl rotation_y score line".split()
-    rows = zip(*(table[key].tolist() for key in keys), table["location"])
-    return [
-        DetectionRecord(
-            category, truncated, int(occluded), alpha, Box2D(*box), *hwl, location=location,
-            rotation_y=yaw, score=None if math.isnan(score) else score, line_no=line_no,
-        )
-        for category, truncated, occluded, alpha, box, hwl, yaw, score, line_no, location in rows
-    ]
+    boxes = [_unchecked(Box2D, _BOX_FIELDS, box) for box in table["box2d"].tolist()]
+    rows = zip(
+        table["category"].tolist(), table["truncated"].tolist(),
+        map(int, table["occluded"].tolist()), table["alpha"].tolist(), boxes,
+        *table["dims_hwl"].T.tolist(), table["location"], table["rotation_y"].tolist(),
+        [None if math.isnan(score) else score for score in table["score"].tolist()],
+        table["line"].tolist(),
+    )
+    return [_unchecked(DetectionRecord, _RECORD_FIELDS, row) for row in rows]
+
+
+_BOX_FIELDS = ("x_min", "y_min", "x_max", "y_max")
+_RECORD_FIELDS = tuple(f.name for f in fields(DetectionRecord))
+
+
+def _unchecked(cls, names, values):
+    """The frozen dataclass ``cls`` with fields ``names`` set to ``values``,
+    built without ``__init__`` and so without ``__post_init__``'s checks."""
+    instance = object.__new__(cls)
+    vars(instance).update(zip(names, values))
+    return instance
 
 
 def _p2_fault(values, tokens=None):
@@ -548,14 +562,15 @@ def read_residuals(path):
     """Dimension residuals from JSON lines of {"file", "line", "delta": [3]},
     as (file, line) -> the delta as a float array. A string in a delta makes
     its line malformed, as does a boolean; a null or NaN is read as NaN. A
-    ``line`` that is not a JSON integer (a boolean, a float such as 2.0, a
-    string) makes its line malformed too.
+    ``file`` that is not a JSON string (a number, null) or a ``line`` that is
+    not a JSON integer (a boolean, a float such as 2.0, a string) makes its
+    line malformed too: no label record would match its key.
 
     Raises:
         MalformedLineError: for the first line that is not JSON, that
             ``_residual`` rejects, whose (file, line) key an earlier line
-            holds or whose ``line`` is no integer, naming the file and the
-            1-based physical line.
+            holds, whose ``file`` is no string or whose ``line`` is no
+            integer, naming the file and the 1-based physical line.
     """
     residuals, first = {}, {}  # key -> delta, and key -> the line that gave it
     for line_no, text in _nonblank_lines(path):
@@ -564,9 +579,11 @@ def read_residuals(path):
             reason = f"duplicate key {key!r}, first on line {first[key]}"
             raise MalformedLineError(line_no, text.strip(), reason, path)
         # as a key, true would be line 1 and 2.0 line 2; one equal to an earlier key is its duplicate
-        if type(key[1]) is not int:
-            reason = f"line must be an integer, not {type(key[1]).__name__}: {key[1]!r}"
-            raise MalformedLineError(line_no, text.strip(), reason, path)
+        rules = zip(("file", "line"), key, (str, int), ("a string", "an integer"))
+        for name, value, kind, noun in rules:
+            if type(value) is not kind:
+                reason = f"{name} must be {noun}, not {type(value).__name__}: {value!r}"
+                raise MalformedLineError(line_no, text.strip(), reason, path)
         residuals[key], first[key] = delta, line_no
     return residuals
 

@@ -323,4 +323,6 @@ def ray_angle(intrinsics, u):
     Zero on the optical axis, atan2(u - cx, fx) in general (camera looks
     along +z, u grows to the right).
     """
-    return np.arctan2(np.asarray(u, dtype=float) - intrinsics.cx, intrinsics.fx)
+    if not isinstance(u, float):  # a float (np.float64 too) is subtracted as it is
+        u = np.asarray(u, dtype=float)
+    return np.arctan2(u - intrinsics.cx, intrinsics.fx)

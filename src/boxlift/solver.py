@@ -109,31 +109,34 @@ a record solved.
 BATCHES
 =======
 ``lift_batch`` lifts N records in one numpy pass; each record brings its
-own intrinsics, rotation, extents and rectangle. Once per record: the
-rotation check, the side map, K R X of the corners and from it the depth
-bound and the right-hand side s z - (K R X)_row of every corner on every
-side, a table of 32 (side, slot) entries. Slot j is corner j, except on a
-family's paired sides, where each record puts its near corners, ascending,
-in slots 0-3 (antipodes) or 0-1 (diagonals), and on the bottom side of a
-straddling KITTI_ZERO_PITCH_ROLL record, where slot j is corner 5 - j (mod
-8), so the family's bottom slot 7 - top reads corner top - 2. Each family
-builds, once at import, the slot order of every state a side can be in
-(which member of each pair is near, and whether it is a straddling bottom
-side), so a record's slots cost one comparison of its table's pairs and
-one gather whatever its mode. Candidates are solved in chunks of
-``CHUNK_CANDIDATES`` candidates or one record, whichever is more,
-by the same numpy calls whatever a chunk holds: one ``take`` of the family's
-columns (slot + 8 * side, built at import) gathers (records, side, C)
-right-hand sides, one product with the side maps gives (K T)_u, (K T)_v, t_z
-and g, one (3, 8, records * C) slab of each record's corners, repeated once
-a candidate, re-projects them, one squared (bound, records, C) array sums
-the reprojection error in (x_min, y_min, x_max, y_max) order, and one
-``argmin`` of the key error + 1j g^2 ranks them. A candidate is feasible
-when t_z > -min_j z_j: exactly fl(min_j z_j + t_z) > 0, which, rounding
-being monotonic, decides what all eight corner depths would. Only winners
-are back-substituted. Every record ends in one outcome: ``lifted``, or a
-failure code of ``FAILURES`` carrying the message the scalar ``lift``
-raises; ``lift`` and ``solve_translation`` are the N = 1 case of the same code.
+own intrinsics, rotation, extents and rectangle. Once per record: a row of
+checks in FAILURES order (the rotation's ten, the rank, feasibility, then
+one that always fails, so one ``argmin`` names the outcome); K R X of the
+corners, from it the depth bound and the right-hand side s z - (K R X)_row
+of every corner on every side, a table of 32 (side, slot) entries; and the
+side map, one gather of the rectangle's (x_mid, y_mid, w, h, -w, -h) over
+E. Slot j is corner j, except on a family's paired sides, where each record
+puts its near corners, ascending, in slots 0-3 (antipodes) or 0-1
+(diagonals), and on the bottom side of a straddling KITTI_ZERO_PITCH_ROLL
+record, where slot j is corner 5 - j (mod 8): the family's bottom slot
+7 - top reads corner top - 2. Each family builds, once at import, the slot
+order of every state a side can be in (which member of each pair is near,
+and whether it is a straddling bottom side) and each side's first state
+row, so a record's slots cost one comparison of its table's pairs, one
+lookup and one gather whatever its mode. Candidates are solved in chunks of
+``CHUNK_CANDIDATES`` candidates or one record, whichever is more, by the
+same numpy calls whatever a chunk holds: one ``take`` of the family's
+columns (slot + 8 * side) gathers (records, side, C) right-hand sides, one
+product with the side maps gives the planes (K T)_u, (K T)_v, t_z and g,
+one (3, 8, records * C) slab of each record's corners, repeated once a
+candidate, re-projects them, one squared (bound, records, C) array sums the
+reprojection error in (x_min, y_min, x_max, y_max) order, one ``argmin`` of
+the key error + 1j g^2 ranks them, and one flat index a record takes its
+winner. A candidate is feasible when t_z > -min_j z_j: exactly
+fl(min_j z_j + t_z) > 0, which, rounding being monotonic, decides what all
+eight corner depths would. Every record ends in one outcome: ``lifted``, or
+a failure code of ``FAILURES`` with the message the scalar ``lift`` raises;
+``lift`` and ``solve_translation`` are the N = 1 case of the same code.
 """
 
 import enum
@@ -143,7 +146,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleConfigurationError, NoFeasibleConfigurationError
-from .geometry import BOTTOM_CORNERS, TOP_CORNERS, _are_rotations, rotated_corners
+from .geometry import BOTTOM_CORNERS, TOP_CORNERS, _rotation_checks, rotated_corners
 
 __all__ = [
     "ConstraintMode",
@@ -161,13 +164,9 @@ RANK_TOLERANCE = 1e-10
 # Candidates (records x solved candidates) solved at once, but at least one
 # record: 16 records of GENERAL or UPRIGHT (256 candidates each) a chunk,
 # 64 of UPRIGHT_ZERO_ROLL (64 each) and 256 of KITTI_ZERO_PITCH_ROLL (16
-# each). It bounds the (8, records * C) work arrays and so the peak
-# memory: 256 KB a plane, three for the u, v and depth slab. Measured when a GENERAL record solved all 4096
-# candidates: against 1024, 4096 read lift_records_per_s 7.7 % higher on
-# perfbench road (16 790 against 15 590 records/s, medians of 5 alternating
-# 20 s pairs, seeds 121-125, 5 of 5 won) with frame times, toy rate and
-# peak_rss_mb unchanged; general, one record a chunk either way, read 1692
-# against 1698 (seeds 101-105). 2 vCPUs, numpy 2.4, one BLAS thread.
+# each). It bounds the (8, records * C) work arrays and so the peak memory:
+# 256 KB a plane, three for the u, v and depth slab. Against 1024, 4096 read
+# perfbench road's lift_records_per_s 7.7 % higher (2 vCPUs, numpy 2.4).
 CHUNK_CANDIDATES = 4096
 
 LIFTED = "lifted"
@@ -247,10 +246,10 @@ class BatchLiftResult(NamedTuple):
         if outcome != LIFTED:
             raise FAILURES[outcome][0](self.message(outcome))
         return LiftResult(
-            translation=self.translation[i],
-            configuration=Configuration(*self.configuration[i].tolist()),
-            residual=float(self.residual[i]),
-            reprojection_error=float(self.reprojection_error[i]),
+            self.translation[i],
+            Configuration._make(self.configuration[i].tolist()),
+            self.residual.item(i),
+            self.reprojection_error.item(i),
         )
 
 
@@ -262,13 +261,12 @@ _SIDE_ROWS = np.array([0, 0, 1, 1])
 _SIDE_COLUMNS = np.array([0, 2, 1, 3])
 _SIDE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
 _SIDES = np.arange(4)
-# rect @ _RECT_FACTORS + _RECT_ONES is (x_mid, y_mid, 1, 1, w, h, -w, -h);
-# side map row r (see SIDE SOLVE) is its entry r times its entries
-# _MAP_COLUMNS[r], over E, plus _MAP_OFFSETS[r].
+# rect @ _RECT_FACTORS is (x_mid, y_mid, w, h, -w, -h); side map row r (see
+# SIDE SOLVE) is its entries _MAP_COLUMNS[r] over E, times x_mid on row 0 and
+# y_mid on row 1, plus _MAP_OFFSETS[r], which also makes a zero entry +0.0.
 _MID, _SIZE = np.array([[1, 0, 1, 0], [0, 1, 0, 1]]) / 2, np.array([[-1, 0, 1, 0], [0, -1, 0, 1]])
-_RECT_FACTORS = np.vstack([_MID, np.zeros((2, 4)), _SIZE, -_SIZE]).T
-_RECT_ONES = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-_MAP_COLUMNS = np.array([[4, 6, 5, 7]] * 3 + [[5, 7, 6, 4]])
+_RECT_FACTORS = np.vstack([_MID, _SIZE, -_SIZE]).T
+_MAP_COLUMNS = np.array([[2, 4, 3, 5]] * 3 + [[3, 5, 4, 2]])
 _MAP_OFFSETS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0] * 4, [0] * 4]) / 2
 # Corner j < count pairs with corner j ^ flip: the antipodes (j, 7 - j) pair
 # all eight corners, the bottom face's diagonals (0, 5) and (1, 4) the bottom
@@ -278,11 +276,10 @@ _PAIRED = ((7, 5), (7, 5), (7,), (7,))  # the flips each side is offered
 # A record side's state, its row in a family's slot tables: 32 * side, plus
 # bit j where pair j's near member is the partner, plus 16 on a straddling
 # bottom side.
-_PAIR_BITS, _STRADDLE_BIT, _STATE_ROWS = 1 << np.arange(4), 16, 32 * _SIDES
-# Outcome label by (rotation ok, rank ok, some candidate feasible) as 0/1
-# indices: lifted when all three hold, else the first failed check in
-# FAILURES order.
-_OUTCOMES = np.array([LIFTED, *FAILURES])[[[[1, 1], [1, 1]], [[2, 2], [3, 0]]]]
+_PAIR_BITS, _STRADDLE_BIT = 1 << np.arange(4), 16
+# A record's checks in FAILURES order: the rotation's ten, the rank and some candidate's
+# feasibility, then one that always fails. The first failed check names the outcome.
+_CHECKS = np.repeat([*FAILURES, LIFTED], [10, 1, 1, 1])
 
 
 class _Family(NamedTuple):
@@ -299,14 +296,14 @@ class _Family(NamedTuple):
     where j pairs with nothing both name corner j. A record side's state is
     32 * side, plus bit j where pair j's near member is the partner, plus 16
     on the bottom side of a straddling record of a ``tied`` family, whose
-    bottom corner is the top corner's antipode. Row ``state`` of
-    ``corners`` holds the corner each slot stands for, and of ``flat`` its
-    index in the record's table: on a paired side the near members,
-    ascending, then the other corners, on a straddling bottom side corner
-    5 - slot (mod 8), else corner ``slot``. ``slots`` holds the solved
-    candidates, and ``columns[side]`` is ``slots[:, side] + 8 * side``,
-    the index of each candidate's right-hand side in the record's table
-    in slot order.
+    bottom corner is the top corner's antipode; ``rows[straddle]`` holds
+    all but the pair bits. Row ``state`` of ``corners`` holds the corner each
+    slot stands for, and of ``flat`` its index in the record's table: on a
+    paired side the near members, ascending, then the other corners, on a
+    straddling bottom side corner 5 - slot (mod 8), else corner ``slot``.
+    ``slots`` holds the solved candidates, and ``columns[side]`` is
+    ``slots[:, side] + 8 * side``, the index of each candidate's right-hand
+    side in the record's table in slot order.
     """
 
     configs: np.ndarray  # (C, 4)
@@ -317,6 +314,7 @@ class _Family(NamedTuple):
     slots: np.ndarray  # (C', 4), C' = C / 2 ** (number of paired sides)
     columns: np.ndarray  # (4, C')
     tied: bool
+    rows: np.ndarray  # (2, 4): each side's first state row, without and with a straddle
 
 
 def _family(configs, tied=False, pairings=_PAIRED):
@@ -349,9 +347,10 @@ def _family(configs, tied=False, pairings=_PAIRED):
     corners = corners.reshape(128, 8)
     slots = configs[(configs < np.where(count > 0, count, 8)).all(axis=1)]
     columns = (slots + 8 * _SIDES).T.copy()
-    for array in (configs, flips, pairs, corners, flat, slots, columns):
+    rows = 32 * _SIDES + [[0], [_STRADDLE_BIT * tied]] * (_SIDES == 3)
+    for array in (configs, flips, pairs, corners, flat, slots, columns, rows):
         array.flags.writeable = False  # shared by every lift
-    return _Family(configs, flips, pairs, corners, flat, slots, columns, tied)
+    return _Family(configs, flips, pairs, corners, flat, slots, columns, tied, rows)
 
 
 def _configuration_array(left, right, top, bottom=None):
@@ -383,7 +382,9 @@ _CONFIGURATIONS = {
 
 def _configurations(mode):
     if mode not in _CONFIGURATIONS:
-        raise ValueError(f"unknown constraint mode: {mode!r}")
+        named = mode in [known.value for known in ConstraintMode]
+        example = f"ConstraintMode({mode!r})" if named else "ConstraintMode.KITTI_ZERO_PITCH_ROLL"
+        raise ValueError(f"unknown constraint mode: {mode!r}; expected a ConstraintMode, such as {example}")
     return _CONFIGURATIONS[mode]
 
 
@@ -399,14 +400,10 @@ def _slot_states(rhs, family, straddle):
     is set where the near member of pair j is its partner j ^ flip, the one
     with the greater ``rhs`` on a left or top side and the lesser on a right
     or bottom side (j on a tie, or NaN); bit 4 on the bottom side of a
-    record that ``straddle`` (an (N,) mask, or False) marks.
+    record of a tied family that ``straddle`` (an (N,) mask, or False) marks.
     """
     taken = rhs.take(family.pairs, axis=1)  # (N, 2, side, pair)
-    states = (taken[:, 0] > taken[:, 1]) @ _PAIR_BITS
-    states += _STATE_ROWS
-    if np.count_nonzero(straddle):  # only a tied family has straddling records
-        states[:, 3] += _STRADDLE_BIT * straddle
-    return states
+    return (taken[:, 0] > taken[:, 1]) @ _PAIR_BITS + family.rows.take(straddle, axis=0)
 
 
 @np.errstate(all="ignore")
@@ -415,40 +412,42 @@ def _solve(k, rotations, dims, rects, family):
 
     The inputs are float arrays of the shapes ``lift_batch`` checks.
     """
-    n = len(rects)
-    _, _, _, _, flat, slots, columns, tied = family
-    c = len(slots)
+    _, _, _, _, flat, slots, columns, tied, _ = family
+    n, c = len(rects), len(slots)
     # Failed records go through the same arithmetic on meaningless rows, which
     # are overwritten below; errstate keeps that arithmetic's warnings quiet.
-    rotations_ok = _are_rotations(rotations)
+    passed = np.zeros((n, len(_CHECKS)), dtype=bool)  # see _CHECKS
+    _rotation_checks(rotations, passed[:, :10])
     corners = rotated_corners(dims, rotations) @ k.swapaxes(1, 2)  # (N, corner, u/v/depth)
-    rhs = rects[:, _SIDE_COLUMNS, None] * corners[:, None, :, 2]
-    rhs -= corners[:, :, _SIDE_ROWS].swapaxes(1, 2)
+    rhs = rects.take(_SIDE_COLUMNS, axis=1)[:, :, None] * corners[:, None, :, 2]
+    rhs -= corners.swapaxes(1, 2).take(_SIDE_ROWS, axis=1)
     rhs = rhs.reshape(n, 32)
-    projected = corners.T.copy()  # contiguous (u/v/depth, corner, N) planes
     c_y = k[:, 1, 2]
     states = _slot_states(rhs, family, tied and (rects[:, 1] < c_y) & (c_y < rects[:, 3]))
-    records = np.arange(n)
-    rhs = rhs[records[:, None], flat.take(states, axis=0).reshape(n, 32)]  # in slot order
-    factors = rects @ _RECT_FACTORS + _RECT_ONES
-    spread = (factors[:, 4:6] ** 2).sum(axis=1)  # E
-    rank_ok = spread > 2.0 * RANK_TOLERANCE**2  # singular value sqrt(E / 2) > tolerance
-    side_map = factors[:, :4, None] * (factors[:, _MAP_COLUMNS] / spread[:, None, None])
+    rhs = rhs[np.arange(n)[:, None], flat.take(states, axis=0).reshape(n, 32)]  # in slot order
+    factors = rects @ _RECT_FACTORS
+    spread = np.add.reduce(np.square(factors[:, 2:4]), axis=1)  # E
+    np.greater(spread, 2.0 * RANK_TOLERANCE**2, out=passed[:, 10])  # singular value sqrt(E / 2)
+    side_map = factors.take(_MAP_COLUMNS, axis=1)
+    side_map /= spread[:, None, None]
+    side_map[:, :2] *= factors[:, :2, None]
     side_map += _MAP_OFFSETS  # (N, 4, 4)
-    behind = projected[2].max(axis=0)  # -min_j z_j, as z_{7-j} = -z_j; feasible: t_z > behind
+    projected = corners.T.copy()  # contiguous (u/v/depth, corner, N) planes
+    behind = np.maximum.reduce(projected[2])  # -min_j z_j, as z_{7-j} = -z_j; feasible: t_z > behind
     # Each record's winner: (K T)_u, (K T)_v and t_z, then its translation; its key; its index.
     won, ranked, best = np.empty((n, 3)), np.empty(n, dtype=complex), np.empty(n, dtype=np.intp)
     step = max(1, CHUNK_CANDIDATES // c)
+    firsts = np.arange(0, step * c, c)  # each record's first candidate in a chunk's planes
     for lo in range(0, n, step):
-        chunk = slice(lo, lo + step)
-        solved = side_map[chunk] @ rhs[chunk].take(columns, axis=1)  # (m, 4, C)
+        chunk, m = slice(lo, lo + step), min(step, n - lo)
+        solved = (side_map[chunk] @ rhs[chunk].take(columns, axis=1)).transpose(1, 0, 2)
         # A (3, 8, m C) slab, each record's corners once a candidate: u + (K T)_u,
         # v + (K T)_v and depth + t_z; then the re-projected box's tight rectangle.
         slab = projected[:, :, chunk].repeat(c, axis=2)
-        slab += solved.swapaxes(0, 1)[:3].reshape(3, 1, -1)
+        slab += solved[:3].reshape(3, 1, -1)
         uv = slab[:2]
         uv /= slab[2]
-        mismatch = np.empty((4, len(solved), c))
+        mismatch = np.empty((4, m, c))
         np.minimum.reduce(uv, axis=1, out=mismatch[:2].reshape(2, -1))
         np.maximum.reduce(uv, axis=1, out=mismatch[2:].reshape(2, -1))
         del slab, uv  # freed before the next chunk's slab takes its place
@@ -456,23 +455,23 @@ def _solve(k, rotations, dims, rects, family):
         mismatch *= mismatch
         # The key error + 1j g^2: complex numbers order lexicographically, so argmin takes the
         # lowest error, then residual, then index. With none feasible the record fails below.
-        key = np.empty((len(solved), c), dtype=complex)
+        key = np.empty((m, c), dtype=complex)
         np.add.reduce(mismatch, out=key.real)
-        np.putmask(key.real, ~(solved[:, 2] > behind[chunk, None]), np.inf)  # NaN is infeasible
-        np.square(solved[:, 3], out=key.imag)
-        pick = key.argmin(axis=1)
-        rows = records[: len(pick)]
-        won[chunk], ranked[chunk], best[chunk] = solved[rows, :3, pick], key[rows, pick], pick
+        key.real[~(solved[2] > behind[chunk, None])] = np.inf  # NaN is infeasible
+        np.square(solved[3], out=key.imag)
+        pick = best[chunk] = key.argmin(axis=1)
+        pick += firsts[:m]  # the winners' flat indices in the chunk's planes
+        won[chunk] = solved[:3].reshape(3, -1).take(pick, axis=1).T
+        ranked[chunk] = key.reshape(-1).take(pick)
 
     k_u, k_v, t_z = won[:, 0], won[:, 1], won[:, 2]  # views of the winners' columns
-    feasible = t_z > behind
-    ok = rotations_ok & rank_ok & feasible
+    np.greater(t_z, behind, out=passed[:, 11])
+    failed = passed.argmin(axis=1)  # each record's first failed check
+    outcome = _CHECKS.take(failed)
     configuration = family.corners[states, slots.take(best, axis=0)]
-    if np.count_nonzero(ok) == n:
-        outcome = _OUTCOMES[1:, 1:, 1].repeat(n)  # all lifted
-    else:  # a failed record's row holds NaN and -1
-        outcome = _OUTCOMES[tuple(np.array([rotations_ok, rank_ok, feasible], dtype=np.intp))]
-        won[~ok], ranked[~ok], configuration[~ok] = np.nan, complex(np.nan, np.nan), -1
+    if np.count_nonzero(passed) < 12 * n:  # some record failed a check: its row holds NaN and -1
+        lost = failed < 12
+        won[lost], ranked[lost], configuration[lost] = np.nan, complex(np.nan, np.nan), -1
     np.divide(k_v - c_y * t_z, k[:, 1, 1], out=k_v)  # t_y, back-substituted through K
     np.divide(k_u - k[:, 0, 1] * k_v - k[:, 0, 2] * t_z, k[:, 0, 0], out=k_u)  # t_x
     residual = ranked.imag * spread / 2
@@ -494,10 +493,10 @@ def lift_batch(intrinsics, rotations, dims, rects, mode=ConstraintMode.KITTI_ZER
         ``lift`` returns or raises for record i.
 
     Raises:
-        ValueError: if the shapes disagree, ``mode`` is unknown, an entry is
-            not finite, an extent or focal length is not positive, an
-            intrinsics matrix is not upper triangular with third row (0, 0, 1),
-            or a rectangle is inverted (x_min > x_max or y_min > y_max).
+        ValueError: if the shapes disagree, ``mode`` is no ConstraintMode (its
+            value, such as "kitti", neither), an entry is not finite, an extent or
+            focal length is not positive, an intrinsics matrix is not upper triangular
+            with third row (0, 0, 1), or a rectangle has x_min > x_max or y_min > y_max.
     """
     k = np.asarray(intrinsics, dtype=float)
     rotations = np.asarray(rotations, dtype=float)
@@ -576,7 +575,8 @@ def lift(intrinsics, rotation, dims, box2d, mode=ConstraintMode.KITTI_ZERO_PITCH
     deterministic.
 
     Raises:
-        ValueError: if ``rotation`` is not a rotation matrix.
+        ValueError: if ``rotation`` is not a rotation matrix, or ``mode`` is
+            no ConstraintMode (its value, such as "kitti", neither).
         NoFeasibleConfigurationError: if no configuration is feasible; the
             message counts the candidates solved.
     """

@@ -255,6 +255,19 @@ def test_residual_line_that_is_no_integer_names_file_and_line(tmp_path, line):
     assert str(excinfo.value) == f"{residual_path} line 2: line must be an integer, not {kind}: {line!r}"
 
 
+@pytest.mark.parametrize("file", [0, None])
+def test_residual_file_that_is_no_string_names_file_and_line(tmp_path, file):
+    # label stems are strings: a residual keyed by a number or null would match no record
+    residual_path = tmp_path / "residuals.jsonl"
+    entry = {"file": file, "line": 1, "delta": [0.0, 0.0, 0.0]}
+    residual_path.write_text("\n" + json.dumps(entry) + "\n")
+    with pytest.raises(MalformedLineError) as excinfo:
+        kitti.read_residuals(residual_path)
+    kind = type(file).__name__
+    assert str(excinfo.value) == f"{residual_path} line 2: file must be a string, not {kind}: {file!r}"
+    assert excinfo.value.token == json.dumps(entry)
+
+
 @pytest.mark.parametrize("command", ["lift", "eval"])
 def test_short_label_line_names_label_file(tmp_path, precise_dataset, command):
     labels, calibs, corpus = precise_dataset
@@ -382,6 +395,57 @@ def _scalar_lift_reference(corpus, calib, mode, residuals=None):
             lines.append(json.dumps(result_entries(fields)[0]))
             kitti_rows.setdefault(stem, []).append(out)
     return lines, {stem: write_results(rows) for stem, rows in kitti_rows.items()}
+
+
+@pytest.mark.parametrize("mode", list(ConstraintMode), ids=lambda mode: mode.value)
+def test_library_path_and_lift_command_agree_bit_for_bit_on_generated_corpora(tmp_path, mode):
+    # A library caller lifts one record at a time: parse_label_file, ray_angle,
+    # local_to_global, rotation_from_angles and lift, minus the camera offset.
+    # boxlift lift reads the label directory and the calibrations as tables and
+    # solves every record in one lift_columns call. Both paths give each record
+    # the same ray, yaw, configuration and center, bit for bit.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+
+    lifted = failed = 0
+    for seed in (1, 2):
+        corpus = gen.make_corpus(seed, 20, (3, 12), (5.0, 50.0))
+        labels_dir, calib_dir = tmp_path / f"labels-{seed}", tmp_path / f"calib-{seed}"
+        labels_dir.mkdir()
+        calib_dir.mkdir()
+        for frame in corpus.frames:
+            (labels_dir / f"{frame.stem}.txt").write_text(frame.label_text)
+            (calib_dir / f"{frame.stem}.txt").write_text(frame.calib_text)
+        _, labels = cli._read_label_dir(labels_dir)
+        stems = dict.fromkeys(labels["file"].tolist())
+        calibs = kitti.read_calib_table([calib_dir / f"{stem}.txt" for stem in stems])
+        results, status, _ = kitti.lift_columns(labels, calibs, mode)
+        rows = {key: i for i, key in enumerate(zip(results["file"].tolist(), results["line"].tolist()))}
+        assert len(rows) == np.count_nonzero(status == "lifted")
+        for frame in corpus.frames:
+            calib = kitti.parse_calib_file(frame.calib_text)
+            intrinsics, offset = calib.intrinsics, calib.translation_offset
+            for record in parse_label_file(frame.label_text):
+                if record.is_dont_care:
+                    continue
+                theta_ray = float(ray_angle(intrinsics, record.box2d.center[0]))
+                yaw = float(local_to_global(record.alpha, theta_ray))
+                i = rows.pop((frame.stem, record.line_no), None)
+                try:
+                    result = lift(intrinsics, rotation_from_angles(yaw), record.dims, record.box2d, mode)
+                except NoFeasibleConfigurationError:
+                    assert i is None
+                    failed += 1
+                    continue
+                assert (results["theta_ray"][i].item(), results["rotation_y"][i].item()) == (theta_ray, yaw)
+                assert results["configuration"][i].tolist() == list(result.configuration)
+                location = centers_to_locations(result.translation - offset, record.dims.dy)
+                assert results["location"][i].tobytes() == location.tobytes()
+                assert results["residual"][i].item() == result.residual
+                assert results["reprojection_error"][i].item() == result.reprojection_error
+                lifted += 1
+        assert not rows  # no record of the command's results is left unmatched
+    assert lifted > 250 and failed < lifted / 10
 
 
 @pytest.mark.parametrize("with_residuals", [False, True])

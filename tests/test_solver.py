@@ -436,6 +436,24 @@ def test_solve_translation_is_the_lifted_candidate_bitwise():
             assert residual == result.residual
 
 
+@pytest.mark.parametrize("mode,example", [
+    ("kitti", "ConstraintMode('kitti')"),
+    ("general", "ConstraintMode('general')"),
+    ("road", "ConstraintMode.KITTI_ZERO_PITCH_ROLL"),
+    (None, "ConstraintMode.KITTI_ZERO_PITCH_ROLL"),
+])
+def test_a_mode_that_is_no_constraint_mode_is_named_with_an_example(mode, example):
+    # a mode's string value names a known mode, but lift wants the enum member
+    box = Box3D(np.array([0.0, 1.0, 20.0]), Dimensions(4.0, 1.5, 1.8), yaw=0.3)
+    message = f"unknown constraint mode: {mode!r}; expected a ConstraintMode, such as {example}"
+    with pytest.raises(ValueError) as caught:
+        lift(K, box.rotation, box.dims, project_box(K, box), mode)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        lift_batch(*batch_inputs([box], [project_box(K, box)]), mode)
+    assert str(caught.value) == message
+
+
 def test_lift_batch_rejects_malformed_arrays():
     box = Box3D(np.array([0.0, 1.0, 20.0]), Dimensions(4.0, 1.5, 1.8), yaw=0.3)
     k, rotations, dims, rects = batch_inputs([box], [project_box(K, box)])
