@@ -31,16 +31,19 @@ same sweep.
 ``pair_errors`` computes each box measure once per matched pair, all pairs
 at once as arrays; the distance bins and the overall means are both taken
 from its array. Each box's rotation is built once; the closest points come
-from ``geometry.rotated_corners`` of it. The 3D IoU clips the prediction's
-footprint by the ground truth's, in the ground truth's own frame, where
-that footprint is an axis-aligned rectangle: four Sutherland-Hodgman
-passes over all pairs, each a half-plane of one coordinate, so no crossing
-divides by a near-zero; two convex quadrilaterals meet in at most 8
-vertices. ``viewpoint_stats`` takes the same rotations as two aligned
-stacks, validates them in one call and takes the angles from the batched
-trace.
-``iou2d``, ``iou3d``, ``closest_point_distance_error`` and
-``geodesic_distance`` are the one-pair case of the same code.
+from ``geometry.rotated_corners`` of it. The 3D IoU's footprint overlap is
+a boundary integral (Green's theorem) in the ground truth's frame, where
+its footprint is an axis-aligned rectangle: over the prediction's edges
+clipped to the rectangle and the rectangle's sides clipped to the
+prediction's open interior, each by four half-plane tests on the segment's
+parameter. No polygon is built or sorted, and the eight terms are summed
+in one order, so a pair's IoU is the same alone and in any batch.
+Coincident edges are decided exactly on snapped corners, so identical
+boxes score 1 and touching ones 0.
+``viewpoint_stats`` takes the same rotations as two aligned stacks,
+validates them in one call and takes the angles from the batched trace.
+``iou2d``, ``center_distance``, ``iou3d``, ``closest_point_distance_error``
+and ``geodesic_distance`` are the one-pair case of the same code.
 """
 
 from collections import namedtuple
@@ -74,9 +77,13 @@ __all__ = [
 ]
 
 UPRIGHT_TOLERANCE = 1e-9
-# Footprint vertices this close to a clipping line, relative to the largest
-# coordinate or extent of the pair, are put on it: a few rounding errors.
+# Corners of a footprint this close to the other's side lines, relative to the
+# pair's largest coordinate or extent, are put on them: a few rounding errors.
 SNAP_EPS = 16 * np.finfo(float).eps
+# The recalls of the 11-point average, each less 1e-12 for rounding.
+_RECALL_SAMPLES = np.linspace(0.0, 1.0, 11) - 1e-12
+# x and z signs of a footprint's corners, counterclockwise in (x, z), (2, 4, 1)
+_CORNERS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])[..., None]
 # Padded same-frame (detection, ground truth) pairs tested for overlap at
 # once: a block's (n,) float temporaries stay at 64 KB.
 CHUNK_PAIRS = 8192
@@ -165,12 +172,14 @@ class AosResult:
 
 def _eleven_point(recall, values):
     """11-point interpolated average: mean over r in {0, 0.1, ..., 1} of
-    the best value among samples with recall >= r (0 if none)."""
-    total = 0.0
-    for r in np.linspace(0.0, 1.0, 11):
-        eligible = values[recall >= r - 1e-12]
-        total += eligible.max() if eligible.size else 0.0
-    return total / 11.0
+    the best value among samples with recall >= r (0 if none).
+
+    Recall is non-decreasing, so those samples are a suffix: each r reads
+    the suffix maximum at its first sample, and the eleven are summed in
+    order of r."""
+    best = np.zeros(len(values) + 1)
+    best[:-1] = np.maximum.accumulate(values[::-1])[::-1]
+    return best[recall.searchsorted(_RECALL_SAMPLES)].cumsum()[-1] / 11.0
 
 
 def _blocks(rows, cols):
@@ -343,11 +352,6 @@ def aos(ground_truths, detections, iou_threshold=0.5):
     return _sweep(matched, gt_yaw, det_yaw[order], len(ground_truths))
 
 
-def center_distance(a, b):
-    """Euclidean distance between two box centers, meters."""
-    return float(np.linalg.norm(a.center - b.center))
-
-
 # N boxes as arrays: centers, extents (dx, dy, dz) and angles (yaw, pitch,
 # roll), each (N, 3), and the rotations of the angles, (N, 3, 3)
 _Boxes = namedtuple("_Boxes", "centers dims angles rotations")
@@ -362,6 +366,16 @@ def _boxes(boxes):
         np.array([(b.dims.dx, b.dims.dy, b.dims.dz) for b in boxes], dtype=float).reshape(n, 3),
         angles, rotations_from_angles(*angles.T),
     )
+
+
+def _center_distances(first, second):
+    """Distances between (N, 3) centers paired row by row, (N,)."""
+    return np.linalg.norm(first - second, axis=1)
+
+
+def center_distance(a, b):
+    """Euclidean distance between two box centers, meters."""
+    return float(_center_distances(a.center[None], b.center[None])[0])
 
 
 def _closest_corner_distances(boxes):
@@ -382,52 +396,19 @@ def closest_point_distance_error(gt, pred):
     return float(_closest_point_errors(_boxes([gt]), _boxes([pred]))[0])
 
 
-def _clip(poly, count, axis, sign, bound, snap):
-    """Clip N convex polygons by the half-planes sign * p[axis] <= bound.
-
-    ``poly`` is (N, K, 2) with the first ``count`` vertices of each row in
-    use and the rest repeating its last vertex, so every used vertex's
-    predecessor is the one before it, cyclically. One Sutherland-Hodgman
-    pass: each used vertex emits the crossing of the edge into it, if the
-    edge crosses the line, then itself if inside. A vertex within ``snap``
-    of the line is first put on it, and a crossing lands exactly on it, so
-    an edge along the line is kept once and encloses no rounding sliver.
-    Snaps ``poly`` in place; returns the clipped (poly, count) in the same
-    layout.
-    """
-    bound, snap = bound[:, None], snap[:, None]
-    level = sign * poly[..., axis]
-    level = np.where(np.abs(level - bound) <= snap, bound, level)
-    poly[..., axis] = sign * level
-    # each vertex's predecessor, cyclically (np.roll by 1, without its overhead)
-    prev = np.concatenate([poly[:, -1:], poly[:, :-1]], axis=1)
-    prev_level = np.concatenate([level[:, -1:], level[:, :-1]], axis=1)
-    inside, prev_inside = level <= bound, prev_level <= bound
-    used = np.arange(poly.shape[1]) < count[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (bound - prev_level) / (level - prev_level)
-        cut = prev + t[..., None] * (poly - prev)
-    cut[..., axis] = sign * bound
-    candidates = np.stack([cut, poly], axis=2).reshape(len(poly), -1, 2)
-    keep = np.stack([used & (inside != prev_inside), used & inside], axis=2)
-    keep = keep.reshape(len(poly), -1)
-
-    count = keep.sum(axis=1)
-    first_kept = np.argsort(~keep, axis=1, kind="stable")
-    slots = np.minimum(np.arange(max(count.max(), 1)), np.maximum(count - 1, 0)[:, None])
-    pick = np.take_along_axis(first_kept, slots, axis=1)
-    poly = np.take_along_axis(candidates, pick[..., None], axis=1)
-    poly[count == 0] = 0.0  # nothing left: no last vertex to repeat
-    return poly, count
-
-
 def _footprint_overlaps(a, b):
     """Ground-plane (x, z) intersection areas of N upright box pairs, (N,).
 
-    Box ``b``'s footprint is expressed in the frame of box ``a``, where
-    ``a``'s footprint is the axis-aligned rectangle of its half extents,
-    and clipped by that rectangle's four sides. Two convex quadrilaterals
-    intersect in at most 8 vertices.
+    In ``a``'s frame, where ``a``'s footprint A is |x| <= hx, |z| <= hz, the
+    area is Green's boundary integral 1/2 * sum(x0 * z1 - z0 * x1) over the
+    four edges of ``b``'s footprint B clipped to the closed A and A's four
+    sides clipped to B's open interior, each segment clipped on its
+    parameter t by the four side lines of the other footprint. The eight
+    terms are summed in one fixed order. B's corners within ``SNAP_EPS`` of
+    a side line of A are put on it, and both halves read the snapped
+    corners, so coincident edges are decided exactly: an edge of B on a
+    side line of A counts when it runs the way A's side runs, and a side of
+    A on an edge of B never counts. An unclipped end is the corner itself.
     """
     # a point's (x, z) in a's frame is a's yaw rotation, transposed, of its
     # offset from a's center; b's corners turn by the yaw difference
@@ -436,24 +417,41 @@ def _footprint_overlaps(a, b):
     dz = b.centers[:, 2] - a.centers[:, 2]
     offset_x, offset_z = cos_a * dx - sin_a * dz, sin_a * dx + cos_a * dz
     turn = b.angles[:, 0] - a.angles[:, 0]
-    cos_t, sin_t = np.cos(turn)[:, None], np.sin(turn)[:, None]
-    lx = 0.5 * b.dims[:, :1] * np.array([1.0, -1.0, -1.0, 1.0])
-    lz = 0.5 * b.dims[:, 2:] * np.array([1.0, 1.0, -1.0, -1.0])
-    poly = np.stack(
-        [cos_t * lx + sin_t * lz + offset_x[:, None], -sin_t * lx + cos_t * lz + offset_z[:, None]],
-        axis=2,
-    )
-    scale = np.abs(np.hstack([a.centers, b.centers, a.dims, b.dims])).max(axis=1)
-    snap = SNAP_EPS * scale
-    count = np.full(len(poly), 4)
-    for axis, extent in ((0, 0), (1, 2)):
-        half = 0.5 * a.dims[:, extent]
-        for sign in (1.0, -1.0):
-            poly, count = _clip(poly, count, axis, sign, half, snap)
-    x, z = np.moveaxis(poly - poly[:, :1], 2, 0)  # about a vertex: collinear is exactly 0
-    x_next, z_next = (np.concatenate([v[:, 1:], v[:, :1]], axis=1) for v in (x, z))
-    cross = x * z_next - z * x_next
-    return 0.5 * np.abs(cross.sum(axis=1))
+    cos_t, sin_t = np.cos(turn), np.sin(turn)
+    lx, lz = 0.5 * b.dims[:, 0] * _CORNERS[0], 0.5 * b.dims[:, 2] * _CORNERS[1]
+    half = 0.5 * a.dims[:, 0::2].T[:, None]  # (2, 1, N): hx, hz
+    # (coordinate, footprint, corner, pair): B's corners, then A's
+    poly = np.empty((2, 2, 4, len(turn)))
+    corners = poly[:, 0]
+    corners[0] = cos_t * lx + sin_t * lz + offset_x
+    corners[1] = -sin_t * lx + cos_t * lz + offset_z
+    poly[:, 1] = half * _CORNERS
+    scale = np.abs(np.vstack([a.centers.T, b.centers.T, a.dims.T, b.dims.T])).max(axis=0)
+    near = np.abs(np.abs(corners) - half) <= SNAP_EPS * scale
+    np.copyto(corners, np.copysign(half, corners), where=near)
+    ends = np.concatenate([poly[:, :, 1:], poly[:, :, :1]], axis=2)
+    edges = ends - poly
+    # on segment i of a footprint, p + t * d, the level cross(e, p - c) of the
+    # other's side line j, through c along e, is num + t * den: positive inside
+    p, d = poly[..., None, :], edges[..., None, :]
+    c, e = poly[:, ::-1, None], edges[:, ::-1, None]
+    num = e[0] * (p[1] - c[1]) - e[1] * (p[0] - c[0])
+    den = e[0] * d[1] - e[1] * d[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # parallel: -num / |den| is -inf inside, inf outside, nan on the line,
+        # where an edge of B counts only if it runs the way A's side runs
+        bound = num / np.abs(den)
+        along = np.isnan(bound[0]) & (e[0, 0] * d[0, 0] + e[1, 0] * d[1, 0] > 0)
+        bound[0][along] = np.inf
+        lo = np.where(den >= 0, -bound, 0.0).max(axis=2)
+        hi = np.where(den < 0, bound, 1.0).min(axis=2)
+        start = np.where(lo > 0, poly + lo * edges, poly)
+        stop = np.where(hi < 1, poly + hi * edges, ends)
+        term = np.where(lo < hi, start[0] * stop[1] - start[1] * stop[0], 0.0).reshape(8, -1)
+    # pairwise in one order for every batch; np.sum's order depends on the shape
+    term = term[:4] + term[4:]
+    term = term[:2] + term[2:]
+    return 0.5 * np.abs(term[0] + term[1])
 
 
 def _iou3d(a, b):
@@ -477,9 +475,10 @@ def _iou3d(a, b):
 def iou3d(a, b):
     """3D intersection over union of two upright boxes.
 
-    Bird's-eye-view intersection area (``b``'s ground rectangle clipped by
-    ``a``'s, in ``a``'s frame) times vertical overlap, over the union
-    volume.
+    Bird's-eye-view intersection area (the boundary integral over the two
+    ground rectangles' clipped edges, in ``a``'s frame) times vertical
+    overlap, over the union volume. Identical boxes give exactly 1, and
+    boxes that only touch exactly 0.
 
     Raises:
         NonUprightBoxError: if either box has nonzero pitch or roll.
@@ -555,7 +554,7 @@ def _pair_errors(gt, pred):
     return np.column_stack(
         [
             np.linalg.norm(gt.centers, axis=1),
-            np.linalg.norm(gt.centers - pred.centers, axis=1),
+            _center_distances(gt.centers, pred.centers),
             _closest_point_errors(gt, pred),
             _iou3d(gt, pred),
         ]

@@ -131,6 +131,15 @@ def reference_iou2d(a, b):
     return inter / (a.width * a.height + b.width * b.height - inter)
 
 
+def reference_eleven_point(recall, values):
+    """11-point interpolated average, one recall threshold at a time."""
+    total = 0.0
+    for r in np.linspace(0.0, 1.0, 11):
+        eligible = values[recall >= r - 1e-12]
+        total += eligible.max() if eligible.size else 0.0
+    return total / 11.0
+
+
 def reference_match_greedy(ground_truths, detections, iou_threshold):
     """Per-detection greedy scan, one ground truth at a time."""
     taken = [False] * len(ground_truths)
@@ -298,6 +307,35 @@ def test_aos_upper_bounded_by_ap_random_scenes():
         assert np.all((result.curve.similarity >= 0) & (result.curve.similarity <= 1))
 
 
+def test_eleven_point_sampling_matches_the_threshold_loop():
+    rng = np.random.default_rng(25)
+
+    def check(matched, n_gt):
+        result = metrics._sweep(matched, rng.uniform(-np.pi, np.pi, max(n_gt, 1)),
+                                rng.uniform(-np.pi, np.pi, len(matched)), n_gt)
+        curve = result.curve
+        assert result.ap == reference_eleven_point(curve.recall, curve.precision)
+        assert result.aos == reference_eleven_point(curve.recall, curve.similarity)
+
+    for _ in range(10_000):
+        n_gt, n_det = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+        matched = np.full(n_det, -1)
+        hits = rng.random(n_det) < rng.random()
+        n_hit = min(int(hits.sum()), n_gt)
+        matched[np.flatnonzero(hits)[:n_hit]] = rng.permutation(n_gt)[:n_hit]
+        check(matched, n_gt)
+    check(np.array([0]), 1)  # one detection
+    check(np.array([-1]), 1)
+    check(np.array([0, -1, 1, -1]), 7)  # recall never reaches 1
+    # recalls on, just below and just above each threshold r - 1e-12
+    thresholds = np.linspace(0.0, 1.0, 11) - 1e-12
+    recall = np.sort(np.concatenate(
+        [thresholds, np.nextafter(thresholds, -1.0), np.nextafter(thresholds, 2.0)]))
+    for _ in range(100):
+        values = rng.random(len(recall))
+        assert metrics._eleven_point(recall, values) == reference_eleven_point(recall, values)
+
+
 def test_aos_empty_inputs():
     assert aos([], [], iou_threshold=0.5).ap == 0.0
     gts = [GroundTruthBox(square(0, 0), yaw=0.0)]
@@ -446,12 +484,19 @@ def test_iou3d_boxes_touching_end_to_end_is_zero(yaw):
                 offset[axis] = sign * dims.as_array[axis]
                 b = Box3D(a.center + rotation_from_angles(yaw) @ offset, dims, yaw)
                 assert iou3d(a, b) == 0.0, (center, axis, sign)
+                # turned by pi, b's edge on a's end runs against a's side
+                assert iou3d(a, Box3D(b.center, dims, yaw + np.pi)) == 0.0, (center, axis, sign)
+        for x_sign, z_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1)):  # corner on corner
+            offset = np.array([x_sign * dims.dx, 0.0, z_sign * dims.dz])
+            b = Box3D(a.center + rotation_from_angles(yaw) @ offset, dims, yaw)
+            assert iou3d(a, b) == 0.0, (center, x_sign, z_sign)
 
 
 @pytest.mark.parametrize("yaw", [0.0, 1.7, -2.3, 0.4, np.pi / 2, np.pi])
 def test_iou3d_identical_boxes_is_one(yaw):
     box = Box3D(np.array([-3.2, 1.1, 12.7]), Dimensions(4.0, 1.5, 1.8), yaw)
     assert iou3d(box, box) == 1.0
+    assert iou3d(box, Box3D(box.center, box.dims, yaw + np.pi)) == 1.0
 
 
 def test_iou3d_agrees_with_reference_clipping():
@@ -469,6 +514,15 @@ def test_iou3d_agrees_with_reference_clipping():
             assert iou3d(a, b) == pytest.approx(expected, abs=1e-12)
             compared += 1
     assert compared > 550
+    # b inside a; two equal square footprints turned 45 degrees about one
+    # center meet in a regular octagon, 8 vertices, for an IoU of 1/sqrt(2)
+    a = upright([1.0, 0.5, 20.0], dims=(4.0, 1.5, 1.8), yaw=0.3)
+    inside = upright(a.center + [0.2, 0.1, 0.0], dims=(1.0, 0.8, 0.6), yaw=1.1)
+    square_a = upright(a.center, dims=(2.0, 1.5, 2.0), yaw=0.3)
+    square_b = upright(a.center, dims=(2.0, 1.5, 2.0), yaw=0.3 + np.pi / 4)
+    for first, second, expected in ((a, inside, 0.48 / 10.8), (square_a, square_b, 0.5**0.5)):
+        assert iou3d(first, second) == pytest.approx(reference_iou3d(first, second), abs=1e-12)
+        assert iou3d(first, second) == pytest.approx(expected, abs=1e-12)
 
 
 # --- rotation metrics -------------------------------------------------------------
@@ -778,9 +832,10 @@ def test_iou2d_matches_reference_bit_for_bit():
 
 
 def test_pair_errors_match_the_single_pair_metrics():
+    # each single-pair metric is the one-pair case of pair_errors: the same bits
     rng = np.random.default_rng(43)
     pairs = []
-    for _ in range(50):
+    for _ in range(4000):
         gt = upright(rng.uniform([-8, -1, 5], [8, 2, 60]), tuple(rng.uniform(1, 4, 3)),
                      rng.uniform(-np.pi, np.pi))
         pairs.append((gt, upright(gt.center + rng.normal(0, 1, 3), tuple(rng.uniform(1, 4, 3)),
@@ -788,8 +843,9 @@ def test_pair_errors_match_the_single_pair_metrics():
     errors = pair_errors(pairs)
     for row, (gt, pred) in zip(errors, pairs):
         assert row[0] == pytest.approx(np.linalg.norm(gt.center), abs=1e-12)
-        assert row[1] == pytest.approx(center_distance(gt, pred), abs=1e-12)
-        assert row[2] == pytest.approx(closest_point_distance_error(gt, pred), abs=1e-12)
+        assert row[1] == center_distance(gt, pred)
+        assert row[2] == closest_point_distance_error(gt, pred)
+        assert row[3] == iou3d(gt, pred)
         assert row[3] == pytest.approx(reference_iou3d(gt, pred), abs=1e-12)
     tilted = Box3D(pairs[7][1].center, pairs[7][1].dims, 0.0, pitch=0.2)
     with pytest.raises(NonUprightBoxError, match="pitch=0.2"):
